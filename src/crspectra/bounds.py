@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DegenerateJ,
     InvalidDecomposition,
+    JobValidationError,
     NegativeTransverseCurvature,
     NotApplicable,
     NotOnSphereImage,
@@ -50,12 +51,23 @@ class Decomposition:
 
     @classmethod
     def from_dict(cls, data, n, parse_fn):
+        if not isinstance(data, dict):
+            raise JobValidationError("decomposition must be an object")
+        maps = data.get("f_maps")
+        if not isinstance(maps, list) or not maps or not all(isinstance(s, str) for s in maps):
+            raise JobValidationError("decomposition needs f_maps, a non-empty list of expressions")
         psi = data.get("psi")
+        if psi is not None and not isinstance(psi, str):
+            raise JobValidationError("decomposition psi must be an expression")
+        try:
+            N, nu = float(data.get("N", 1.0)), float(data.get("nu", 1.0))
+        except (TypeError, ValueError):
+            raise JobValidationError("decomposition N and nu must be numbers") from None
         return cls(
-            N=float(data.get("N", 1.0)),
-            nu=float(data.get("nu", 1.0)),
+            N=N,
+            nu=nu,
             psi=parse_fn(psi, n) if psi else None,
-            f_maps=[parse_fn(s, n) for s in data["f_maps"]],
+            f_maps=[parse_fn(s, n) for s in maps],
         )
 
     def describe(self):
@@ -162,7 +174,7 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
     """
     n = rho.n
     dec_diag = validate_decomposition(rho, dec, rule.points, params=params)
-    frame = build_frame(rho, rule.points, params=params)
+    frame = rule.frame(rho, params)
     v = rule.volume
     r_integral = float(integrate(rule, frame.r).real)
     value = n / v * r_integral + n * (dec.N - 1.0) / dec.nu

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFrame, JobValidationError, NoRootFound
+from .frames import CRFrame, build_frame
 from .runtime import map_chunks
 
 _ZERO = (0,)
@@ -64,6 +65,10 @@ class SurfacePoint:
     weight: float
 
 
+def _frame_key(rho, params):
+    return id(rho), tuple(sorted((params or {}).items()))
+
+
 @dataclass
 class QuadratureRule:
     points: np.ndarray           # (P, m) complex, on M
@@ -75,9 +80,19 @@ class QuadratureRule:
     settings: QuadratureSettings
     n: int
     weights: np.ndarray = field(init=False)
+    _frames: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = self.base_weights * self.density
+
+    def frame(self, rho, params=None) -> CRFrame:
+        """The CR frame of ``rho`` at the rule points, built once per
+        (defining function, params) and kept as long as the rule."""
+        key = _frame_key(rho, params)
+        if key not in self._frames:
+            # the entry holds rho, so its id cannot be reused while cached
+            self._frames[key] = (rho, build_frame(rho, self.points, params=params))
+        return self._frames[key][1]
 
     def __len__(self):
         return self.points.shape[0]
@@ -396,17 +411,22 @@ def re_densify(rule: QuadratureRule, rho, params=None) -> QuadratureRule:
     """Reweight a rule with the volume form induced by another defining function.
 
     The points and tangent bases stay fixed (they describe M itself); only
-    the density factor is recomputed.
+    the density factor is recomputed, from the CR frame of ``rho`` at the
+    points, which the returned rule keeps for its own ``frame(rho, params)``.
+    ``rho`` must therefore be a strictly pseudoconvex defining function of M
+    at the rule points.
     """
-    grad, hess = _grad_hess(rho, params, rule.points)
-    density = np.abs(_form_value(grad, hess, rule.tangents, rule.n))
+    frame = build_frame(rho, rule.points, params=params)
+    density = np.abs(_form_value(frame.grad, frame.hessian, rule.tangents, rule.n))
     if np.min(density) <= 1e-14:
         raise DegenerateFrame("vanishing volume density after re-densifying")
-    return QuadratureRule(
+    out = QuadratureRule(
         points=rule.points, parameters=rule.parameters, tangents=rule.tangents,
         base_weights=rule.base_weights, density=density, kind=rule.kind,
         settings=rule.settings, n=rule.n,
     )
+    out._frames[_frame_key(rho, params)] = (rho, frame)
+    return out
 
 
 def integrate(rule: QuadratureRule, f):

@@ -20,7 +20,8 @@ from .errors import JobValidationError, NumericalError, ValidationError
 from .expressions import parse
 from .operators import curvature_quantities
 from .quadrature import QuadratureSettings, build_quadrature, points_on_surface
-from .spectral import estimate_lambda1
+from .runtime import release_freed_memory
+from .spectral import MAX_DEGREE, estimate_lambda1
 
 TASK_KINDS = (
     "invariants",
@@ -95,7 +96,12 @@ def _points_to_pairs(points):
 
 
 def _pairs_to_points(pairs, m):
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):
+        raise JobValidationError(
+            f"points must be arrays of {m} [re, im] number pairs"
+        ) from None
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[1] != m or arr.shape[2] != 2:
@@ -166,9 +172,24 @@ class _JobContext:
     def task_points(self, task, default_count):
         if "points" in task:
             return _pairs_to_points(task["points"], self.rho.m)
-        count = int(task.get("num_points", default_count))
-        seed = int(task.get("seed", self.settings.seed))
+        count = _task_number(task, "num_points", default_count, minimum=1)
+        seed = _task_number(task, "seed", self.settings.seed, minimum=0)
         return points_on_surface(self.rho, count, seed=seed, params=self.params)
+
+
+def _task_number(task, key, default, cast=int, minimum=None, maximum=None):
+    """task[key] converted by ``cast`` (int or float) and range-checked; a
+    malformed value is a validation error."""
+    value = task.get(key, default)
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise JobValidationError(f"{key} must be a {cast.__name__}, got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise JobValidationError(f"{key} must be >= {minimum}, got {out}")
+    if maximum is not None and out > maximum:
+        raise JobValidationError(f"{key} must be <= {maximum}, got {out}")
+    return out
 
 
 def _point_table(ctx, task, with_frame_diag):
@@ -221,10 +242,11 @@ def _run_task(ctx, task, base_dir):
             result["csv"] = task["csv"]
         return result
     if kind == "spectrum":
-        degree = int(task.get("degree", 3))
+        # checked before the rule is built or anything is assembled
+        degree = _task_number(task, "degree", 3, minimum=0, maximum=MAX_DEGREE)
+        kernel_tol = _task_number(task, "kernel_tol", 1e-6, cast=float)
         report = estimate_lambda1(
-            ctx.rho, degree, ctx.rule, params=ctx.params,
-            kernel_tol=float(task.get("kernel_tol", 1e-6)),
+            ctx.rho, degree, ctx.rule, params=ctx.params, kernel_tol=kernel_tol,
             check_monotonicity=bool(task.get("check_monotonicity", True)),
         )
         return report.to_dict()
@@ -238,15 +260,15 @@ def _run_task(ctx, task, base_dir):
                              seed=ctx.settings.seed)
         return report.to_dict()
     if kind == "bound_reilly":
-        if "F_maps" not in task:
-            raise JobValidationError("bound_reilly needs F_maps")
+        if not isinstance(task.get("F_maps"), list) or not task["F_maps"]:
+            raise JobValidationError("bound_reilly needs F_maps, a non-empty list")
         maps = [parse(s, ctx.n) for s in task["F_maps"]]
         report = reilly_bound(maps, ctx.rule, params=ctx.params,
                               seed=ctx.settings.seed)
         return report.to_dict()
     if kind == "bound_special":
         points = ctx.task_points(task, 50)
-        report = special_bound(ctx.rho, int(task.get("j", 1)), points,
+        report = special_bound(ctx.rho, _task_number(task, "j", 1), points,
                                params=ctx.params)
         return report.to_dict()
     if kind == "bound_lower":
@@ -298,6 +320,9 @@ def run_job_data(job: dict, base_dir=".", include_timings=False):
     results = []
     saw_validation = saw_numerical = False
     for i, task in enumerate(job["tasks"]):
+        # each task starts from the memory that is live, not from what the
+        # allocator kept of earlier tasks' arrays
+        release_freed_memory()
         entry = {"task": task["kind"], "index": i}
         start = time.perf_counter()
         try:

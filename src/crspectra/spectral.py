@@ -4,9 +4,19 @@ Trial space: restrictions of monomials z^a conj(z)^b to M.  Restrictions of
 polynomial multiples of the defining function vanish identically on M, so
 the Gram matrix is rank-deficient by construction whenever such multiples
 live in the basis; the solver projects that null space out (relative
-eigenvalue < 1e-13) before reducing the pencil.  All eigensolves use a
-cyclic complex Jacobi iteration with a fixed sweep order, so reports are
-bit-reproducible and independent of the BLAS in use.
+eigenvalue < 1e-13) before reducing the pencil.
+
+The graded basis of degree d - 1 is a prefix of the degree-d basis, so the
+Gram and stiffness matrices are assembled once, at the requested degree, and
+the lower-degree Ritz values of the monotonicity diagnostic come from their
+leading principal blocks.
+
+Determinism: chunk boundaries and reduction order do not depend on the
+thread budget, and the eigensolves use a cyclic complex Jacobi iteration
+with a fixed sweep order, so reports are bit-identical for any
+CR_SPECTRA_THREADS given a fixed BLAS build and BLAS thread count.  The Gram
+and stiffness products and the pencil reduction go through the BLAS matrix
+product, so a different BLAS may change the last bits.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .errors import (
     JobValidationError,
     NoPositiveEigenvalue,
 )
-from .frames import build_frame, hermitize
+from .frames import hermitize
 from .operators import delta_tilde_coefficients
 from .quadrature import QuadratureRule
 from .runtime import map_chunks
@@ -46,6 +56,8 @@ class MonomialBasis:
     def build(cls, m, degree):
         if degree > MAX_DEGREE:
             raise JobValidationError(f"basis degree {degree} exceeds {MAX_DEGREE}")
+        if degree < 0:
+            raise JobValidationError(f"basis degree {degree} is negative")
         exps = []
         for total in range(degree + 1):
             block = sorted(
@@ -60,6 +72,12 @@ class MonomialBasis:
     def __len__(self):
         return self.holo.shape[0]
 
+    def truncate(self, degree):
+        """The basis of a lower degree: a prefix of this one."""
+        size = int(np.sum(self.holo.sum(axis=1) + self.anti.sum(axis=1) <= degree))
+        return MonomialBasis(m=self.m, degree=degree, holo=self.holo[:size],
+                             anti=self.anti[:size])
+
     def labels(self):
         out = []
         for a, b in zip(self.holo, self.anti):
@@ -69,61 +87,86 @@ class MonomialBasis:
         return out
 
 
-def _power_tables(pts, dmax):
-    """pt[p, j, k] = z_j^k and conj(z_j)^k for k = 0..dmax."""
-    P, m = pts.shape
-    tz = np.ones((P, m, dmax + 1), dtype=np.complex128)
-    for k in range(1, dmax + 1):
-        tz[:, :, k] = tz[:, :, k - 1] * pts
-    return tz, np.conj(tz)
+def _column_lookup(column, exps):
+    """Table columns of the monomials with exponents ``exps`` (B, m).
 
-
-def _gather_product(table, exps, shift_var=None):
-    """prod_j table[p, j, e_j], with e_{shift_var} lowered by one.
-
-    Returns (values (P, B), multiplicity (B,)): the multiplicity is the
-    original exponent of the shifted variable (zero kills the term).
+    Returns (cols (B,), lowered (m, B), mult (m, B)): ``lowered[j]`` is the
+    column with e_j lowered by one and ``mult[j]`` is e_j, the factor of
+    d/dz_j; where e_j = 0 the factor kills the term and the lowered column
+    is clamped to the unlowered one.
     """
-    P = table.shape[0]
-    B = exps.shape[0]
-    m = exps.shape[1]
-    out = np.ones((P, B), dtype=np.complex128)
-    mult = None
-    for j in range(m):
-        e = exps[:, j]
-        if shift_var == j:
-            mult = e.astype(np.float64)
-            e = np.maximum(e - 1, 0)
-        out *= table[:, j, :][:, e]
-    if shift_var is None:
-        return out, None
-    return out, mult
+    lowered = []
+    for j in range(exps.shape[1]):
+        f = exps.copy()
+        f[:, j] = np.maximum(f[:, j] - 1, 0)
+        lowered.append(column[tuple(f.T)])
+    return column[tuple(exps.T)], np.stack(lowered), exps.T.astype(np.float64)
+
+
+class MonomialTable:
+    """The basis and its Wirtinger derivatives at a batch of points.
+
+    One power table z_j^k gives one table of the holomorphic monomials z^a,
+    |a| <= degree, and its conjugate; every basis value, ``dbar_k`` and
+    ``d_j dbar_k`` is then a product of two looked-up columns times the
+    exponent factors.
+    """
+
+    def __init__(self, basis: MonomialBasis, pts):
+        pts = np.asarray(pts, dtype=np.complex128)
+        m, d = basis.m, basis.degree
+        exps = np.array(
+            [e for e in itertools.product(range(d + 1), repeat=m) if sum(e) <= d],
+            dtype=np.intp,
+        )
+        column = np.zeros((d + 1,) * m, dtype=np.intp)
+        column[tuple(exps.T)] = np.arange(exps.shape[0])
+        self.m = m
+        self._holo_cols, self._holo_down, self._holo_mult = _column_lookup(column, basis.holo)
+        self._anti_cols, self._anti_down, self._anti_mult = _column_lookup(column, basis.anti)
+        power = np.ones((pts.shape[0], m, d + 1), dtype=np.complex128)
+        for k in range(1, d + 1):
+            power[:, :, k] = power[:, :, k - 1] * pts
+        holo = np.ones((pts.shape[0], exps.shape[0]), dtype=np.complex128)
+        for j in range(m):
+            holo *= power[:, j, exps[:, j]]
+        self.holo = holo
+        self.anti = np.conj(holo)
+
+    def values(self):
+        out = self.holo[:, self._holo_cols]
+        out *= self.anti[:, self._anti_cols]
+        return out
+
+    def dbar(self):
+        """d/d conj(z_k) of every basis monomial, shape (P, m, B)."""
+        vz = self.holo[:, self._holo_cols]
+        out = np.empty((vz.shape[0], self.m, vz.shape[1]), dtype=np.complex128)
+        for k in range(self.m):
+            np.multiply(vz, self.anti[:, self._anti_down[k]], out=out[:, k, :])
+            out[:, k, :] *= self._anti_mult[k]
+        return out
+
+    def mixed(self, j, k):
+        """d_j dbar_k of every basis monomial, shape (P, B)."""
+        out = self.holo[:, self._holo_down[j]]
+        out *= self.anti[:, self._anti_down[k]]
+        out *= self._holo_mult[j] * self._anti_mult[k]
+        return out
 
 
 def basis_values(basis: MonomialBasis, pts):
-    tz, tzb = _power_tables(pts, basis.degree)
-    vz, _ = _gather_product(tz, basis.holo)
-    vb, _ = _gather_product(tzb, basis.anti)
-    return vz * vb
+    return MonomialTable(basis, pts).values()
 
 
 def basis_dbar(basis: MonomialBasis, pts):
     """d/d conj(z_k) of every basis monomial, shape (P, m, B)."""
-    tz, tzb = _power_tables(pts, basis.degree)
-    vz, _ = _gather_product(tz, basis.holo)
-    out = np.empty((pts.shape[0], basis.m, len(basis)), dtype=np.complex128)
-    for k in range(basis.m):
-        vb, mult = _gather_product(tzb, basis.anti, shift_var=k)
-        out[:, k, :] = vz * vb * mult
-    return out
+    return MonomialTable(basis, pts).dbar()
 
 
 def basis_mixed(basis: MonomialBasis, pts, j, k):
     """d_j dbar_k of every basis monomial, shape (P, B)."""
-    tz, tzb = _power_tables(pts, basis.degree)
-    vz, mj = _gather_product(tz, basis.holo, shift_var=j)
-    vb, mk = _gather_product(tzb, basis.anti, shift_var=k)
-    return vz * vb * (mj * mk)
+    return MonomialTable(basis, pts).mixed(j, k)
 
 
 @dataclass
@@ -136,6 +179,15 @@ class SpectralProblem:
     ibp_deviation: float | None = None
     rule_meta: dict = field(default_factory=dict)
 
+    def leading_block(self, degree):
+        """The pencil of the degree-``degree`` sub-basis (no IBP diagnostic)."""
+        basis = self.basis.truncate(degree)
+        size = len(basis)
+        return SpectralProblem(
+            gram=self.gram[:size, :size], stiffness=self.stiffness[:size, :size],
+            basis=basis, kernel_tol=self.kernel_tol,
+        )
+
 
 def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
              kernel_tol=1e-6, check_ibp=True) -> SpectralProblem:
@@ -147,7 +199,7 @@ def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
     """
     pts = rule.points
     w = rule.weights
-    frame = build_frame(rho, pts, params=params)
+    frame = rule.frame(rho, params)
     m, n = frame.m, frame.n
     B = len(basis)
     flat = pts.shape[0]
@@ -159,27 +211,38 @@ def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
     def piece(sl):
         p = pts[sl]
         ww = w[sl]
-        V = basis_values(basis, p)
-        db = basis_dbar(basis, p)
+        table = MonomialTable(basis, p)
+        # arrays of shape (points, B) are dropped as soon as they are used,
+        # which keeps the working set of a chunk small
+        V = table.values()
+        Vc = np.conj(V)
+        V *= ww[:, None]
+        g_part = V.T @ Vc
+        del V
+        db = table.dbar()
         local = np.arange(sl.stop - sl.start)
         dbw = db[local, frame.chart[sl], :]
         # Z_betabar phi = phi_betabar - (rho_betabar / rho_wbar) phi_wbar
         zb = np.take_along_axis(db, frame.nonchart[sl][:, :, None], axis=1)
-        zb = zb - (gb_a[sl] / gb_w[sl][:, None])[:, :, None] * dbw[:, None, :]
-        Vw = V * ww[:, None]
-        g_part = Vw.T @ np.conj(V)
+        zb -= (gb_a[sl] / gb_w[sl][:, None])[:, :, None] * dbw[:, None, :]
+        del dbw
         s_part = np.zeros((B, B), dtype=np.complex128)
         for gma in range(n):
             for sgm in range(n):
                 c = ww * frame.levi_inv[sl][:, gma, sgm]
                 s_part += (zb[:, gma, :] * c[:, None]).T @ np.conj(zb[:, sgm, :])
+        del zb
         if check_ibp:
             box = np.zeros((p.shape[0], B), dtype=np.complex128)
             for j in range(m):
                 for k in range(m):
-                    box += tcoef[sl][:, j, k][:, None] * basis_mixed(basis, p, j, k)
+                    mixed = table.mixed(j, k)
+                    np.multiply(tcoef[sl][:, j, k][:, None], mixed, out=mixed)
+                    box += mixed
             box += n * np.einsum("pk,pkb->pb", np.conj(frame.xi[sl]), db)
-            sp_part = (box * ww[:, None]).T @ np.conj(V)
+            del db
+            box *= ww[:, None]
+            sp_part = box.T @ Vc
         else:
             sp_part = np.zeros((B, B), dtype=np.complex128)
         return g_part[None], s_part[None], sp_part[None]
@@ -344,19 +407,17 @@ class SpectralReport:
 
 def estimate_lambda1(rho, degree, rule, params=None, kernel_tol=1e-6,
                      check_monotonicity=True) -> SpectralReport:
-    """assemble -> solve pipeline with a Ritz monotonicity diagnostic."""
-    degrees = list(range(2, degree + 1)) if check_monotonicity and degree > 2 else [degree]
-    by_degree = {}
-    last = None
-    for d in degrees:
-        basis = MonomialBasis.build(rho.m, d)
-        problem = assemble(rho, rule, basis, params=params, kernel_tol=kernel_tol,
-                           check_ibp=(d == degree))
-        result = solve(problem)
-        by_degree[d] = result.lambda1
-        if d == degree:
-            last = (problem, result)
-    problem, result = last
+    """assemble -> solve pipeline with a Ritz monotonicity diagnostic.
+
+    One assembly at ``degree``; each lower degree from 2 up is solved on the
+    leading principal block of that pencil.
+    """
+    basis = MonomialBasis.build(rho.m, degree)
+    problem = assemble(rho, rule, basis, params=params, kernel_tol=kernel_tol)
+    lower = range(2, degree) if check_monotonicity else ()
+    by_degree = {d: solve(problem.leading_block(d)).lambda1 for d in lower}
+    result = solve(problem)
+    by_degree[degree] = result.lambda1
     vals = [by_degree[d] for d in sorted(by_degree)]
     monotone = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     return SpectralReport(

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crspectra
 from crspectra.cli import main
 from crspectra.errors import JobValidationError
 from crspectra.reporting import canonical_json, normalize_job, run_job, run_job_data
@@ -164,9 +167,13 @@ def test_cli_param_binding(capsys):
 
 
 def test_cli_entry_point_subprocess():
+    # the child finds the package where this process imported it from, so
+    # the test also runs from a checkout without PYTHONPATH set
+    src = str(Path(crspectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "crspectra.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "crspectra" in proc.stdout
@@ -207,3 +214,85 @@ def test_thread_count_does_not_change_report(tmp_path, monkeypatch):
     monkeypatch.setenv("CR_SPECTRA_THREADS", "4")
     r2, _ = run_job_data(job, base_dir=tmp_path)
     assert canonical_json(r1) == canonical_json(r2)
+
+
+def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
+    from crspectra import reporting, spectral
+
+    ran = []
+    monkeypatch.setattr(spectral, "assemble", lambda *a, **k: ran.append("assemble"))
+    monkeypatch.setattr(reporting, "build_quadrature", lambda *a, **k: ran.append("rule"))
+    job = {**SPHERE_JOB, "tasks": [{"kind": "spectrum", "degree": 9}]}
+    report, code = run_job_data(job, base_dir=tmp_path)
+    entry = report["results"][0]
+    assert code == 2
+    assert entry["error"] == "JobValidationError"
+    assert "9" in entry["message"]
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "curvature", "num_points": 0},
+        {"kind": "curvature", "num_points": -3},
+        {"kind": "spectrum", "degree": "abc"},
+        {"kind": "curvature", "seed": "x"},
+        {"kind": "curvature", "points": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]},
+        {"kind": "bound_upper", "decomposition": {}},
+        {"kind": "bound_reilly", "F_maps": []},
+        {"kind": "bound_special", "j": "x"},
+        {"kind": "spectrum", "kernel_tol": "x"},
+    ],
+    ids=["num_points_0", "num_points_negative", "degree_text", "seed_text",
+         "ragged_points", "empty_decomposition", "empty_F_maps", "j_text",
+         "kernel_tol_text"],
+)
+def test_malformed_task_fields_are_validation_errors(tmp_path, task):
+    report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
+    entry = report["results"][0]
+    assert code == 2
+    assert entry["status"] == "error"
+    assert entry["error"] == "JobValidationError"
+
+
+def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
+    from crspectra import frames
+
+    sizes = []
+    original = frames.frame_from_jet
+
+    def counting(jet, *args, **kwargs):
+        sizes.append(int(np.prod(jet.batch_shape)))
+        return original(jet, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "frame_from_jet", counting)
+    job = {
+        **SPHERE_JOB,
+        "tasks": [
+            {"kind": "bound_upper",
+             "decomposition": {"N": 1, "nu": 1, "f_maps": ["z1", "z2"]}},
+            {"kind": "spectrum", "degree": 4, "check_monotonicity": True},
+        ],
+    }
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 0
+    rule_points = report["results"][1]["result"]["quadrature"]["points"]
+    assert sizes.count(rule_points) == 1
+
+
+def test_freed_memory_released_before_each_task(tmp_path, monkeypatch):
+    from crspectra import reporting, runtime
+
+    calls = []
+    original = runtime.release_freed_memory
+
+    def counting():
+        calls.append(1)
+        original()
+
+    monkeypatch.setattr(reporting, "release_freed_memory", counting)
+    report, code = run_job_data(SPHERE_JOB, base_dir=tmp_path)
+    assert code == 0
+    assert len(calls) == len(report["results"]) == 2
+    original()  # idempotent, and a no-op without malloc_trim

@@ -5,9 +5,13 @@ from crspectra.errors import CholeskyFailure, IllConditionedGram, NoPositiveEige
 from crspectra.expressions import parse
 from crspectra.quadrature import QuadratureSettings, build_quadrature
 from crspectra.spectral import (
+    MAX_DEGREE,
     MonomialBasis,
     SpectralProblem,
     assemble,
+    basis_dbar,
+    basis_mixed,
+    basis_values,
     estimate_lambda1,
     jacobi_eigh,
     solve,
@@ -126,3 +130,59 @@ def test_dropped_dimension_counts_surface_relations(sphere_rule):
     # 5-dimensional null space: rho * {1, z1, z2, zbar1, zbar2}
     problem = assemble(SPHERE, sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
     assert solve(problem).dropped_dim == 5
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lower_degree_basis_is_a_prefix(m):
+    for d in range(1, MAX_DEGREE + 1):
+        low, high = MonomialBasis.build(m, d - 1), MonomialBasis.build(m, d)
+        assert np.array_equal(high.holo[: len(low)], low.holo)
+        assert np.array_equal(high.anti[: len(low)], low.anti)
+        assert np.array_equal(high.truncate(d - 1).holo, low.holo)
+
+
+def test_lambda1_by_degree_matches_separate_assemblies():
+    rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=16))
+    report = estimate_lambda1(ELLIPSOID, 4, rule)
+    assert sorted(report.lambda1_by_degree) == [2, 3, 4]
+    for d, lam in report.lambda1_by_degree.items():
+        problem = assemble(ELLIPSOID, rule, MonomialBasis.build(2, d), check_ibp=False)
+        direct = solve(problem).lambda1
+        assert abs(lam - direct) <= 1e-12 * abs(direct)
+
+
+def _direct_monomial(z, a, b, da=None, db=None):
+    """a_j b_k z^(a - e_j) conj(z)^(b - e_k) by plain powers (shifts optional)."""
+    a, b = a.astype(float), b.astype(float)
+    factor = 1.0
+    if da is not None:
+        factor *= a[da]
+        a[da] -= 1
+    if db is not None:
+        factor *= b[db]
+        b[db] -= 1
+    if factor == 0.0:
+        return np.zeros(z.shape[0], dtype=complex)
+    return factor * np.prod(z ** a, axis=1) * np.prod(np.conj(z) ** b, axis=1)
+
+
+@pytest.mark.parametrize("m,degree", [(2, 5), (3, 3)])
+def test_monomial_table_matches_direct_evaluation(m, degree):
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    basis = MonomialBasis.build(m, degree)
+    pairs = list(zip(basis.holo, basis.anti))
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    values = np.stack([_direct_monomial(z, a, b) for a, b in pairs], axis=1)
+    assert close(basis_values(basis, z), values)
+    dbar = basis_dbar(basis, z)
+    for k in range(m):
+        want = np.stack([_direct_monomial(z, a, b, db=k) for a, b in pairs], axis=1)
+        assert close(dbar[:, k, :], want)
+        for j in range(m):
+            want = np.stack([_direct_monomial(z, a, b, da=j, db=k) for a, b in pairs], axis=1)
+            assert close(basis_mixed(basis, z, j, k), want)
