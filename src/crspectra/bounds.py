@@ -17,6 +17,7 @@ Four bound kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,10 @@ class Decomposition:
             raise JobValidationError("decomposition psi must be an expression")
         try:
             N, nu = float(data.get("N", 1.0)), float(data.get("nu", 1.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise JobValidationError("decomposition N and nu must be numbers") from None
+        if not (math.isfinite(N) and math.isfinite(nu)):
+            raise JobValidationError(f"decomposition N and nu must be finite, got {N}, {nu}")
         return cls(
             N=N,
             nu=nu,

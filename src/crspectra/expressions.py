@@ -11,11 +11,15 @@ Grammar (EBNF):
 Identifiers ``z1`` .. ``z9`` are coordinates; ``i`` is the imaginary unit;
 ``conj, re, im, abs2, log, exp, pow`` are functions; every other identifier
 is a named real parameter.  ``pow(e, s)`` takes a numeric literal exponent
-(integer or real).  There is no implicit multiplication.
+(integer or real).  There is no implicit multiplication.  Numeric literals
+must be finite floats, and expression trees may nest at most ``MAX_DEPTH``
+levels (parentheses, unary minus, calls and operator chains all count), so
+the recursive evaluators and printer stay within Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 
@@ -32,6 +36,11 @@ from .jets import Jet, jet_variable
 FUNCTIONS = ("conj", "re", "im", "abs2", "log", "exp", "pow")
 
 _COORD_RE = _re.compile(r"^z[1-9]$")
+
+# far above any expression a defining function needs; the parser spends up
+# to five frames per nested call, so 100 levels stay well inside Python's
+# default recursion limit of 1000 frames
+MAX_DEPTH = 100
 
 
 # --- AST nodes -----------------------------------------------------------
@@ -132,6 +141,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -147,11 +157,24 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {op!r}", offset)
         return self.advance()
 
+    def enter(self, offset):
+        """Count one level of parser recursion (a group, unary minus or call)."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", offset
+            )
+
     def parse(self):
         node = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing input {value!r}", offset)
+        if _height(node) > MAX_DEPTH:
+            # operator chains build trees as deep as they are long
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", 0
+            )
         return node
 
     def expr(self):
@@ -191,12 +214,20 @@ class _Parser:
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "number":
-            return Literal(complex(float(value)))
-        if kind == "op" and value == "-":
-            return Neg(self.atom())
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
+            number = float(value)
+            if math.isinf(number):
+                raise ExpressionSyntaxError(
+                    f"numeric literal {value} overflows a float", offset
+                )
+            return Literal(complex(number))
+        if kind == "op" and value in "-(":
+            self.enter(offset)
+            if value == "-":
+                node = Neg(self.atom())
+            else:
+                node = self.expr()
+                self.expect_op(")")
+            self.nesting -= 1
             return node
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
@@ -221,6 +252,7 @@ class _Parser:
                 f"unknown function {name!r} (byte offset {offset})"
             )
         self.expect_op("(")
+        self.enter(offset)
         args = [self.expr()]
         while True:
             kind, value, _ = self.peek()
@@ -230,6 +262,7 @@ class _Parser:
             else:
                 break
         self.expect_op(")")
+        self.nesting -= 1
         if name == "pow":
             if len(args) != 2:
                 raise ExpressionSyntaxError("pow takes two arguments", offset)
@@ -253,6 +286,29 @@ class _Parser:
 
 
 # --- analyzers -----------------------------------------------------------
+
+
+def _children(node):
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, PowInt):
+        return (node.base,)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _height(root):
+    """Levels of the tree, counted without recursion."""
+    height = 0
+    stack = [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return height
 
 
 def _is_real(node):

@@ -9,6 +9,7 @@ property and are therefore opt-in (``include_timings``).
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -89,6 +90,18 @@ def _serialize(obj, out):
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _echo(obj):
+    """A job value for the report: non-finite numbers, which the task that
+    reads them refuses, are spelled as strings so the report stays JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _echo(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_echo(v) for v in obj]
+    return obj
+
+
 def _points_to_pairs(points):
     return [
         [[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(points)
@@ -108,10 +121,19 @@ def _pairs_to_points(pairs, m):
         raise JobValidationError(
             f"points must be arrays of {m} [re, im] pairs, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise JobValidationError("points must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 # --- job handling -------------------------------------------------------------
+
+
+def _is_finite(x):
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def normalize_job(job: dict) -> dict:
@@ -129,10 +151,13 @@ def normalize_job(job: dict) -> dict:
     if not isinstance(job.get("defining_function"), str):
         raise JobValidationError("defining_function must be a string expression")
     params = job.get("params", {})
-    if not isinstance(params, dict) or not all(
-        isinstance(v, (int, float)) for v in params.values()
-    ):
+    if not isinstance(params, dict):
         raise JobValidationError("params must map names to real numbers")
+    for name, value in params.items():
+        if not isinstance(value, (int, float)) or not _is_finite(value):
+            raise JobValidationError(
+                f"params[{name!r}] must be a finite real number, got {value!r}"
+            )
     tasks = job.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise JobValidationError("tasks must be a non-empty list")
@@ -185,6 +210,8 @@ def _task_number(task, key, default, cast=int, minimum=None, maximum=None):
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise JobValidationError(f"{key} must be a {cast.__name__}, got {value!r}") from None
+    if cast is float and not math.isfinite(out):
+        raise JobValidationError(f"{key} must be finite, got {value!r}")
     if minimum is not None and out < minimum:
         raise JobValidationError(f"{key} must be >= {minimum}, got {out}")
     if maximum is not None and out > maximum:
@@ -343,7 +370,7 @@ def run_job_data(job: dict, base_dir=".", include_timings=False):
         results.append(entry)
     report = {
         "tool": {"name": "crspectra", "version": __version__},
-        "job": {k: v for k, v in job.items() if k != "output"},
+        "job": _echo({k: v for k, v in job.items() if k != "output"}),
         "results": results,
     }
     if "output" in job:

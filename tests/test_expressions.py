@@ -7,7 +7,8 @@ from crspectra.errors import (
     UnboundParameter,
     UnknownIdentifier,
 )
-from crspectra.expressions import check_holomorphic, parse
+from crspectra.expressions import MAX_DEPTH, check_holomorphic, parse
+from crspectra.reporting import run_job_data
 
 
 def test_sphere_defining_function_parses():
@@ -163,3 +164,33 @@ def test_empty_expression_rejected():
 def test_trailing_garbage_rejected():
     with pytest.raises(ExpressionSyntaxError):
         parse("z1 z2", 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 2000 + "z1" + ")" * 2000, "-" * 2000 + "z1", "z1" + "+0*z1" * 1500],
+    ids=["parentheses", "unary_minus", "long_sum"],
+)
+def test_expression_depth_is_bounded(tmp_path, text):
+    with pytest.raises(ExpressionSyntaxError, match="nested deeper"):
+        parse(text, 1)
+    # inside a task the failure stays a per-task validation error
+    job = {
+        "dimension_n": 1,
+        "defining_function": "abs2(z1)+abs2(z2)-1",
+        "tasks": [{"kind": "invariance_check", "num_points": 2,
+                   "defining_functions": ["abs2(z1)+abs2(z2)-1", text]}],
+    }
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 2
+    assert report["results"][0]["error"] == "ExpressionSyntaxError"
+
+
+def test_expression_at_depth_limit_evaluates():
+    # the deepest accepted tree: MAX_DEPTH - 1 nested calls around a leaf
+    levels = MAX_DEPTH - 1
+    e = parse("re(" * levels + "z1" + ")" * levels, 1)
+    assert parse(str(e), 1) == e
+    pt = np.array([0.3 + 0.2j, 0.1])
+    assert e.jet({}, pt, 4).constant_term() == pytest.approx(0.3)
+    assert e.value({}, pt) == pytest.approx(0.3)

@@ -153,6 +153,52 @@ def test_batched_jets_match_loop():
         assert np.allclose(prod.coeffs[:, i], expect.coeffs)
 
 
+@given(
+    m=st.integers(1, 3),
+    order=st.integers(0, 4),
+    batch=st.sampled_from([(), (1,), (6,)]),
+    zero_a=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    zero_b=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_restricted_product_matches_dense_reference(m, order, batch, zero_a, zero_b, seed):
+    # zero share 0.0 leaves full support, 1.0 makes the operand all zero
+    rng = np.random.default_rng(seed)
+    space = jet_space(m, order)
+    pt = rng.standard_normal(batch + (m,)) + 0j
+
+    def random_jet(zero_share):
+        shape = (space.n_terms,) + batch
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[rng.random(shape) < 0.2] = 0.0  # zero at some points only
+        coeffs[rng.random(space.n_terms) < zero_share] = 0.0
+        return Jet(space, pt, coeffs)
+
+    a, b = random_jet(zero_a), random_jet(zero_b)
+    got = (a * b).coeffs
+
+    i1, i2, out = space.mul_table()
+    starts = np.searchsorted(out, np.arange(space.n_terms))
+    pairs = a.coeffs[i1] * b.coeffs[i2]
+    dense = np.add.reduceat(pairs, starts, axis=0)
+    scale = np.add.reduceat(np.abs(pairs), starts, axis=0)
+    assert np.all(np.abs(got - dense) <= 1e-14 * scale)
+
+    support_a = [i for i in range(space.n_terms) if np.any(a.coeffs[i] != 0)]
+    support_b = [i for i in range(space.n_terms) if np.any(b.coeffs[i] != 0)]
+    closure = set()
+    for i in support_a:
+        for j in support_b:
+            (a1, b1), (a2, b2) = space.exps[i], space.exps[j]
+            key = (tuple(x + y for x, y in zip(a1, a2)),
+                   tuple(x + y for x, y in zip(b1, b2)))
+            if sum(key[0]) + sum(key[1]) <= order:
+                closure.add(space.index[key])
+    outside = [t for t in range(space.n_terms) if t not in closure]
+    assert np.all(got[outside] == 0)
+
+
 def test_derivative_shifts_and_rescales():
     pt = [0.4, 0.7j]
     z = jet_variable(pt, 1, "holomorphic", 4)

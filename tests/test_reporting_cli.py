@@ -256,6 +256,44 @@ def test_malformed_task_fields_are_validation_errors(tmp_path, task):
     assert entry["error"] == "JobValidationError"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "change, level, field",
+    [
+        ({"tasks": [{"kind": "curvature", "points": [[[NAN, 0.0], [0.0, 0.0]]]}]},
+         "task", "points"),
+        ({"tasks": [{"kind": "curvature", "points": [[[1.0, 0.0], [INF, 0.0]]]}]},
+         "task", "points"),
+        ({"tasks": [{"kind": "bound_reilly", "F_maps": ["1e400*z1", "z2"]}]},
+         "task", "1e400"),
+        ({"defining_function": "abs2(z1)+abs2(z2)-1e400"}, "job", "1e400"),
+        ({"params": {"a": NAN}}, "job", "params['a']"),
+        ({"params": {"a": -INF}}, "job", "params['a']"),
+        ({"tasks": [{"kind": "spectrum", "kernel_tol": NAN}]}, "task", "kernel_tol"),
+        ({"tasks": [{"kind": "bound_upper",
+                     "decomposition": {"N": INF, "f_maps": ["z1", "z2"]}}]},
+         "task", "N and nu"),
+    ],
+    ids=["nan_point", "inf_point", "literal_in_task", "literal_in_rho",
+         "nan_param", "inf_param", "nan_kernel_tol", "inf_N"],
+)
+def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, change, level, field):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**SPHERE_JOB, **change}))  # NaN/Infinity tokens
+    code = main(["run", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    if level == "job":  # refused before any task runs
+        assert err.startswith("error: ") and field in err
+    else:
+        entry = json.loads(out.splitlines()[-1])["results"][0]
+        assert entry["status"] == "error"
+        assert entry["error"] in ("JobValidationError", "ExpressionSyntaxError")
+        assert field in entry["message"]
+
+
 def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
     from crspectra import frames
 
