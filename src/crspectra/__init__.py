@@ -20,11 +20,10 @@ from .bounds import (
     upper_bound,
     validate_decomposition,
 )
-from .expressions import Expression, check_holomorphic, eval_jet, parse
+from .expressions import Expression, parse
 from .frames import DEFAULT_TOLERANCES, CRFrame, FrameTolerances, build_frame, frame_from_jet
-from .jets import MAX_ORDER, Jet, MultiIndex, jet_compose, jet_space, jet_variable, partial
+from .jets import MAX_ORDER, Jet, MultiIndex, jet_compose, jet_space, jet_variable
 from .operators import (
-    D_functional,
     curvature_functional,
     curvature_quantities,
     dbar_pairing,
@@ -42,7 +41,6 @@ from .operators import (
 from .quadrature import (
     QuadratureRule,
     QuadratureSettings,
-    SurfacePoint,
     build_quadrature,
     integrate,
     pfaffian,

@@ -30,7 +30,7 @@ from .errors import (
     NotApplicable,
     NotOnSphereImage,
 )
-from .expressions import Call, Expression, Literal, Sub, Add, check_holomorphic
+from .expressions import Call, Expression, Literal, Sub, Add
 from .frames import build_frame
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
 from .quadrature import QuadratureRule, integrate, re_densify
@@ -109,7 +109,7 @@ def validate_decomposition(rho, dec: Decomposition, points, params=None,
     diagnostics dict on success.
     """
     for i, f in enumerate(dec.f_maps):
-        if not check_holomorphic(f):
+        if not f.holomorphic:
             raise InvalidDecomposition(
                 f"map {i + 1} ({f}) is not syntactically holomorphic"
             )
@@ -142,12 +142,7 @@ def validate_decomposition(rho, dec: Decomposition, points, params=None,
 
     plurih = 0.0
     if dec.psi is not None:
-        jet = dec.psi.jet(params, stack, 2)
-        m = rho.m
-        eye = [tuple(1 if t == s else 0 for t in range(m)) for s in range(m)]
-        for j in range(m):
-            for k in range(m):
-                plurih = max(plurih, float(np.max(np.abs(jet.partial(eye[j], eye[k])))))
+        plurih = float(np.max(np.abs(dec.psi.jet(params, stack, 2).mixed_hessian())))
         if plurih > PLURIHARMONIC_TOL:
             raise InvalidDecomposition(
                 f"psi is not pluriharmonic: max |psi_j kbar| = {plurih:.3e}"
@@ -245,7 +240,7 @@ def reilly_bound(f_maps, rule: QuadratureRule, params=None, seed=0) -> BoundRepo
     reused, with the density recomputed for the pullback defining function.
     """
     for i, f in enumerate(f_maps):
-        if not check_holomorphic(f):
+        if not f.holomorphic:
             raise NotOnSphereImage(f"component {i + 1} ({f}) is not holomorphic")
     rho_f = pullback_defining_function(f_maps)
     residual = np.abs(rho_f.value(params, rule.points).real)

@@ -609,12 +609,3 @@ def parse(text: str, n: int) -> Expression:
         raise ExpressionSyntaxError("empty expression", 0)
     return Expression(_Parser(text, n).parse(), n)
 
-
-def eval_jet(expr: Expression, params, point, order) -> Jet:
-    """Jet of the expression at a point (function form of Expression.jet)."""
-    return expr.jet(params, point, order)
-
-
-def check_holomorphic(expr: Expression) -> bool:
-    """Syntactic holomorphy: no conj/re/im/abs2 and no conjugated variable."""
-    return expr.holomorphic

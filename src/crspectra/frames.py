@@ -167,9 +167,49 @@ def _worst(values, points):
     return values.reshape(-1)[i], points.reshape(-1, points.shape[-1])[i]
 
 
-def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> CRFrame:
-    """Build the frame from a jet of the defining function (order >= 2)."""
-    tol = tol or DEFAULT_TOLERANCES
+def chart_projection(mat, grad, chart, nonchart):
+    """An (..., m, m) matrix H_{j kbar} on the chart (1,0) fields.
+
+    With Z_alpha = d_alpha - (rho_alpha / rho_w) d_w for the chart index w
+    and the nonchart indices alpha, returns the (..., n, n) matrix
+    H(Z_alpha, conj(Z_beta)); on the complex Hessian of rho this is the
+    Levi form.
+    """
+    batch = grad.shape[:-1]
+    m, n = grad.shape[-1], nonchart.shape[-1]
+    flat = int(np.prod(batch)) if batch else 1
+    rows = np.arange(flat)
+    fmat = mat.reshape(flat, m, m)
+    fgrad = grad.reshape(flat, m)
+    w = chart.reshape(flat)
+    non = nonchart.reshape(flat, n)
+
+    g_a = np.take_along_axis(fgrad, non, axis=1)                  # rho_alpha
+    g_w = fgrad[rows, w]                                           # rho_w
+    H_ab = fmat[rows[:, None, None], non[:, :, None], non[:, None, :]]
+    H_wb = fmat[rows[:, None], w[:, None], non]                    # H_{w betabar}
+    H_aw = fmat[rows[:, None], non, w[:, None]]                    # H_{alpha wbar}
+    H_ww = fmat[rows, w, w]                                        # H_{w wbar}
+
+    out = (
+        H_ab
+        - g_a[:, :, None] * H_wb[:, None, :] / g_w[:, None, None]
+        - np.conj(g_a)[:, None, :] * H_aw[:, :, None] / np.conj(g_w)[:, None, None]
+        + H_ww[:, None, None]
+        * g_a[:, :, None]
+        * np.conj(g_a)[:, None, :]
+        / (np.abs(g_w) ** 2)[:, None, None]
+    )
+    return out.reshape(batch + (n, n))
+
+
+def read_derivatives(jet: Jet):
+    """Value, gradient and complex Hessian of a defining function from its jet.
+
+    Checks that the jet (order >= 2) is real, and returns ``(rho, grad,
+    hess)``: the real value (...), rho_j (..., m) and the Hermitian rho_{j
+    kbar} (..., m, m) at the jet's base points.
+    """
     if jet.order < 2:
         raise JetOrderError("frame construction needs a jet of order >= 2")
     if not jet.is_real:
@@ -182,25 +222,23 @@ def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> 
                 f"defining function is not real-valued (defect {defect:.3e})"
             )
         jet = jet.hermitized()
-    m = jet.m
-    n = m - 1
-    batch = jet.batch_shape
-    points = np.broadcast_to(jet.point, batch + (m,))
+    return jet.constant_term().real, jet.gradient(), hermitize(jet.mixed_hessian())
 
-    rho = jet.constant_term().real
+
+def frame_from_derivatives(point, rho, grad, hess, chart=None,
+                           tol: FrameTolerances | None = None) -> CRFrame:
+    """Build the frame at ``point`` (..., m) from the value, gradient and
+    Hessian of the defining function there (as from ``read_derivatives``)."""
+    tol = tol or DEFAULT_TOLERANCES
+    m = grad.shape[-1]
+    n = m - 1
+    batch = grad.shape[:-1]
+    points = np.broadcast_to(point, batch + (m,))
+
     worst_rho = np.max(np.abs(rho)) if rho.size else 0.0
     if worst_rho > tol.on_surface:
         val, pt = _worst(np.abs(np.atleast_1d(rho)), np.atleast_2d(points.reshape(-1, m)))
         raise NotOnSurface(f"|rho| = {val:.3e} > {tol.on_surface:.1e} at {pt}")
-
-    zero = (0,) * m
-    eye = [tuple(1 if t == s else 0 for t in range(m)) for s in range(m)]
-    grad = np.stack([jet.partial(eye[j], zero) for j in range(m)], axis=-1)
-    hess = np.empty(batch + (m, m), dtype=np.complex128)
-    for j in range(m):
-        for k in range(m):
-            hess[..., j, k] = jet.partial(eye[j], eye[k])
-    hess = hermitize(hess)
 
     adj = small_adjugate(hess)
     detH = small_det(hess).real
@@ -253,30 +291,7 @@ def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> 
     mask = all_idx != chart_idx[..., None]
     nonchart = all_idx[mask].reshape(batch + (n,))
 
-    flatP = int(np.prod(batch)) if batch else 1
-    fgrad = grad.reshape(flatP, m)
-    fhess = hess.reshape(flatP, m, m)
-    fchart = chart_idx.reshape(flatP)
-    fnon = nonchart.reshape(flatP, n)
-    rows = np.arange(flatP)
-
-    g_a = np.take_along_axis(fgrad, fnon, axis=1)                  # rho_alpha
-    g_w = fgrad[rows, fchart]                                      # rho_w
-    H_ab = fhess[rows[:, None, None], fnon[:, :, None], fnon[:, None, :]]
-    H_wb = fhess[rows[:, None], fchart[:, None], fnon]             # rho_{w betabar}
-    H_aw = fhess[rows[:, None], fnon, fchart[:, None]]             # rho_{alpha wbar}
-    H_ww = fhess[rows, fchart, fchart]                             # rho_{w wbar}
-
-    levi = (
-        H_ab
-        - g_a[:, :, None] * H_wb[:, None, :] / g_w[:, None, None]
-        - np.conj(g_a)[:, None, :] * H_aw[:, :, None] / np.conj(g_w)[:, None, None]
-        + H_ww[:, None, None]
-        * g_a[:, :, None]
-        * np.conj(g_a)[:, None, :]
-        / (np.abs(g_w) ** 2)[:, None, None]
-    )
-    levi = hermitize(levi)
+    levi = hermitize(chart_projection(hess, grad, chart_idx, nonchart))
 
     eig_min, _ = hermitian_eig_bounds(levi)
     if np.min(eig_min) <= tol.degenerate:
@@ -286,13 +301,16 @@ def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> 
             f"{tol.degenerate:.1e} at {points.reshape(-1, m)[bad]}"
         )
 
+    flatP = int(np.prod(batch)) if batch else 1
+    rows = np.arange(flatP)
+    fnon = nonchart.reshape(flatP, n)
     fpsi_inv = psi_inv.reshape(flatP, m, m)
     fxi = xi.reshape(flatP, m)
     P_ab = fpsi_inv[rows[:, None, None], fnon[:, :, None], fnon[:, None, :]]
     xi_a = np.take_along_axis(fxi, fnon, axis=1)
     levi_inv = P_ab - np.conj(xi_a)[:, :, None] * xi_a[:, None, :]
 
-    ident = np.einsum("pab,pbc->pac", levi_inv, levi)
+    ident = np.einsum("pab,pbc->pac", levi_inv, levi.reshape(flatP, n, n))
     ident_err = np.max(np.abs(ident - np.eye(n)))
     if ident_err > tol.levi_identity:
         raise InternalConsistencyError(
@@ -303,11 +321,15 @@ def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> 
     return CRFrame(
         point=np.array(points), rho=rho, grad=grad, hessian=hess, J=J, detH=detH,
         adjugate=adj, r=r, xi=xi, psi=psi, psi_inv=psi_inv,
-        chart=chart_idx, nonchart=nonchart,
-        levi=levi.reshape(batch + (n, n)),
-        levi_inv=levi_inv.reshape(batch + (n, n)),
-        tolerances=tol,
+        chart=chart_idx, nonchart=nonchart, levi=levi,
+        levi_inv=levi_inv.reshape(batch + (n, n)), tolerances=tol,
     )
+
+
+def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> CRFrame:
+    """Build the frame from a jet of the defining function (order >= 2)."""
+    points = np.broadcast_to(jet.point, jet.batch_shape + (jet.m,))
+    return frame_from_derivatives(points, *read_derivatives(jet), chart=chart, tol=tol)
 
 
 def build_frame(rho, points, params=None, chart=None, tol=None) -> CRFrame:

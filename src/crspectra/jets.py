@@ -88,6 +88,18 @@ class JetSpace:
             [_factorial_prod(a) * _factorial_prod(b) for (a, b) in self.exps],
             dtype=np.float64,
         )
+        # term indices of the first and mixed second derivatives, in the
+        # layout of the read-offs below; None where the order is too low
+        zero = (0,) * m
+        eye = [tuple(int(t == s) for t in range(m)) for s in range(m)]
+        self.holo_index = self.dbar_index = self.mixed_index = None
+        if order >= 1:
+            self.holo_index = np.asarray([self.index[(e, zero)] for e in eye], dtype=np.intp)
+            self.dbar_index = np.asarray([self.index[(zero, e)] for e in eye], dtype=np.intp)
+        if order >= 2:
+            self.mixed_index = np.asarray(
+                [[self.index[(ej, ek)] for ek in eye] for ej in eye], dtype=np.intp
+            )
         self._mul_table = None
         self._deriv_tables = {}
 
@@ -206,6 +218,28 @@ class Jet:
 
     def constant_term(self):
         return self.coeffs[0]
+
+    def _read_off(self, index, what):
+        # first and mixed second derivatives have unit factorials, so each
+        # is its Taylor coefficient; the term axes move behind the batch axes
+        if index is None:
+            raise JetOrderError(f"a jet of order {self.order} has no {what}")
+        k = index.ndim
+        return np.ascontiguousarray(
+            np.moveaxis(self.coeffs[index], tuple(range(k)), tuple(range(-k, 0)))
+        )
+
+    def gradient(self):
+        """Holomorphic gradient d_j f at the base point, shape (*batch, m)."""
+        return self._read_off(self.space.holo_index, "gradient")
+
+    def dbar_gradient(self):
+        """Antiholomorphic gradient dbar_k f at the base point, shape (*batch, m)."""
+        return self._read_off(self.space.dbar_index, "dbar_gradient")
+
+    def mixed_hessian(self):
+        """Mixed partials d_j dbar_k f at the base point, shape (*batch, m, m)."""
+        return self._read_off(self.space.mixed_index, "mixed_hessian")
 
     def coefficients(self):
         """Iterate (MultiIndex, coefficient) pairs."""
@@ -480,8 +514,3 @@ def jet_compose(op, args, exponent=None):
     if op == "im":
         return args[0].imag_part()
     raise ValueError(f"unknown jet operation {op!r}")
-
-
-def partial(f: Jet, alpha, beta):
-    """Mixed Wirtinger partial of a jet at its base point."""
-    return f.partial(alpha, beta)

@@ -16,35 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateJ, JetOrderError, NotRealValued
-from .frames import CRFrame, frame_from_jet, hermitize
+from .frames import CRFrame, chart_projection, frame_from_jet, hermitize
 from .jets import Jet
-
-
-def _unit_tuples(m):
-    zero = (0,) * m
-    eye = [tuple(1 if t == s else 0 for t in range(m)) for s in range(m)]
-    return zero, eye
-
-
-def _dbar_vector(f: Jet):
-    """Stack of first antiholomorphic partials, shape (..., m)."""
-    zero, eye = _unit_tuples(f.m)
-    return np.stack([f.partial(zero, eye[k]) for k in range(f.m)], axis=-1)
-
-
-def _holo_vector(f: Jet):
-    zero, eye = _unit_tuples(f.m)
-    return np.stack([f.partial(eye[j], zero) for j in range(f.m)], axis=-1)
-
-
-def _mixed_hessian(f: Jet):
-    """Mixed partials d_j dbar_k f, shape (..., m, m)."""
-    zero, eye = _unit_tuples(f.m)
-    out = np.empty(f.batch_shape + (f.m, f.m), dtype=np.complex128)
-    for j in range(f.m):
-        for k in range(f.m):
-            out[..., j, k] = f.partial(eye[j], eye[k])
-    return out
 
 
 def delta_tilde_coefficients(frame: CRFrame):
@@ -57,13 +30,13 @@ def delta_tilde_coefficients(frame: CRFrame):
 def delta_tilde(frame: CRFrame, f_jet: Jet):
     """The degenerate second-order operator (xi^j xi^kbar - psi^kbar j) d_j dbar_k."""
     T = delta_tilde_coefficients(frame)
-    return np.einsum("...jk,...jk->...", T, _mixed_hessian(f_jet))
+    return np.einsum("...jk,...jk->...", T, f_jet.mixed_hessian())
 
 
 def normal_derivative(frame: CRFrame, f_jet: Jet):
     """N f for the transverse real field N = (xi + conj(xi)) / 2."""
-    holo = np.einsum("...k,...k->...", frame.xi, _holo_vector(f_jet))
-    anti = np.einsum("...k,...k->...", np.conj(frame.xi), _dbar_vector(f_jet))
+    holo = np.einsum("...k,...k->...", frame.xi, f_jet.gradient())
+    anti = np.einsum("...k,...k->...", np.conj(frame.xi), f_jet.dbar_gradient())
     return 0.5 * (holo + anti)
 
 
@@ -72,7 +45,7 @@ def kohn_laplacian(frame: CRFrame, f_jet: Jet):
     if f_jet.order < 2:
         raise JetOrderError("kohn_laplacian needs a jet of order >= 2")
     n = frame.n
-    xibar_f = np.einsum("...k,...k->...", np.conj(frame.xi), _dbar_vector(f_jet))
+    xibar_f = np.einsum("...k,...k->...", np.conj(frame.xi), f_jet.dbar_gradient())
     return delta_tilde(frame, f_jet) + n * xibar_f
 
 
@@ -81,25 +54,36 @@ def sub_laplacian(frame: CRFrame, u_jet: Jet):
     if not u_jet.is_real:
         raise NotRealValued("sub_laplacian requires a real-flagged jet")
     n = frame.n
-    nu = np.einsum("...k,...k->...", frame.xi, _holo_vector(u_jet)).real
+    nu = np.einsum("...k,...k->...", frame.xi, u_jet.gradient()).real
     return 2.0 * (delta_tilde(frame, u_jet).real + n * nu)
+
+
+def z_bar_projection(db, grad, chart, nonchart):
+    """Z_betabar f = f_betabar - (rho_betabar / rho_wbar) f_wbar in the chart.
+
+    ``db`` holds the antiholomorphic derivatives f_kbar at P points, shape
+    (P, m, ...); ``grad``, ``chart`` and ``nonchart`` are the frame's rho_j
+    (P, m), chart index w (P,) and nonchart indices beta (P, n).  Returns
+    shape (P, n, ...).
+    """
+    extra = (None,) * (db.ndim - 2)
+    rows = np.arange(db.shape[0])
+    gbar = np.conj(grad)
+    ratio = np.take_along_axis(gbar, nonchart, axis=1) / gbar[rows, chart][:, None]
+    out = np.take_along_axis(db, nonchart[(...,) + extra], axis=1)
+    out -= ratio[(...,) + extra] * db[rows, chart][:, None]
+    return out
 
 
 def _z_bar_components(frame: CRFrame, f_jet: Jet):
     """Tangential antiholomorphic derivatives Z_betabar f in the chart, (..., n)."""
-    db = _dbar_vector(f_jet)
     batch = frame.batch_shape
     m, n = frame.m, frame.n
     flat = int(np.prod(batch)) if batch else 1
-    db_f = db.reshape(flat, m)
-    grad = frame.grad.reshape(flat, m)
-    non = frame.nonchart.reshape(flat, n)
-    w = frame.chart.reshape(flat)
-    rows = np.arange(flat)
-    gb = np.conj(grad)
-    db_a = np.take_along_axis(db_f, non, axis=1)
-    gb_a = np.take_along_axis(gb, non, axis=1)
-    out = db_a - gb_a / gb[rows, w][:, None] * db_f[rows, w][:, None]
+    out = z_bar_projection(
+        f_jet.dbar_gradient().reshape(flat, m), frame.grad.reshape(flat, m),
+        frame.chart.reshape(flat), frame.nonchart.reshape(flat, n),
+    )
     return out.reshape(batch + (n,))
 
 
@@ -141,7 +125,8 @@ def fefferman_det_jet(rho_jet: Jet) -> Jet:
         raise JetOrderError("fefferman_det_jet needs a jet of order >= 2")
     m = rho_jet.m
     order = rho_jet.order - 2
-    zero, eye = _unit_tuples(m)
+    zero = (0,) * m
+    eye = [tuple(int(t == s) for t in range(m)) for s in range(m)]
     top = [rho_jet.truncate(order)] + [
         rho_jet.derivative(zero, eye[k]).truncate(order) for k in range(m)
     ]
@@ -166,33 +151,9 @@ def log_fefferman_jet(rho_jet: Jet, degenerate_tol=1e-12) -> Jet:
 
 def ricci_tensor(frame: CRFrame, logJ_jet: Jet):
     """Webster Ricci components in the chart coframe, shape (..., n, n)."""
-    g2 = _mixed_hessian(logJ_jet)
-    batch = frame.batch_shape
-    m, n = frame.m, frame.n
-    flat = int(np.prod(batch)) if batch else 1
-    rows = np.arange(flat)
-    g2f = g2.reshape(flat, m, m)
-    grad = frame.grad.reshape(flat, m)
-    non = frame.nonchart.reshape(flat, n)
-    w = frame.chart.reshape(flat)
-
-    g_a = np.take_along_axis(grad, non, axis=1)
-    g_w = grad[rows, w]
-    G_ab = g2f[rows[:, None, None], non[:, :, None], non[:, None, :]]
-    G_wb = g2f[rows[:, None], w[:, None], non]
-    G_aw = g2f[rows[:, None], non, w[:, None]]
-    G_ww = g2f[rows, w, w]
-
-    d_ab = (
-        G_ab
-        - g_a[:, :, None] * G_wb[:, None, :] / g_w[:, None, None]
-        - np.conj(g_a)[:, None, :] * G_aw[:, :, None] / np.conj(g_w)[:, None, None]
-        + G_ww[:, None, None]
-        * g_a[:, :, None]
-        * np.conj(g_a)[:, None, :]
-        / (np.abs(g_w) ** 2)[:, None, None]
+    d_ab = chart_projection(
+        logJ_jet.mixed_hessian(), frame.grad, frame.chart, frame.nonchart
     )
-    d_ab = d_ab.reshape(batch + (n, n))
     ricci = -d_ab + (frame.n + 1) * frame.r[..., None, None] * frame.levi
     return hermitize(ricci)
 
@@ -212,10 +173,6 @@ def curvature_functional(frame: CRFrame, logJ_jet: Jet):
     db = sub_laplacian(frame, logJ_jet)
     grad_norm = dbar_pairing(frame, logJ_jet, logJ_jet).real
     return n * (n + 1) * frame.r - n * ng - 0.5 * db - (n / (n + 1)) * grad_norm
-
-
-def D_functional(frame: CRFrame, logJ_jet: Jet):
-    return curvature_functional(frame, logJ_jet)
 
 
 def curvature_quantities(rho, points, params=None, chart=None, tol=None):

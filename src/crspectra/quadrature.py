@@ -12,20 +12,25 @@ Two rule types:
   chart z1 = cos(eta) e^{i phi1}, z2 = sin(eta) e^{i phi2}, tensored with
   uniform (trapezoidal) grids in the two angles, radially projected to M.
 * ``monte_carlo`` (any n): seeded uniform directions, radially projected.
+
+The tangent push-forward and the density need the gradient and complex
+Hessian of the defining function at every rule point.  A rule keeps them,
+with the function's value there, and ``QuadratureRule.frame`` builds that
+function's CR frame from them instead of evaluating its jet again; the frame
+of any other defining function is built from that function's own jet.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateFrame, JobValidationError, NoRootFound
-from .frames import CRFrame, build_frame
+from .frames import CRFrame, build_frame, frame_from_derivatives, read_derivatives
 from .runtime import map_chunks
-
-_ZERO = (0,)
 
 
 @dataclass(frozen=True)
@@ -37,16 +42,21 @@ class QuadratureSettings:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise JobValidationError("quadrature settings must be an object")
         known = {"type", "resolution", "samples", "seed"}
         extra = set(data) - known
         if extra:
             raise JobValidationError(f"unknown quadrature settings {sorted(extra)}")
-        out = cls(**{k: data[k] for k in known & set(data)})
-        if out.type not in ("hopf_product", "monte_carlo"):
-            raise JobValidationError(f"unknown quadrature type {out.type!r}")
-        if out.resolution < 2 or out.samples < 1:
-            raise JobValidationError("quadrature resolution/samples too small")
-        return out
+        kind = data.get("type", cls.type)
+        if kind not in ("hopf_product", "monte_carlo"):
+            raise JobValidationError(f"unknown quadrature type {kind!r}")
+        return cls(
+            type=kind,
+            resolution=_whole_number(data, "resolution", cls.resolution, 2),
+            samples=_whole_number(data, "samples", cls.samples, 1),
+            seed=_whole_number(data, "seed", cls.seed, 0),
+        )
 
     def to_dict(self):
         return {
@@ -57,12 +67,17 @@ class QuadratureSettings:
         }
 
 
-@dataclass
-class SurfacePoint:
-    ambient: np.ndarray          # (m,) complex
-    parameter: np.ndarray        # chart parameters or the unit direction
-    tangent_basis: np.ndarray    # (2n+1, m) complex representation of real vectors
-    weight: float
+def _whole_number(data, name, default, minimum):
+    """data[name] as an int >= minimum; an integral float counts, bools and
+    anything else are validation errors."""
+    value = data.get(name, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise JobValidationError(
+            f"quadrature {name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
 
 
 def _frame_key(rho, params):
@@ -81,17 +96,26 @@ class QuadratureRule:
     n: int
     weights: np.ndarray = field(init=False)
     _frames: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # (rho, value, grad, hess) of the rule's own defining function, kept
+    # until its frame is built
+    _derivatives: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = self.base_weights * self.density
 
     def frame(self, rho, params=None) -> CRFrame:
         """The CR frame of ``rho`` at the rule points, built once per
-        (defining function, params) and kept as long as the rule."""
+        (defining function, params) and kept as long as the rule; the rule's
+        own defining function's frame comes from its kept derivatives."""
         key = _frame_key(rho, params)
         if key not in self._frames:
+            kept = self._derivatives.pop(key, None)
+            if kept is None:
+                frame = build_frame(rho, self.points, params=params)
+            else:
+                frame = frame_from_derivatives(self.points, *kept[1:])
             # the entry holds rho, so its id cannot be reused while cached
-            self._frames[key] = (rho, build_frame(rho, self.points, params=params))
+            self._frames[key] = (rho, frame)
         return self._frames[key][1]
 
     def __len__(self):
@@ -100,14 +124,6 @@ class QuadratureRule:
     @property
     def volume(self):
         return float(np.sum(self.weights))
-
-    def point(self, i) -> SurfacePoint:
-        return SurfacePoint(
-            ambient=self.points[i],
-            parameter=self.parameters[i],
-            tangent_basis=self.tangents[i],
-            weight=float(self.weights[i]),
-        )
 
     def meta(self):
         out = self.settings.to_dict()
@@ -124,13 +140,7 @@ def _rho_and_slope(rho, params, t, dirs):
     pts = t[:, None] * dirs
     jet = rho.jet(params, pts, 1)
     val = jet.constant_term().real
-    m = dirs.shape[1]
-    zero = (0,) * m
-    grad = np.stack(
-        [jet.partial(tuple(1 if s == j else 0 for s in range(m)), zero) for j in range(m)],
-        axis=-1,
-    )
-    slope = 2.0 * np.einsum("pj,pj->p", grad, dirs).real
+    slope = 2.0 * np.einsum("pj,pj->p", jet.gradient(), dirs).real
     return val, slope
 
 
@@ -259,29 +269,14 @@ def _form_value(grad, hess, tangents, n):
     return math.factorial(n) * total
 
 
-def _grad_hess(rho, params, pts):
-    jet = rho.jet(params, pts, 2)
-    m = pts.shape[-1]
-    zero = (0,) * m
-    eye = [tuple(1 if t == s else 0 for t in range(m)) for s in range(m)]
-    grad = np.stack([jet.partial(eye[j], zero) for j in range(m)], axis=-1)
-    hess = np.empty(pts.shape[:-1] + (m, m), dtype=np.complex128)
-    for j in range(m):
-        for k in range(m):
-            hess[..., j, k] = jet.partial(eye[j], eye[k])
-    return grad, 0.5 * (hess + np.conj(np.swapaxes(hess, -1, -2)))
-
-
 def volume_density(rho, sp, params=None, degenerate_tol=1e-14):
-    """|theta ^ (d theta)^n| on the tangent basis of a surface point."""
-    if isinstance(sp, SurfacePoint):
-        ambient, tangents = sp.ambient, sp.tangent_basis
-    else:
-        ambient, tangents = sp
+    """|theta ^ (d theta)^n| on tangent bases: ``sp`` is a pair of ambient
+    points (..., m) and tangent bases (..., 2n+1, m)."""
+    ambient, tangents = sp
     ambient = np.asarray(ambient, dtype=np.complex128)
     tangents = np.asarray(tangents, dtype=np.complex128)
     n = ambient.shape[-1] - 1
-    grad, hess = _grad_hess(rho, params, ambient)
+    _, grad, hess = read_derivatives(rho.jet(params, ambient, 2))
     value = np.abs(_form_value(grad, hess, tangents, n))
     if np.min(value) <= degenerate_tol:
         raise DegenerateFrame(
@@ -292,8 +287,9 @@ def volume_density(rho, sp, params=None, degenerate_tol=1e-14):
 
 
 def _push_forward(rho, params, t, dirs, du_list, pts):
-    """Tangent vectors of the radial graph: V = t' u + t du, drho(V) = 0."""
-    grad, hess = _grad_hess(rho, params, pts)
+    """Tangent vectors of the radial graph, V = t' u + t du with drho(V) = 0,
+    and the value, gradient and Hessian of rho at the points."""
+    value, grad, hess = read_derivatives(rho.jet(params, pts, 2))
     slope_u = 2.0 * np.einsum("pj,pj->p", grad, dirs).real
     vs = []
     for du in du_list:
@@ -301,7 +297,7 @@ def _push_forward(rho, params, t, dirs, du_list, pts):
         tprime = -t * slope_d / slope_u
         vs.append(tprime[:, None] * dirs + t[:, None] * du)
     tangents = np.stack(vs, axis=1)
-    return tangents, grad, hess
+    return tangents, value, grad, hess
 
 
 def _check_surface(rho, params, pts, tangents, grad):
@@ -346,24 +342,26 @@ def _build_hopf(rho, params, settings):
         d = dirs[sl]
         t = project_rays(rho, params, d)
         pts = t[:, None] * d
-        tangents, grad, hess = _push_forward(
+        tangents, value, grad, hess = _push_forward(
             rho, params, t, d, [du_eta[sl], du_p1[sl], du_p2[sl]], pts
         )
         _check_surface(rho, params, pts, tangents, grad)
         density = np.abs(_form_value(grad, hess, tangents, 1))
-        return pts, tangents, density
+        return pts, tangents, density, value, grad, hess
 
-    pts, tangents, density = map_chunks(make, dirs.shape[0], 8192)
+    pts, tangents, density, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
     if np.min(density) <= 1e-14:
         raise DegenerateFrame("vanishing volume density in hopf_product rule")
     wE = np.repeat(weta, R * R)
     base = wE * wphi * wphi
     parameters = np.stack([e, p1, p2], axis=-1)
-    return QuadratureRule(
+    rule = QuadratureRule(
         points=pts, parameters=parameters, tangents=tangents,
         base_weights=base, density=density, kind="hopf_product",
         settings=settings, n=1,
     )
+    rule._derivatives[_frame_key(rho, params)] = (rho, value, grad, hess)
+    return rule
 
 
 def _house_basis(real_dirs):
@@ -393,18 +391,20 @@ def _build_monte_carlo(rho, params, settings):
 
     t = project_rays(rho, params, dirs)
     pts = t[:, None] * dirs
-    tangents, grad, hess = _push_forward(rho, params, t, dirs, du_list, pts)
+    tangents, value, grad, hess = _push_forward(rho, params, t, dirs, du_list, pts)
     _check_surface(rho, params, pts, tangents, grad)
     density = np.abs(_form_value(grad, hess, tangents, m - 1))
     if np.min(density) <= 1e-14:
         raise DegenerateFrame("vanishing volume density in monte_carlo rule")
     area = 2.0 * np.pi**m / math.factorial(m - 1)
     base = np.full(settings.samples, area / settings.samples)
-    return QuadratureRule(
+    rule = QuadratureRule(
         points=pts, parameters=raw, tangents=tangents,
         base_weights=base, density=density, kind="monte_carlo",
         settings=settings, n=m - 1,
     )
+    rule._derivatives[_frame_key(rho, params)] = (rho, value, grad, hess)
+    return rule
 
 
 def re_densify(rule: QuadratureRule, rho, params=None) -> QuadratureRule:

@@ -219,6 +219,15 @@ def _task_number(task, key, default, cast=int, minimum=None, maximum=None):
     return out
 
 
+def _task_flag(task, key, default):
+    """task[key], which must be a JSON boolean; anything else (the string
+    "false", 0, null) is a validation error."""
+    value = task.get(key, default)
+    if not isinstance(value, bool):
+        raise JobValidationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _point_table(ctx, task, with_frame_diag):
     points = ctx.task_points(task, 20)
     q = curvature_quantities(ctx.rho, points, params=ctx.params)
@@ -272,9 +281,10 @@ def _run_task(ctx, task, base_dir):
         # checked before the rule is built or anything is assembled
         degree = _task_number(task, "degree", 3, minimum=0, maximum=MAX_DEGREE)
         kernel_tol = _task_number(task, "kernel_tol", 1e-6, cast=float)
+        monotonicity = _task_flag(task, "check_monotonicity", True)
         report = estimate_lambda1(
             ctx.rho, degree, ctx.rule, params=ctx.params, kernel_tol=kernel_tol,
-            check_monotonicity=bool(task.get("check_monotonicity", True)),
+            check_monotonicity=monotonicity,
         )
         return report.to_dict()
     if kind == "bound_upper":
@@ -299,9 +309,10 @@ def _run_task(ctx, task, base_dir):
                                params=ctx.params)
         return report.to_dict()
     if kind == "bound_lower":
+        paneitz = _task_flag(task, "paneitz_positive", False)
         points = ctx.task_points(task, 50)
         report = lower_bound(ctx.rho, points, params=ctx.params,
-                             paneitz_positive=bool(task.get("paneitz_positive", False)))
+                             paneitz_positive=paneitz)
         return report.to_dict()
     if kind == "invariance_check":
         texts = task.get("defining_functions")

@@ -33,7 +33,7 @@ from .errors import (
     NoPositiveEigenvalue,
 )
 from .frames import hermitize
-from .operators import delta_tilde_coefficients
+from .operators import delta_tilde_coefficients, z_bar_projection
 from .quadrature import QuadratureRule
 from .runtime import map_chunks
 
@@ -155,20 +155,6 @@ class MonomialTable:
         return out
 
 
-def basis_values(basis: MonomialBasis, pts):
-    return MonomialTable(basis, pts).values()
-
-
-def basis_dbar(basis: MonomialBasis, pts):
-    """d/d conj(z_k) of every basis monomial, shape (P, m, B)."""
-    return MonomialTable(basis, pts).dbar()
-
-
-def basis_mixed(basis: MonomialBasis, pts, j, k):
-    """d_j dbar_k of every basis monomial, shape (P, B)."""
-    return MonomialTable(basis, pts).mixed(j, k)
-
-
 @dataclass
 class SpectralProblem:
     gram: np.ndarray
@@ -204,9 +190,6 @@ def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
     B = len(basis)
     flat = pts.shape[0]
     tcoef = delta_tilde_coefficients(frame)
-    gbar = np.conj(frame.grad)
-    gb_w = gbar[np.arange(flat), frame.chart]
-    gb_a = np.take_along_axis(gbar, frame.nonchart, axis=1)
 
     def piece(sl):
         p = pts[sl]
@@ -220,12 +203,7 @@ def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
         g_part = V.T @ Vc
         del V
         db = table.dbar()
-        local = np.arange(sl.stop - sl.start)
-        dbw = db[local, frame.chart[sl], :]
-        # Z_betabar phi = phi_betabar - (rho_betabar / rho_wbar) phi_wbar
-        zb = np.take_along_axis(db, frame.nonchart[sl][:, :, None], axis=1)
-        zb -= (gb_a[sl] / gb_w[sl][:, None])[:, :, None] * dbw[:, None, :]
-        del dbw
+        zb = z_bar_projection(db, frame.grad[sl], frame.chart[sl], frame.nonchart[sl])
         s_part = np.zeros((B, B), dtype=np.complex128)
         for gma in range(n):
             for sgm in range(n):

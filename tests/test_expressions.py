@@ -7,7 +7,7 @@ from crspectra.errors import (
     UnboundParameter,
     UnknownIdentifier,
 )
-from crspectra.expressions import MAX_DEPTH, check_holomorphic, parse
+from crspectra.expressions import MAX_DEPTH, parse
 from crspectra.reporting import run_job_data
 
 
@@ -47,11 +47,11 @@ def test_unbound_parameter():
 
 
 def test_holomorphy_checks():
-    assert check_holomorphic(parse("z1^2", 1))
-    assert not check_holomorphic(parse("conj(z1)", 1))
-    assert not check_holomorphic(parse("re(z1)", 1))
-    assert not check_holomorphic(parse("abs2(z1)", 1))
-    assert check_holomorphic(parse("exp(z1)*z2 - 3*i", 1))
+    assert parse("z1^2", 1).holomorphic
+    assert not parse("conj(z1)", 1).holomorphic
+    assert not parse("re(z1)", 1).holomorphic
+    assert not parse("abs2(z1)", 1).holomorphic
+    assert parse("exp(z1)*z2 - 3*i", 1).holomorphic
 
 
 def test_conj_of_variable_becomes_conj_variable():

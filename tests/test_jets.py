@@ -220,3 +220,32 @@ def test_fourth_order_partials_match_fd_oracle_example():
     for (alpha, beta), ref in fd.items():
         val = complex(jet.partial(alpha, beta))
         assert abs(val - ref) <= 1e-5 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_read_offs_equal_partials(m, order, batch):
+    rng = np.random.default_rng(100 * m + order)
+    space = jet_space(m, order)
+    shape = (space.n_terms,) + batch
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = Jet(space, np.zeros(batch + (m,)), coeffs)
+    zero = (0,) * m
+    eye = [tuple(int(t == s) for t in range(m)) for s in range(m)]
+    grad, dbar = f.gradient(), f.dbar_gradient()
+    assert grad.shape == dbar.shape == batch + (m,)
+    assert grad.flags.c_contiguous and dbar.flags.c_contiguous
+    for j in range(m):
+        assert np.array_equal(grad[..., j], f.partial(eye[j], zero))
+        assert np.array_equal(dbar[..., j], f.partial(zero, eye[j]))
+    if order < 2:
+        with pytest.raises(JetOrderError):
+            f.mixed_hessian()
+        return
+    hess = f.mixed_hessian()
+    assert hess.shape == batch + (m, m)
+    assert hess.flags.c_contiguous
+    for j in range(m):
+        for k in range(m):
+            assert np.array_equal(hess[..., j, k], f.partial(eye[j], eye[k]))

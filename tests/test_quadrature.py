@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crspectra.errors import JobValidationError, NoRootFound
+from crspectra.errors import JobValidationError, NoRootFound, NotRealValued
 from crspectra.expressions import parse
 from crspectra.quadrature import (
     QuadratureSettings,
@@ -203,3 +203,13 @@ def test_rule_weights_strictly_positive():
     rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=8))
     assert np.all(rule.weights > 0.0)
     assert np.all(rule.base_weights > 0.0)
+
+
+@pytest.mark.parametrize("settings", [QuadratureSettings("hopf_product", resolution=8),
+                                      QuadratureSettings("monte_carlo", samples=50)])
+def test_non_real_defining_function_refused_when_rule_is_built(settings):
+    # the real part defines the sphere, so every ray projects; the read-off
+    # of the derivatives then finds the imaginary part
+    rho = parse("abs2(z1)+abs2(z2)-1+0.01*i*re(z1)", 1)
+    with pytest.raises(NotRealValued):
+        build_quadrature(rho, settings)

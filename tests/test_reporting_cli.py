@@ -294,29 +294,111 @@ def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, change, level
         assert field in entry["message"]
 
 
+UPPER_AND_SPECTRUM_TASKS = [
+    {"kind": "bound_upper", "decomposition": {"N": 1, "nu": 1, "f_maps": ["z1", "z2"]}},
+    {"kind": "spectrum", "degree": 4, "check_monotonicity": True},
+]
+
+
 def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
-    from crspectra import frames
+    from crspectra import frames, quadrature
 
     sizes = []
-    original = frames.frame_from_jet
+    original = frames.frame_from_derivatives
 
-    def counting(jet, *args, **kwargs):
-        sizes.append(int(np.prod(jet.batch_shape)))
-        return original(jet, *args, **kwargs)
+    def counting(point, *args, **kwargs):
+        sizes.append(int(np.prod(np.shape(point)[:-1])))
+        return original(point, *args, **kwargs)
 
-    monkeypatch.setattr(frames, "frame_from_jet", counting)
-    job = {
-        **SPHERE_JOB,
-        "tasks": [
-            {"kind": "bound_upper",
-             "decomposition": {"N": 1, "nu": 1, "f_maps": ["z1", "z2"]}},
-            {"kind": "spectrum", "degree": 4, "check_monotonicity": True},
-        ],
-    }
+    for module in (frames, quadrature):
+        monkeypatch.setattr(module, "frame_from_derivatives", counting)
+    job = {**SPHERE_JOB, "tasks": UPPER_AND_SPECTRUM_TASKS}
     report, code = run_job_data(job, base_dir=tmp_path)
     assert code == 0
     rule_points = report["results"][1]["result"]["quadrature"]["points"]
     assert sizes.count(rule_points) == 1
+
+
+def test_rule_defining_function_jet_evaluated_once(tmp_path, monkeypatch):
+    from crspectra.expressions import Expression
+
+    rho_text = str(crspectra.parse(SPHERE_JOB["defining_function"], 1))
+    points = []
+    original = Expression.jet
+
+    def counting(self, params, point, order):
+        if order == 2 and str(self) == rho_text:
+            points.append(int(np.prod(np.shape(point)[:-1])))
+        return original(self, params, point, order)
+
+    monkeypatch.setattr(Expression, "jet", counting)
+    job = {**SPHERE_JOB, "tasks": UPPER_AND_SPECTRUM_TASKS}
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 0
+    # the rule's push-forward reads the order-2 jet (in chunks); the frame
+    # shared by the bound and the spectrum is built from what it read
+    assert sum(points) == report["results"][1]["result"]["quadrature"]["points"]
+
+
+FLAG_TASKS = {"paneitz_positive": {"kind": "bound_lower", "num_points": 5},
+              "check_monotonicity": {"kind": "spectrum", "degree": 1}}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("paneitz_positive", "false"), ("paneitz_positive", 1), ("paneitz_positive", None),
+     ("check_monotonicity", "no"), ("check_monotonicity", 0)],
+    ids=["paneitz_text_false", "paneitz_one", "paneitz_null", "monotonicity_text_no",
+         "monotonicity_zero"],
+)
+def test_task_flags_must_be_json_booleans(tmp_path, flag, value):
+    task = {**FLAG_TASKS[flag], flag: value}
+    report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
+    entry = report["results"][0]
+    assert code == 2
+    assert entry["status"] == "error"
+    assert entry["error"] == "JobValidationError"
+    assert flag in entry["message"]
+
+
+@pytest.mark.parametrize(
+    "quadrature, field",
+    [
+        ({"type": "gauss"}, "type"),
+        ({"type": 3}, "type"),
+        ({"resolution": "abc"}, "resolution"),
+        ({"resolution": None}, "resolution"),
+        ({"resolution": 2.5}, "resolution"),
+        ({"resolution": True}, "resolution"),
+        ({"resolution": 1}, "resolution"),
+        ({"samples": "x"}, "samples"),
+        ({"samples": 1.5}, "samples"),
+        ({"samples": 0}, "samples"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+        ("hopf_product", "object"),
+    ],
+    ids=["type_unknown", "type_number", "resolution_text", "resolution_null",
+         "resolution_fraction", "resolution_bool", "resolution_1", "samples_text",
+         "samples_fraction", "samples_0", "seed_text", "seed_negative", "seed_fraction",
+         "seed_bool", "not_an_object"],
+)
+def test_malformed_quadrature_settings_are_validation_errors(tmp_path, capsys, quadrature,
+                                                             field):
+    job = {**SPHERE_JOB, "quadrature": quadrature, "tasks": UPPER_AND_SPECTRUM_TASKS[:1]}
+    with pytest.raises(JobValidationError, match=field):
+        run_job_data(job, base_dir=tmp_path)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_integral_float_quadrature_settings_are_accepted():
+    job = normalize_job({**SPHERE_JOB, "quadrature": {"resolution": 12.0, "seed": 3.0}})
+    assert job["quadrature"]["resolution"] == 12 and job["quadrature"]["seed"] == 3
 
 
 def test_freed_memory_released_before_each_task(tmp_path, monkeypatch):

@@ -8,10 +8,8 @@ from crspectra.spectral import (
     MAX_DEGREE,
     MonomialBasis,
     SpectralProblem,
+    MonomialTable,
     assemble,
-    basis_dbar,
-    basis_mixed,
-    basis_values,
     estimate_lambda1,
     jacobi_eigh,
     solve,
@@ -177,12 +175,13 @@ def test_monomial_table_matches_direct_evaluation(m, degree):
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
+    table = MonomialTable(basis, z)
     values = np.stack([_direct_monomial(z, a, b) for a, b in pairs], axis=1)
-    assert close(basis_values(basis, z), values)
-    dbar = basis_dbar(basis, z)
+    assert close(table.values(), values)
+    dbar = table.dbar()
     for k in range(m):
         want = np.stack([_direct_monomial(z, a, b, db=k) for a, b in pairs], axis=1)
         assert close(dbar[:, k, :], want)
         for j in range(m):
             want = np.stack([_direct_monomial(z, a, b, da=j, db=k) for a, b in pairs], axis=1)
-            assert close(basis_mixed(basis, z, j, k), want)
+            assert close(table.mixed(j, k), want)
