@@ -56,7 +56,6 @@ from .spectral import (
     SpectralReport,
     assemble,
     estimate_lambda1,
-    jacobi_eigh,
     solve,
 )
 

@@ -300,8 +300,8 @@ def _push_forward(rho, params, t, dirs, du_list, pts):
     return tangents, value, grad, hess
 
 
-def _check_surface(rho, params, pts, tangents, grad):
-    res = np.abs(rho.value(params, pts).real)
+def _check_surface(value, tangents, grad):
+    res = np.abs(value)
     if np.max(res) > 1e-9:
         raise NoRootFound(f"projected point off-surface by {np.max(res):.3e}")
     pairing = 2.0 * np.einsum("pj,pkj->pk", grad, tangents).real
@@ -345,7 +345,7 @@ def _build_hopf(rho, params, settings):
         tangents, value, grad, hess = _push_forward(
             rho, params, t, d, [du_eta[sl], du_p1[sl], du_p2[sl]], pts
         )
-        _check_surface(rho, params, pts, tangents, grad)
+        _check_surface(value, tangents, grad)
         density = np.abs(_form_value(grad, hess, tangents, 1))
         return pts, tangents, density, value, grad, hess
 
@@ -392,7 +392,7 @@ def _build_monte_carlo(rho, params, settings):
     t = project_rays(rho, params, dirs)
     pts = t[:, None] * dirs
     tangents, value, grad, hess = _push_forward(rho, params, t, dirs, du_list, pts)
-    _check_surface(rho, params, pts, tangents, grad)
+    _check_surface(value, tangents, grad)
     density = np.abs(_form_value(grad, hess, tangents, m - 1))
     if np.min(density) <= 1e-14:
         raise DegenerateFrame("vanishing volume density in monte_carlo rule")

@@ -11,12 +11,21 @@ Gram and stiffness matrices are assembled once, at the requested degree, and
 the lower-degree Ritz values of the monotonicity diagnostic come from their
 leading principal blocks.
 
+Assembly: every entry of G, S and the stiffness by parts is a sum of
+point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with
+|p| + |q| <= 2 degree.  Each chunk of rule points builds one table of those
+bi-monomials and takes all moments with one matrix product against the
+per-point weights (w, the 1 + m^2 coefficients of the dbar_b pairing, and
+m^2 + m more for the stiffness by parts); the matrices are then gathered
+from the moments.  A chunk holds the largest power of two of points whose
+table fits in 16 MB (at least 64), so chunk boundaries depend only on the
+basis and the rule.
+
 Determinism: chunk boundaries and reduction order do not depend on the
-thread budget, and the eigensolves use a cyclic complex Jacobi iteration
-with a fixed sweep order, so reports are bit-identical for any
-CR_SPECTRA_THREADS given a fixed BLAS build and BLAS thread count.  The Gram
-and stiffness products and the pencil reduction go through the BLAS matrix
-product, so a different BLAS may change the last bits.
+thread budget, so reports are bit-identical for any CR_SPECTRA_THREADS given
+a fixed BLAS build and BLAS thread count.  The moment products, the pencil
+reduction and the eigensolves go through BLAS and LAPACK, so a different
+build may change the last bits.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ MAX_DEGREE = 6
 
 GRAM_DROP_TOL = 1e-13       # relative; below this a direction is null on M
 GRAM_COND_TOL = 1e-12       # retained directions below this are ambiguous
+
+TABLE_BYTES = 16 << 20      # bi-monomial table of one assembly chunk
+MIN_CHUNK = 64              # points per assembly chunk, at least
 
 
 @dataclass(frozen=True)
@@ -87,71 +99,59 @@ class MonomialBasis:
         return out
 
 
-def _column_lookup(column, exps):
-    """Table columns of the monomials with exponents ``exps`` (B, m).
+class _BiMonomials:
+    """The bi-monomials z^p conj(z)^q, |p| + |q| <= degree, as table rows.
 
-    Returns (cols (B,), lowered (m, B), mult (m, B)): ``lowered[j]`` is the
-    column with e_j lowered by one and ``mult[j]`` is e_j, the factor of
-    d/dz_j; where e_j = 0 the factor kills the term and the lowered column
-    is clamped to the unlowered one.
-    """
-    lowered = []
-    for j in range(exps.shape[1]):
-        f = exps.copy()
-        f[:, j] = np.maximum(f[:, j] - 1, 0)
-        lowered.append(column[tuple(f.T)])
-    return column[tuple(exps.T)], np.stack(lowered), exps.T.astype(np.float64)
-
-
-class MonomialTable:
-    """The basis and its Wirtinger derivatives at a batch of points.
-
-    One power table z_j^k gives one table of the holomorphic monomials z^a,
-    |a| <= degree, and its conjugate; every basis value, ``dbar_k`` and
-    ``d_j dbar_k`` is then a product of two looked-up columns times the
-    exponent factors.
+    The variables are z_1..z_m, conj(z_1)..conj(z_m).  Rows are graded by
+    degree; segment v of the degree-t block is variable v times the rows of
+    the degree-(t-1) block whose lowest variable is >= v, which form a
+    contiguous tail of that block, so the table is built by multiplying
+    whole row slices by one variable.
     """
 
-    def __init__(self, basis: MonomialBasis, pts):
-        pts = np.asarray(pts, dtype=np.complex128)
-        m, d = basis.m, basis.degree
-        exps = np.array(
-            [e for e in itertools.product(range(d + 1), repeat=m) if sum(e) <= d],
-            dtype=np.intp,
-        )
-        column = np.zeros((d + 1,) * m, dtype=np.intp)
-        column[tuple(exps.T)] = np.arange(exps.shape[0])
-        self.m = m
-        self._holo_cols, self._holo_down, self._holo_mult = _column_lookup(column, basis.holo)
-        self._anti_cols, self._anti_down, self._anti_mult = _column_lookup(column, basis.anti)
-        power = np.ones((pts.shape[0], m, d + 1), dtype=np.complex128)
-        for k in range(1, d + 1):
-            power[:, :, k] = power[:, :, k - 1] * pts
-        holo = np.ones((pts.shape[0], exps.shape[0]), dtype=np.complex128)
-        for j in range(m):
-            holo *= power[:, j, exps[:, j]]
-        self.holo = holo
-        self.anti = np.conj(holo)
+    def __init__(self, m, degree):
+        nvar = 2 * m
+        blocks = [np.zeros((1, nvar), dtype=np.intp)]
+        steps = []      # (first row, parent start, parent stop, variable)
+        # start: first row of the last block; tails[v]: offset in it of the
+        # rows whose lowest variable is >= v
+        start, tails = 0, [0] * nvar
+        for _ in range(degree):
+            prev = blocks[-1]
+            stop = start + len(prev)
+            block, new_tails = [], []
+            for v in range(nvar):
+                child = prev[tails[v]:].copy()
+                child[:, v] += 1
+                row = stop + sum(len(c) for c in block)
+                new_tails.append(row - stop)
+                steps.append((row, start + tails[v], stop, v))
+                block.append(child)
+            start, tails = stop, new_tails
+            blocks.append(np.concatenate(block))
+        self.exps = np.concatenate(blocks)
+        self.steps = steps
+        self._radix = (degree + 1) ** np.arange(nvar)
+        keys = self.exps @ self._radix
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
 
-    def values(self):
-        out = self.holo[:, self._holo_cols]
-        out *= self.anti[:, self._anti_cols]
-        return out
+    def __len__(self):
+        return self.exps.shape[0]
 
-    def dbar(self):
-        """d/d conj(z_k) of every basis monomial, shape (P, m, B)."""
-        vz = self.holo[:, self._holo_cols]
-        out = np.empty((vz.shape[0], self.m, vz.shape[1]), dtype=np.complex128)
-        for k in range(self.m):
-            np.multiply(vz, self.anti[:, self._anti_down[k]], out=out[:, k, :])
-            out[:, k, :] *= self._anti_mult[k]
-        return out
+    def rows(self, p, q):
+        """Rows of z^p conj(z)^q for exponent arrays p, q of shape (..., m);
+        negative exponents are clamped to 0."""
+        keys = np.maximum(np.concatenate([p, q], axis=-1), 0) @ self._radix
+        return self._order[np.searchsorted(self._sorted_keys, keys)]
 
-    def mixed(self, j, k):
-        """d_j dbar_k of every basis monomial, shape (P, B)."""
-        out = self.holo[:, self._holo_down[j]]
-        out *= self.anti[:, self._anti_down[k]]
-        out *= self._holo_mult[j] * self._anti_mult[k]
+    def table(self, pts):
+        """Values at the points (P, m): an (N, P) complex array."""
+        variables = np.concatenate([pts.T, np.conj(pts).T])
+        out = np.empty((len(self), pts.shape[0]), dtype=np.complex128)
+        out[0] = 1.0
+        for row, lo, hi, v in self.steps:
+            np.multiply(out[lo:hi], variables[v], out=out[row:row + hi - lo])
         return out
 
 
@@ -175,6 +175,67 @@ class SpectralProblem:
         )
 
 
+def _chunk_points(table_rows):
+    """Points per assembly chunk: the largest power of two whose table of
+    ``table_rows`` complex rows fits in TABLE_BYTES, and at least MIN_CHUNK."""
+    chunk = MIN_CHUNK
+    while 2 * chunk * table_rows * 16 <= TABLE_BYTES:
+        chunk *= 2
+    return chunk
+
+
+def _galerkin_matrices(frame, rule: QuadratureRule, basis: MonomialBasis, check_ibp):
+    """G, S and (with ``check_ibp``) the stiffness by parts, from moments.
+
+    Every entry is a sum of point-weighted moments
+    mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with |p| + |q| <= 2 degree:
+    G[u,v] = mu_1(a_u+b_v, b_u+a_v), and with T = P^T L^-1 conj(P) (P the
+    Z_betabar projection, L the Levi form)
+    S[u,v] = sum_kl b_uk b_vl mu_{T_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
+    The stiffness by parts integrates (box_b phi_u) conj(phi_v).
+    """
+    m, n = frame.m, frame.n
+    bimon = _BiMonomials(m, 2 * basis.degree)
+    tcoef = delta_tilde_coefficients(frame) if check_ibp else None
+    eye = np.eye(m, dtype=np.complex128)
+
+    def piece(sl):
+        ww = rule.weights[sl]
+        count = ww.shape[0]
+        proj = z_bar_projection(np.broadcast_to(eye, (count, m, m)), frame.grad[sl],
+                                frame.chart[sl], frame.nonchart[sl])
+        T = np.einsum("pgk,pgs,psl->pkl", proj, frame.levi_inv[sl], np.conj(proj))
+        cols = [ww[:, None], ww[:, None] * T.reshape(count, m * m)]
+        if check_ibp:
+            cols += [ww[:, None] * tcoef[sl].reshape(count, m * m),
+                     (n * ww)[:, None] * np.conj(frame.xi[sl])]
+        return (bimon.table(rule.points[sl]) @ np.concatenate(cols, axis=1))[None]
+
+    mu = map_chunks(piece, len(rule), _chunk_points(len(bimon))).sum(axis=0)
+
+    a, b = basis.holo, basis.anti
+    unit = np.eye(m, dtype=np.intp)
+    p0 = a[:, None, :] + b[None, :, :]
+    q0 = b[:, None, :] + a[None, :, :]
+    # lowered[j][k]: rows of the exponents (a_u+b_v-e_j, b_u+a_v-e_k)
+    lowered = [[bimon.rows(p0 - unit[j], q0 - unit[k]) for k in range(m)]
+               for j in range(m)]
+    G = mu[bimon.rows(p0, q0), 0]
+    S = np.zeros_like(G)
+    for k in range(m):
+        for l in range(m):
+            S += (b[:, k, None] * b[None, :, l]) * mu[lowered[l][k], 1 + k * m + l]
+    if not check_ibp:
+        return G, S, None
+    Sp = np.zeros_like(G)
+    for j in range(m):
+        for k in range(m):
+            Sp += (a[:, j] * b[:, k])[:, None] * mu[lowered[j][k], 1 + m * m + j * m + k]
+    for k in range(m):
+        Sp += b[:, k, None] * mu[bimon.rows(p0, q0 - unit[k]), 1 + 2 * m * m + k]
+    return G, S, Sp
+
+
 def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
              kernel_tol=1e-6, check_ibp=True) -> SpectralProblem:
     """Gram and stiffness matrices of the dbar_b pairing over the rule.
@@ -183,116 +244,17 @@ def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
     (box_b phi_u) conj(phi_v): on a closed surface both quadratures must
     agree to quadrature accuracy, which validates the operator end to end.
     """
-    pts = rule.points
-    w = rule.weights
-    frame = rule.frame(rho, params)
-    m, n = frame.m, frame.n
-    B = len(basis)
-    flat = pts.shape[0]
-    tcoef = delta_tilde_coefficients(frame)
-
-    def piece(sl):
-        p = pts[sl]
-        ww = w[sl]
-        table = MonomialTable(basis, p)
-        # arrays of shape (points, B) are dropped as soon as they are used,
-        # which keeps the working set of a chunk small
-        V = table.values()
-        Vc = np.conj(V)
-        V *= ww[:, None]
-        g_part = V.T @ Vc
-        del V
-        db = table.dbar()
-        zb = z_bar_projection(db, frame.grad[sl], frame.chart[sl], frame.nonchart[sl])
-        s_part = np.zeros((B, B), dtype=np.complex128)
-        for gma in range(n):
-            for sgm in range(n):
-                c = ww * frame.levi_inv[sl][:, gma, sgm]
-                s_part += (zb[:, gma, :] * c[:, None]).T @ np.conj(zb[:, sgm, :])
-        del zb
-        if check_ibp:
-            box = np.zeros((p.shape[0], B), dtype=np.complex128)
-            for j in range(m):
-                for k in range(m):
-                    mixed = table.mixed(j, k)
-                    np.multiply(tcoef[sl][:, j, k][:, None], mixed, out=mixed)
-                    box += mixed
-            box += n * np.einsum("pk,pkb->pb", np.conj(frame.xi[sl]), db)
-            del db
-            box *= ww[:, None]
-            sp_part = box.T @ Vc
-        else:
-            sp_part = np.zeros((B, B), dtype=np.complex128)
-        return g_part[None], s_part[None], sp_part[None]
-
-    g_parts, s_parts, sp_parts = map_chunks(piece, flat, 4096)
-    G = g_parts.sum(axis=0)
-    S = s_parts.sum(axis=0)
+    G, S, Sp = _galerkin_matrices(rule.frame(rho, params), rule, basis, check_ibp)
     herm_dev = max(
         float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T)))
     )
     G = hermitize(G)
     S = hermitize(S)
-    ibp_dev = None
-    if check_ibp:
-        Sp = sp_parts.sum(axis=0)
-        ibp_dev = float(np.max(np.abs(S - Sp)))
+    ibp_dev = None if Sp is None else float(np.max(np.abs(S - Sp)))
     return SpectralProblem(
         gram=G, stiffness=S, basis=basis, kernel_tol=kernel_tol,
         herm_deviation=herm_dev, ibp_deviation=ibp_dev, rule_meta=rule.meta(),
     )
-
-
-# --- deterministic Hermitian eigensolver ------------------------------------
-
-
-def jacobi_eigh(a, tol=1e-14, max_sweeps=60):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
-
-    Deterministic sweep order (p ascending, q ascending), threshold skips,
-    stable ascending sort.  Returns (eigenvalues, eigenvectors).
-    """
-    A = np.array(a, dtype=np.complex128)
-    B = A.shape[0]
-    V = np.eye(B, dtype=np.complex128)
-    if B == 1:
-        return A[0, 0].real.reshape(1), V
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for _ in range(max_sweeps):
-        off = np.abs(A - np.diag(np.diag(A)))
-        if float(off.max()) <= tol * scale:
-            break
-        thresh = max(tol * scale, 1e-2 * float(off.max()))
-        for p in range(B - 1):
-            for q in range(p + 1, B):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag < thresh:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                u = apq / mag
-                # unitary columns j_p = (c, -s conj(u)), j_q = (s u, c)
-                col_p = c * A[:, p] - s * np.conj(u) * A[:, q]
-                col_q = s * u * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = col_p, col_q
-                row_p = c * A[p, :] - s * u * A[q, :]
-                row_q = s * np.conj(u) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = row_p, row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vcol_p = c * V[:, p] - s * np.conj(u) * V[:, q]
-                vcol_q = s * u * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vcol_p, vcol_q
-    w = np.diag(A).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
 
 
 @dataclass
@@ -318,7 +280,7 @@ class SolveResult:
 def solve(problem: SpectralProblem) -> SolveResult:
     """Ritz values of the (stiffness, gram) pencil on the numerical range of G."""
     G, S = problem.gram, problem.stiffness
-    wg, U = jacobi_eigh(G)
+    wg, U = np.linalg.eigh(G)
     wmax = float(wg[-1])
     if wmax <= 0.0:
         raise CholeskyFailure("Gram matrix has no positive mass")
@@ -338,7 +300,7 @@ def solve(problem: SpectralProblem) -> SolveResult:
         )
     W = U[:, keep] / np.sqrt(kept)[None, :]
     St = hermitize(W.conj().T @ S @ W)
-    lam, _ = jacobi_eigh(St)
+    lam, _ = np.linalg.eigh(St)
     thr = problem.kernel_tol * max(1.0, float(lam[-1]))
     kernel_dim = int(np.sum(lam < thr))
     positive = lam[lam >= thr]

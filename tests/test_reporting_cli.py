@@ -203,17 +203,41 @@ def test_lower_bound_single_point_serializes(tmp_path):
     canonical_json(report)  # must not contain non-finite values
 
 
+# 13,824 rule points: four degree-3 assembly chunks and two rule chunks, so
+# the threaded runs reduce chunks computed on different threads
+THREADED_JOB = {
+    **SPHERE_JOB,
+    "quadrature": {"type": "hopf_product", "resolution": 24, "seed": 3},
+    "tasks": [{"kind": "spectrum", "degree": 3, "check_monotonicity": True}],
+}
+
+
 def test_thread_count_does_not_change_report(tmp_path, monkeypatch):
-    job = {
-        **SPHERE_JOB,
-        "quadrature": {"type": "hopf_product", "resolution": 16, "seed": 3},
-        "tasks": [{"kind": "spectrum", "degree": 2, "check_monotonicity": False}],
-    }
     monkeypatch.setenv("CR_SPECTRA_THREADS", "1")
-    r1, _ = run_job_data(job, base_dir=tmp_path)
+    r1, _ = run_job_data(THREADED_JOB, base_dir=tmp_path)
     monkeypatch.setenv("CR_SPECTRA_THREADS", "4")
-    r2, _ = run_job_data(job, base_dir=tmp_path)
+    r2, _ = run_job_data(THREADED_JOB, base_dir=tmp_path)
+    assert r1["results"][0]["status"] == "ok"
     assert canonical_json(r1) == canonical_json(r2)
+
+
+def test_blas_thread_count_does_not_change_report(tmp_path):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(THREADED_JOB), encoding="utf-8")
+    src = str(Path(crspectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "CR_SPECTRA_THREADS": "2",
+               "OPENBLAS_NUM_THREADS": blas_threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "crspectra.cli", "run", str(job_path)],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert b'"status":"ok"' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):

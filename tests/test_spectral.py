@@ -3,15 +3,15 @@ import pytest
 
 from crspectra.errors import CholeskyFailure, IllConditionedGram, NoPositiveEigenvalue
 from crspectra.expressions import parse
+from crspectra.operators import delta_tilde_coefficients, z_bar_projection
 from crspectra.quadrature import QuadratureSettings, build_quadrature
 from crspectra.spectral import (
     MAX_DEGREE,
     MonomialBasis,
     SpectralProblem,
-    MonomialTable,
+    _galerkin_matrices,
     assemble,
     estimate_lambda1,
-    jacobi_eigh,
     solve,
 )
 from crspectra.verification import sphere_spectrum_oracle
@@ -44,18 +44,6 @@ def test_low_degree_gram_and_stiffness(sphere_rule):
     i1 = labels.index("zb1^1")
     assert S[i1, i1].real / problem.gram[i1, i1].real == pytest.approx(1.0, abs=1e-10)
     assert problem.herm_deviation <= 1e-9
-
-
-def test_jacobi_matches_lapack_oracle():
-    rng = np.random.default_rng(3)
-    for size in (2, 5, 17, 40):
-        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        a = a + a.conj().T
-        w, v = jacobi_eigh(a)
-        w0 = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(w - w0)) < 1e-12 * max(1.0, np.max(np.abs(w0)))
-        assert np.max(np.abs(v.conj().T @ v - np.eye(size))) < 1e-13
-        assert np.max(np.abs(a @ v - v * w[None, :])) < 1e-11
 
 
 def test_sphere_degree3_table(sphere_rule):
@@ -164,24 +152,50 @@ def _direct_monomial(z, a, b, da=None, db=None):
     return factor * np.prod(z ** a, axis=1) * np.prod(np.conj(z) ** b, axis=1)
 
 
-@pytest.mark.parametrize("m,degree", [(2, 5), (3, 3)])
-def test_monomial_table_matches_direct_evaluation(m, degree):
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    basis = MonomialBasis.build(m, degree)
+def _dense_reference(rule, frame, basis):
+    """G, S and the stiffness by parts from the basis values, dbar_k and
+    d_j dbar_k at every rule point, each monomial evaluated by plain powers."""
+    z, w = rule.points, rule.weights
+    m, n = frame.m, frame.n
     pairs = list(zip(basis.holo, basis.anti))
-
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
-
-    table = MonomialTable(basis, z)
     values = np.stack([_direct_monomial(z, a, b) for a, b in pairs], axis=1)
-    assert close(table.values(), values)
-    dbar = table.dbar()
-    for k in range(m):
-        want = np.stack([_direct_monomial(z, a, b, db=k) for a, b in pairs], axis=1)
-        assert close(dbar[:, k, :], want)
-        for j in range(m):
-            want = np.stack([_direct_monomial(z, a, b, da=j, db=k) for a, b in pairs], axis=1)
-            assert close(table.mixed(j, k), want)
+    dbar = np.stack([
+        np.stack([_direct_monomial(z, a, b, db=k) for a, b in pairs], axis=1)
+        for k in range(m)
+    ], axis=1)
+    zb = z_bar_projection(dbar, frame.grad, frame.chart, frame.nonchart)
+    gram = (values * w[:, None]).T @ np.conj(values)
+    stiffness = sum(
+        (zb[:, g] * (w * frame.levi_inv[:, g, s])[:, None]).T @ np.conj(zb[:, s])
+        for g in range(n) for s in range(n)
+    )
+    tcoef = delta_tilde_coefficients(frame)
+    box = n * np.einsum("pk,pkb->pb", np.conj(frame.xi), dbar)
+    for j in range(m):
+        for k in range(m):
+            mixed = np.stack([_direct_monomial(z, a, b, da=j, db=k) for a, b in pairs], axis=1)
+            box += tcoef[:, j, k, None] * mixed
+    by_parts = (box * w[:, None]).T @ np.conj(values)
+    return gram, stiffness, by_parts
+
+
+@pytest.mark.parametrize(
+    "rho,settings,top",
+    [
+        (ELLIPSOID, QuadratureSettings("hopf_product", resolution=12), 5),
+        (parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)-1", 2),
+         QuadratureSettings("monte_carlo", samples=1500, seed=4), 3),
+    ],
+    ids=["hopf-m2", "monte_carlo-m3"],
+)
+def test_moment_assembly_matches_dense_reference(rho, settings, top):
+    rule = build_quadrature(rho, settings)
+    frame = rule.frame(rho)
+    reference = _dense_reference(rule, frame, MonomialBasis.build(rho.m, top))
+    for degree in range(top + 1):
+        basis = MonomialBasis.build(rho.m, degree)
+        size = len(basis)
+        got = _galerkin_matrices(frame, rule, basis, check_ibp=True)
+        for mat, want in zip(got, reference):
+            want = want[:size, :size]
+            assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
