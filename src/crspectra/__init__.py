@@ -21,8 +21,8 @@ from .bounds import (
     validate_decomposition,
 )
 from .expressions import Expression, parse
-from .frames import DEFAULT_TOLERANCES, CRFrame, FrameTolerances, build_frame, frame_from_jet
-from .jets import MAX_ORDER, Jet, MultiIndex, jet_compose, jet_space, jet_variable
+from .frames import CRFrame, build_frame, frame_from_jet
+from .jets import MAX_ORDER, Jet, jet_space, jet_variable
 from .operators import (
     curvature_functional,
     curvature_quantities,
@@ -33,7 +33,6 @@ from .operators import (
     kohn_laplacian,
     log_fefferman_jet,
     normal_derivative,
-    normalized_scalar,
     ricci_tensor,
     sub_laplacian,
     webster_scalar,
@@ -46,7 +45,6 @@ from .quadrature import (
     pfaffian,
     points_on_surface,
     project_rays,
-    radial_point,
     re_densify,
     volume_density,
 )

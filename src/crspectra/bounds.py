@@ -30,7 +30,7 @@ from .errors import (
     NotApplicable,
     NotOnSphereImage,
 )
-from .expressions import Call, Expression, Literal, Sub, Add
+from .expressions import Add, Call, Expression, Literal, Sub, parse
 from .frames import build_frame
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
 from .quadrature import QuadratureRule, integrate, re_densify
@@ -51,7 +51,7 @@ class Decomposition:
     f_maps: list
 
     @classmethod
-    def from_dict(cls, data, n, parse_fn):
+    def from_dict(cls, data, n):
         if not isinstance(data, dict):
             raise JobValidationError("decomposition must be an object")
         maps = data.get("f_maps")
@@ -69,8 +69,8 @@ class Decomposition:
         return cls(
             N=N,
             nu=nu,
-            psi=parse_fn(psi, n) if psi else None,
-            f_maps=[parse_fn(s, n) for s in maps],
+            psi=parse(psi, n) if psi else None,
+            f_maps=[parse(s, n) for s in maps],
         )
 
     def describe(self):
@@ -89,7 +89,6 @@ class BoundReport:
     n: int
     diagnostics: dict
     quadrature: dict = field(default_factory=dict)
-    evaluators: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self):
         return {
@@ -101,8 +100,7 @@ class BoundReport:
         }
 
 
-def validate_decomposition(rho, dec: Decomposition, points, params=None,
-                           tol=RESIDUAL_TOL):
+def validate_decomposition(rho, dec: Decomposition, points, params=None):
     """Check holomorphy, the residual on and near M, and pluriharmonicity.
 
     Raises InvalidDecomposition with the worst offending point; returns the
@@ -125,7 +123,7 @@ def validate_decomposition(rho, dec: Decomposition, points, params=None,
     lhs = np.power(base, dec.N)
     if dec.psi is not None:
         psi_vals = dec.psi.value(params, stack)
-        if np.max(np.abs(psi_vals.imag)) > tol:
+        if np.max(np.abs(psi_vals.imag)) > RESIDUAL_TOL:
             raise InvalidDecomposition("psi must be real-valued")
         lhs = lhs - psi_vals.real
     rhs = np.zeros(stack.shape[0])
@@ -134,9 +132,9 @@ def validate_decomposition(rho, dec: Decomposition, points, params=None,
         rhs += np.abs(fv) ** 2
     residual = np.abs(lhs - rhs)
     worst = int(np.argmax(residual))
-    if residual[worst] > tol:
+    if residual[worst] > RESIDUAL_TOL:
         raise InvalidDecomposition(
-            f"decomposition residual {residual[worst]:.3e} > {tol:.1e} "
+            f"decomposition residual {residual[worst]:.3e} > {RESIDUAL_TOL:.1e} "
             f"at {stack[worst]}"
         )
 
@@ -159,7 +157,7 @@ def _conj_jets(maps, params, points, order=2):
 
 
 def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
-                identity_points=20, seed=0, kind="upper_decomposition") -> BoundReport:
+                seed=0, kind="upper_decomposition") -> BoundReport:
     """Average transverse curvature bound from a squared-norm decomposition.
 
     Diagnostics include the two pointwise identities that the decomposition
@@ -168,7 +166,7 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
         sum_mu |box_b conj(f_mu)|^2 = n^2 N nu^(N-2) (nu r + N - 1)
         sum_mu |dbar_b conj(f_mu)|^2 = n N nu^(N-1)
 
-    checked at ``identity_points`` seeded rule points to relative 1e-7.
+    checked at 20 seeded rule points to relative 1e-7.
     """
     n = rho.n
     dec_diag = validate_decomposition(rho, dec, rule.points, params=params)
@@ -178,7 +176,7 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
     value = n / v * r_integral + n * (dec.N - 1.0) / dec.nu
 
     rng = np.random.default_rng(seed)
-    count = min(identity_points, len(rule))
+    count = min(20, len(rule))
     idx = np.sort(rng.choice(len(rule), size=count, replace=False))
     sub = frame.take(idx)
     pts = rule.points[idx]
@@ -192,16 +190,6 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
     rhs_pair = np.full(count, n * dec.N * dec.nu ** (dec.N - 1))
     box_err = float(np.max(np.abs(box_sq - rhs_box) / np.maximum(np.abs(rhs_box), 1e-30)))
     pair_err = float(np.max(np.abs(pair_sq - rhs_pair) / np.maximum(np.abs(rhs_pair), 1e-30)))
-
-    def eigenfunction_evaluator(mu):
-        fmap = dec.f_maps[mu]
-
-        def b_mu(points):
-            points = np.asarray(points, dtype=np.complex128)
-            fr = build_frame(rho, points, params=params)
-            return kohn_laplacian(fr, fmap.jet(params, points, 2).conj())
-
-        return b_mu
 
     diagnostics = {
         "decomposition": dec.describe(),
@@ -219,7 +207,6 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
     return BoundReport(
         kind=kind, value=float(value), n=n, diagnostics=diagnostics,
         quadrature=rule.meta(),
-        evaluators={"b": [eigenfunction_evaluator(mu) for mu in range(len(dec.f_maps))]},
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .reporting import canonical_json, run_job_data
+from .reporting import canonical_json, load_job, run_job_data
 
 GRAMMAR_HELP = """\
 expression grammar:
@@ -41,8 +41,6 @@ def _add_common(p):
     p.add_argument("--samples", type=int, help="monte_carlo sample count")
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--output", help="write the report JSON to this path")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings (breaks byte determinism)")
 
 
 def _add_points(p, default):
@@ -238,15 +236,7 @@ def main(argv=None):
                 overrides["defining_function"] = args.rho
             if args.n is not None:
                 overrides["dimension_n"] = args.n
-            job_path = Path(args.job)
-            try:
-                job = json.loads(job_path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise ValidationError(f"job file {job_path} does not exist")
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{job_path} is not valid JSON: {exc}")
-            if not isinstance(job, dict):
-                raise ValidationError("job file must contain a JSON object")
+            job = load_job(args.job)
             job.update(overrides)
             params = _parse_params(args.param)
             if params:
@@ -256,13 +246,10 @@ def main(argv=None):
                 job.setdefault("quadrature", {}).update(quad)
             if args.output:
                 job["output"] = args.output
-            report, code = run_job_data(job, base_dir=job_path.parent,
-                                        include_timings=args.timings)
+            report, code = run_job_data(job, base_dir=Path(args.job).parent)
         else:
-            task = _task_from_args(args)
-            job = _job_from_args(args, task)
-            report, code = run_job_data(job, base_dir=".",
-                                        include_timings=args.timings)
+            job = _job_from_args(args, _task_from_args(args))
+            report, code = run_job_data(job, base_dir=".")
         print(_summarize(report))
         if "output" not in job:
             print(canonical_json(report))

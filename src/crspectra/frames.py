@@ -8,7 +8,7 @@ construction exact arithmetic (no pivoting, bit-reproducible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +21,6 @@ from .errors import (
     NotStrictlyPseudoconvex,
 )
 from .jets import Jet
-
-
-@dataclass(frozen=True)
-class FrameTolerances:
-    """Numerical tolerances; the defaults match the documented contracts."""
-
-    on_surface: float = 1e-9
-    degenerate: float = 1e-12
-    pairing: float = 1e-12          # |sum rho_k xi^k - 1|
-    transverse: float = 1e-10       # |rho_{j kbar} xi^j - r rho_kbar|
-    det_psi_rel: float = 1e-10
-    levi_identity: float = 1e-10
-    xi_crosscheck: float = 1e-9
-    invariance: float = 1e-6
-
-
-DEFAULT_TOLERANCES = FrameTolerances()
 
 
 def hermitize(mat):
@@ -122,7 +105,6 @@ class CRFrame:
     nonchart: np.ndarray     # (..., n) int, remaining indices ascending
     levi: np.ndarray         # (..., n, n)
     levi_inv: np.ndarray     # (..., n, n)
-    tolerances: FrameTolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     @property
     def m(self):
@@ -136,16 +118,6 @@ class CRFrame:
     def batch_shape(self):
         return self.point.shape[:-1]
 
-    @property
-    def reeb(self):
-        """Complex representation of the Reeb field T = i(xi - conj(xi))."""
-        return 1j * self.xi
-
-    @property
-    def normal(self):
-        """Complex representation of N = (xi + conj(xi)) / 2; N rho = 1."""
-        return 0.5 * self.xi
-
     def take(self, idx):
         """Sub-frame at batch indices idx (batch shape must be 1-d)."""
         pick = lambda a: a[idx]
@@ -155,11 +127,8 @@ class CRFrame:
             adjugate=pick(self.adjugate), r=pick(self.r), xi=pick(self.xi),
             psi=pick(self.psi), psi_inv=pick(self.psi_inv), chart=pick(self.chart),
             nonchart=pick(self.nonchart), levi=pick(self.levi),
-            levi_inv=pick(self.levi_inv), tolerances=self.tolerances,
+            levi_inv=pick(self.levi_inv),
         )
-
-    def __getitem__(self, idx):
-        return self.take(idx)
 
 
 def _worst(values, points):
@@ -225,20 +194,18 @@ def read_derivatives(jet: Jet):
     return jet.constant_term().real, jet.gradient(), hermitize(jet.mixed_hessian())
 
 
-def frame_from_derivatives(point, rho, grad, hess, chart=None,
-                           tol: FrameTolerances | None = None) -> CRFrame:
+def frame_from_derivatives(point, rho, grad, hess, chart=None) -> CRFrame:
     """Build the frame at ``point`` (..., m) from the value, gradient and
     Hessian of the defining function there (as from ``read_derivatives``)."""
-    tol = tol or DEFAULT_TOLERANCES
     m = grad.shape[-1]
     n = m - 1
     batch = grad.shape[:-1]
     points = np.broadcast_to(point, batch + (m,))
 
     worst_rho = np.max(np.abs(rho)) if rho.size else 0.0
-    if worst_rho > tol.on_surface:
+    if worst_rho > 1e-9:
         val, pt = _worst(np.abs(np.atleast_1d(rho)), np.atleast_2d(points.reshape(-1, m)))
-        raise NotOnSurface(f"|rho| = {val:.3e} > {tol.on_surface:.1e} at {pt}")
+        raise NotOnSurface(f"|rho| = {val:.3e} > 1.0e-09 at {pt}")
 
     adj = small_adjugate(hess)
     detH = small_det(hess).real
@@ -246,31 +213,30 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None,
     # q = rho_kbar adj[k,j] rho_j  (real; equals J on M and det(psi) exactly)
     q = np.einsum("...k,...kj,...j->...", gbar, adj, grad).real
     J = q - rho * detH
-    if np.min(J) <= tol.degenerate:
+    if np.min(J) <= 1e-12:
         val, pt = _worst(-np.atleast_1d(J), np.atleast_2d(points.reshape(-1, m)))
-        raise DegenerateJ(f"J = {-val:.3e} <= {tol.degenerate:.1e} at {pt}")
+        raise DegenerateJ(f"J = {-val:.3e} <= 1.0e-12 at {pt}")
 
     r = detH / q
     # xi^k = adj[j,k] rho_jbar / q; contraction identities then hold exactly
     xi = np.einsum("...jk,...j->...k", adj, gbar) / q[..., None]
 
     pairing = np.abs(np.einsum("...k,...k->...", grad, xi) - 1.0)
-    if np.max(pairing) > tol.pairing:
+    if np.max(pairing) > 1e-12:
         raise InternalConsistencyError(
             f"drho(xi) deviates from 1 by {np.max(pairing):.3e}"
         )
     transverse = np.abs(
         np.einsum("...j,...jk->...k", xi, hess) - r[..., None] * gbar
     )
-    if np.max(transverse) > tol.transverse:
+    if np.max(transverse) > 1e-10:
         raise InternalConsistencyError(
-            f"xi-contraction residual {np.max(transverse):.3e} exceeds "
-            f"{tol.transverse:.1e}"
+            f"xi-contraction residual {np.max(transverse):.3e} exceeds 1.0e-10"
         )
 
     psi = hermitize(hess + (1.0 - r)[..., None, None] * grad[..., :, None] * gbar[..., None, :])
     det_psi = small_det(psi).real
-    if np.max(np.abs(det_psi - J)) > tol.det_psi_rel * np.max(np.abs(J)):
+    if np.max(np.abs(det_psi - J)) > 1e-10 * np.max(np.abs(J)):
         raise InternalConsistencyError(
             f"det(psi) differs from J by {np.max(np.abs(det_psi - J)):.3e}"
         )
@@ -278,7 +244,7 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None,
 
     xi_bar_alt = np.einsum("...kj,...j->...k", psi_inv, grad)
     crosscheck = np.max(np.abs(np.conj(xi) - xi_bar_alt))
-    if crosscheck > tol.xi_crosscheck:
+    if crosscheck > 1e-9:
         raise InternalConsistencyError(
             f"xi from adjugate and from psi-inverse disagree by {crosscheck:.3e}"
         )
@@ -294,11 +260,11 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None,
     levi = hermitize(chart_projection(hess, grad, chart_idx, nonchart))
 
     eig_min, _ = hermitian_eig_bounds(levi)
-    if np.min(eig_min) <= tol.degenerate:
+    if np.min(eig_min) <= 1e-12:
         bad = int(np.argmin(eig_min))
         raise NotStrictlyPseudoconvex(
-            f"Levi form eigenvalue {eig_min.reshape(-1)[bad]:.3e} <= "
-            f"{tol.degenerate:.1e} at {points.reshape(-1, m)[bad]}"
+            f"Levi form eigenvalue {eig_min.reshape(-1)[bad]:.3e} <= 1.0e-12 "
+            f"at {points.reshape(-1, m)[bad]}"
         )
 
     flatP = int(np.prod(batch)) if batch else 1
@@ -312,28 +278,27 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None,
 
     ident = np.einsum("pab,pbc->pac", levi_inv, levi.reshape(flatP, n, n))
     ident_err = np.max(np.abs(ident - np.eye(n)))
-    if ident_err > tol.levi_identity:
+    if ident_err > 1e-10:
         raise InternalConsistencyError(
-            f"Levi inverse identity residual {ident_err:.3e} exceeds "
-            f"{tol.levi_identity:.1e}"
+            f"Levi inverse identity residual {ident_err:.3e} exceeds 1.0e-10"
         )
 
     return CRFrame(
         point=np.array(points), rho=rho, grad=grad, hessian=hess, J=J, detH=detH,
         adjugate=adj, r=r, xi=xi, psi=psi, psi_inv=psi_inv,
         chart=chart_idx, nonchart=nonchart, levi=levi,
-        levi_inv=levi_inv.reshape(batch + (n, n)), tolerances=tol,
+        levi_inv=levi_inv.reshape(batch + (n, n)),
     )
 
 
-def frame_from_jet(jet: Jet, chart=None, tol: FrameTolerances | None = None) -> CRFrame:
+def frame_from_jet(jet: Jet, chart=None) -> CRFrame:
     """Build the frame from a jet of the defining function (order >= 2)."""
     points = np.broadcast_to(jet.point, jet.batch_shape + (jet.m,))
-    return frame_from_derivatives(points, *read_derivatives(jet), chart=chart, tol=tol)
+    return frame_from_derivatives(points, *read_derivatives(jet), chart=chart)
 
 
-def build_frame(rho, points, params=None, chart=None, tol=None) -> CRFrame:
+def build_frame(rho, points, params=None, chart=None) -> CRFrame:
     """Frame(s) of the hypersurface {rho = 0} at one or many ambient points."""
     points = np.asarray(points, dtype=np.complex128)
     jet = rho.jet(params, points, 2)
-    return frame_from_jet(jet, chart=chart, tol=tol)
+    return frame_from_jet(jet, chart=chart)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
@@ -39,17 +37,6 @@ MAX_ORDER = 4
 
 # constant term magnitudes below this are treated as zero divisors
 DIV_TOL = 1e-300
-
-
-class MultiIndex(NamedTuple):
-    """Holomorphic/antiholomorphic derivative orders (alpha | beta)."""
-
-    alpha: tuple
-    beta: tuple
-
-    @property
-    def total(self):
-        return sum(self.alpha) + sum(self.beta)
 
 
 def _factorial_prod(exponents):
@@ -84,10 +71,6 @@ class JetSpace:
         self.n_terms = len(self.exps)
         conj = [self.index[(b, a)] for (a, b) in self.exps]
         self.conj_perm = np.asarray(conj, dtype=np.intp)
-        self.factorials = np.asarray(
-            [_factorial_prod(a) * _factorial_prod(b) for (a, b) in self.exps],
-            dtype=np.float64,
-        )
         # term indices of the first and mixed second derivatives, in the
         # layout of the read-offs below; None where the order is too low
         zero = (0,) * m
@@ -240,11 +223,6 @@ class Jet:
     def mixed_hessian(self):
         """Mixed partials d_j dbar_k f at the base point, shape (*batch, m, m)."""
         return self._read_off(self.space.mixed_index, "mixed_hessian")
-
-    def coefficients(self):
-        """Iterate (MultiIndex, coefficient) pairs."""
-        for i, (a, b) in enumerate(self.space.exps):
-            yield MultiIndex(a, b), self.coeffs[i]
 
     # --- structural operations --------------------------------------------
 
@@ -470,12 +448,9 @@ def jet_variable(point, index, kind, order=MAX_ORDER):
     m = point.shape[-1]
     if not 1 <= index <= m:
         raise IndexOutOfRange(f"coordinate index {index} out of range 1..{m}")
-    if kind in ("holomorphic", "z"):
-        holo = True
-    elif kind in ("antiholomorphic", "zbar"):
-        holo = False
-    else:
+    if kind not in ("holomorphic", "antiholomorphic"):
         raise ValueError(f"unknown variable kind {kind!r}")
+    holo = kind == "holomorphic"
     space = jet_space(m, order)
     batch = point.shape[:-1]
     coeffs = np.zeros((space.n_terms,) + batch, dtype=np.complex128)
@@ -488,29 +463,3 @@ def jet_variable(point, index, kind, order=MAX_ORDER):
         coeffs[space.index[key]] = 1.0
     return Jet(space, point, coeffs, is_real=False)
 
-
-def jet_compose(op, args, exponent=None):
-    """Dispatch a composition by name (mirrors the documented operation set)."""
-    if op == "add":
-        return args[0] + args[1]
-    if op == "sub":
-        return args[0] - args[1]
-    if op == "mul":
-        return args[0] * args[1]
-    if op == "div":
-        return args[0] / args[1]
-    if op == "pow_int":
-        return args[0].pow_int(exponent)
-    if op == "pow_real":
-        return args[0].pow_real(exponent)
-    if op == "log":
-        return args[0].log()
-    if op == "exp":
-        return args[0].exp()
-    if op == "conj":
-        return args[0].conj()
-    if op == "re":
-        return args[0].real_part()
-    if op == "im":
-        return args[0].imag_part()
-    raise ValueError(f"unknown jet operation {op!r}")

@@ -140,12 +140,10 @@ def fefferman_det_jet(rho_jet: Jet) -> Jet:
     return (-det).hermitized()
 
 
-def log_fefferman_jet(rho_jet: Jet, degenerate_tol=1e-12) -> Jet:
+def log_fefferman_jet(rho_jet: Jet) -> Jet:
     jj = fefferman_det_jet(rho_jet)
-    if np.min(jj.constant_term().real) <= degenerate_tol:
-        raise DegenerateJ(
-            f"J = {np.min(jj.constant_term().real):.3e} <= {degenerate_tol:.1e}"
-        )
+    if np.min(jj.constant_term().real) <= 1e-12:
+        raise DegenerateJ(f"J = {np.min(jj.constant_term().real):.3e} <= 1.0e-12")
     return jj.log()
 
 
@@ -175,14 +173,14 @@ def curvature_functional(frame: CRFrame, logJ_jet: Jet):
     return n * (n + 1) * frame.r - n * ng - 0.5 * db - (n / (n + 1)) * grad_norm
 
 
-def curvature_quantities(rho, points, params=None, chart=None, tol=None):
+def curvature_quantities(rho, points, params=None, chart=None):
     """All curvature scalars at on-surface points, from one 4-jet evaluation.
 
     Returns a dict with keys r, J, detH, R_theta, D, R_Theta plus the frame.
     """
     points = np.asarray(points, dtype=np.complex128)
     jet = rho.jet(params, points, 4)
-    frame = frame_from_jet(jet, chart=chart, tol=tol)
+    frame = frame_from_jet(jet, chart=chart)
     logj = log_fefferman_jet(jet)
     rtheta = webster_scalar(frame, logj)
     dval = curvature_functional(frame, logj)
@@ -198,17 +196,6 @@ def curvature_quantities(rho, points, params=None, chart=None, tol=None):
         "frame": frame,
         "logJ_jet": logj,
     }
-
-
-def normalized_scalar(rho, points, params=None, chart=None, tol=None):
-    """Webster scalar curvature of the volume-normalized structure.
-
-    Independent of which defining function of M is supplied (to numerical
-    tolerance); positive everywhere iff M is super-pseudoconvex.
-    """
-    return curvature_quantities(rho, points, params=params, chart=chart, tol=tol)[
-        "R_Theta"
-    ]
 
 
 class NormalizedDefiningFunction:

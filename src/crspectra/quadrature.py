@@ -13,6 +13,9 @@ Two rule types:
   uniform (trapezoidal) grids in the two angles, radially projected to M.
 * ``monte_carlo`` (any n): seeded uniform directions, radially projected.
 
+Both project their directions and push the direction tangents forward in
+chunks of 8,192 through ``runtime.map_chunks``.
+
 The tangent push-forward and the density need the gradient and complex
 Hessian of the defining function at every rule point.  A rule keeps them,
 with the function's value there, and ``QuadratureRule.frame`` builds that
@@ -23,7 +26,6 @@ of any other defining function is built from that function's own jet.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,9 @@ from .errors import DegenerateFrame, JobValidationError, NoRootFound
 from .frames import CRFrame, build_frame, frame_from_derivatives, read_derivatives
 from .runtime import map_chunks
 
+# largest |rho| accepted at a projected ray point
+_ROOT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class QuadratureSettings:
@@ -39,24 +44,6 @@ class QuadratureSettings:
     resolution: int = 16
     samples: int = 2000
     seed: int = 0
-
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise JobValidationError("quadrature settings must be an object")
-        known = {"type", "resolution", "samples", "seed"}
-        extra = set(data) - known
-        if extra:
-            raise JobValidationError(f"unknown quadrature settings {sorted(extra)}")
-        kind = data.get("type", cls.type)
-        if kind not in ("hopf_product", "monte_carlo"):
-            raise JobValidationError(f"unknown quadrature type {kind!r}")
-        return cls(
-            type=kind,
-            resolution=_whole_number(data, "resolution", cls.resolution, 2),
-            samples=_whole_number(data, "samples", cls.samples, 1),
-            seed=_whole_number(data, "seed", cls.seed, 0),
-        )
 
     def to_dict(self):
         return {
@@ -67,19 +54,6 @@ class QuadratureSettings:
         }
 
 
-def _whole_number(data, name, default, minimum):
-    """data[name] as an int >= minimum; an integral float counts, bools and
-    anything else are validation errors."""
-    value = data.get(name, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise JobValidationError(
-            f"quadrature {name} must be an integer >= {minimum}, got {value!r}"
-        )
-    return int(value)
-
-
 def _frame_key(rho, params):
     return id(rho), tuple(sorted((params or {}).items()))
 
@@ -87,11 +61,9 @@ def _frame_key(rho, params):
 @dataclass
 class QuadratureRule:
     points: np.ndarray           # (P, m) complex, on M
-    parameters: np.ndarray       # (P, k) real
     tangents: np.ndarray         # (P, 2n+1, m) complex
     base_weights: np.ndarray     # (P,) parameter-measure weights
     density: np.ndarray          # (P,) |theta ^ (d theta)^n| on the tangent basis
-    kind: str
     settings: QuadratureSettings
     n: int
     weights: np.ndarray = field(init=False)
@@ -144,16 +116,16 @@ def _rho_and_slope(rho, params, t, dirs):
     return val, slope
 
 
-def project_rays(rho, params, dirs, residual_tol=1e-12, max_iter=100):
-    """Scaling factors t > 0 with rho(t * dirs) = 0 along each unit ray.
+def project_rays(rho, params, dirs):
+    """Scaling factors t > 0 with |rho(t * dirs)| <= 1e-12 along each unit ray.
 
-    Safeguarded Newton from t = 1 with a bisection fallback on a geometric
-    bracket scan over t in [1e-3, 1e3].
+    Safeguarded Newton from t = 1 (at most 100 steps) with a bisection
+    fallback on a geometric bracket scan over t in [1e-3, 1e3].
     """
     dirs = np.asarray(dirs, dtype=np.complex128)
     P = dirs.shape[0]
     t = np.ones(P)
-    for _ in range(max_iter):
+    for _ in range(100):
         val, slope = _rho_and_slope(rho, params, t, dirs)
         active = np.abs(val) > 1e-15
         if not np.any(active):
@@ -164,13 +136,13 @@ def project_rays(rho, params, dirs, residual_tol=1e-12, max_iter=100):
         step = np.clip(step, -0.5, 0.5)
         t = np.clip(t - step, 1e-3, 1e3)
     val, _ = _rho_and_slope(rho, params, t, dirs)
-    bad = np.abs(val) > residual_tol
+    bad = np.abs(val) > _ROOT_TOL
     if np.any(bad):
-        t = _bisect_failures(rho, params, t, dirs, np.where(bad)[0], residual_tol)
+        t = _bisect_failures(rho, params, t, dirs, np.where(bad)[0])
     return t
 
 
-def _bisect_failures(rho, params, t, dirs, idx, residual_tol):
+def _bisect_failures(rho, params, t, dirs, idx):
     grid = np.geomspace(1e-3, 1e3, 481)
     for i in idx:
         u = dirs[i : i + 1]
@@ -198,27 +170,10 @@ def _bisect_failures(rho, params, t, dirs, idx, residual_tol):
             if abs(slope[0]) < 1e-14:
                 break
             ti -= float(val[0] / slope[0])
-        if abs(float(rho.value(params, ti * u).real)) > residual_tol:
+        if abs(float(rho.value(params, ti * u).real)) > _ROOT_TOL:
             raise NoRootFound(f"projection residual too large along {u[0]}")
         t[i] = ti
     return t
-
-
-def radial_point(rho, direction, params=None):
-    """Project one unit direction radially onto M; returns the ambient point."""
-    direction = _as_complex_direction(direction)
-    direction = direction / np.linalg.norm(_as_real(direction))
-    t = project_rays(rho, params, direction[None, :])
-    return t[0] * direction
-
-
-def _as_complex_direction(v):
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        return v.astype(np.complex128)
-    if v.shape[-1] % 2:
-        raise ValueError("real direction must have even length 2(n+1)")
-    return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 def _as_real(v):
@@ -269,7 +224,7 @@ def _form_value(grad, hess, tangents, n):
     return math.factorial(n) * total
 
 
-def volume_density(rho, sp, params=None, degenerate_tol=1e-14):
+def volume_density(rho, sp, params=None):
     """|theta ^ (d theta)^n| on tangent bases: ``sp`` is a pair of ambient
     points (..., m) and tangent bases (..., 2n+1, m)."""
     ambient, tangents = sp
@@ -278,25 +233,22 @@ def volume_density(rho, sp, params=None, degenerate_tol=1e-14):
     n = ambient.shape[-1] - 1
     _, grad, hess = read_derivatives(rho.jet(params, ambient, 2))
     value = np.abs(_form_value(grad, hess, tangents, n))
-    if np.min(value) <= degenerate_tol:
+    if np.min(value) <= 1e-14:
         raise DegenerateFrame(
-            f"volume density {np.min(value):.3e} <= {degenerate_tol:.1e}: "
-            "tangent basis lost rank"
+            f"volume density {np.min(value):.3e} <= 1.0e-14: tangent basis lost rank"
         )
     return value
 
 
-def _push_forward(rho, params, t, dirs, du_list, pts):
+def _push_forward(rho, params, t, dirs, du, pts):
     """Tangent vectors of the radial graph, V = t' u + t du with drho(V) = 0,
-    and the value, gradient and Hessian of rho at the points."""
+    for each parameter tangent ``du`` (P, k, m) of the unit directions, and
+    the value, gradient and Hessian of rho at the points."""
     value, grad, hess = read_derivatives(rho.jet(params, pts, 2))
     slope_u = 2.0 * np.einsum("pj,pj->p", grad, dirs).real
-    vs = []
-    for du in du_list:
-        slope_d = 2.0 * np.einsum("pj,pj->p", grad, du).real
-        tprime = -t * slope_d / slope_u
-        vs.append(tprime[:, None] * dirs + t[:, None] * du)
-    tangents = np.stack(vs, axis=1)
+    slope_d = 2.0 * np.einsum("pj,pkj->pk", grad, du).real
+    tprime = -t[:, None] * slope_d / slope_u[:, None]
+    tangents = tprime[:, :, None] * dirs[:, None, :] + t[:, None, None] * du
     return tangents, value, grad, hess
 
 
@@ -312,17 +264,36 @@ def _check_surface(value, tangents, grad):
 
 def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     """Quadrature rule for integrals against theta ^ (d theta)^n on {rho = 0}."""
-    if isinstance(settings, dict):
-        settings = QuadratureSettings.from_dict(settings)
     if settings.type == "hopf_product":
         if rho.n != 1:
             raise JobValidationError("hopf_product rules require n = 1")
-        return _build_hopf(rho, params, settings)
-    return _build_monte_carlo(rho, params, settings)
+        dirs, du, base = _hopf_directions(settings.resolution)
+    else:
+        dirs, du, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
+
+    def make(sl):
+        d = dirs[sl]
+        t = project_rays(rho, params, d)
+        pts = t[:, None] * d
+        tangents, value, grad, hess = _push_forward(rho, params, t, d, du[sl], pts)
+        _check_surface(value, tangents, grad)
+        density = np.abs(_form_value(grad, hess, tangents, rho.n))
+        return pts, tangents, density, value, grad, hess
+
+    pts, tangents, density, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
+    if np.min(density) <= 1e-14:
+        raise DegenerateFrame(f"vanishing volume density in {settings.type} rule")
+    rule = QuadratureRule(
+        points=pts, tangents=tangents, base_weights=base, density=density,
+        settings=settings, n=rho.n,
+    )
+    rule._derivatives[_frame_key(rho, params)] = (rho, value, grad, hess)
+    return rule
 
 
-def _build_hopf(rho, params, settings):
-    R = settings.resolution
+def _hopf_directions(R):
+    """Unit directions of the hopf_product grid, their tangents (P, 3, 2) along
+    (eta, phi1, phi2) and the parameter-measure weights."""
     x, wx = np.polynomial.legendre.leggauss(R)
     eta = 0.25 * np.pi * (x + 1.0)
     weta = 0.25 * np.pi * wx
@@ -337,31 +308,8 @@ def _build_hopf(rho, params, settings):
     du_eta = np.stack([-se * np.exp(1j * p1), ce * np.exp(1j * p2)], axis=-1)
     du_p1 = np.stack([1j * u1, np.zeros_like(u1)], axis=-1)
     du_p2 = np.stack([np.zeros_like(u2), 1j * u2], axis=-1)
-
-    def make(sl):
-        d = dirs[sl]
-        t = project_rays(rho, params, d)
-        pts = t[:, None] * d
-        tangents, value, grad, hess = _push_forward(
-            rho, params, t, d, [du_eta[sl], du_p1[sl], du_p2[sl]], pts
-        )
-        _check_surface(value, tangents, grad)
-        density = np.abs(_form_value(grad, hess, tangents, 1))
-        return pts, tangents, density, value, grad, hess
-
-    pts, tangents, density, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
-    if np.min(density) <= 1e-14:
-        raise DegenerateFrame("vanishing volume density in hopf_product rule")
-    wE = np.repeat(weta, R * R)
-    base = wE * wphi * wphi
-    parameters = np.stack([e, p1, p2], axis=-1)
-    rule = QuadratureRule(
-        points=pts, parameters=parameters, tangents=tangents,
-        base_weights=base, density=density, kind="hopf_product",
-        settings=settings, n=1,
-    )
-    rule._derivatives[_frame_key(rho, params)] = (rho, value, grad, hess)
-    return rule
+    base = np.repeat(weta, R * R) * wphi * wphi
+    return dirs, np.stack([du_eta, du_p1, du_p2], axis=1), base
 
 
 def _house_basis(real_dirs):
@@ -377,34 +325,16 @@ def _house_basis(real_dirs):
     return np.swapaxes(basis, 1, 2)  # (P, d-1, d)
 
 
-def _build_monte_carlo(rho, params, settings):
-    m = rho.m
-    rng = np.random.default_rng(settings.seed)
-    raw = rng.standard_normal((settings.samples, 2 * m))
+def _monte_carlo_directions(m, samples, seed):
+    """Seeded uniform unit directions in C^m, orthonormal tangent bases
+    (P, 2m-1, m) of the unit sphere there, and equal weights."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((samples, 2 * m))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
     tangent_real = _house_basis(raw)
-    du_list = [
-        tangent_real[:, i, 0::2] + 1j * tangent_real[:, i, 1::2]
-        for i in range(2 * m - 1)
-    ]
-
-    t = project_rays(rho, params, dirs)
-    pts = t[:, None] * dirs
-    tangents, value, grad, hess = _push_forward(rho, params, t, dirs, du_list, pts)
-    _check_surface(value, tangents, grad)
-    density = np.abs(_form_value(grad, hess, tangents, m - 1))
-    if np.min(density) <= 1e-14:
-        raise DegenerateFrame("vanishing volume density in monte_carlo rule")
+    du = tangent_real[..., 0::2] + 1j * tangent_real[..., 1::2]
     area = 2.0 * np.pi**m / math.factorial(m - 1)
-    base = np.full(settings.samples, area / settings.samples)
-    rule = QuadratureRule(
-        points=pts, parameters=raw, tangents=tangents,
-        base_weights=base, density=density, kind="monte_carlo",
-        settings=settings, n=m - 1,
-    )
-    rule._derivatives[_frame_key(rho, params)] = (rho, value, grad, hess)
-    return rule
+    return raw[:, 0::2] + 1j * raw[:, 1::2], du, np.full(samples, area / samples)
 
 
 def re_densify(rule: QuadratureRule, rho, params=None) -> QuadratureRule:
@@ -421,8 +351,8 @@ def re_densify(rule: QuadratureRule, rho, params=None) -> QuadratureRule:
     if np.min(density) <= 1e-14:
         raise DegenerateFrame("vanishing volume density after re-densifying")
     out = QuadratureRule(
-        points=rule.points, parameters=rule.parameters, tangents=rule.tangents,
-        base_weights=rule.base_weights, density=density, kind=rule.kind,
+        points=rule.points, tangents=rule.tangents,
+        base_weights=rule.base_weights, density=density,
         settings=rule.settings, n=rule.n,
     )
     out._frames[_frame_key(rho, params)] = (rho, frame)

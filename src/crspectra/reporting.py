@@ -2,15 +2,13 @@
 
 Reports are canonical JSON: keys sorted, floats printed with 17 significant
 digits, no whitespace variation, so a job with a fixed seed produces
-byte-identical bytes on every run.  Wall-clock timings would break that
-property and are therefore opt-in (``include_timings``).
+byte-identical bytes on every run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -129,11 +127,47 @@ def _pairs_to_points(pairs, m):
 # --- job handling -------------------------------------------------------------
 
 
-def _is_finite(x):
+def _whole_number(data, name, default, minimum, maximum=None):
+    """data[name] as an int in [minimum, maximum]; an integral float counts,
+    bools, fractions and anything else are validation errors."""
+    value = data.get(name, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
+            or (maximum is not None and value > maximum)):
+        within = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise JobValidationError(f"{name} must be an integer {within}, got {value!r}")
+    return value
+
+
+def _real_number(value, name):
+    """value as a float; bools, non-numbers and non-finite numbers are
+    validation errors."""
     try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        finite = False
+    if not finite:
+        raise JobValidationError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _quadrature_settings(data):
+    if not isinstance(data, dict):
+        raise JobValidationError("quadrature settings must be an object")
+    extra = set(data) - {"type", "resolution", "samples", "seed"}
+    if extra:
+        raise JobValidationError(f"unknown quadrature settings {sorted(extra)}")
+    default = QuadratureSettings()
+    kind = data.get("type", default.type)
+    if kind not in ("hopf_product", "monte_carlo"):
+        raise JobValidationError(f"unknown quadrature type {kind!r}")
+    return QuadratureSettings(
+        type=kind,
+        resolution=_whole_number(data, "resolution", default.resolution, 2),
+        samples=_whole_number(data, "samples", default.samples, 1),
+        seed=_whole_number(data, "seed", default.seed, 0),
+    )
 
 
 def normalize_job(job: dict) -> dict:
@@ -145,19 +179,12 @@ def normalize_job(job: dict) -> dict:
     extra = set(job) - known
     if extra:
         raise JobValidationError(f"unknown job keys {sorted(extra)}")
-    n = job.get("dimension_n")
-    if n not in (1, 2):
-        raise JobValidationError("dimension_n must be 1 or 2")
+    n = _whole_number(job, "dimension_n", None, 1, 2)
     if not isinstance(job.get("defining_function"), str):
         raise JobValidationError("defining_function must be a string expression")
     params = job.get("params", {})
     if not isinstance(params, dict):
         raise JobValidationError("params must map names to real numbers")
-    for name, value in params.items():
-        if not isinstance(value, (int, float)) or not _is_finite(value):
-            raise JobValidationError(
-                f"params[{name!r}] must be a finite real number, got {value!r}"
-            )
     tasks = job.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise JobValidationError("tasks must be a non-empty list")
@@ -166,11 +193,11 @@ def normalize_job(job: dict) -> dict:
             raise JobValidationError(
                 f"task {i}: kind must be one of {', '.join(TASK_KINDS)}"
             )
-    quad = QuadratureSettings.from_dict(job.get("quadrature", {}))
+    quad = _quadrature_settings(job.get("quadrature", {}))
     out = {
-        "dimension_n": int(n),
+        "dimension_n": n,
         "defining_function": job["defining_function"],
-        "params": {str(k): float(v) for k, v in params.items()},
+        "params": {str(k): _real_number(v, f"params[{k!r}]") for k, v in params.items()},
         "quadrature": quad.to_dict(),
         "tasks": tasks,
     }
@@ -185,7 +212,7 @@ class _JobContext:
         self.n = job["dimension_n"]
         self.params = job["params"]
         self.rho = parse(job["defining_function"], self.n)
-        self.settings = QuadratureSettings.from_dict(job["quadrature"])
+        self.settings = QuadratureSettings(**job["quadrature"])
         self._rule = None
 
     @property
@@ -197,26 +224,20 @@ class _JobContext:
     def task_points(self, task, default_count):
         if "points" in task:
             return _pairs_to_points(task["points"], self.rho.m)
-        count = _task_number(task, "num_points", default_count, minimum=1)
-        seed = _task_number(task, "seed", self.settings.seed, minimum=0)
+        count = _whole_number(task, "num_points", default_count, 1)
+        seed = _whole_number(task, "seed", self.settings.seed, 0)
         return points_on_surface(self.rho, count, seed=seed, params=self.params)
 
 
-def _task_number(task, key, default, cast=int, minimum=None, maximum=None):
-    """task[key] converted by ``cast`` (int or float) and range-checked; a
-    malformed value is a validation error."""
-    value = task.get(key, default)
-    try:
-        out = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise JobValidationError(f"{key} must be a {cast.__name__}, got {value!r}") from None
-    if cast is float and not math.isfinite(out):
-        raise JobValidationError(f"{key} must be finite, got {value!r}")
-    if minimum is not None and out < minimum:
-        raise JobValidationError(f"{key} must be >= {minimum}, got {out}")
-    if maximum is not None and out > maximum:
-        raise JobValidationError(f"{key} must be <= {maximum}, got {out}")
-    return out
+def _expressions(task, key, minimum, n):
+    """task[key] parsed: a list of at least ``minimum`` expression strings."""
+    texts = task.get(key)
+    if (not isinstance(texts, list) or len(texts) < minimum
+            or not all(isinstance(s, str) for s in texts)):
+        raise JobValidationError(
+            f"{task['kind']} needs {key}, a list of at least {minimum} expressions"
+        )
+    return [parse(s, n) for s in texts]
 
 
 def _task_flag(task, key, default):
@@ -252,6 +273,15 @@ def _point_table(ctx, task, with_frame_diag):
     return result, points
 
 
+def _write_text(path, text):
+    """Write a report or table; a path that cannot be written is a job input
+    error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise JobValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_csv(path, result):
     pts = result["points"]
     m = len(pts[0])
@@ -266,12 +296,14 @@ def _write_csv(path, result):
             row += [_format_float(pts[i][j][0]), _format_float(pts[i][j][1])]
         row += [_format_float(result[c][i]) for c in CSV_COLUMNS]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _run_task(ctx, task, base_dir):
     kind = task["kind"]
     if kind in ("invariants", "curvature"):
+        if "csv" in task and not isinstance(task["csv"], str):
+            raise JobValidationError(f"csv must be a file name, got {task['csv']!r}")
         result, _ = _point_table(ctx, task, with_frame_diag=(kind == "invariants"))
         if "csv" in task:
             _write_csv(Path(base_dir, task["csv"]), result)
@@ -279,8 +311,8 @@ def _run_task(ctx, task, base_dir):
         return result
     if kind == "spectrum":
         # checked before the rule is built or anything is assembled
-        degree = _task_number(task, "degree", 3, minimum=0, maximum=MAX_DEGREE)
-        kernel_tol = _task_number(task, "kernel_tol", 1e-6, cast=float)
+        degree = _whole_number(task, "degree", 3, 0, MAX_DEGREE)
+        kernel_tol = _real_number(task.get("kernel_tol", 1e-6), "kernel_tol")
         monotonicity = _task_flag(task, "check_monotonicity", True)
         report = estimate_lambda1(
             ctx.rho, degree, ctx.rule, params=ctx.params, kernel_tol=kernel_tol,
@@ -290,22 +322,18 @@ def _run_task(ctx, task, base_dir):
     if kind == "bound_upper":
         if "decomposition" not in task:
             raise JobValidationError("bound_upper needs a decomposition block")
-        dec = Decomposition.from_dict(
-            task["decomposition"], ctx.n, lambda s, n: parse(s, n)
-        )
+        dec = Decomposition.from_dict(task["decomposition"], ctx.n)
         report = upper_bound(ctx.rho, dec, ctx.rule, params=ctx.params,
                              seed=ctx.settings.seed)
         return report.to_dict()
     if kind == "bound_reilly":
-        if not isinstance(task.get("F_maps"), list) or not task["F_maps"]:
-            raise JobValidationError("bound_reilly needs F_maps, a non-empty list")
-        maps = [parse(s, ctx.n) for s in task["F_maps"]]
+        maps = _expressions(task, "F_maps", 1, ctx.n)
         report = reilly_bound(maps, ctx.rule, params=ctx.params,
                               seed=ctx.settings.seed)
         return report.to_dict()
     if kind == "bound_special":
         points = ctx.task_points(task, 50)
-        report = special_bound(ctx.rho, _task_number(task, "j", 1), points,
+        report = special_bound(ctx.rho, _whole_number(task, "j", 1, 1), points,
                                params=ctx.params)
         return report.to_dict()
     if kind == "bound_lower":
@@ -315,12 +343,7 @@ def _run_task(ctx, task, base_dir):
                              paneitz_positive=paneitz)
         return report.to_dict()
     if kind == "invariance_check":
-        texts = task.get("defining_functions")
-        if not isinstance(texts, list) or len(texts) < 2:
-            raise JobValidationError(
-                "invariance_check needs at least two defining_functions"
-            )
-        exprs = [parse(s, ctx.n) for s in texts]
+        exprs = _expressions(task, "defining_functions", 2, ctx.n)
         points = ctx.task_points(task, 25)
         values = []
         for expr in exprs:
@@ -338,7 +361,7 @@ def _run_task(ctx, task, base_dir):
             for j in range(i + 1, len(exprs))
         ]
         return {
-            "defining_functions": texts,
+            "defining_functions": task["defining_functions"],
             "num_points": int(points.shape[0]),
             "max_pairwise_diff": max(diffs),
             "normalized_scalar_first": [float(x) for x in values[0]],
@@ -346,7 +369,7 @@ def _run_task(ctx, task, base_dir):
     raise JobValidationError(f"unhandled task kind {kind!r}")
 
 
-def run_job_data(job: dict, base_dir=".", include_timings=False):
+def run_job_data(job: dict, base_dir="."):
     """Execute a job dict; returns (report dict, exit code).
 
     Task failures are recorded per task without aborting the remaining
@@ -362,7 +385,6 @@ def run_job_data(job: dict, base_dir=".", include_timings=False):
         # allocator kept of earlier tasks' arrays
         release_freed_memory()
         entry = {"task": task["kind"], "index": i}
-        start = time.perf_counter()
         try:
             entry["status"] = "ok"
             entry["result"] = _run_task(ctx, task, base_dir)
@@ -376,8 +398,6 @@ def run_job_data(job: dict, base_dir=".", include_timings=False):
             entry["status"] = "error"
             entry["error"] = type(exc).__name__
             entry["message"] = str(exc)
-        if include_timings:
-            entry["time_s"] = time.perf_counter() - start
         results.append(entry)
     report = {
         "tool": {"name": "crspectra", "version": __version__},
@@ -385,19 +405,21 @@ def run_job_data(job: dict, base_dir=".", include_timings=False):
         "results": results,
     }
     if "output" in job:
-        path = Path(base_dir, job["output"])
-        path.write_text(canonical_json(report) + "\n", encoding="utf-8")
+        _write_text(Path(base_dir, job["output"]), canonical_json(report) + "\n")
     exit_code = 2 if saw_validation else (3 if saw_numerical else 0)
     return report, exit_code
 
 
-def run_job(path, include_timings=False):
-    """Load and execute a JSON job file; returns (report dict, exit code)."""
+def load_job(path):
+    """The job dict of a JSON job file; a file that cannot be read, is not
+    JSON or holds no object is a validation error."""
     path = Path(path)
     try:
         job = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise JobValidationError(f"job file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise JobValidationError(f"job file {path} is not valid JSON: {exc}")
-    return run_job_data(job, base_dir=path.parent, include_timings=include_timings)
+    except OSError as exc:
+        raise JobValidationError(f"cannot read job file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise JobValidationError(f"job file {path} is not valid JSON: {exc}") from None
+    if not isinstance(job, dict):
+        raise JobValidationError("job file must contain a JSON object")
+    return job

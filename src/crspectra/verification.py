@@ -459,7 +459,7 @@ def check_decomposition_identities(ctx):
         N=2.0, nu=1.0, psi=None,
         f_maps=[parse("z1^2", 1), parse("pow(2,0.5)*z1*z2", 1), parse("z2^2", 1)],
     )
-    report = upper_bound(expr, dec, rule, identity_points=20, seed=5)
+    report = upper_bound(expr, dec, rule, seed=5)
     be = report.diagnostics["box_identity_rel_err"]
     pe = report.diagnostics["pairing_identity_rel_err"]
     ok = be <= 1e-7 and pe <= 1e-7 and abs(report.value - 2.0) <= 1e-9

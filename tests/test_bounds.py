@@ -46,10 +46,6 @@ def test_upper_bound_sphere_is_sharp(sphere_rule):
     report = upper_bound(SPHERE, _identity_dec(), sphere_rule)
     assert report.value == pytest.approx(1.0, abs=1e-9)
     assert report.diagnostics["identities_ok"]
-    # candidate eigenfunction evaluators: box_b zbar_k = zbar_k on the sphere
-    pts = points_on_surface(SPHERE, 5, seed=1)
-    b1 = report.evaluators["b"][0](pts)
-    assert np.allclose(b1, np.conj(pts[:, 0]), atol=1e-10)
 
 
 def test_upper_bound_quadratic_immersion_decomposition(squared_rule):

@@ -72,8 +72,9 @@ def test_reeb_and_normal_fields():
     fr = build_frame(SPHERE, pts)
     jet = SPHERE.jet({}, pts, 1)
     grad = np.stack([jet.partial((1, 0), (0, 0)), jet.partial((0, 1), (0, 0))], axis=-1)
-    n_rho = 2.0 * np.einsum("pk,pk->p", grad, fr.normal).real
-    t_rho = 2.0 * np.einsum("pk,pk->p", grad, fr.reeb).real
+    # N = (xi + conj(xi)) / 2 and T = i (xi - conj(xi)) as (1,0) parts
+    n_rho = 2.0 * np.einsum("pk,pk->p", grad, 0.5 * fr.xi).real
+    t_rho = 2.0 * np.einsum("pk,pk->p", grad, 1j * fr.xi).real
     assert np.max(np.abs(n_rho - 1.0)) < 1e-12   # N rho = 1
     assert np.max(np.abs(t_rho)) < 1e-12         # T rho = 0
 

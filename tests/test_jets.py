@@ -8,7 +8,7 @@ from crspectra.errors import (
     JetOrderError,
     LogOfNonpositive,
 )
-from crspectra.jets import Jet, jet_compose, jet_variable, jet_space
+from crspectra.jets import Jet, jet_variable, jet_space
 
 
 def test_coordinate_jet_basic():
@@ -37,7 +37,7 @@ def test_order_cap():
 def test_modulus_squared_expansion():
     z = jet_variable([2.0, 0.0], 1, "holomorphic", order=2)
     zb = jet_variable([2.0, 0.0], 1, "antiholomorphic", order=2)
-    prod = jet_compose("mul", [z, zb])
+    prod = z * zb
     assert prod.coefficient((0, 0), (0, 0)) == 4.0
     assert prod.coefficient((1, 0), (1, 0)) == 1.0
 
@@ -72,7 +72,7 @@ def test_division_by_zero_jet():
     zero = Jet.constant(2, [0.0, 0.0], 0.0, order=2)
     one = Jet.constant(2, [0.0, 0.0], 1.0, order=2)
     with pytest.raises(DivisionByZeroJet):
-        jet_compose("div", [one, zero])
+        one / zero
 
 
 def test_log_of_nonpositive():
@@ -85,7 +85,7 @@ def test_order_mismatch_rejected():
     a = Jet.constant(2, [0.0, 0.0], 1.0, order=2)
     b = Jet.constant(2, [0.0, 0.0], 1.0, order=3)
     with pytest.raises(JetOrderError):
-        jet_compose("add", [a, b])
+        a + b
 
 
 def test_base_point_mismatch_rejected():

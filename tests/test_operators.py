@@ -11,7 +11,6 @@ from crspectra.operators import (
     first_normalization,
     kohn_laplacian,
     log_fefferman_jet,
-    normalized_scalar,
     ricci_tensor,
     sub_laplacian,
     webster_scalar,
@@ -172,11 +171,11 @@ def test_functional_identity_with_webster_scalar():
 
 def test_normalized_scalar_sphere_and_invariance():
     pts = points_on_surface(SPHERE, 25, seed=18)
-    a = normalized_scalar(SPHERE, pts)
-    b = normalized_scalar(parse("((abs2(z1)+abs2(z2))^2-1)/2", 1), pts)
-    c = normalized_scalar(
+    a = curvature_quantities(SPHERE, pts)["R_Theta"]
+    b = curvature_quantities(parse("((abs2(z1)+abs2(z2))^2-1)/2", 1), pts)["R_Theta"]
+    c = curvature_quantities(
         parse("(abs2(z1)+abs2(z2)-1)*(1+(abs2(z1)+abs2(z2)-1)/2)", 1), pts
-    )
+    )["R_Theta"]
     assert np.max(np.abs(a - 2.0)) < 1e-9
     assert np.max(np.abs(a - b)) < 1e-6
     assert np.max(np.abs(a - c)) < 1e-6

@@ -10,7 +10,6 @@ from crspectra.quadrature import (
     pfaffian,
     points_on_surface,
     project_rays,
-    radial_point,
     re_densify,
     volume_density,
 )
@@ -45,7 +44,8 @@ def test_ellipsoid_projection_residual_and_range():
 
 
 def test_radial_point_single():
-    p = radial_point(SPHERE, np.array([1.0, 0.0, 0.0, 0.0]))
+    u = np.array([[1.0 + 0.0j, 0.0]])
+    p = project_rays(SPHERE, None, u)[0] * u[0]
     assert np.allclose(p, [1.0, 0.0])
 
 

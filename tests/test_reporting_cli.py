@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import crspectra
 from crspectra.cli import main
 from crspectra.errors import JobValidationError
-from crspectra.reporting import canonical_json, normalize_job, run_job, run_job_data
+from crspectra.reporting import canonical_json, load_job, normalize_job, run_job_data
 
 SPHERE_JOB = {
     "dimension_n": 1,
@@ -118,7 +119,7 @@ def test_run_job_writes_output(tmp_path):
     job = {**SPHERE_JOB, "output": "report.json"}
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    report, code = run_job(path)
+    report, code = run_job_data(load_job(path), base_dir=path.parent)
     assert code == 0
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["tool"]["name"] == "crspectra"
@@ -134,6 +135,15 @@ def test_cli_one_shot_invariants(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["results"][0]["status"] == "ok"
+
+
+def test_cli_output_in_missing_directory_is_a_validation_error(tmp_path, capsys):
+    code = main([
+        "invariants", "--rho", "abs2(z1)+abs2(z2)-1", "--n", "1", "--num-points", "2",
+        "--output", str(tmp_path / "missing" / "r.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_cli_bounds_upper(capsys):
@@ -210,15 +220,21 @@ THREADED_JOB = {
     "quadrature": {"type": "hopf_product", "resolution": 24, "seed": 3},
     "tasks": [{"kind": "spectrum", "degree": 3, "check_monotonicity": True}],
 }
+# 9,000 samples: two Monte Carlo rule chunks of at most 8,192 directions
+THREADED_MONTE_CARLO_JOB = {
+    **THREADED_JOB,
+    "quadrature": {"type": "monte_carlo", "samples": 9000, "seed": 3},
+}
 
 
 def test_thread_count_does_not_change_report(tmp_path, monkeypatch):
-    monkeypatch.setenv("CR_SPECTRA_THREADS", "1")
-    r1, _ = run_job_data(THREADED_JOB, base_dir=tmp_path)
-    monkeypatch.setenv("CR_SPECTRA_THREADS", "4")
-    r2, _ = run_job_data(THREADED_JOB, base_dir=tmp_path)
-    assert r1["results"][0]["status"] == "ok"
-    assert canonical_json(r1) == canonical_json(r2)
+    for job in (THREADED_JOB, THREADED_MONTE_CARLO_JOB):
+        monkeypatch.setenv("CR_SPECTRA_THREADS", "1")
+        r1, _ = run_job_data(job, base_dir=tmp_path)
+        monkeypatch.setenv("CR_SPECTRA_THREADS", "4")
+        r2, _ = run_job_data(job, base_dir=tmp_path)
+        assert r1["results"][0]["status"] == "ok"
+        assert canonical_json(r1) == canonical_json(r2)
 
 
 def test_blas_thread_count_does_not_change_report(tmp_path):
@@ -267,10 +283,22 @@ def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
         {"kind": "bound_reilly", "F_maps": []},
         {"kind": "bound_special", "j": "x"},
         {"kind": "spectrum", "kernel_tol": "x"},
+        {"kind": "curvature", "num_points": 2, "csv": 5},
+        {"kind": "curvature", "num_points": 2, "csv": "missing/t.csv"},
+        {"kind": "bound_reilly", "F_maps": ["z1", 5]},
+        {"kind": "invariance_check", "defining_functions": ["abs2(z1)+abs2(z2)-1", None]},
+        {"kind": "spectrum", "degree": True},
+        {"kind": "spectrum", "degree": 1.5},
+        {"kind": "bound_special", "j": 1.5, "num_points": 2},
+        {"kind": "curvature", "num_points": 2, "seed": True},
+        {"kind": "curvature", "num_points": 2.5},
+        {"kind": "spectrum", "kernel_tol": True},
     ],
     ids=["num_points_0", "num_points_negative", "degree_text", "seed_text",
          "ragged_points", "empty_decomposition", "empty_F_maps", "j_text",
-         "kernel_tol_text"],
+         "kernel_tol_text", "csv_number", "csv_missing_directory", "F_maps_number",
+         "defining_functions_null", "degree_true", "degree_fraction", "j_fraction",
+         "seed_true", "num_points_fraction", "kernel_tol_true"],
 )
 def test_malformed_task_fields_are_validation_errors(tmp_path, task):
     report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
@@ -423,6 +451,23 @@ def test_malformed_quadrature_settings_are_validation_errors(tmp_path, capsys, q
 def test_integral_float_quadrature_settings_are_accepted():
     job = normalize_job({**SPHERE_JOB, "quadrature": {"resolution": 12.0, "seed": 3.0}})
     assert job["quadrature"]["resolution"] == 12 and job["quadrature"]["seed"] == 3
+
+
+@pytest.mark.parametrize("change, field",
+                         [({"params": {"a": True}}, "params['a']"),
+                          ({"dimension_n": True}, "dimension_n")],
+                         ids=["param_true", "dimension_true"])
+def test_boolean_job_numbers_are_validation_errors(tmp_path, change, field):
+    with pytest.raises(JobValidationError, match=re.escape(field)):
+        run_job_data({**SPHERE_JOB, **change}, base_dir=tmp_path)
+
+
+def test_integral_float_task_numbers_are_accepted(tmp_path):
+    task = {"kind": "bound_special", "j": 2.0, "num_points": 3.0, "seed": 1.0}
+    report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
+    assert code == 0
+    result = report["results"][0]["result"]
+    assert result["diagnostics"]["j"] == 2 and result["diagnostics"]["sample_count"] == 3
 
 
 def test_freed_memory_released_before_each_task(tmp_path, monkeypatch):
