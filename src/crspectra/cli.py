@@ -137,10 +137,21 @@ def _quadrature_block(args):
 
 def _points_block(task, args):
     if getattr(args, "points", None):
-        task["points"] = json.loads(args.points)
+        try:
+            task["points"] = json.loads(args.points)
+        except ValueError as exc:
+            raise ValidationError(f"--points is not valid JSON: {exc}") from None
     elif getattr(args, "num_points", None):
         task["num_points"] = args.num_points
     return task
+
+
+def _override(job, key, values):
+    """Merge command-line values into the job's ``key`` object."""
+    block = job.setdefault(key, {})
+    if not isinstance(block, dict):
+        raise ValidationError(f"{key} must be an object to take command-line overrides")
+    block.update(values)
 
 
 def _job_from_args(args, task):
@@ -240,10 +251,10 @@ def main(argv=None):
             job.update(overrides)
             params = _parse_params(args.param)
             if params:
-                job.setdefault("params", {}).update(params)
+                _override(job, "params", params)
             quad = _quadrature_block(args)
             if quad:
-                job.setdefault("quadrature", {}).update(quad)
+                _override(job, "quadrature", quad)
             if args.output:
                 job["output"] = args.output
             report, code = run_job_data(job, base_dir=Path(args.job).parent)

@@ -15,6 +15,13 @@ is a named real parameter.  ``pow(e, s)`` takes a numeric literal exponent
 must be finite floats, and expression trees may nest at most ``MAX_DEPTH``
 levels (parentheses, unary minus, calls and operator chains all count), so
 the recursive evaluators and printer stay within Python's recursion limit.
+
+``Expression.jet`` runs a program lowered once per variable count and order
+and cached on the expression: a flat list of jet ops, each holding only the
+rows of its static support (the terms the tree lets be nonzero).  Products
+of ``Jet`` objects outside expressions keep their dynamic supports.
+``Expression.value`` is a separate plain complex evaluator: it also accepts a
+complex ``log``/``pow`` base, which jets refuse.
 """
 
 from __future__ import annotations
@@ -31,7 +38,14 @@ from .errors import (
     UnboundParameter,
     UnknownIdentifier,
 )
-from .jets import Jet, jet_variable
+from .jets import (
+    Jet,
+    exp_series,
+    jet_space,
+    log_series,
+    pow_series,
+    reciprocal_series,
+)
 
 FUNCTIONS = ("conj", "re", "im", "abs2", "log", "exp", "pow")
 
@@ -438,64 +452,268 @@ def _render(node, required):
 # --- evaluators ----------------------------------------------------------
 
 
-def _eval_jet(node, params, point, order):
-    m = np.asarray(point).shape[-1]
-    if isinstance(node, Literal):
-        return Jet.constant(m, point, np.broadcast_to(
-            np.asarray(node.value, dtype=np.complex128),
-            np.asarray(point).shape[:-1]), order)
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise UnboundParameter(f"parameter {node.name!r} has no binding")
-        return Jet.constant(m, point, np.broadcast_to(
-            np.asarray(float(params[node.name]), dtype=np.complex128),
-            np.asarray(point).shape[:-1]), order)
-    if isinstance(node, Var):
-        return jet_variable(point, node.index, "holomorphic", order)
-    if isinstance(node, ConjVar):
-        return jet_variable(point, node.index, "antiholomorphic", order)
-    if isinstance(node, Neg):
-        return -_eval_jet(node.arg, params, point, order)
-    if isinstance(node, Add):
-        return _eval_jet(node.left, params, point, order) + _eval_jet(
-            node.right, params, point, order
-        )
-    if isinstance(node, Sub):
-        return _eval_jet(node.left, params, point, order) - _eval_jet(
-            node.right, params, point, order
-        )
-    if isinstance(node, Mul):
-        return _eval_jet(node.left, params, point, order) * _eval_jet(
-            node.right, params, point, order
-        )
-    if isinstance(node, Div):
-        return _eval_jet(node.left, params, point, order) / _eval_jet(
-            node.right, params, point, order
-        )
-    if isinstance(node, PowInt):
-        return _eval_jet(node.base, params, point, order).pow_int(node.exponent)
-    if isinstance(node, Call):
-        if node.name == "pow":
-            base = _eval_jet(node.args[0], params, point, order)
-            s = node.args[1].value.real
-            if s == int(s):
-                return base.pow_int(int(s))
-            return base.pow_real(s)
-        arg = _eval_jet(node.args[0], params, point, order)
-        if node.name == "conj":
-            return arg.conj()
-        if node.name == "re":
-            return arg.real_part()
-        if node.name == "im":
-            return arg.imag_part()
-        if node.name == "abs2":
-            out = arg * arg.conj()
-            return out.copy(is_real=True)
-        if node.name == "log":
-            return arg.log()
-        if node.name == "exp":
-            return arg.exp()
-    raise TypeError(f"unknown node {node!r}")
+def _full(point, value):
+    """A single row holding ``value`` at every base point."""
+    return np.full((1,) + point.shape[:-1], value, dtype=np.complex128)
+
+
+class _JetProgram:
+    """The jet ops of one expression at one variable count and order.
+
+    The tree is lowered once into a flat list of ops and then run on any
+    batch of base points.  Each op yields one slot: the rows of an
+    intermediate jet at its static support, the sorted terms that can be
+    nonzero, as an array of shape ``(len(support), *batch)``.  Every other
+    term is exactly 0, so a product multiplies only the pairs of
+    ``JetSpace.mul_table`` whose two factors lie in the operand supports,
+    and the pairs never depend on the batch.  An op with no input slots
+    reads the parameters and base points.
+    """
+
+    def __init__(self, root, m, order):
+        self.space = jet_space(m, order)
+        self.steps = []
+        self.supports = []
+        self.reals = []
+        self.root = self._lower(root)
+        if _is_real(root):
+            # a syntactically real tree yields a real-flagged jet
+            self.reals[self.root] = True
+        # release each slot after its last use
+        last = {j: k for k, (_, ins) in enumerate(self.steps) for j in ins}
+        frees = [[] for _ in self.steps]
+        for j, k in last.items():
+            frees[k].append(j)
+        self.steps = [(fn, ins, tuple(free)) for (fn, ins), free in zip(self.steps, frees)]
+
+    def run(self, params, point):
+        """The dense jet of the expression at ``point``, shape ``(..., m)``."""
+        # the batch runs flattened, a lone point as a batch of one: numpy
+        # rounds scalar powers differently from its array loops, and each
+        # point's jet must not depend on the batch it comes in
+        flat = point.reshape(-1, point.shape[-1])
+        vals = [None] * len(self.steps)
+        for k, (fn, ins, frees) in enumerate(self.steps):
+            vals[k] = fn(*[vals[j] for j in ins]) if ins else fn(params, flat)
+            for j in frees:
+                vals[j] = None
+        rows, support = vals[self.root], self.supports[self.root]
+        if len(support) == self.space.n_terms:
+            coeffs = rows  # every op returns a fresh array
+        else:
+            coeffs = np.zeros((self.space.n_terms, flat.shape[0]), dtype=np.complex128)
+            coeffs[list(support)] = rows
+        coeffs = coeffs.reshape((self.space.n_terms,) + point.shape[:-1])
+        return Jet(self.space, point, coeffs, self.reals[self.root])
+
+    # --- lowering ----------------------------------------------------------
+
+    def _emit(self, fn, ins, support, real):
+        self.steps.append((fn, ins))
+        self.supports.append(tuple(support))
+        self.reals.append(bool(real))
+        return len(self.steps) - 1
+
+    def _lower(self, node):
+        if isinstance(node, Literal):
+            value = node.value
+            return self._emit(lambda params, point: _full(point, value), (), (0,),
+                              value.imag == 0.0)
+        if isinstance(node, Param):
+            name = node.name
+
+            def param(params, point):
+                if name not in params:
+                    raise UnboundParameter(f"parameter {name!r} has no binding")
+                return _full(point, float(params[name]))
+
+            return self._emit(param, (), (0,), True)
+        if isinstance(node, (Var, ConjVar)):
+            return self._variable(node)
+        if isinstance(node, Neg):
+            a = self._lower(node.arg)
+            return self._emit(np.negative, (a,), self.supports[a], self.reals[a])
+        if isinstance(node, (Add, Sub)):
+            a, b = self._lower(node.left), self._lower(node.right)
+            return self._add(a, b, subtract=isinstance(node, Sub))
+        if isinstance(node, Mul):
+            a, b = self._lower(node.left), self._lower(node.right)
+            return self._mul(a, b)
+        if isinstance(node, Div):
+            a, b = self._lower(node.left), self._lower(node.right)
+            return self._mul(a, self._reciprocal(b))
+        if isinstance(node, PowInt):
+            return self._pow_int(self._lower(node.base), node.exponent)
+        if isinstance(node, Call):
+            a = self._lower(node.args[0])
+            real, order = self.reals[a], self.space.order
+            if node.name == "pow":
+                s = node.args[1].value.real
+                if s == int(s):
+                    return self._pow_int(a, int(s))
+                return self._series(a, lambda c: pow_series(c, real, s, order), True)
+            if node.name == "conj":
+                return self._conj(a)
+            if node.name == "re":
+                out = self._scale(self._add(a, self._conj(a)), 0.5)
+                self.reals[out] = True
+                return out
+            if node.name == "im":
+                out = self._scale(self._add(a, self._conj(a), subtract=True),
+                                  complex(0.0, -0.5))
+                self.reals[out] = True
+                return out
+            if node.name == "abs2":
+                out = self._mul(a, self._conj(a))
+                self.reals[out] = True
+                return out
+            if node.name == "log":
+                return self._series(a, lambda c: log_series(c, real, order), True)
+            if node.name == "exp":
+                return self._series(a, lambda c: exp_series(c, order), real)
+        raise TypeError(f"unknown node {node!r}")
+
+    def _variable(self, node):
+        m = self.space.m
+        if not 1 <= node.index <= m:
+            raise IndexOutOfRange(f"coordinate index {node.index} out of range 1..{m}")
+        j = node.index - 1
+        holo = isinstance(node, Var)
+        if self.space.order == 0:
+            support = (0,)
+        else:
+            index = self.space.holo_index if holo else self.space.dbar_index
+            support = (0, int(index[j]))
+
+        def variable(params, point):
+            rows = np.empty((len(support),) + point.shape[:-1], dtype=np.complex128)
+            rows[0] = point[..., j] if holo else np.conj(point[..., j])
+            rows[1:] = 1.0
+            return rows
+
+        return self._emit(variable, (), support, False)
+
+    def _add(self, a, b, subtract=False):
+        sa, sb = self.supports[a], self.supports[b]
+        real = self.reals[a] and self.reals[b]
+        if sa == sb:
+            return self._emit(np.subtract if subtract else np.add, (a, b), sa, real)
+        support = sorted(set(sa) | set(sb))
+        at = {term: k for k, term in enumerate(support)}
+        ia = [at[t] for t in sa]
+        ib = [at[t] for t in sb]
+
+        def scatter(x, y):
+            out = np.zeros((len(support),) + x.shape[1:], dtype=np.complex128)
+            out[ia] = x
+            if subtract:
+                out[ib] -= y
+            else:
+                out[ib] += y
+            return out
+
+        return self._emit(scatter, (a, b), support, real)
+
+    def _scale(self, a, s):
+        return self._emit(lambda x: x * s, (a,), self.supports[a], self.reals[a])
+
+    def _conj(self, a):
+        sa = self.supports[a]
+        perm = self.space.conj_perm
+        support = sorted(int(perm[t]) for t in sa)
+        at = {term: k for k, term in enumerate(sa)}
+        src = [at[int(perm[t])] for t in support]
+        return self._emit(lambda x: np.conj(x[src]), (a,), support, self.reals[a])
+
+    def _product_plan(self, sa, sb):
+        """The pairs of a product of jets with supports ``sa`` and ``sb``:
+        row positions in each factor, the first pair of each output term,
+        and the product's support; None when no pair is left."""
+        n = self.space.n_terms
+        i1, i2, out = self.space.mul_table()
+        pos_a = np.full(n, -1, dtype=np.intp)
+        pos_a[list(sa)] = np.arange(len(sa))
+        pos_b = np.full(n, -1, dtype=np.intp)
+        pos_b[list(sb)] = np.arange(len(sb))
+        keep = (pos_a[i1] >= 0) & (pos_b[i2] >= 0)
+        if not keep.any():
+            return None
+        ko = out[keep]
+        starts = np.flatnonzero(np.diff(ko, prepend=-1))
+        pa, pb = _row_selector(pos_a[i1[keep]]), _row_selector(pos_b[i2[keep]])
+        return pa, pb, starts, ko[starts].tolist()
+
+    def _mul(self, a, b):
+        pa, pb, starts, support = self._product_plan(self.supports[a], self.supports[b])
+        return self._emit(lambda x, y: _product(x, y, pa, pb, starts), (a, b),
+                          support, self.reals[a] and self.reals[b])
+
+    def _pow_int(self, a, k):
+        """Repeated squaring, as ``Jet.pow_int``."""
+        if k < 0:
+            return self._pow_int(self._reciprocal(a), -k)
+        if k == 0:
+            return self._emit(lambda params, point: _full(point, 1.0), (), (0,), True)
+        result, base = None, a
+        while k:
+            if k & 1:
+                result = base if result is None else self._mul(result, base)
+            k >>= 1
+            if k:
+                base = self._mul(base, base)
+        return result
+
+    def _reciprocal(self, a):
+        order = self.space.order
+        return self._series(a, lambda c: reciprocal_series(c, order), self.reals[a])
+
+    def _series(self, a, coefficients, real):
+        """f(a) as sum_k series[k] (a - a0)^k by Horner's rule, as ``Jet._horner``,
+        where ``coefficients(a0)`` checks a0 and returns the series."""
+        sa = self.supports[a]  # every support holds the constant term 0 first
+        sh = sa[1:]
+        support, plans = (0,), []
+        for _ in range(self.space.order):
+            plan = self._product_plan(support, sh) if sh else None
+            plans.append(plan)
+            support = (0,) if plan is None else (0,) + tuple(plan[3])
+
+        def horner(x):
+            series = coefficients(x[0])
+            h = x[1:]
+            acc = _constant_row(series[-1])
+            for k, plan in zip(range(len(series) - 2, -1, -1), plans):
+                if plan is None:
+                    acc = _constant_row(series[k])
+                else:
+                    pa, pb, starts, _ = plan
+                    acc = np.concatenate(
+                        [_constant_row(series[k]), _product(acc, h, pa, pb, starts)]
+                    )
+            return acc
+
+        return self._emit(horner, (a,), support, real)
+
+
+def _row_selector(index):
+    """``index`` as a row selector: a view (no copy) when it takes every row
+    in order."""
+    if np.array_equal(index, np.arange(len(index))):
+        return slice(None)
+    return index
+
+
+def _constant_row(value):
+    """A value over the batch as a single row."""
+    return np.asarray(value, dtype=np.complex128)[None]
+
+
+def _product(x, y, pa, pb, starts):
+    """Rows of a product: the pairs' products summed per output term."""
+    terms = x[pa] * y[pb]
+    if len(starts) == len(terms):
+        return terms
+    return np.add.reduceat(terms, starts, axis=0)
 
 
 def _eval_value(node, params, pts):
@@ -553,6 +771,9 @@ class Expression:
     def __init__(self, root, n):
         self.root = root
         self.n = int(n)
+        # jet programs by (m, order); a racing thread may lower one twice,
+        # but stores it only when complete
+        self._programs = {}
 
     @property
     def m(self):
@@ -561,10 +782,13 @@ class Expression:
     def jet(self, params, point, order) -> Jet:
         """Evaluate to a jet; real-flagged when the tree is syntactically real."""
         params = params or {}
-        out = _eval_jet(self.root, params, np.asarray(point, dtype=np.complex128), order)
-        if self.is_real and not out.is_real:
-            out = out.copy(is_real=True)
-        return out
+        point = np.asarray(point, dtype=np.complex128)
+        key = (point.shape[-1], order)
+        program = self._programs.get(key)
+        if program is None:
+            program = _JetProgram(self.root, *key)
+            self._programs[key] = program
+        return program.run(params, point)
 
     def value(self, params, pts):
         """Plain complex evaluation, broadcasting over points of shape (..., m)."""

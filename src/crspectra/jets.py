@@ -9,11 +9,14 @@ the quadrature and assembly code evaluates thousands of points at once.
 
 Storage is dense: every jet holds all ``n_terms`` coefficients.  A product
 multiplies only the coefficient pairs whose two factors are nonzero at some
-point of the batch, so its cost follows the supports of the operands (the
-jet of ``z1`` has 2 nonzero terms, that of ``abs2(z1)`` 4) rather than the
-full pair table (1,820 pairs at order 4 in 3 variables).  A skipped pair
-has a factor that is exactly 0 at every point, so the result equals the
-dense convolution up to the grouping of the sum.
+point of the batch (dynamic supports), so its cost follows the supports of
+the operands (the jet of ``z1`` has 2 nonzero terms, that of ``abs2(z1)`` 4)
+rather than the full pair table (1,820 pairs at order 4 in 3 variables).  A
+skipped pair has a factor that is exactly 0 at every point, so the result
+equals the dense convolution up to the grouping of the sum.  Expression
+jets do not go through these products: ``expressions`` lowers each
+expression once into a cached program over static supports, which shares
+``JetSpace.mul_table`` and the series coefficients below.
 
 All operations are pure; jets are immutable by convention.
 """
@@ -354,48 +357,25 @@ class Jet:
         return acc
 
     def reciprocal(self):
-        c = self.constant_term()
-        if np.any(np.abs(c) < DIV_TOL):
-            raise DivisionByZeroJet("jet constant term vanishes")
-        series = [(-1.0) ** k / c ** (k + 1) for k in range(self.order + 1)]
-        out = self._horner(series)
+        out = self._horner(reciprocal_series(self.constant_term(), self.order))
         out.is_real = self.is_real
         return out
 
-    def _require_positive_real(self, what):
-        if not self.is_real:
-            raise NotRealValued(f"{what} requires a real-flagged jet")
-        c = self.constant_term()
-        if np.any(c.real <= 0.0):
-            raise LogOfNonpositive(f"{what} requires a positive constant term")
-        return c.real
-
     def log(self):
-        c = self._require_positive_real("log")
-        series = [np.log(c)]
-        for k in range(1, self.order + 1):
-            series.append((-1.0) ** (k + 1) / (k * c**k))
-        out = self._horner(series)
+        out = self._horner(log_series(self.constant_term(), self.is_real, self.order))
         out.is_real = True
         return out
 
     def exp(self):
-        c = self.constant_term()
-        e = np.exp(c)
-        series = [e / math.factorial(k) for k in range(self.order + 1)]
-        out = self._horner(series)
+        out = self._horner(exp_series(self.constant_term(), self.order))
         out.is_real = self.is_real
         return out
 
     def pow_real(self, s):
         """f**s for real s via the binomial series; needs f real and positive."""
-        c = self._require_positive_real("pow_real")
-        series = []
-        binom = 1.0
-        for k in range(self.order + 1):
-            series.append(binom * c ** (s - k))
-            binom *= (s - k) / (k + 1)
-        out = self._horner(series)
+        out = self._horner(
+            pow_series(self.constant_term(), self.is_real, s, self.order)
+        )
         out.is_real = True
         return out
 
@@ -437,6 +417,51 @@ class Jet:
         return float(
             np.max(np.abs(self.coeffs - np.conj(self.coeffs[self.space.conj_perm])))
         )
+
+
+# --- Taylor series of the compositions ------------------------------------
+#
+# Each function takes the constant term ``c`` of the inner jet (an array over
+# the batch) and returns the coefficients ``series[k]`` of (f - c)^k up to the
+# order, after checking that the composition is defined at every point.
+
+
+def reciprocal_series(c, order):
+    if np.any(np.abs(c) < DIV_TOL):
+        raise DivisionByZeroJet("jet constant term vanishes")
+    return [(-1.0) ** k / c ** (k + 1) for k in range(order + 1)]
+
+
+def _positive_real(c, is_real, what):
+    if not is_real:
+        raise NotRealValued(f"{what} requires a real-flagged jet")
+    if np.any(c.real <= 0.0):
+        raise LogOfNonpositive(f"{what} requires a positive constant term")
+    return c.real
+
+
+def log_series(c, is_real, order):
+    c = _positive_real(c, is_real, "log")
+    series = [np.log(c)]
+    for k in range(1, order + 1):
+        series.append((-1.0) ** (k + 1) / (k * c**k))
+    return series
+
+
+def exp_series(c, order):
+    e = np.exp(c)
+    return [e / math.factorial(k) for k in range(order + 1)]
+
+
+def pow_series(c, is_real, s, order):
+    """Binomial series of f**s for real s."""
+    c = _positive_real(c, is_real, "pow_real")
+    series = []
+    binom = 1.0
+    for k in range(order + 1):
+        series.append(binom * c ** (s - k))
+        binom *= (s - k) / (k + 1)
+    return series
 
 
 def jet_variable(point, index, kind, order=MAX_ORDER):

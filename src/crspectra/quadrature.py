@@ -135,7 +135,9 @@ def project_rays(rho, params, dirs):
         step[ok] = val[ok] / slope[ok]
         step = np.clip(step, -0.5, 0.5)
         t = np.clip(t - step, 1e-3, 1e3)
-    val, _ = _rho_and_slope(rho, params, t, dirs)
+    else:
+        # every step moved t, so val is one step behind
+        val, _ = _rho_and_slope(rho, params, t, dirs)
     bad = np.abs(val) > _ROOT_TOL
     if np.any(bad):
         t = _bisect_failures(rho, params, t, dirs, np.where(bad)[0])

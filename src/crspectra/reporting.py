@@ -35,6 +35,14 @@ TASK_KINDS = (
 
 CSV_COLUMNS = ("r", "J", "detH", "R_theta", "D", "R_Theta")
 
+# Upper bounds of the size fields, far above any job this package ships
+# (1,000 points, resolution 32, 9,000 samples), so that a value numpy cannot
+# allocate (10**400) is a validation error, not a traceback.  A hopf_product
+# rule has resolution^3 points.
+MAX_POINTS = 10_000
+MAX_RESOLUTION = 128
+MAX_SAMPLES = 1_000_000
+
 
 # --- canonical serialization ------------------------------------------------
 
@@ -164,8 +172,9 @@ def _quadrature_settings(data):
         raise JobValidationError(f"unknown quadrature type {kind!r}")
     return QuadratureSettings(
         type=kind,
-        resolution=_whole_number(data, "resolution", default.resolution, 2),
-        samples=_whole_number(data, "samples", default.samples, 1),
+        resolution=_whole_number(data, "resolution", default.resolution, 2,
+                                 MAX_RESOLUTION),
+        samples=_whole_number(data, "samples", default.samples, 1, MAX_SAMPLES),
         seed=_whole_number(data, "seed", default.seed, 0),
     )
 
@@ -224,7 +233,7 @@ class _JobContext:
     def task_points(self, task, default_count):
         if "points" in task:
             return _pairs_to_points(task["points"], self.rho.m)
-        count = _whole_number(task, "num_points", default_count, 1)
+        count = _whole_number(task, "num_points", default_count, 1, MAX_POINTS)
         seed = _whole_number(task, "seed", self.settings.seed, 0)
         return points_on_surface(self.rho, count, seed=seed, params=self.params)
 

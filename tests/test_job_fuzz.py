@@ -126,6 +126,11 @@ def _job(tasks, **fields):
 @example(job=_job([{"kind": "bound_special", "j": 1.5, "num_points": 2}]))
 @example(job=_job([{"kind": "curvature", "num_points": 2, "seed": True}]))
 @example(job=_job([{"kind": "curvature", "num_points": 2}], params={"a": True}))
+@example(job=_job([{"kind": "curvature", "num_points": 10**400}]))
+@example(job=_job([{"kind": "spectrum", "degree": 1}],
+                  quadrature={"type": "monte_carlo", "samples": 10**400}))
+@example(job=_job([{"kind": "spectrum", "degree": 1}],
+                  quadrature={"type": "hopf_product", "resolution": 10**400}))
 def test_any_job_dict_ends_in_an_exit_code(tmp_path, job):
     try:
         report, code = run_job_data(job, base_dir=tmp_path)

@@ -176,6 +176,27 @@ def test_cli_param_binding(capsys):
     assert "R_Theta" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key, flags",
+    [("params", ["--param", "a=1"]), ("quadrature", ["--resolution", "8"]),
+     ("quadrature", ["--samples", "10"]), ("quadrature", ["--seed", "1"])],
+    ids=["param", "resolution", "samples", "seed"],
+)
+def test_cli_override_of_a_non_object_block_is_a_validation_error(tmp_path, capsys,
+                                                                   key, flags):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**SPHERE_JOB, key: [1, 2]}))
+    assert main(["run", str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be an object")
+
+
+def test_cli_points_that_are_not_json_are_a_validation_error(capsys):
+    code = main(["curvature", "--rho", "abs2(z1)+abs2(z2)-1", "--n", "1",
+                 "--points", "[[[1, 0], [0, 0]]"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --points is not valid JSON")
+
+
 def test_cli_entry_point_subprocess():
     # the child finds the package where this process imported it from, so
     # the test also runs from a checkout without PYTHONPATH set
