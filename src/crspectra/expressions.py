@@ -401,16 +401,6 @@ def _print_literal(value: complex) -> str:
     return f"({re_s}+{im_s}*i)"
 
 
-def _prec(node):
-    if isinstance(node, (Add, Sub, Neg)):
-        return 1
-    if isinstance(node, (Mul, Div)):
-        return 2
-    if isinstance(node, PowInt):
-        return 3
-    return 4
-
-
 def _render(node, required):
     if isinstance(node, Literal):
         text = _print_literal(node.value)

@@ -9,6 +9,9 @@ Conventions, pinned by the unit-sphere normalization:
   is the curvature functional below.  The 1/(n+2) power is forced by
   invariance under change of defining function (J rescales with weight
   n+2, D with weight -1).
+* the 2-jet of log J (J = -det A, A the bordered complex Hessian) is the
+  trace series log(-det A0) + tr X - tr X^2 / 2, X = A0^-1 (A - A0), which
+  is exact at order <= 2 because X^3 has order >= 3.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateJ, JetOrderError, NotRealValued
 from .frames import CRFrame, chart_projection, frame_from_jet, hermitize
-from .jets import Jet
+from .jets import Jet, jet_space
 
 
 def delta_tilde_coefficients(frame: CRFrame):
@@ -98,53 +101,52 @@ def dbar_pairing(frame: CRFrame, u_jet: Jet, v_jet: Jet):
     return np.einsum("...gs,...g,...s->...", frame.levi_inv, zu, np.conj(zv))
 
 
-def _jet_matrix_det(rows):
-    """Determinant of a small square matrix of jets (Laplace expansion)."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(k):
-        minor = [[rows[r][c] for c in range(k) if c != j] for r in range(1, k)]
-        term = rows[0][j] * _jet_matrix_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def log_fefferman_jet(rho_jet: Jet) -> Jet:
+    """Jet of log J[rho], J = -det A, of order rho_jet.order - 2 (<= 2).
+
+    With A = A0 + N, N without constant term, and X = A0^-1 N, Jacobi's
+    formula gives log J = log(-det A0) + tr X - tr X^2 / 2 + tr X^3 / 3 - ...
+    Every entry of X has order >= 1, so the series is exact at order <= 2
+    when cut after tr X^2, and tr X^2 needs only the first-order terms of X.
+    The batch axis P stays last: steps broadcast over (m+1, m+1, T, P).
+    Raises DegenerateJ where J <= 1e-12.
+    """
+    if rho_jet.order < 2:
+        raise JetOrderError("log_fefferman_jet needs a jet of order >= 2")
+    space, m = rho_jet.space, rho_jet.m
+    target = jet_space(m, space.order - 2)
+    # entry (j, k) of A = [[rho, rho_kbar], [rho_j, rho_jkbar]] (index 0: no
+    # derivative) is the first T = target.n_terms rows of its deriv_table:
+    # the target space is a prefix of each derivative's space
+    units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
+    tables = [[space.deriv_table(alpha, beta) for beta in units] for alpha in units]
+    src = np.array([[s[: target.n_terms] for _, s, _ in row] for row in tables])
+    mult = np.array([[mu[: target.n_terms] for _, _, mu in row] for row in tables])
+    a = rho_jet.coeffs.reshape(space.n_terms, -1)[src]
+    a *= mult[..., None]
+    a0 = np.moveaxis(a[:, :, 0], -1, 0)
+    j0 = -np.linalg.det(a0).real
+    if np.min(j0) <= 1e-12:
+        raise DegenerateJ(f"J = {np.min(j0):.3e} <= 1.0e-12")
+    inv = np.moveaxis(np.linalg.inv(a0), 0, -1)
+    out = np.empty(a.shape[2:], dtype=np.complex128)
+    out[0] = np.log(j0)
+    out[1:] = np.einsum("ijp,jitp->tp", inv, a[:, :, 1:])
+    i1, i2, terms = target.mul_table()
+    pairs = (i1 > 0) & (i2 > 0)  # two first-order terms; only at target order 2
+    if np.any(pairs):
+        x1 = np.sum(inv[:, :, None, None] * a[None, :, :, 1 : 2 * m + 1], axis=1)
+        tr2 = np.einsum("ikap,kibp->abp", x1, x1)[i1[pairs] - 1, i2[pairs] - 1]
+        starts = np.flatnonzero(np.diff(terms[pairs], prepend=-1))
+        out[terms[pairs][starts]] -= 0.5 * np.add.reduceat(tr2, starts, axis=0)
+    out = out.reshape((target.n_terms,) + rho_jet.batch_shape)
+    return Jet(target, rho_jet.point, out).hermitized()
 
 
 def fefferman_det_jet(rho_jet: Jet) -> Jet:
-    """Jet of the Fefferman determinant J[rho], of order rho_jet.order - 2.
-
-    Entries of the bordered complex Hessian are taken as jets of the
-    corresponding derivatives of rho, each truncated to the output order.
-    """
-    if rho_jet.order < 2:
-        raise JetOrderError("fefferman_det_jet needs a jet of order >= 2")
-    m = rho_jet.m
-    order = rho_jet.order - 2
-    zero = (0,) * m
-    eye = [tuple(int(t == s) for t in range(m)) for s in range(m)]
-    top = [rho_jet.truncate(order)] + [
-        rho_jet.derivative(zero, eye[k]).truncate(order) for k in range(m)
-    ]
-    rows = [top]
-    for j in range(m):
-        row = [rho_jet.derivative(eye[j], zero).truncate(order)] + [
-            rho_jet.derivative(eye[j], eye[k]).truncate(order) for k in range(m)
-        ]
-        rows.append(row)
-    det = _jet_matrix_det(rows)
-    return (-det).hermitized()
-
-
-def log_fefferman_jet(rho_jet: Jet) -> Jet:
-    jj = fefferman_det_jet(rho_jet)
-    if np.min(jj.constant_term().real) <= 1e-12:
-        raise DegenerateJ(f"J = {np.min(jj.constant_term().real):.3e} <= 1.0e-12")
-    return jj.log()
+    """Jet of the Fefferman determinant J[rho] as exp(log J), of order
+    rho_jet.order - 2; requires J > 0 (DegenerateJ otherwise)."""
+    return log_fefferman_jet(rho_jet).exp()
 
 
 def ricci_tensor(frame: CRFrame, logJ_jet: Jet):
@@ -215,12 +217,8 @@ class NormalizedDefiningFunction:
             raise JetOrderError(
                 "normalized defining function jets are limited to order 2"
             )
-        points = np.asarray(points, dtype=np.complex128)
         rho_jet = self.rho.jet(self.params, points, order + 2)
-        jj = fefferman_det_jet(rho_jet)
-        if np.min(jj.constant_term().real) <= 1e-12:
-            raise DegenerateJ("J <= 0 along the requested points")
-        factor = jj.pow_real(-1.0 / (self.n + 2))
+        factor = (log_fefferman_jet(rho_jet) * (-1.0 / (self.n + 2))).exp()
         return factor * rho_jet.truncate(order)
 
     def fefferman_values(self, points):

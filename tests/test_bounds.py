@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from crspectra import bounds
 from crspectra.bounds import (
     Decomposition,
+    _dispersion,
     lower_bound,
     pullback_defining_function,
     reilly_bound,
@@ -173,3 +177,40 @@ def test_lower_bound_flags_vacuous_case():
                          params={"kappa": -1.0}, paneitz_positive=True)
     assert not report.diagnostics["super_pseudoconvex"]
     assert "warning" in report.diagnostics
+
+
+def _dense_dispersion(points):
+    # the full (N, N, 2m) formula: the reference for the blocked one
+    if points.shape[0] < 2:
+        return 0.0
+    x = np.concatenate([points.real, points.imag], axis=1)
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.mean(np.sqrt(np.min(d2, axis=1))))
+
+
+def _random_points(count, m=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+
+
+@pytest.mark.parametrize("block_rows", [None, 64])
+@pytest.mark.parametrize("count", [1, 2, 65, 1000])
+def test_dispersion_bit_equal_to_dense_formula(monkeypatch, count, block_rows):
+    pts = _random_points(count, seed=count)
+    if block_rows is not None:
+        # a budget of exactly block_rows rows, so 65 points take two blocks
+        monkeypatch.setattr(bounds, "_DISPERSION_BLOCK_BYTES", block_rows * count * 6 * 8)
+    assert _dispersion(pts) == _dense_dispersion(pts)
+
+
+def test_dispersion_memory_is_bounded():
+    # the dense (N, N, 2m) float64 array would take 432 MB here
+    pts = _random_points(3000)
+    tracemalloc.start()
+    try:
+        _dispersion(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

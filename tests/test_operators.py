@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crspectra.errors import DegenerateJ
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
 from crspectra.operators import (
@@ -20,6 +21,8 @@ from crspectra.quadrature import points_on_surface
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
 ELLIPSOID = parse("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1)
+QUARTIC_TEXT = "abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.05*abs2(z2)^2-1"
+QUARTIC = parse(QUARTIC_TEXT, 2)
 
 
 def _sphere_frame(pts):
@@ -204,7 +207,7 @@ def test_first_normalization_fixed_point_and_unit_j():
 
 def test_frame_j_matches_fefferman_jet_constant():
     # two independent code paths for J: the adjugate identity in the frame
-    # and the Laplace expansion of the bordered jet determinant
+    # and the determinant of the bordered Hessian behind log_fefferman_jet
     pts = points_on_surface(ELLIPSOID, 25, seed=23)
     fr = build_frame(ELLIPSOID, pts)
     jj = fefferman_det_jet(ELLIPSOID.jet({}, pts, 4))
@@ -225,3 +228,81 @@ def test_chart_independence_of_operator_scalars():
         v0 = op(q0["frame"], jets.jet({}, pts, 2))
         v1 = op(q1["frame"], jets.jet({}, pts, 2))
         assert np.max(np.abs(v0 - v1)) < 1e-9
+
+
+def _laplace_det(rows):
+    # determinant of a square matrix of jets by Laplace expansion along row 0
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j in range(len(rows)):
+        minor = [[row[c] for c in range(len(rows)) if c != j] for row in rows[1:]]
+        term = rows[0][j] * _laplace_det(minor)
+        term = -term if j % 2 else term
+        total = term if total is None else total + term
+    return total
+
+
+def _reference_log_fefferman(rho_jet):
+    """log J from the Laplace expansion of the bordered Hessian whose entries
+    are the derivative jets of rho, each truncated to the output order."""
+    m, order = rho_jet.m, rho_jet.order - 2
+    units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
+    rows = [[rho_jet.derivative(a, b).truncate(order) for b in units] for a in units]
+    jj = (-_laplace_det(rows)).hermitized()
+    if np.min(jj.constant_term().real) <= 1e-12:
+        raise DegenerateJ("J <= 1e-12")
+    return jj.log()
+
+
+def _oracle_points(rho, batch):
+    count = int(np.prod(batch, dtype=int))
+    if rho.n == 0:
+        # on the curve |z1|^2 + 0.2 re(z1^2) = 1, off it by up to 1e-2
+        t = np.linspace(0.3, 5.9, count)
+        pts = (np.cos(t) / np.sqrt(1.2) + 1j * np.sin(t) / np.sqrt(0.8))[:, None]
+        pts = pts * (1.0 + 0.01 * np.sin(3 * t))[:, None]
+    else:
+        pts = points_on_surface(rho, count, seed=count)
+    return pts.reshape(batch + (rho.n + 1,))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,)])
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("text,n", [
+    ("abs2(z1)+0.2*re(z1^2)-1", 0),
+    ("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1),
+    ("(abs2(z1)+abs2(z2))^2-1", 1),
+    (QUARTIC_TEXT, 2),
+    (f"({QUARTIC_TEXT})*(2+re(z1))", 2),
+])
+def test_log_fefferman_jet_matches_laplace_expansion(text, n, order, batch):
+    rho = parse(text, n)
+    rho_jet = rho.jet({}, _oracle_points(rho, batch), order)
+    got = log_fefferman_jet(rho_jet)
+    ref = _reference_log_fefferman(rho_jet)
+    assert got.is_real and got.order == order - 2
+    assert got.coeffs.shape == ref.coeffs.shape == (ref.space.n_terms,) + batch
+    # log J is O(1); coefficients that vanish identically are compared
+    # against that scale
+    scale = max(1.0, float(np.max(np.abs(ref.coeffs))))
+    np.testing.assert_allclose(got.coeffs, ref.coeffs, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_log_fefferman_jet_rejects_nonpositive_j(order):
+    # J = -det [[rho, -z], [-conj(z)^T, -I]] = -1 everywhere
+    rho = parse("1-abs2(z1)-abs2(z2)", 1)
+    rho_jet = rho.jet({}, np.array([[0.6, 0.8j], [1.0, 0.0]]), order)
+    with pytest.raises(DegenerateJ):
+        _reference_log_fefferman(rho_jet)
+    with pytest.raises(DegenerateJ, match="<= 1.0e-12"):
+        log_fefferman_jet(rho_jet)
+    with pytest.raises(DegenerateJ):
+        fefferman_det_jet(rho_jet)
+
+
+def test_first_normalization_unit_j_n2():
+    pts = points_on_surface(QUARTIC, 40, seed=21)
+    vals = first_normalization(QUARTIC).fefferman_values(pts)
+    assert np.max(np.abs(vals - 1.0)) < 1e-10
