@@ -5,7 +5,8 @@ sphere family: v(S^3) = 4 pi^2 by Stokes, and 16 pi^2 when the contact
 form is doubled.  The Ritz values of the monomial trial space reproduce
 the exact sphere spectrum q(p + n) on bidegree-(p, q) harmonics with the
 right multiplicities, and the kernel dimension counts the restrictions of
-holomorphic monomials.
+holomorphic monomials.  A rule holds the defining function it was built
+for and its CR frame, so ``assemble`` takes the rule alone.
 """
 
 from collections import Counter
@@ -30,7 +31,7 @@ rule2 = build_quadrature(squared, QuadratureSettings("hopf_product", resolution=
 print(f"v, doubled  = {rule2.volume:.12f}   (16 pi^2 = {16 * np.pi ** 2:.12f})")
 
 print("\n== degree-3 Ritz table on the round sphere ==")
-problem = assemble(sphere, rule, MonomialBasis.build(2, 3))
+problem = assemble(rule, MonomialBasis.build(2, 3))
 result = solve(problem)
 print(f"basis 35, surface relations dropped: {result.dropped_dim}")
 print(f"kernel dimension (CR functions in the basis): {result.kernel_dim}")
@@ -41,7 +42,7 @@ print("expected: q(p+1) on bidegree-(p, q) harmonics ->",
       "{1: 2, 2: 6, 3: 8, 4: 4}")
 
 print("\n== doubled contact form: every eigenvalue halves ==")
-problem2 = assemble(squared, rule2, MonomialBasis.build(2, 2))
+problem2 = assemble(rule2, MonomialBasis.build(2, 2))
 result2 = solve(problem2)
 print(f"lambda1 = {result2.lambda1:.9f}  (exactly one half)")
 

@@ -24,18 +24,16 @@ from .expressions import Expression, parse
 from .frames import CRFrame, build_frame, frame_from_jet
 from .jets import MAX_ORDER, Jet, jet_space, jet_variable
 from .operators import (
-    curvature_functional,
     curvature_quantities,
     dbar_pairing,
     delta_tilde,
     fefferman_det_jet,
-    first_normalization,
     kohn_laplacian,
     log_fefferman_jet,
     normal_derivative,
     ricci_tensor,
     sub_laplacian,
-    webster_scalar,
+    webster_curvatures,
 )
 from .quadrature import (
     QuadratureRule,
@@ -46,7 +44,6 @@ from .quadrature import (
     points_on_surface,
     project_rays,
     re_densify,
-    volume_density,
 )
 from .spectral import (
     MonomialBasis,

@@ -17,19 +17,17 @@ Four bound kinds:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     InvalidDecomposition,
-    JobValidationError,
     NegativeTransverseCurvature,
     NotApplicable,
     NotOnSphereImage,
 )
-from .expressions import Add, Call, Expression, Literal, Sub, parse
+from .expressions import Add, Call, Expression, Literal, Sub
 from .frames import build_frame
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
 from .quadrature import QuadratureRule, integrate, re_densify
@@ -48,29 +46,6 @@ class Decomposition:
     nu: float
     psi: Expression | None
     f_maps: list
-
-    @classmethod
-    def from_dict(cls, data, n):
-        if not isinstance(data, dict):
-            raise JobValidationError("decomposition must be an object")
-        maps = data.get("f_maps")
-        if not isinstance(maps, list) or not maps or not all(isinstance(s, str) for s in maps):
-            raise JobValidationError("decomposition needs f_maps, a non-empty list of expressions")
-        psi = data.get("psi")
-        if psi is not None and not isinstance(psi, str):
-            raise JobValidationError("decomposition psi must be an expression")
-        try:
-            N, nu = float(data.get("N", 1.0)), float(data.get("nu", 1.0))
-        except (TypeError, ValueError, OverflowError):
-            raise JobValidationError("decomposition N and nu must be numbers") from None
-        if not (math.isfinite(N) and math.isfinite(nu)):
-            raise JobValidationError(f"decomposition N and nu must be finite, got {N}, {nu}")
-        return cls(
-            N=N,
-            nu=nu,
-            psi=parse(psi, n) if psi else None,
-            f_maps=[parse(s, n) for s in maps],
-        )
 
     def describe(self):
         return {
@@ -155,9 +130,9 @@ def _conj_jets(maps, params, points, order=2):
     return [f.jet(params, points, order).conj() for f in maps]
 
 
-def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
-                seed=0, kind="upper_decomposition") -> BoundReport:
-    """Average transverse curvature bound from a squared-norm decomposition.
+def upper_bound(dec: Decomposition, rule: QuadratureRule) -> BoundReport:
+    """Average transverse curvature bound of the rule's structure from a
+    squared-norm decomposition of its defining function.
 
     Diagnostics include the two pointwise identities that the decomposition
     must satisfy on M:
@@ -165,16 +140,15 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
         sum_mu |box_b conj(f_mu)|^2 = n^2 N nu^(N-2) (nu r + N - 1)
         sum_mu |dbar_b conj(f_mu)|^2 = n N nu^(N-1)
 
-    checked at 20 seeded rule points to relative 1e-7.
+    checked at 20 rule points drawn with the rule's seed to relative 1e-7.
     """
-    n = rho.n
-    dec_diag = validate_decomposition(rho, dec, rule.points, params=params)
-    frame = rule.frame(rho, params)
+    n, frame, params = rule.n, rule.frame, rule.params
+    dec_diag = validate_decomposition(rule.rho, dec, rule.points, params=params)
     v = rule.volume
     r_integral = float(integrate(rule, frame.r).real)
     value = n / v * r_integral + n * (dec.N - 1.0) / dec.nu
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rule.settings.seed)
     count = min(20, len(rule))
     idx = np.sort(rng.choice(len(rule), size=count, replace=False))
     sub = frame.take(idx)
@@ -204,7 +178,7 @@ def upper_bound(rho, dec: Decomposition, rule: QuadratureRule, params=None,
         "identity_points": int(count),
     }
     return BoundReport(
-        kind=kind, value=float(value), n=n, diagnostics=diagnostics,
+        kind="upper_decomposition", value=float(value), n=n, diagnostics=diagnostics,
         quadrature=rule.meta(),
     )
 
@@ -218,28 +192,28 @@ def pullback_defining_function(f_maps) -> Expression:
     return Expression(Sub(total, Literal(complex(1.0))), f_maps[0].n)
 
 
-def reilly_bound(f_maps, rule: QuadratureRule, params=None, seed=0) -> BoundReport:
+def reilly_bound(f_maps, rule: QuadratureRule) -> BoundReport:
     """Immersion-into-a-sphere bound: n * average transverse curvature of the
     pullback, in the pullback volume form.
 
-    ``rule`` is any quadrature rule on M; its points and tangent bases are
-    reused, with the density recomputed for the pullback defining function.
+    ``rule`` is any quadrature rule on M; its points, tangent bases, params
+    and seed are reused, with the density recomputed for the pullback
+    defining function.
     """
     for i, f in enumerate(f_maps):
         if not f.holomorphic:
             raise NotOnSphereImage(f"component {i + 1} ({f}) is not holomorphic")
     rho_f = pullback_defining_function(f_maps)
-    residual = np.abs(rho_f.value(params, rule.points).real)
+    residual = np.abs(rho_f.value(rule.params, rule.points).real)
     worst = int(np.argmax(residual))
     if residual[worst] > RESIDUAL_TOL:
         raise NotOnSphereImage(
             f"sum |F|^2 - 1 = {residual[worst]:.3e} at {rule.points[worst]}: "
             "the map does not send M into the unit sphere"
         )
-    pulled = re_densify(rule, rho_f, params=params)
     dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=list(f_maps))
-    report = upper_bound(rho_f, dec, pulled, params=params, seed=seed,
-                         kind="upper_reilly")
+    report = upper_bound(dec, re_densify(rule, rho_f))
+    report.kind = "upper_reilly"
     report.diagnostics["pullback_residual_max"] = float(residual[worst])
     report.diagnostics["F_maps"] = [str(f) for f in f_maps]
     return report

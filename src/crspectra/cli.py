@@ -103,9 +103,7 @@ def build_parser():
     p_spec.add_argument("--degree", type=int, default=3, help="monomial basis degree (<= 6)")
     p_spec.add_argument("--kernel-tol", type=float, default=1e-6)
 
-    p_ver = sub.add_parser("verify", help="run the built-in verification suite")
-    p_ver.add_argument("--resolution", type=int, default=32,
-                       help="quadrature resolution for the checks (default 32)")
+    sub.add_parser("verify", help="run the built-in verification suite")
     return parser
 
 
@@ -237,7 +235,7 @@ def main(argv=None):
         if args.command == "verify":
             from .verification import format_results, run_all
 
-            results = run_all(resolution=args.resolution)
+            results = run_all()
             print(format_results(results))
             return 0 if all(r.passed for r in results) else 1
 

@@ -19,7 +19,7 @@ the recursive evaluators and printer stay within Python's recursion limit.
 ``Expression.jet`` runs a program lowered once per variable count and order
 and cached on the expression: a flat list of jet ops, each holding only the
 rows of its static support (the terms the tree lets be nonzero).  Products
-of ``Jet`` objects outside expressions keep their dynamic supports.
+of ``Jet`` objects outside expressions are full dense convolutions.
 ``Expression.value`` is a separate plain complex evaluator: it also accepts a
 complex ``log``/``pow`` base, which jets refuse.
 """

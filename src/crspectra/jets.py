@@ -7,16 +7,14 @@ plain truncated convolution.  Coefficient arrays may carry trailing batch
 axes: shape ``(n_terms, *batch)`` over a batch of base points, which is how
 the quadrature and assembly code evaluates thousands of points at once.
 
-Storage is dense: every jet holds all ``n_terms`` coefficients.  A product
-multiplies only the coefficient pairs whose two factors are nonzero at some
-point of the batch (dynamic supports), so its cost follows the supports of
-the operands (the jet of ``z1`` has 2 nonzero terms, that of ``abs2(z1)`` 4)
-rather than the full pair table (1,820 pairs at order 4 in 3 variables).  A
-skipped pair has a factor that is exactly 0 at every point, so the result
-equals the dense convolution up to the grouping of the sum.  Expression
+Storage is dense: every jet holds all ``n_terms`` coefficients, and a
+product of two jets is the full truncated convolution over
+``JetSpace.mul_table`` (1,820 pairs at order 4 in 3 variables).  Expression
 jets do not go through these products: ``expressions`` lowers each
-expression once into a cached program over static supports, which shares
-``JetSpace.mul_table`` and the series coefficients below.
+expression once into a cached program over static supports (the terms the
+tree lets be nonzero), which shares ``JetSpace.mul_table`` and the series
+coefficients below.  Only operator-level jets (``exp(log J)`` and the
+volume-normalized defining function) multiply ``Jet`` objects.
 
 All operations are pure; jets are immutable by convention.
 """
@@ -128,11 +126,6 @@ class JetSpace:
         return self._deriv_tables[key]
 
 
-def _support(coeffs):
-    """Terms of a ``(n_terms, *batch)`` array that are nonzero at some point."""
-    return np.any(coeffs != 0, axis=tuple(range(1, coeffs.ndim)))
-
-
 @lru_cache(maxsize=None)
 def jet_space(m: int, order: int) -> JetSpace:
     return JetSpace(m, order)
@@ -141,8 +134,8 @@ def jet_space(m: int, order: int) -> JetSpace:
 class Jet:
     """Truncated Taylor expansion at a (possibly batched) base point.
 
-    Coefficients are stored densely; products multiply only the coefficient
-    pairs whose factors are nonzero at some batch point.
+    Coefficients are stored densely; products are full truncated
+    convolutions.
     """
 
     __slots__ = ("space", "point", "coeffs", "is_real")
@@ -309,15 +302,10 @@ class Jet:
         if isinstance(other, Jet):
             self._check_compatible(other)
             i1, i2, out = self.space.mul_table()
-            # only pairs whose factors are nonzero at some batch point
-            keep = _support(self.coeffs)[i1] & _support(other.coeffs)[i2]
-            i1, i2, out = i1[keep], i2[keep], out[keep]
-            coeffs = np.zeros_like(self.coeffs)
-            if out.size:
-                starts = np.flatnonzero(np.diff(out, prepend=-1))
-                coeffs[out[starts]] = np.add.reduceat(
-                    self.coeffs[i1] * other.coeffs[i2], starts, axis=0
-                )
+            # every term has the pair (constant, term), so the runs of the
+            # sorted output indices are the terms in order
+            starts = np.flatnonzero(np.diff(out, prepend=-1))
+            coeffs = np.add.reduceat(self.coeffs[i1] * other.coeffs[i2], starts, axis=0)
             return Jet(
                 self.space, self.point, coeffs, self.is_real and other.is_real
             )

@@ -158,21 +158,16 @@ def ricci_tensor(frame: CRFrame, logJ_jet: Jet):
     return hermitize(ricci)
 
 
-def webster_scalar(frame: CRFrame, logJ_jet: Jet):
-    """Webster scalar curvature of theta = (i/2)(dbar rho - d rho)."""
-    n = frame.n
-    ng = normal_derivative(frame, logJ_jet).real
-    db = sub_laplacian(frame, logJ_jet)
-    return n * (n + 1) * frame.r - n * ng + 0.5 * db
-
-
-def curvature_functional(frame: CRFrame, logJ_jet: Jet):
-    """The density D whose J-weighted value is the normalized Webster scalar."""
+def webster_curvatures(frame: CRFrame, logJ_jet: Jet):
+    """(R_theta, D): the Webster scalar of theta = (i/2)(dbar rho - d rho), and
+    the curvature functional D whose J-weighted value is the normalized
+    Webster scalar.  Both start from n(n+1) r - n N log J."""
     n = frame.n
     ng = normal_derivative(frame, logJ_jet).real
     db = sub_laplacian(frame, logJ_jet)
     grad_norm = dbar_pairing(frame, logJ_jet, logJ_jet).real
-    return n * (n + 1) * frame.r - n * ng - 0.5 * db - (n / (n + 1)) * grad_norm
+    shared = n * (n + 1) * frame.r - n * ng
+    return shared + 0.5 * db, shared - 0.5 * db - (n / (n + 1)) * grad_norm
 
 
 def curvature_quantities(rho, points, params=None, chart=None):
@@ -184,8 +179,7 @@ def curvature_quantities(rho, points, params=None, chart=None):
     jet = rho.jet(params, points, 4)
     frame = frame_from_jet(jet, chart=chart)
     logj = log_fefferman_jet(jet)
-    rtheta = webster_scalar(frame, logj)
-    dval = curvature_functional(frame, logj)
+    rtheta, dval = webster_curvatures(frame, logj)
     n = frame.n
     big_r = frame.J ** (1.0 / (n + 2)) * dval
     return {
@@ -225,6 +219,3 @@ class NormalizedDefiningFunction:
         """J[rho_hat] at the given points (1 on M up to roundoff)."""
         return fefferman_det_jet(self.jet(points, 2)).constant_term().real
 
-
-def first_normalization(rho, params=None) -> NormalizedDefiningFunction:
-    return NormalizedDefiningFunction(rho, params)

@@ -16,11 +16,12 @@ Two rule types:
 Both project their directions and push the direction tangents forward in
 chunks of 8,192 through ``runtime.map_chunks``.
 
-The tangent push-forward and the density need the gradient and complex
-Hessian of the defining function at every rule point.  A rule keeps them,
-with the function's value there, and ``QuadratureRule.frame`` builds that
-function's CR frame from them instead of evaluating its jet again; the frame
-of any other defining function is built from that function's own jet.
+A rule is the discretized pseudohermitian structure: it holds the defining
+function and params it was built for, and that function's CR frame at its
+points, so its consumers take the rule alone.  ``build_quadrature`` builds
+the frame from the value, gradient and complex Hessian its push-forward
+already read; ``re_densify`` builds the frame of another defining function
+of M from that function's own jet.
 """
 
 from __future__ import annotations
@@ -54,41 +55,28 @@ class QuadratureSettings:
         }
 
 
-def _frame_key(rho, params):
-    return id(rho), tuple(sorted((params or {}).items()))
-
-
 @dataclass
 class QuadratureRule:
+    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: points,
+    tangent bases and weights, with rho, its params and its CR frame at the
+    points."""
+
     points: np.ndarray           # (P, m) complex, on M
     tangents: np.ndarray         # (P, 2n+1, m) complex
     base_weights: np.ndarray     # (P,) parameter-measure weights
     density: np.ndarray          # (P,) |theta ^ (d theta)^n| on the tangent basis
     settings: QuadratureSettings
-    n: int
+    rho: object                  # the defining function (Expression)
+    params: dict | None          # its parameter values
+    frame: CRFrame               # the CR frame of rho at the points
     weights: np.ndarray = field(init=False)
-    _frames: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    # (rho, value, grad, hess) of the rule's own defining function, kept
-    # until its frame is built
-    _derivatives: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = self.base_weights * self.density
 
-    def frame(self, rho, params=None) -> CRFrame:
-        """The CR frame of ``rho`` at the rule points, built once per
-        (defining function, params) and kept as long as the rule; the rule's
-        own defining function's frame comes from its kept derivatives."""
-        key = _frame_key(rho, params)
-        if key not in self._frames:
-            kept = self._derivatives.pop(key, None)
-            if kept is None:
-                frame = build_frame(rho, self.points, params=params)
-            else:
-                frame = frame_from_derivatives(self.points, *kept[1:])
-            # the entry holds rho, so its id cannot be reused while cached
-            self._frames[key] = (rho, frame)
-        return self._frames[key][1]
+    @property
+    def n(self):
+        return self.frame.n
 
     def __len__(self):
         return self.points.shape[0]
@@ -226,22 +214,6 @@ def _form_value(grad, hess, tangents, n):
     return math.factorial(n) * total
 
 
-def volume_density(rho, sp, params=None):
-    """|theta ^ (d theta)^n| on tangent bases: ``sp`` is a pair of ambient
-    points (..., m) and tangent bases (..., 2n+1, m)."""
-    ambient, tangents = sp
-    ambient = np.asarray(ambient, dtype=np.complex128)
-    tangents = np.asarray(tangents, dtype=np.complex128)
-    n = ambient.shape[-1] - 1
-    _, grad, hess = read_derivatives(rho.jet(params, ambient, 2))
-    value = np.abs(_form_value(grad, hess, tangents, n))
-    if np.min(value) <= 1e-14:
-        raise DegenerateFrame(
-            f"volume density {np.min(value):.3e} <= 1.0e-14: tangent basis lost rank"
-        )
-    return value
-
-
 def _push_forward(rho, params, t, dirs, du, pts):
     """Tangent vectors of the radial graph, V = t' u + t du with drho(V) = 0,
     for each parameter tangent ``du`` (P, k, m) of the unit directions, and
@@ -285,12 +257,11 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     pts, tangents, density, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
     if np.min(density) <= 1e-14:
         raise DegenerateFrame(f"vanishing volume density in {settings.type} rule")
-    rule = QuadratureRule(
+    return QuadratureRule(
         points=pts, tangents=tangents, base_weights=base, density=density,
-        settings=settings, n=rho.n,
+        settings=settings, rho=rho, params=params,
+        frame=frame_from_derivatives(pts, value, grad, hess),
     )
-    rule._derivatives[_frame_key(rho, params)] = (rho, value, grad, hess)
-    return rule
 
 
 def _hopf_directions(R):
@@ -339,34 +310,29 @@ def _monte_carlo_directions(m, samples, seed):
     return raw[:, 0::2] + 1j * raw[:, 1::2], du, np.full(samples, area / samples)
 
 
-def re_densify(rule: QuadratureRule, rho, params=None) -> QuadratureRule:
-    """Reweight a rule with the volume form induced by another defining function.
+def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
+    """The rule of another defining function ``rho`` of M, with ``rule.params``.
 
-    The points and tangent bases stay fixed (they describe M itself); only
-    the density factor is recomputed, from the CR frame of ``rho`` at the
-    points, which the returned rule keeps for its own ``frame(rho, params)``.
-    ``rho`` must therefore be a strictly pseudoconvex defining function of M
-    at the rule points.
+    The points and tangent bases stay fixed (they describe M itself); the
+    density factor is recomputed from the CR frame of ``rho`` at the points,
+    which the returned rule holds.  ``rho`` must therefore be a strictly
+    pseudoconvex defining function of M at the rule points.
     """
-    frame = build_frame(rho, rule.points, params=params)
-    density = np.abs(_form_value(frame.grad, frame.hessian, rule.tangents, rule.n))
+    frame = build_frame(rho, rule.points, params=rule.params)
+    density = np.abs(_form_value(frame.grad, frame.hessian, rule.tangents, frame.n))
     if np.min(density) <= 1e-14:
         raise DegenerateFrame("vanishing volume density after re-densifying")
-    out = QuadratureRule(
+    return QuadratureRule(
         points=rule.points, tangents=rule.tangents,
         base_weights=rule.base_weights, density=density,
-        settings=rule.settings, n=rule.n,
+        settings=rule.settings, rho=rho, params=rule.params, frame=frame,
     )
-    out._frames[_frame_key(rho, params)] = (rho, frame)
-    return out
 
 
-def integrate(rule: QuadratureRule, f):
-    """Sum w_i f(p_i).  ``f`` is an array of per-point values or a callable
-    receiving the full (P, m) complex point array; summation is numpy's
-    fixed-order pairwise reduction."""
-    values = np.asarray(f(rule.points) if callable(f) else f)
-    return np.sum(rule.weights * values)
+def integrate(rule: QuadratureRule, values):
+    """Sum w_i values_i over the rule points (numpy's fixed-order pairwise
+    reduction)."""
+    return np.sum(rule.weights * np.asarray(values))
 
 
 def points_on_surface(rho, count, seed=0, params=None):

@@ -22,16 +22,19 @@ from .quadrature import QuadratureSettings, build_quadrature, points_on_surface
 from .runtime import release_freed_memory
 from .spectral import MAX_DEGREE, estimate_lambda1
 
-TASK_KINDS = (
-    "invariants",
-    "curvature",
-    "bound_upper",
-    "bound_reilly",
-    "bound_special",
-    "bound_lower",
-    "spectrum",
-    "invariance_check",
-)
+# the keys besides "kind" that each task kind reads; any other is refused
+_POINT_KEYS = ("points", "num_points", "seed")
+TASK_KEYS = {
+    "invariants": ("csv", *_POINT_KEYS),
+    "curvature": ("csv", *_POINT_KEYS),
+    "bound_upper": ("decomposition",),
+    "bound_reilly": ("F_maps",),
+    "bound_special": ("j", *_POINT_KEYS),
+    "bound_lower": ("paneitz_positive", *_POINT_KEYS),
+    "spectrum": ("degree", "kernel_tol", "check_monotonicity"),
+    "invariance_check": ("defining_functions", *_POINT_KEYS),
+}
+TASK_KINDS = tuple(TASK_KEYS)
 
 CSV_COLUMNS = ("r", "J", "detH", "R_theta", "D", "R_Theta")
 
@@ -179,6 +182,26 @@ def _quadrature_settings(data):
     )
 
 
+def _decomposition(data, n):
+    """The decomposition block of a bound_upper task."""
+    if not isinstance(data, dict):
+        raise JobValidationError("decomposition must be an object")
+    extra = set(data) - {"N", "nu", "psi", "f_maps"}
+    if extra:
+        raise JobValidationError(f"unknown decomposition keys {sorted(extra)}")
+    maps = data.get("f_maps")
+    if not isinstance(maps, list) or not maps or not all(isinstance(s, str) for s in maps):
+        raise JobValidationError("decomposition needs f_maps, a non-empty list of expressions")
+    if "psi" in data and not isinstance(data["psi"], str):
+        raise JobValidationError("decomposition psi must be an expression")
+    return Decomposition(
+        N=_real_number(data.get("N", 1.0), "decomposition N"),
+        nu=_real_number(data.get("nu", 1.0), "decomposition nu"),
+        psi=parse(data["psi"], n) if "psi" in data else None,
+        f_maps=[parse(s, n) for s in maps],
+    )
+
+
 def normalize_job(job: dict) -> dict:
     if not isinstance(job, dict):
         raise JobValidationError("job file must contain a JSON object")
@@ -202,6 +225,9 @@ def normalize_job(job: dict) -> dict:
             raise JobValidationError(
                 f"task {i}: kind must be one of {', '.join(TASK_KINDS)}"
             )
+        extra = set(task) - {"kind", *TASK_KEYS[task["kind"]]}
+        if extra:
+            raise JobValidationError(f"task {i}: unknown {task['kind']} keys {sorted(extra)}")
     quad = _quadrature_settings(job.get("quadrature", {}))
     out = {
         "dimension_n": n,
@@ -323,23 +349,17 @@ def _run_task(ctx, task, base_dir):
         degree = _whole_number(task, "degree", 3, 0, MAX_DEGREE)
         kernel_tol = _real_number(task.get("kernel_tol", 1e-6), "kernel_tol")
         monotonicity = _task_flag(task, "check_monotonicity", True)
-        report = estimate_lambda1(
-            ctx.rho, degree, ctx.rule, params=ctx.params, kernel_tol=kernel_tol,
-            check_monotonicity=monotonicity,
-        )
+        report = estimate_lambda1(ctx.rule, degree, kernel_tol=kernel_tol,
+                                  check_monotonicity=monotonicity)
         return report.to_dict()
     if kind == "bound_upper":
         if "decomposition" not in task:
             raise JobValidationError("bound_upper needs a decomposition block")
-        dec = Decomposition.from_dict(task["decomposition"], ctx.n)
-        report = upper_bound(ctx.rho, dec, ctx.rule, params=ctx.params,
-                             seed=ctx.settings.seed)
-        return report.to_dict()
+        dec = _decomposition(task["decomposition"], ctx.n)
+        return upper_bound(dec, ctx.rule).to_dict()
     if kind == "bound_reilly":
         maps = _expressions(task, "F_maps", 1, ctx.n)
-        report = reilly_bound(maps, ctx.rule, params=ctx.params,
-                              seed=ctx.settings.seed)
-        return report.to_dict()
+        return reilly_bound(maps, ctx.rule).to_dict()
     if kind == "bound_special":
         points = ctx.task_points(task, 50)
         report = special_bound(ctx.rho, _whole_number(task, "j", 1, 1), points,

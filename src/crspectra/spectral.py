@@ -184,7 +184,7 @@ def _chunk_points(table_rows):
     return chunk
 
 
-def _galerkin_matrices(frame, rule: QuadratureRule, basis: MonomialBasis, check_ibp):
+def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     """G, S and (with ``check_ibp``) the stiffness by parts, from moments.
 
     Every entry is a sum of point-weighted moments
@@ -194,6 +194,7 @@ def _galerkin_matrices(frame, rule: QuadratureRule, basis: MonomialBasis, check_
     S[u,v] = sum_kl b_uk b_vl mu_{T_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
     The stiffness by parts integrates (box_b phi_u) conj(phi_v).
     """
+    frame = rule.frame
     m, n = frame.m, frame.n
     bimon = _BiMonomials(m, 2 * basis.degree)
     tcoef = delta_tilde_coefficients(frame) if check_ibp else None
@@ -236,15 +237,16 @@ def _galerkin_matrices(frame, rule: QuadratureRule, basis: MonomialBasis, check_
     return G, S, Sp
 
 
-def assemble(rho, rule: QuadratureRule, basis: MonomialBasis, params=None,
-             kernel_tol=1e-6, check_ibp=True) -> SpectralProblem:
-    """Gram and stiffness matrices of the dbar_b pairing over the rule.
+def assemble(rule: QuadratureRule, basis: MonomialBasis, kernel_tol=1e-6,
+             check_ibp=True) -> SpectralProblem:
+    """Gram and stiffness matrices of the dbar_b pairing of the rule's
+    structure over the rule.
 
     The stiffness consistency diagnostic compares against the integral of
     (box_b phi_u) conj(phi_v): on a closed surface both quadratures must
     agree to quadrature accuracy, which validates the operator end to end.
     """
-    G, S, Sp = _galerkin_matrices(rule.frame(rho, params), rule, basis, check_ibp)
+    G, S, Sp = _galerkin_matrices(rule, basis, check_ibp)
     herm_dev = max(
         float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T)))
     )
@@ -345,15 +347,15 @@ class SpectralReport:
         }
 
 
-def estimate_lambda1(rho, degree, rule, params=None, kernel_tol=1e-6,
+def estimate_lambda1(rule: QuadratureRule, degree, kernel_tol=1e-6,
                      check_monotonicity=True) -> SpectralReport:
     """assemble -> solve pipeline with a Ritz monotonicity diagnostic.
 
     One assembly at ``degree``; each lower degree from 2 up is solved on the
     leading principal block of that pencil.
     """
-    basis = MonomialBasis.build(rho.m, degree)
-    problem = assemble(rho, rule, basis, params=params, kernel_tol=kernel_tol)
+    basis = MonomialBasis.build(rule.frame.m, degree)
+    problem = assemble(rule, basis, kernel_tol=kernel_tol)
     lower = range(2, degree) if check_monotonicity else ()
     by_degree = {d: solve(problem.leading_block(d)).lambda1 for d in lower}
     result = solve(problem)

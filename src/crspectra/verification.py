@@ -226,20 +226,21 @@ def _ellipsoid(a):
     return f"abs2(z1)+abs2(z2)+{a}*re(z1^2)-1" if a else SPHERE1
 
 
-class _Context:
-    """Caches quadrature rules shared between checks."""
+# hopf_product resolution of every rule the checks build
+RESOLUTION = 32
 
-    def __init__(self, resolution=32):
-        self.resolution = resolution
+
+class _Context:
+    """Caches quadrature rules (n = 1) shared between checks."""
+
+    def __init__(self):
         self._rules = {}
 
-    def rule(self, text, n=1):
-        key = (text, n)
+    def rule(self, text, seed=0):
+        key = (text, seed)
         if key not in self._rules:
-            expr = parse(text, n)
-            self._rules[key] = build_quadrature(
-                expr, QuadratureSettings("hopf_product", resolution=self.resolution)
-            )
+            settings = QuadratureSettings("hopf_product", resolution=RESOLUTION, seed=seed)
+            self._rules[key] = build_quadrature(parse(text, 1), settings)
         return self._rules[key]
 
 
@@ -290,7 +291,7 @@ def check_rescaled_sphere_spectrum(ctx):
     bordered-determinant computation gives 8 and 1, and both are reported."""
     expr = parse(SQUARED, 1)
     rule = ctx.rule(SQUARED)
-    problem = assemble(expr, rule, MonomialBasis.build(2, 2), check_ibp=False)
+    problem = assemble(rule, MonomialBasis.build(2, 2), check_ibp=False)
     lam1 = solve(problem).lambda1
     pts = points_on_surface(expr, 50, seed=33)
     frame = build_frame(expr, pts)
@@ -348,9 +349,7 @@ def sphere_spectrum_oracle(degree, n):
 
 def check_sphere_spectrum_table(ctx):
     """Degree-3 Ritz values on the round 3-sphere against the exact table."""
-    expr = parse(SPHERE1, 1)
-    problem = assemble(expr, ctx.rule(SPHERE1), MonomialBasis.build(2, 3),
-                       check_ibp=False)
+    problem = assemble(ctx.rule(SPHERE1), MonomialBasis.build(2, 3), check_ibp=False)
     result = solve(problem)
     table, kernel = sphere_spectrum_oracle(3, 1)
     ok = result.kernel_dim == kernel
@@ -383,10 +382,10 @@ def check_bound_sandwich(ctx):
             psi=parse(f"{a}*re(z1^2)", 1) if a else None,
             f_maps=[parse("z1", 1), parse("z2", 1)],
         )
-        up = upper_bound(expr, dec, rule)
+        up = upper_bound(dec, rule)
         pts = points_on_surface(expr, 50, seed=11)
         lo = lower_bound(expr, pts, paneitz_positive=True)
-        lam1 = solve(assemble(expr, rule, MonomialBasis.build(2, 4), check_ibp=False)).lambda1
+        lam1 = solve(assemble(rule, MonomialBasis.build(2, 4), check_ibp=False)).lambda1
         ok = ok and (lo.value - 1e-6 <= lam1 <= up.value + 1e-6)
         ok = ok and up.diagnostics["identities_ok"]
         if a == 0.0:
@@ -412,7 +411,7 @@ def check_operator_identities(ctx):
     expr = parse(text, 1)
     rule = ctx.rule(text)
     basis = MonomialBasis.build(2, 4)
-    problem = assemble(expr, rule, basis, check_ibp=True)
+    problem = assemble(rule, basis, check_ibp=True)
     scale = max(1.0, float(np.max(np.abs(problem.stiffness))))
     ibp_ok = problem.ibp_deviation <= 1e-7 * scale
 
@@ -453,13 +452,13 @@ def check_operator_identities(ctx):
 
 def check_decomposition_identities(ctx):
     """Pointwise identities of the quadratic (N = 2) sphere decomposition."""
-    expr = parse(SPHERE1, 1)
-    rule = ctx.rule(SPHERE1)
+    # seed 5 picks the identity points
+    rule = ctx.rule(SPHERE1, seed=5)
     dec = Decomposition(
         N=2.0, nu=1.0, psi=None,
         f_maps=[parse("z1^2", 1), parse("pow(2,0.5)*z1*z2", 1), parse("z2^2", 1)],
     )
-    report = upper_bound(expr, dec, rule, seed=5)
+    report = upper_bound(dec, rule)
     be = report.diagnostics["box_identity_rel_err"]
     pe = report.diagnostics["pairing_identity_rel_err"]
     ok = be <= 1e-7 and pe <= 1e-7 and abs(report.value - 2.0) <= 1e-9
@@ -536,9 +535,9 @@ CHECKS = [
 ]
 
 
-def run_all(resolution=32):
+def run_all():
     """Run every acceptance check; returns a list of CheckResult."""
-    ctx = _Context(resolution=resolution)
+    ctx = _Context()
     results = []
     for key, description, fn in CHECKS:
         start = time.perf_counter()

@@ -9,7 +9,7 @@ import pytest
 
 from crspectra.verification import CHECKS, _Context
 
-_ctx = _Context(resolution=32)
+_ctx = _Context()
 _results = {}
 
 

@@ -47,14 +47,14 @@ def _quadratic_immersion():
 
 
 def test_upper_bound_sphere_is_sharp(sphere_rule):
-    report = upper_bound(SPHERE, _identity_dec(), sphere_rule)
+    report = upper_bound(_identity_dec(), sphere_rule)
     assert report.value == pytest.approx(1.0, abs=1e-9)
     assert report.diagnostics["identities_ok"]
 
 
 def test_upper_bound_quadratic_immersion_decomposition(squared_rule):
     dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=_quadratic_immersion())
-    report = upper_bound(SQUARED, dec, squared_rule)
+    report = upper_bound(dec, squared_rule)
     # the decomposition is exact: sum |f|^2 = (rho + 1); lambda1 here is 1/2,
     # so the bound is valid but strict
     assert report.diagnostics["residual_max"] < 1e-12
@@ -64,7 +64,7 @@ def test_upper_bound_quadratic_immersion_decomposition(squared_rule):
 
 def test_upper_bound_quadratic_decomposition(sphere_rule):
     dec = Decomposition(N=2.0, nu=1.0, psi=None, f_maps=_quadratic_immersion())
-    report = upper_bound(SPHERE, dec, sphere_rule)
+    report = upper_bound(dec, sphere_rule)
     assert report.value == pytest.approx(2.0, abs=1e-9)
     assert report.diagnostics["box_identity_rel_err"] < 1e-7
     assert report.diagnostics["pairing_identity_rel_err"] < 1e-7
@@ -76,7 +76,7 @@ def test_upper_bound_with_pluriharmonic_part():
     rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=24))
     dec = Decomposition(N=1.0, nu=1.0, psi=parse(f"{a}*re(z1^2)", 1),
                         f_maps=[parse("z1", 1), parse("z2", 1)])
-    report = upper_bound(rho, dec, rule)
+    report = upper_bound(dec, rule)
     assert report.diagnostics["identities_ok"]
     assert report.value > 0.9
 
@@ -84,14 +84,14 @@ def test_upper_bound_with_pluriharmonic_part():
 def test_invalid_decomposition_wrong_residual(sphere_rule):
     dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=[parse("z1", 1)])
     with pytest.raises(InvalidDecomposition):
-        upper_bound(SPHERE, dec, sphere_rule)
+        upper_bound(dec, sphere_rule)
 
 
 def test_invalid_decomposition_nonholomorphic(sphere_rule):
     dec = Decomposition(N=1.0, nu=1.0, psi=None,
                         f_maps=[parse("conj(z1)", 1), parse("z2", 1)])
     with pytest.raises(InvalidDecomposition):
-        upper_bound(SPHERE, dec, sphere_rule)
+        upper_bound(dec, sphere_rule)
 
 
 def test_invalid_decomposition_bad_psi(sphere_rule):

@@ -11,7 +11,7 @@ names use the alphabet "ab." only, so every file a job writes stays under
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from crspectra.errors import ValidationError
-from crspectra.reporting import TASK_KINDS, canonical_json, run_job_data
+from crspectra.reporting import TASK_KEYS, TASK_KINDS, canonical_json, run_job_data
 
 NAMES = st.text(alphabet="ab.", max_size=3)
 
@@ -72,14 +72,29 @@ TASK_FIELDS = {
     "F_maps": mostly(MAPS),
     "defining_functions": mostly(MAPS),
 }
-# One branch per kind, so that every kind is drawn about as often.  The size
-# fields are always present, because their defaults exceed the bounds above.
-TASK = st.one_of([
-    st.fixed_dictionaries({"kind": kind, "num_points": mostly(st.integers(1, 4)),
-                           "degree": mostly(st.integers(0, 2))},
-                          optional=TASK_FIELDS)
-    for kind in [*map(st.just, TASK_KINDS), ODD]
-])
+SIZE_FIELDS = {
+    "num_points": mostly(st.integers(1, 4)),
+    "degree": mostly(st.integers(0, 2)),
+}
+
+
+def task_of(kind, keys):
+    """Tasks of ``kind`` with fields among ``keys``.  The size fields are
+    always present, because their defaults exceed the bounds above."""
+    return st.fixed_dictionaries(
+        {"kind": kind, **{k: SIZE_FIELDS[k] for k in keys if k in SIZE_FIELDS}},
+        optional={k: TASK_FIELDS[k] for k in keys if k in TASK_FIELDS},
+    )
+
+
+# One branch per kind with the fields that kind reads, so that every kind
+# is drawn about as often; one with a kind that is none; and one with a kind
+# and the fields of every kind, which no kind reads all of.
+EVERY_FIELD = [*SIZE_FIELDS, *TASK_FIELDS]
+TASK = st.one_of(
+    [task_of(st.just(kind), keys) for kind, keys in TASK_KEYS.items()]
+    + [task_of(ODD, EVERY_FIELD), task_of(st.sampled_from(TASK_KINDS), EVERY_FIELD)]
+)
 QUADRATURE = st.fixed_dictionaries(
     {
         "resolution": mostly(st.integers(2, 4)),
@@ -131,6 +146,17 @@ def _job(tasks, **fields):
                   quadrature={"type": "monte_carlo", "samples": 10**400}))
 @example(job=_job([{"kind": "spectrum", "degree": 1}],
                   quadrature={"type": "hopf_product", "resolution": 10**400}))
+@example(job=_job([{"kind": "spectrum", "degre": 5}]))
+@example(job=_job([{"kind": "bound_upper",
+                    "decomposition": {"N": "1", "f_maps": ["z1", "z2"]}}]))
+@example(job=_job([{"kind": "bound_upper",
+                    "decomposition": {"nu": True, "f_maps": ["z1", "z2"]}}]))
+@example(job=_job([{"kind": "bound_upper",
+                    "decomposition": {"f_maps": ["z1", "z2"], "Nu": 2}}]))
+@example(job=_job([{"kind": "bound_upper",
+                    "decomposition": {"f_maps": ["z1", "z2"], "psi": ""}}]))
+@example(job=_job([{"kind": "bound_reilly", "F_maps": ["z1", "z2"]}],
+                  defining_function="-(abs2(z1)+abs2(z2)-1)"))
 def test_any_job_dict_ends_in_an_exit_code(tmp_path, job):
     try:
         report, code = run_job_data(job, base_dir=tmp_path)

@@ -5,16 +5,15 @@ from crspectra.errors import DegenerateJ
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
 from crspectra.operators import (
-    curvature_functional,
+    NormalizedDefiningFunction,
     curvature_quantities,
     dbar_pairing,
     fefferman_det_jet,
-    first_normalization,
     kohn_laplacian,
     log_fefferman_jet,
     ricci_tensor,
     sub_laplacian,
-    webster_scalar,
+    webster_curvatures,
 )
 from crspectra.quadrature import points_on_surface
 
@@ -142,7 +141,7 @@ def test_ricci_trace_matches_webster_scalar():
     logj = log_fefferman_jet(ELLIPSOID.jet({}, pts, 4))
     ric = ricci_tensor(fr, logj)
     trace = np.einsum("pba,pab->p", fr.levi_inv, ric).real
-    scal = webster_scalar(fr, logj)
+    scal, _ = webster_curvatures(fr, logj)
     assert np.max(np.abs(trace - scal)) < 1e-9
     herm = np.max(np.abs(ric - np.conj(np.swapaxes(ric, -1, -2))))
     assert herm < 1e-10
@@ -164,8 +163,7 @@ def test_functional_identity_with_webster_scalar():
     pts = points_on_surface(ELLIPSOID, 15, seed=17)
     fr = build_frame(ELLIPSOID, pts)
     logj = log_fefferman_jet(ELLIPSOID.jet({}, pts, 4))
-    d = curvature_functional(fr, logj)
-    scal = webster_scalar(fr, logj)
+    scal, d = webster_curvatures(fr, logj)
     delta_b = sub_laplacian(fr, logj)
     pair = dbar_pairing(fr, logj, logj).real
     n = fr.n
@@ -193,13 +191,13 @@ def test_super_pseudoconvexity_flag_tracks_sign():
 
 
 def test_first_normalization_fixed_point_and_unit_j():
-    nd = first_normalization(SPHERE)
+    nd = NormalizedDefiningFunction(SPHERE)
     pts = points_on_surface(SPHERE, 10, seed=19)
     jet = nd.jet(pts, 2)
     base = SPHERE.jet({}, pts, 2)
     assert np.max(np.abs(jet.coeffs - base.coeffs)) < 1e-12  # J = 1 already
 
-    nd2 = first_normalization(SQUARED)
+    nd2 = NormalizedDefiningFunction(SQUARED)
     pts2 = points_on_surface(SQUARED, 50, seed=20)
     vals = nd2.fefferman_values(pts2)
     assert np.max(np.abs(vals - 1.0)) < 1e-9
@@ -304,5 +302,5 @@ def test_log_fefferman_jet_rejects_nonpositive_j(order):
 
 def test_first_normalization_unit_j_n2():
     pts = points_on_surface(QUARTIC, 40, seed=21)
-    vals = first_normalization(QUARTIC).fefferman_values(pts)
+    vals = NormalizedDefiningFunction(QUARTIC).fefferman_values(pts)
     assert np.max(np.abs(vals - 1.0)) < 1e-10

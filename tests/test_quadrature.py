@@ -3,20 +3,27 @@ import pytest
 
 from crspectra.errors import JobValidationError, NoRootFound, NotRealValued
 from crspectra.expressions import parse
+from crspectra.frames import build_frame
 from crspectra.quadrature import (
     QuadratureSettings,
+    _form_value,
     build_quadrature,
     integrate,
     pfaffian,
     points_on_surface,
     project_rays,
     re_densify,
-    volume_density,
 )
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
 ELLIPSOID = parse("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1)
+
+
+def _density(rho, points, tangents):
+    """|theta ^ (d theta)^n| of rho on tangent bases at on-surface points."""
+    frame = build_frame(rho, points)
+    return np.abs(_form_value(frame.grad, frame.hessian, tangents, frame.n))
 
 
 def _unit_dirs(count, m, seed):
@@ -87,23 +94,23 @@ def test_density_on_orthonormal_basis_is_two():
             if norm > 1e-8:
                 vecs.append(w / norm)
         tangents = np.array(vecs)[:3, 0::2] + 1j * np.array(vecs)[:3, 1::2]
-        val = volume_density(SPHERE, (u, tangents))
+        val = _density(SPHERE, u, tangents)
         assert val == pytest.approx(2.0, rel=1e-12)
 
 
 def test_density_scaling_with_defining_function():
     scaled = parse("2*(abs2(z1)+abs2(z2)-1)", 1)
     rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=8))
-    d1 = volume_density(SPHERE, (rule.points, rule.tangents))
-    d2 = volume_density(scaled, (rule.points, rule.tangents))
+    d1 = _density(SPHERE, rule.points, rule.tangents)
+    d2 = _density(scaled, rule.points, rule.tangents)
     assert np.allclose(d2, 4.0 * d1, rtol=1e-12)
 
 
 def test_density_orientation_robustness():
     rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=6))
     swapped = rule.tangents[:, [1, 0, 2], :]
-    d1 = volume_density(SPHERE, (rule.points, rule.tangents))
-    d2 = volume_density(SPHERE, (rule.points, swapped))
+    d1 = _density(SPHERE, rule.points, rule.tangents)
+    d2 = _density(SPHERE, rule.points, swapped)
     assert np.allclose(d1, d2, rtol=1e-12)
 
 
@@ -112,8 +119,8 @@ def test_density_change_of_basis_ratio():
     rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=6))
     mix = rng.standard_normal((3, 3))
     mixed = np.einsum("ab,pbm->pam", mix, rule.tangents)
-    d1 = volume_density(SPHERE, (rule.points, rule.tangents))
-    d2 = volume_density(SPHERE, (rule.points, mixed))
+    d1 = _density(SPHERE, rule.points, rule.tangents)
+    d2 = _density(SPHERE, rule.points, mixed)
     assert np.allclose(d2, abs(np.linalg.det(mix)) * d1, rtol=1e-10)
 
 
@@ -158,9 +165,10 @@ def test_monte_carlo_n2_volume():
 
 def test_integrate_symmetry_and_moments():
     rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=24))
-    odd = integrate(rule, lambda p: p[:, 0] * np.conj(p[:, 1]))
+    p = rule.points
+    odd = integrate(rule, p[:, 0] * np.conj(p[:, 1]))
     assert abs(odd) < 1e-10
-    half = integrate(rule, lambda p: np.abs(p[:, 0]) ** 2)
+    half = integrate(rule, np.abs(p[:, 0]) ** 2)
     assert half == pytest.approx(rule.volume / 2.0, abs=1e-8)
     ones = integrate(rule, np.ones(len(rule)))
     assert ones == pytest.approx(rule.volume)

@@ -314,12 +314,17 @@ def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
         {"kind": "curvature", "num_points": 2, "seed": True},
         {"kind": "curvature", "num_points": 2.5},
         {"kind": "spectrum", "kernel_tol": True},
+        {"kind": "bound_upper", "decomposition": {"N": "1", "f_maps": ["z1", "z2"]}},
+        {"kind": "bound_upper", "decomposition": {"nu": True, "f_maps": ["z1", "z2"]}},
+        {"kind": "bound_upper", "decomposition": {"f_maps": ["z1", "z2"], "Nu": 2}},
+        {"kind": "bound_upper", "decomposition": {"f_maps": ["z1", "z2"], "psi": None}},
     ],
     ids=["num_points_0", "num_points_negative", "degree_text", "seed_text",
          "ragged_points", "empty_decomposition", "empty_F_maps", "j_text",
          "kernel_tol_text", "csv_number", "csv_missing_directory", "F_maps_number",
          "defining_functions_null", "degree_true", "degree_fraction", "j_fraction",
-         "seed_true", "num_points_fraction", "kernel_tol_true"],
+         "seed_true", "num_points_fraction", "kernel_tol_true", "decomposition_N_text",
+         "decomposition_nu_true", "decomposition_unknown_key", "decomposition_psi_null"],
 )
 def test_malformed_task_fields_are_validation_errors(tmp_path, task):
     report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
@@ -327,6 +332,63 @@ def test_malformed_task_fields_are_validation_errors(tmp_path, task):
     assert code == 2
     assert entry["status"] == "error"
     assert entry["error"] == "JobValidationError"
+
+
+def test_empty_decomposition_psi_is_an_expression_error(tmp_path):
+    dec = {"f_maps": ["z1", "z2"], "psi": ""}
+    report, code = run_job_data({**SPHERE_JOB, "tasks": [
+        {"kind": "bound_upper", "decomposition": dec}]}, base_dir=tmp_path)
+    assert code == 2
+    assert report["results"][0]["error"] == "ExpressionSyntaxError"
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "spectrum", "degre": 5},
+        {"kind": "curvature", "num_points": 2, "degree": 2},
+        {"kind": "bound_reilly", "F_maps": ["z1", "z2"], "seed": 1},
+        {"kind": "bound_upper", "decomposition": {"f_maps": ["z1", "z2"]}, "csv": "t.csv"},
+    ],
+    ids=["spectrum_misspelled_degree", "curvature_degree", "reilly_seed", "upper_csv"],
+)
+def test_unknown_task_keys_refuse_the_job(tmp_path, task):
+    with pytest.raises(JobValidationError, match="task 0: unknown"):
+        run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
+
+
+def test_every_task_key_of_a_kind_is_accepted():
+    from crspectra.reporting import TASK_KEYS
+
+    tasks = [{"kind": kind, **dict.fromkeys(keys)} for kind, keys in TASK_KEYS.items()]
+    assert len(normalize_job({**SPHERE_JOB, "tasks": tasks})["tasks"]) == len(TASK_KEYS)
+
+
+def test_frame_error_reported_by_every_rule_task(tmp_path):
+    # the rule is built with its defining function's frame, so a surface
+    # that is not strictly pseudoconvex fails every task that takes the
+    # rule, bound_reilly included, although its bound uses the pullback frame
+    maps = ["z1", "z2", "z3"]
+    job = {
+        "dimension_n": 2,
+        "defining_function": "-(abs2(z1)+abs2(z2)+abs2(z3)-1)",
+        "quadrature": {"type": "monte_carlo", "samples": 50},
+        "tasks": [
+            {"kind": "bound_reilly", "F_maps": maps},
+            {"kind": "spectrum", "degree": 1},
+            {"kind": "bound_upper", "decomposition": {"f_maps": maps}},
+        ],
+    }
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 3
+    assert [e["error"] for e in report["results"]] == ["NotStrictlyPseudoconvex"] * 3
+
+
+def test_verify_takes_no_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--resolution", "16"])
+    assert exc.value.code == 2
+    assert "--resolution" in capsys.readouterr().err
 
 
 NAN, INF = float("nan"), float("inf")
@@ -347,7 +409,7 @@ NAN, INF = float("nan"), float("inf")
         ({"tasks": [{"kind": "spectrum", "kernel_tol": NAN}]}, "task", "kernel_tol"),
         ({"tasks": [{"kind": "bound_upper",
                      "decomposition": {"N": INF, "f_maps": ["z1", "z2"]}}]},
-         "task", "N and nu"),
+         "task", "decomposition N"),
     ],
     ids=["nan_point", "inf_point", "literal_in_task", "literal_in_rho",
          "nan_param", "inf_param", "nan_kernel_tol", "inf_N"],

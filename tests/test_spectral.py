@@ -35,7 +35,7 @@ def test_basis_enumeration():
 
 def test_low_degree_gram_and_stiffness(sphere_rule):
     basis = MonomialBasis.build(2, 1)  # 1, z1, z2, zbar1, zbar2
-    problem = assemble(SPHERE, sphere_rule, basis)
+    problem = assemble(sphere_rule, basis)
     S = problem.stiffness
     # only the two antiholomorphic monomials carry dbar energy
     rank = np.linalg.matrix_rank(S, tol=1e-8)
@@ -47,7 +47,7 @@ def test_low_degree_gram_and_stiffness(sphere_rule):
 
 
 def test_sphere_degree3_table(sphere_rule):
-    problem = assemble(SPHERE, sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
     result = solve(problem)
     table, kernel = sphere_spectrum_oracle(3, 1)
     assert result.kernel_dim == kernel == 10
@@ -59,32 +59,32 @@ def test_sphere_degree3_table(sphere_rule):
 
 def test_rescaled_sphere_lambda1():
     rule = build_quadrature(SQUARED, QuadratureSettings("hopf_product", resolution=32))
-    problem = assemble(SQUARED, rule, MonomialBasis.build(2, 2), check_ibp=False)
+    problem = assemble(rule, MonomialBasis.build(2, 2), check_ibp=False)
     assert solve(problem).lambda1 == pytest.approx(0.5, abs=1e-6)
 
 
 def test_degenerate_basis_has_no_positive_eigenvalue(sphere_rule):
     basis = MonomialBasis.build(2, 0)
-    problem = assemble(SPHERE, sphere_rule, basis)
+    problem = assemble(sphere_rule, basis)
     with pytest.raises(NoPositiveEigenvalue):
         solve(problem)
 
 
 def test_stiffness_positive_semidefinite(sphere_rule):
-    problem = assemble(SPHERE, sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
     result = solve(problem)
     assert result.eigenvalues[0] >= -1e-9
 
 
 def test_integration_by_parts_consistency():
     rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=24))
-    problem = assemble(ELLIPSOID, rule, MonomialBasis.build(2, 3), check_ibp=True)
+    problem = assemble(rule, MonomialBasis.build(2, 3), check_ibp=True)
     scale = max(1.0, float(np.max(np.abs(problem.stiffness))))
     assert problem.ibp_deviation <= 1e-8 * scale
 
 
 def test_estimate_lambda1_monotone(sphere_rule):
-    report = estimate_lambda1(SPHERE, 4, sphere_rule)
+    report = estimate_lambda1(sphere_rule, 4)
     assert report.monotone_ok
     assert report.lambda1 == pytest.approx(1.0, abs=1e-8)
     assert report.lambda1_by_degree[2] >= report.lambda1_by_degree[4] - 1e-9
@@ -114,7 +114,7 @@ def test_solve_error_paths():
 def test_dropped_dimension_counts_surface_relations(sphere_rule):
     # multiples of the defining function of total degree <= 3 span a
     # 5-dimensional null space: rho * {1, z1, z2, zbar1, zbar2}
-    problem = assemble(SPHERE, sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
     assert solve(problem).dropped_dim == 5
 
 
@@ -129,10 +129,10 @@ def test_lower_degree_basis_is_a_prefix(m):
 
 def test_lambda1_by_degree_matches_separate_assemblies():
     rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=16))
-    report = estimate_lambda1(ELLIPSOID, 4, rule)
+    report = estimate_lambda1(rule, 4)
     assert sorted(report.lambda1_by_degree) == [2, 3, 4]
     for d, lam in report.lambda1_by_degree.items():
-        problem = assemble(ELLIPSOID, rule, MonomialBasis.build(2, d), check_ibp=False)
+        problem = assemble(rule, MonomialBasis.build(2, d), check_ibp=False)
         direct = solve(problem).lambda1
         assert abs(lam - direct) <= 1e-12 * abs(direct)
 
@@ -152,10 +152,10 @@ def _direct_monomial(z, a, b, da=None, db=None):
     return factor * np.prod(z ** a, axis=1) * np.prod(np.conj(z) ** b, axis=1)
 
 
-def _dense_reference(rule, frame, basis):
+def _dense_reference(rule, basis):
     """G, S and the stiffness by parts from the basis values, dbar_k and
     d_j dbar_k at every rule point, each monomial evaluated by plain powers."""
-    z, w = rule.points, rule.weights
+    z, w, frame = rule.points, rule.weights, rule.frame
     m, n = frame.m, frame.n
     pairs = list(zip(basis.holo, basis.anti))
     values = np.stack([_direct_monomial(z, a, b) for a, b in pairs], axis=1)
@@ -190,12 +190,11 @@ def _dense_reference(rule, frame, basis):
 )
 def test_moment_assembly_matches_dense_reference(rho, settings, top):
     rule = build_quadrature(rho, settings)
-    frame = rule.frame(rho)
-    reference = _dense_reference(rule, frame, MonomialBasis.build(rho.m, top))
+    reference = _dense_reference(rule, MonomialBasis.build(rho.m, top))
     for degree in range(top + 1):
         basis = MonomialBasis.build(rho.m, degree)
         size = len(basis)
-        got = _galerkin_matrices(frame, rule, basis, check_ibp=True)
+        got = _galerkin_matrices(rule, basis, check_ibp=True)
         for mat, want in zip(got, reference):
             want = want[:size, :size]
             assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
