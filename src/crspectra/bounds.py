@@ -28,7 +28,7 @@ from .errors import (
     NotOnSphereImage,
 )
 from .expressions import Add, Call, Expression, Literal, Sub
-from .frames import build_frame
+from .frames import frame_from_jet
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
 from .quadrature import QuadratureRule, integrate, re_densify
 
@@ -231,14 +231,14 @@ def special_bound(rho, j, sample_points, params=None) -> BoundReport:
     if not 1 <= j <= rho.m:
         raise NotApplicable(f"coordinate index {j} out of range 1..{rho.m}")
     points = np.asarray(sample_points, dtype=np.complex128)
-    frame = build_frame(rho, points, params=params)
+    jet3 = rho.jet(params, points, 3)
+    frame = frame_from_jet(jet3)
     if np.min(frame.r) < 0.0:
         bad = int(np.argmin(frame.r))
         raise NegativeTransverseCurvature(
             f"r = {frame.r.reshape(-1)[bad]:.6g} < 0 at "
             f"{points.reshape(-1, rho.m)[bad]}"
         )
-    jet3 = rho.jet(params, points, 3)
     ej = tuple(1 if t == j - 1 else 0 for t in range(rho.m))
     zero = (0,) * rho.m
     rho_j_jet = jet3.derivative(ej, zero)

@@ -4,11 +4,18 @@ Everything here is batched: a frame built at P points stores arrays with a
 leading batch axis, and all invariant checks run vectorized.  Matrix algebra
 for sizes 2 and 3 uses explicit cofactor formulas, which keeps the whole
 construction exact arithmetic (no pivoting, bit-reproducible).
+
+The frame carries the ambient Levi inverse h = psi^-1 - conj(xi) xi^T, with
+psi = rho_{j kbar} + (1 - r) rho_j rho_kbar.  It annihilates drho on both
+sides, so operators pair (0,1) gradients in the coordinates of C^m,
+|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar), and the chart enters only
+through the Levi form itself (``chart_projection``), whose inverse
+``levi_inv`` is the nonchart block of h.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,15 +103,13 @@ class CRFrame:
     hessian: np.ndarray      # (..., m, m) rho_{j kbar}
     J: np.ndarray            # (...) Fefferman determinant
     detH: np.ndarray         # (...)
-    adjugate: np.ndarray     # (..., m, m)
     r: np.ndarray            # (...) transverse curvature
     xi: np.ndarray           # (..., m) the (1,0) field with drho(xi) = 1
-    psi: np.ndarray          # (..., m, m)
-    psi_inv: np.ndarray      # (..., m, m)
+    h: np.ndarray            # (..., m, m) ambient Levi inverse h^{k lbar}
     chart: np.ndarray        # (...) int, index w with max |rho_w|
     nonchart: np.ndarray     # (..., n) int, remaining indices ascending
     levi: np.ndarray         # (..., n, n)
-    levi_inv: np.ndarray     # (..., n, n)
+    levi_inv: np.ndarray     # (..., n, n) the nonchart block of h
 
     @property
     def m(self):
@@ -120,15 +125,7 @@ class CRFrame:
 
     def take(self, idx):
         """Sub-frame at batch indices idx (batch shape must be 1-d)."""
-        pick = lambda a: a[idx]
-        return CRFrame(
-            point=pick(self.point), rho=pick(self.rho), grad=pick(self.grad),
-            hessian=pick(self.hessian), J=pick(self.J), detH=pick(self.detH),
-            adjugate=pick(self.adjugate), r=pick(self.r), xi=pick(self.xi),
-            psi=pick(self.psi), psi_inv=pick(self.psi_inv), chart=pick(self.chart),
-            nonchart=pick(self.nonchart), levi=pick(self.levi),
-            levi_inv=pick(self.levi_inv),
-        )
+        return CRFrame(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
 def _worst(values, points):
@@ -267,14 +264,11 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None) -> CRFrame:
             f"at {points.reshape(-1, m)[bad]}"
         )
 
+    h = psi_inv - np.conj(xi)[..., :, None] * xi[..., None, :]
     flatP = int(np.prod(batch)) if batch else 1
     rows = np.arange(flatP)
     fnon = nonchart.reshape(flatP, n)
-    fpsi_inv = psi_inv.reshape(flatP, m, m)
-    fxi = xi.reshape(flatP, m)
-    P_ab = fpsi_inv[rows[:, None, None], fnon[:, :, None], fnon[:, None, :]]
-    xi_a = np.take_along_axis(fxi, fnon, axis=1)
-    levi_inv = P_ab - np.conj(xi_a)[:, :, None] * xi_a[:, None, :]
+    levi_inv = h.reshape(flatP, m, m)[rows[:, None, None], fnon[:, :, None], fnon[:, None, :]]
 
     ident = np.einsum("pab,pbc->pac", levi_inv, levi.reshape(flatP, n, n))
     ident_err = np.max(np.abs(ident - np.eye(n)))
@@ -285,8 +279,7 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None) -> CRFrame:
 
     return CRFrame(
         point=np.array(points), rho=rho, grad=grad, hessian=hess, J=J, detH=detH,
-        adjugate=adj, r=r, xi=xi, psi=psi, psi_inv=psi_inv,
-        chart=chart_idx, nonchart=nonchart, levi=levi,
+        r=r, xi=xi, h=h, chart=chart_idx, nonchart=nonchart, levi=levi,
         levi_inv=levi_inv.reshape(batch + (n, n)),
     )
 

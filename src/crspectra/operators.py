@@ -5,6 +5,10 @@ Conventions, pinned by the unit-sphere normalization:
 * the Kohn Laplacian satisfies  box_b conj(z_k) = n conj(z_k)  on the unit
   sphere, so it is nonnegative;
 * the sub-Laplacian is  delta_b u = 2 (delta_tilde u + n N u)  on real u;
+* every operator reads the frame's ambient Levi inverse h (see ``frames``):
+  delta_tilde f = -h^{k jbar} f_{j kbar} and
+  |dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar), in the coordinates of C^m;
+  the chart enters only through the Levi form (``ricci_tensor``);
 * the volume-normalized Webster scalar is  R_Theta = J^(1/(n+2)) D, where D
   is the curvature functional below.  The 1/(n+2) power is forced by
   invariance under change of defining function (J rescales with weight
@@ -23,17 +27,9 @@ from .frames import CRFrame, chart_projection, frame_from_jet, hermitize
 from .jets import Jet, jet_space
 
 
-def delta_tilde_coefficients(frame: CRFrame):
-    """T[j,k] with delta_tilde f = sum T[j,k] d_j dbar_k f."""
-    return frame.xi[..., :, None] * np.conj(frame.xi)[..., None, :] - np.swapaxes(
-        frame.psi_inv, -1, -2
-    )
-
-
 def delta_tilde(frame: CRFrame, f_jet: Jet):
-    """The degenerate second-order operator (xi^j xi^kbar - psi^kbar j) d_j dbar_k."""
-    T = delta_tilde_coefficients(frame)
-    return np.einsum("...jk,...jk->...", T, f_jet.mixed_hessian())
+    """The degenerate second-order operator -h^{k jbar} d_j dbar_k f."""
+    return -np.einsum("...kj,...jk->...", frame.h, f_jet.mixed_hessian())
 
 
 def normal_derivative(frame: CRFrame, f_jet: Jet):
@@ -61,44 +57,15 @@ def sub_laplacian(frame: CRFrame, u_jet: Jet):
     return 2.0 * (delta_tilde(frame, u_jet).real + n * nu)
 
 
-def z_bar_projection(db, grad, chart, nonchart):
-    """Z_betabar f = f_betabar - (rho_betabar / rho_wbar) f_wbar in the chart.
-
-    ``db`` holds the antiholomorphic derivatives f_kbar at P points, shape
-    (P, m, ...); ``grad``, ``chart`` and ``nonchart`` are the frame's rho_j
-    (P, m), chart index w (P,) and nonchart indices beta (P, n).  Returns
-    shape (P, n, ...).
-    """
-    extra = (None,) * (db.ndim - 2)
-    rows = np.arange(db.shape[0])
-    gbar = np.conj(grad)
-    ratio = np.take_along_axis(gbar, nonchart, axis=1) / gbar[rows, chart][:, None]
-    out = np.take_along_axis(db, nonchart[(...,) + extra], axis=1)
-    out -= ratio[(...,) + extra] * db[rows, chart][:, None]
-    return out
-
-
-def _z_bar_components(frame: CRFrame, f_jet: Jet):
-    """Tangential antiholomorphic derivatives Z_betabar f in the chart, (..., n)."""
-    batch = frame.batch_shape
-    m, n = frame.m, frame.n
-    flat = int(np.prod(batch)) if batch else 1
-    out = z_bar_projection(
-        f_jet.dbar_gradient().reshape(flat, m), frame.grad.reshape(flat, m),
-        frame.chart.reshape(flat), frame.nonchart.reshape(flat, n),
-    )
-    return out.reshape(batch + (n,))
-
-
 def dbar_pairing(frame: CRFrame, u_jet: Jet, v_jet: Jet):
-    """Levi-inverse pairing of the tangential (0,1) parts of u and v.
+    """h^{k lbar} u_kbar conj(v_lbar): the Levi-inverse pairing of the
+    tangential (0,1) parts of u and v.
 
     Hermitian in (u, v); nonnegative on the diagonal; vanishes when u is
     holomorphic.  Realizes the squared norm |dbar_b u|^2 for u = v.
     """
-    zu = _z_bar_components(frame, u_jet)
-    zv = _z_bar_components(frame, v_jet)
-    return np.einsum("...gs,...g,...s->...", frame.levi_inv, zu, np.conj(zv))
+    return np.einsum("...kl,...k,...l->...", frame.h, u_jet.dbar_gradient(),
+                     np.conj(v_jet.dbar_gradient()))
 
 
 def log_fefferman_jet(rho_jet: Jet) -> Jet:

@@ -301,13 +301,20 @@ def _house_basis(real_dirs):
 def _monte_carlo_directions(m, samples, seed):
     """Seeded uniform unit directions in C^m, orthonormal tangent bases
     (P, 2m-1, m) of the unit sphere there, and equal weights."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((samples, 2 * m))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    raw, dirs = _random_directions(m, samples, seed)
     tangent_real = _house_basis(raw)
     du = tangent_real[..., 0::2] + 1j * tangent_real[..., 1::2]
     area = 2.0 * np.pi**m / math.factorial(m - 1)
-    return raw[:, 0::2] + 1j * raw[:, 1::2], du, np.full(samples, area / samples)
+    return dirs, du, np.full(samples, area / samples)
+
+
+def _random_directions(m, count, seed):
+    """Seeded uniform unit directions: the real (count, 2m) coordinates and
+    the same directions in C^m, (count, m)."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count, 2 * m))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw, raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
 def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
@@ -337,9 +344,6 @@ def integrate(rule: QuadratureRule, values):
 
 def points_on_surface(rho, count, seed=0, params=None):
     """Seeded random on-surface points by radial projection (count, m)."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, 2 * rho.m))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    dirs = raw[:, 0::2] + 1j * raw[:, 1::2]
+    _, dirs = _random_directions(rho.m, count, seed)
     t = project_rays(rho, params, dirs)
     return t[:, None] * dirs

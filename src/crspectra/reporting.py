@@ -249,11 +249,20 @@ class _JobContext:
         self.rho = parse(job["defining_function"], self.n)
         self.settings = QuadratureSettings(**job["quadrature"])
         self._rule = None
+        self._rule_error = None
 
     @property
     def rule(self):
+        """The job's quadrature rule, built once; a failed build is not
+        retried, its error is raised again for every later rule task."""
+        if self._rule_error is not None:
+            raise self._rule_error.with_traceback(None)
         if self._rule is None:
-            self._rule = build_quadrature(self.rho, self.settings, params=self.params)
+            try:
+                self._rule = build_quadrature(self.rho, self.settings, params=self.params)
+            except (ValidationError, NumericalError) as exc:
+                self._rule_error = exc
+                raise
         return self._rule
 
     def task_points(self, task, default_count):

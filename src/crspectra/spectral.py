@@ -15,8 +15,9 @@ Assembly: every entry of G, S and the stiffness by parts is a sum of
 point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with
 |p| + |q| <= 2 degree.  Each chunk of rule points builds one table of those
 bi-monomials and takes all moments with one matrix product against the
-per-point weights (w, the 1 + m^2 coefficients of the dbar_b pairing, and
-m^2 + m more for the stiffness by parts); the matrices are then gathered
+per-point weights (w; w h, the m^2 entries of the frame's ambient Levi
+inverse, which give both the dbar_b pairing and delta_tilde; and m more,
+n w conj(xi), for the stiffness by parts); the matrices are then gathered
 from the moments.  A chunk holds the largest power of two of points whose
 table fits in 16 MB (at least 64), so chunk boundaries depend only on the
 basis and the rule.
@@ -42,7 +43,6 @@ from .errors import (
     NoPositiveEigenvalue,
 )
 from .frames import hermitize
-from .operators import delta_tilde_coefficients, z_bar_projection
 from .quadrature import QuadratureRule
 from .runtime import map_chunks
 
@@ -189,27 +189,21 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
 
     Every entry is a sum of point-weighted moments
     mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with |p| + |q| <= 2 degree:
-    G[u,v] = mu_1(a_u+b_v, b_u+a_v), and with T = P^T L^-1 conj(P) (P the
-    Z_betabar projection, L the Levi form)
-    S[u,v] = sum_kl b_uk b_vl mu_{T_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
-    The stiffness by parts integrates (box_b phi_u) conj(phi_v).
+    G[u,v] = mu_1(a_u+b_v, b_u+a_v), and with h the frame's ambient Levi
+    inverse (|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar))
+    S[u,v] = sum_kl b_uk b_vl mu_{h_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
+    The stiffness by parts integrates (box_b phi_u) conj(phi_v), with
+    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.
     """
     frame = rule.frame
     m, n = frame.m, frame.n
     bimon = _BiMonomials(m, 2 * basis.degree)
-    tcoef = delta_tilde_coefficients(frame) if check_ibp else None
-    eye = np.eye(m, dtype=np.complex128)
 
     def piece(sl):
         ww = rule.weights[sl]
-        count = ww.shape[0]
-        proj = z_bar_projection(np.broadcast_to(eye, (count, m, m)), frame.grad[sl],
-                                frame.chart[sl], frame.nonchart[sl])
-        T = np.einsum("pgk,pgs,psl->pkl", proj, frame.levi_inv[sl], np.conj(proj))
-        cols = [ww[:, None], ww[:, None] * T.reshape(count, m * m)]
+        cols = [ww[:, None], ww[:, None] * frame.h[sl].reshape(-1, m * m)]
         if check_ibp:
-            cols += [ww[:, None] * tcoef[sl].reshape(count, m * m),
-                     (n * ww)[:, None] * np.conj(frame.xi[sl])]
+            cols.append((n * ww)[:, None] * np.conj(frame.xi[sl]))
         return (bimon.table(rule.points[sl]) @ np.concatenate(cols, axis=1))[None]
 
     mu = map_chunks(piece, len(rule), _chunk_points(len(bimon))).sum(axis=0)
@@ -231,9 +225,9 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     Sp = np.zeros_like(G)
     for j in range(m):
         for k in range(m):
-            Sp += (a[:, j] * b[:, k])[:, None] * mu[lowered[j][k], 1 + m * m + j * m + k]
+            Sp -= (a[:, j] * b[:, k])[:, None] * mu[lowered[j][k], 1 + k * m + j]
     for k in range(m):
-        Sp += b[:, k, None] * mu[bimon.rows(p0, q0 - unit[k]), 1 + 2 * m * m + k]
+        Sp += b[:, k, None] * mu[bimon.rows(p0, q0 - unit[k]), 1 + m * m + k]
     return G, S, Sp
 
 
@@ -267,16 +261,6 @@ class SolveResult:
     dropped_dim: int
     gram_cond: float
     kernel_tol: float
-
-    def to_dict(self):
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "kernel_dim": int(self.kernel_dim),
-            "lambda1": float(self.lambda1),
-            "dropped_dim": int(self.dropped_dim),
-            "gram_cond": float(self.gram_cond),
-            "kernel_tol": float(self.kernel_tol),
-        }
 
 
 def solve(problem: SpectralProblem) -> SolveResult:

@@ -132,6 +132,23 @@ def test_special_bound_sphere_gate():
     assert report.diagnostics["r_spread"] <= 1e-10
 
 
+def test_special_bound_evaluates_rho_once(monkeypatch):
+    from crspectra.expressions import Expression
+
+    ellipsoid = parse("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1)
+    pts = points_on_surface(ellipsoid, 20, seed=3)
+    orders = []
+    original = Expression.jet
+
+    def counting(self, params, point, order):
+        orders.append(order)
+        return original(self, params, point, order)
+
+    monkeypatch.setattr(Expression, "jet", counting)
+    special_bound(ellipsoid, 1, pts)
+    assert orders == [3]
+
+
 def test_special_bound_negative_curvature_rejected():
     neg = parse("re(z1) + re(z3) - abs2(z1) + abs2(z2) + 4*abs2(z3)", 2)
     with pytest.raises(NegativeTransverseCurvature):

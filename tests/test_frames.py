@@ -9,6 +9,7 @@ from crspectra.errors import (
 )
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
+from crspectra.operators import dbar_pairing
 from crspectra.quadrature import points_on_surface
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
@@ -21,7 +22,7 @@ def test_sphere_frame_at_pole():
     assert fr.detH == pytest.approx(1.0)
     assert fr.r == pytest.approx(1.0)
     assert np.allclose(fr.xi, [1.0, 0.0])
-    assert np.allclose(fr.psi, np.eye(2))
+    assert np.allclose(fr.h, np.diag([0.0, 1.0]))
     assert int(fr.chart) == 0
     assert np.allclose(fr.levi, [[1.0]])
 
@@ -87,6 +88,49 @@ def test_chart_independence_of_scalars():
     fr1 = build_frame(SQUARED, pts, chart=1)
     assert np.max(np.abs(fr0.r - fr1.r)) < 1e-9
     assert np.max(np.abs(fr0.J - fr1.J)) < 1e-9
+
+
+def _chart_route_pairing(fr, u_jet, v_jet):
+    """Levi-inverse pairing of Z_betabar u and Z_betabar v, with Z_betabar =
+    d_betabar - (rho_betabar / rho_wbar) d_wbar in the frame's chart."""
+    rows = np.arange(fr.grad.shape[0])
+    gbar = np.conj(fr.grad)
+    ratio = np.take_along_axis(gbar, fr.nonchart, axis=1) / gbar[rows, fr.chart][:, None]
+
+    def z_bar(jet):
+        db = jet.dbar_gradient()
+        return np.take_along_axis(db, fr.nonchart, axis=1) - ratio * db[rows, fr.chart][:, None]
+
+    return np.einsum("pgs,pg,ps->p", fr.levi_inv, z_bar(u_jet), np.conj(z_bar(v_jet)))
+
+
+@pytest.mark.parametrize("chart", [None, 0], ids=["max-gradient", "chart-0"])
+@pytest.mark.parametrize(
+    "text,n,u,v",
+    [
+        ("abs2(z1)+abs2(z2)+0.2*re(z1^2)+0.3*abs2(z1)^2-1", 1,
+         "z1*conj(z2)^2+conj(z1)*z2", "conj(z1)^2-z2*conj(z2)"),
+        ("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.2*abs2(z2)^2-1", 2,
+         "z1*conj(z2)^2+conj(z3)*z2", "conj(z1)*conj(z3)-z2*conj(z2)"),
+    ],
+    ids=["n1", "n2"],
+)
+def test_ambient_levi_inverse(text, n, u, v, chart):
+    rho = parse(text, n)
+    pts = points_on_surface(rho, 60, seed=3)
+    if chart is not None:
+        pts = pts[np.abs(pts[:, chart]) > 0.3]
+    fr = build_frame(rho, pts, chart=chart)
+    h, scale = fr.h, np.max(np.abs(fr.h))
+    assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) <= 1e-14 * scale
+    assert np.max(np.abs(np.einsum("pkl,pl->pk", h, fr.grad))) <= 1e-14 * scale
+    rows = np.arange(len(pts))[:, None, None]
+    block = h[rows, fr.nonchart[:, :, None], fr.nonchart[:, None, :]]
+    assert np.array_equal(block, fr.levi_inv)
+    u_jet, v_jet = parse(u, n).jet({}, pts, 1), parse(v, n).jet({}, pts, 1)
+    want = _chart_route_pairing(fr, u_jet, v_jet)
+    got = dbar_pairing(fr, u_jet, v_jet)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_off_surface_point_rejected():

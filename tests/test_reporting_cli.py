@@ -384,6 +384,35 @@ def test_frame_error_reported_by_every_rule_task(tmp_path):
     assert [e["error"] for e in report["results"]] == ["NotStrictlyPseudoconvex"] * 3
 
 
+def test_failed_rule_built_once_per_job(tmp_path, monkeypatch):
+    from crspectra import reporting
+
+    calls = []
+    original = reporting.build_quadrature
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reporting, "build_quadrature", counting)
+    maps = ["z1", "z2", "z3"]
+    job = {
+        "dimension_n": 2,
+        "defining_function": "-(abs2(z1)+abs2(z2)+abs2(z3)-1)",
+        "quadrature": {"type": "monte_carlo", "samples": 50},
+        "tasks": [
+            {"kind": "bound_reilly", "F_maps": maps},
+            {"kind": "spectrum", "degree": 1},
+            {"kind": "bound_upper", "decomposition": {"f_maps": maps}},
+        ],
+    }
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 3
+    assert [e["error"] for e in report["results"]] == ["NotStrictlyPseudoconvex"] * 3
+    assert len({e["message"] for e in report["results"]}) == 1
+    assert len(calls) == 1
+
+
 def test_verify_takes_no_options(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--resolution", "16"])

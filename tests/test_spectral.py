@@ -3,7 +3,6 @@ import pytest
 
 from crspectra.errors import CholeskyFailure, IllConditionedGram, NoPositiveEigenvalue
 from crspectra.expressions import parse
-from crspectra.operators import delta_tilde_coefficients, z_bar_projection
 from crspectra.quadrature import QuadratureSettings, build_quadrature
 from crspectra.spectral import (
     MAX_DEGREE,
@@ -152,9 +151,23 @@ def _direct_monomial(z, a, b, da=None, db=None):
     return factor * np.prod(z ** a, axis=1) * np.prod(np.conj(z) ** b, axis=1)
 
 
+def _chart_levi_inverse(frame):
+    """P^T L^-1 conj(P) with P the chart projection Z_betabar = d_betabar -
+    (rho_betabar / rho_wbar) d_wbar: the frame's h by an independent route."""
+    count, m, n = frame.grad.shape[0], frame.m, frame.n
+    rows = np.arange(count)
+    gbar = np.conj(frame.grad)
+    ratio = np.take_along_axis(gbar, frame.nonchart, axis=1) / gbar[rows, frame.chart][:, None]
+    proj = np.zeros((count, n, m), dtype=complex)
+    proj[rows[:, None], np.arange(n)[None, :], frame.nonchart] = 1.0
+    proj[rows, :, frame.chart] -= ratio
+    return np.einsum("pgk,pgs,psl->pkl", proj, frame.levi_inv, np.conj(proj))
+
+
 def _dense_reference(rule, basis):
     """G, S and the stiffness by parts from the basis values, dbar_k and
-    d_j dbar_k at every rule point, each monomial evaluated by plain powers."""
+    d_j dbar_k at every rule point, each monomial evaluated by plain powers;
+    the Levi inverse comes from the chart projection, not from frame.h."""
     z, w, frame = rule.points, rule.weights, rule.frame
     m, n = frame.m, frame.n
     pairs = list(zip(basis.holo, basis.anti))
@@ -163,18 +176,17 @@ def _dense_reference(rule, basis):
         np.stack([_direct_monomial(z, a, b, db=k) for a, b in pairs], axis=1)
         for k in range(m)
     ], axis=1)
-    zb = z_bar_projection(dbar, frame.grad, frame.chart, frame.nonchart)
+    h = _chart_levi_inverse(frame)
     gram = (values * w[:, None]).T @ np.conj(values)
     stiffness = sum(
-        (zb[:, g] * (w * frame.levi_inv[:, g, s])[:, None]).T @ np.conj(zb[:, s])
-        for g in range(n) for s in range(n)
+        (dbar[:, k] * (w * h[:, k, l])[:, None]).T @ np.conj(dbar[:, l])
+        for k in range(m) for l in range(m)
     )
-    tcoef = delta_tilde_coefficients(frame)
     box = n * np.einsum("pk,pkb->pb", np.conj(frame.xi), dbar)
     for j in range(m):
         for k in range(m):
             mixed = np.stack([_direct_monomial(z, a, b, da=j, db=k) for a, b in pairs], axis=1)
-            box += tcoef[:, j, k, None] * mixed
+            box -= h[:, k, j, None] * mixed
     by_parts = (box * w[:, None]).T @ np.conj(values)
     return gram, stiffness, by_parts
 
