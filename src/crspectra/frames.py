@@ -5,12 +5,15 @@ leading batch axis, and all invariant checks run vectorized.  Matrix algebra
 for sizes 2 and 3 uses explicit cofactor formulas, which keeps the whole
 construction exact arithmetic (no pivoting, bit-reproducible).
 
-The frame carries the ambient Levi inverse h = psi^-1 - conj(xi) xi^T, with
-psi = rho_{j kbar} + (1 - r) rho_j rho_kbar.  It annihilates drho on both
-sides, so operators pair (0,1) gradients in the coordinates of C^m,
-|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar), and the chart enters only
-through the Levi form itself (``chart_projection``), whose inverse
-``levi_inv`` is the nonchart block of h.
+The frame needs no local coordinates on M: every quantity lives in the
+coordinates of C^m.  With psi = rho_{j kbar} + (1 - r) rho_j rho_kbar,
+psi conj(xi) = drho and psi equals the Levi form on ker drho, so psi is
+congruent to diag(Levi, 1).  M is therefore strictly pseudoconvex exactly
+where psi is positive definite, which Sylvester's criterion tests on the
+leading principal minors of psi (the size-m minor is det psi = J).  The
+frame carries the ambient Levi inverse h = psi^-1 - conj(xi) xi^T.  It
+annihilates drho on both sides, so operators pair (0,1) gradients in the
+coordinates of C^m, |dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar).
 """
 
 from __future__ import annotations
@@ -78,21 +81,6 @@ def small_adjugate(h):
     raise ValueError(f"small_adjugate supports sizes 1..3, got {k}")
 
 
-def hermitian_eig_bounds(h):
-    """(min, max) eigenvalue of a Hermitian (..., k, k) matrix, k in {1, 2}."""
-    k = h.shape[-1]
-    if k == 1:
-        v = h[..., 0, 0].real
-        return v, v
-    if k == 2:
-        a = h[..., 0, 0].real
-        d = h[..., 1, 1].real
-        mid = 0.5 * (a + d)
-        rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(h[..., 0, 1]) ** 2)
-        return mid - rad, mid + rad
-    raise ValueError(f"hermitian_eig_bounds supports sizes 1..2, got {k}")
-
-
 @dataclass
 class CRFrame:
     """All pointwise frame data on M; arrays carry a common batch shape."""
@@ -106,10 +94,6 @@ class CRFrame:
     r: np.ndarray            # (...) transverse curvature
     xi: np.ndarray           # (..., m) the (1,0) field with drho(xi) = 1
     h: np.ndarray            # (..., m, m) ambient Levi inverse h^{k lbar}
-    chart: np.ndarray        # (...) int, index w with max |rho_w|
-    nonchart: np.ndarray     # (..., n) int, remaining indices ascending
-    levi: np.ndarray         # (..., n, n)
-    levi_inv: np.ndarray     # (..., n, n) the nonchart block of h
 
     @property
     def m(self):
@@ -131,42 +115,6 @@ class CRFrame:
 def _worst(values, points):
     i = int(np.argmax(values))
     return values.reshape(-1)[i], points.reshape(-1, points.shape[-1])[i]
-
-
-def chart_projection(mat, grad, chart, nonchart):
-    """An (..., m, m) matrix H_{j kbar} on the chart (1,0) fields.
-
-    With Z_alpha = d_alpha - (rho_alpha / rho_w) d_w for the chart index w
-    and the nonchart indices alpha, returns the (..., n, n) matrix
-    H(Z_alpha, conj(Z_beta)); on the complex Hessian of rho this is the
-    Levi form.
-    """
-    batch = grad.shape[:-1]
-    m, n = grad.shape[-1], nonchart.shape[-1]
-    flat = int(np.prod(batch)) if batch else 1
-    rows = np.arange(flat)
-    fmat = mat.reshape(flat, m, m)
-    fgrad = grad.reshape(flat, m)
-    w = chart.reshape(flat)
-    non = nonchart.reshape(flat, n)
-
-    g_a = np.take_along_axis(fgrad, non, axis=1)                  # rho_alpha
-    g_w = fgrad[rows, w]                                           # rho_w
-    H_ab = fmat[rows[:, None, None], non[:, :, None], non[:, None, :]]
-    H_wb = fmat[rows[:, None], w[:, None], non]                    # H_{w betabar}
-    H_aw = fmat[rows[:, None], non, w[:, None]]                    # H_{alpha wbar}
-    H_ww = fmat[rows, w, w]                                        # H_{w wbar}
-
-    out = (
-        H_ab
-        - g_a[:, :, None] * H_wb[:, None, :] / g_w[:, None, None]
-        - np.conj(g_a)[:, None, :] * H_aw[:, :, None] / np.conj(g_w)[:, None, None]
-        + H_ww[:, None, None]
-        * g_a[:, :, None]
-        * np.conj(g_a)[:, None, :]
-        / (np.abs(g_w) ** 2)[:, None, None]
-    )
-    return out.reshape(batch + (n, n))
 
 
 def read_derivatives(jet: Jet):
@@ -191,11 +139,10 @@ def read_derivatives(jet: Jet):
     return jet.constant_term().real, jet.gradient(), hermitize(jet.mixed_hessian())
 
 
-def frame_from_derivatives(point, rho, grad, hess, chart=None) -> CRFrame:
+def frame_from_derivatives(point, rho, grad, hess) -> CRFrame:
     """Build the frame at ``point`` (..., m) from the value, gradient and
     Hessian of the defining function there (as from ``read_derivatives``)."""
     m = grad.shape[-1]
-    n = m - 1
     batch = grad.shape[:-1]
     points = np.broadcast_to(point, batch + (m,))
 
@@ -246,52 +193,40 @@ def frame_from_derivatives(point, rho, grad, hess, chart=None) -> CRFrame:
             f"xi from adjugate and from psi-inverse disagree by {crosscheck:.3e}"
         )
 
-    if chart is None:
-        chart_idx = np.argmax(np.abs(grad), axis=-1)
-    else:
-        chart_idx = np.broadcast_to(np.asarray(chart, dtype=np.intp), batch).copy()
-    all_idx = np.broadcast_to(np.arange(m), batch + (m,))
-    mask = all_idx != chart_idx[..., None]
-    nonchart = all_idx[mask].reshape(batch + (n,))
-
-    levi = hermitize(chart_projection(hess, grad, chart_idx, nonchart))
-
-    eig_min, _ = hermitian_eig_bounds(levi)
-    if np.min(eig_min) <= 1e-12:
-        bad = int(np.argmin(eig_min))
-        raise NotStrictlyPseudoconvex(
-            f"Levi form eigenvalue {eig_min.reshape(-1)[bad]:.3e} <= 1.0e-12 "
-            f"at {points.reshape(-1, m)[bad]}"
-        )
+    # Sylvester's criterion on psi; its size-m minor is J, checked above
+    for k in range(1, m):
+        minor = small_det(psi[..., :k, :k]).real
+        if np.min(minor) <= 1e-12:
+            val, pt = _worst(-np.atleast_1d(minor), np.atleast_2d(points.reshape(-1, m)))
+            raise NotStrictlyPseudoconvex(
+                f"leading {k}x{k} minor of psi {-val:.3e} <= 1.0e-12 at {pt}: "
+                f"the Levi form is not positive definite"
+            )
 
     h = psi_inv - np.conj(xi)[..., :, None] * xi[..., None, :]
-    flatP = int(np.prod(batch)) if batch else 1
-    rows = np.arange(flatP)
-    fnon = nonchart.reshape(flatP, n)
-    levi_inv = h.reshape(flatP, m, m)[rows[:, None, None], fnon[:, :, None], fnon[:, None, :]]
-
-    ident = np.einsum("pab,pbc->pac", levi_inv, levi.reshape(flatP, n, n))
-    ident_err = np.max(np.abs(ident - np.eye(n)))
-    if ident_err > 1e-10:
+    # diag(h psi) = 1 - conj(xi_k rho_k), since psi conj(xi) = drho
+    diag_err = np.max(np.abs(
+        np.einsum("...kl,...lk->...k", h, psi) - (1.0 - np.conj(xi * grad))
+    ))
+    if diag_err > 1e-10:
         raise InternalConsistencyError(
-            f"Levi inverse identity residual {ident_err:.3e} exceeds 1.0e-10"
+            f"Levi inverse diagonal residual {diag_err:.3e} exceeds 1.0e-10"
         )
 
     return CRFrame(
         point=np.array(points), rho=rho, grad=grad, hessian=hess, J=J, detH=detH,
-        r=r, xi=xi, h=h, chart=chart_idx, nonchart=nonchart, levi=levi,
-        levi_inv=levi_inv.reshape(batch + (n, n)),
+        r=r, xi=xi, h=h,
     )
 
 
-def frame_from_jet(jet: Jet, chart=None) -> CRFrame:
+def frame_from_jet(jet: Jet) -> CRFrame:
     """Build the frame from a jet of the defining function (order >= 2)."""
     points = np.broadcast_to(jet.point, jet.batch_shape + (jet.m,))
-    return frame_from_derivatives(points, *read_derivatives(jet), chart=chart)
+    return frame_from_derivatives(points, *read_derivatives(jet))
 
 
-def build_frame(rho, points, params=None, chart=None) -> CRFrame:
+def build_frame(rho, points, params=None) -> CRFrame:
     """Frame(s) of the hypersurface {rho = 0} at one or many ambient points."""
     points = np.asarray(points, dtype=np.complex128)
     jet = rho.jet(params, points, 2)
-    return frame_from_jet(jet, chart=chart)
+    return frame_from_jet(jet)

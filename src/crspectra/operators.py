@@ -5,10 +5,12 @@ Conventions, pinned by the unit-sphere normalization:
 * the Kohn Laplacian satisfies  box_b conj(z_k) = n conj(z_k)  on the unit
   sphere, so it is nonnegative;
 * the sub-Laplacian is  delta_b u = 2 (delta_tilde u + n N u)  on real u;
-* every operator reads the frame's ambient Levi inverse h (see ``frames``):
+* nothing here uses local coordinates on M: the operators read the
+  frame's ambient Levi inverse h (see ``frames``),
   delta_tilde f = -h^{k jbar} f_{j kbar} and
-  |dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar), in the coordinates of C^m;
-  the chart enters only through the Levi form (``ricci_tensor``);
+  |dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar) in the coordinates of C^m,
+  and the Webster Ricci tensor is an ambient m x m tensor that annihilates
+  xi (``ricci_tensor``);
 * the volume-normalized Webster scalar is  R_Theta = J^(1/(n+2)) D, where D
   is the curvature functional below.  The 1/(n+2) power is forced by
   invariance under change of defining function (J rescales with weight
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateJ, JetOrderError, NotRealValued
-from .frames import CRFrame, chart_projection, frame_from_jet, hermitize
+from .frames import CRFrame, frame_from_jet, hermitize
 from .jets import Jet, jet_space
 
 
@@ -117,12 +119,17 @@ def fefferman_det_jet(rho_jet: Jet) -> Jet:
 
 
 def ricci_tensor(frame: CRFrame, logJ_jet: Jet):
-    """Webster Ricci components in the chart coframe, shape (..., n, n)."""
-    d_ab = chart_projection(
-        logJ_jet.mixed_hessian(), frame.grad, frame.chart, frame.nonchart
-    )
-    ricci = -d_ab + (frame.n + 1) * frame.r[..., None, None] * frame.levi
-    return hermitize(ricci)
+    """Webster Ricci tensor as an ambient Hermitian matrix, shape (..., m, m).
+
+    Pi^T (-(log J)_{j kbar} + (n+1) r rho_{j kbar}) conj(Pi) with the
+    projection Pi = I - xi drho^T onto ker drho along xi.  It annihilates xi
+    on both sides; on (1,0) fields Z, W tangent to M (drho(Z) = 0) its value
+    Ric(Z, conj(W)) is the Webster Ricci tensor of theta, and its h-trace
+    h^{k jbar} Ric_{j kbar} is R_theta.
+    """
+    ric = -logJ_jet.mixed_hessian() + (frame.n + 1) * frame.r[..., None, None] * frame.hessian
+    proj = np.eye(frame.m) - frame.xi[..., :, None] * frame.grad[..., None, :]
+    return hermitize(np.einsum("...ja,...jk,...kb->...ab", proj, ric, np.conj(proj)))
 
 
 def webster_curvatures(frame: CRFrame, logJ_jet: Jet):
@@ -137,14 +144,14 @@ def webster_curvatures(frame: CRFrame, logJ_jet: Jet):
     return shared + 0.5 * db, shared - 0.5 * db - (n / (n + 1)) * grad_norm
 
 
-def curvature_quantities(rho, points, params=None, chart=None):
+def curvature_quantities(rho, points, params=None):
     """All curvature scalars at on-surface points, from one 4-jet evaluation.
 
     Returns a dict with keys r, J, detH, R_theta, D, R_Theta plus the frame.
     """
     points = np.asarray(points, dtype=np.complex128)
     jet = rho.jet(params, points, 4)
-    frame = frame_from_jet(jet, chart=chart)
+    frame = frame_from_jet(jet)
     logj = log_fefferman_jet(jet)
     rtheta, dval = webster_curvatures(frame, logj)
     n = frame.n
@@ -157,7 +164,6 @@ def curvature_quantities(rho, points, params=None, chart=None):
         "D": dval,
         "R_Theta": big_r,
         "frame": frame,
-        "logJ_jet": logj,
     }
 
 
@@ -181,8 +187,4 @@ class NormalizedDefiningFunction:
         rho_jet = self.rho.jet(self.params, points, order + 2)
         factor = (log_fefferman_jet(rho_jet) * (-1.0 / (self.n + 2))).exp()
         return factor * rho_jet.truncate(order)
-
-    def fefferman_values(self, points):
-        """J[rho_hat] at the given points (1 on M up to roundoff)."""
-        return fefferman_det_jet(self.jet(points, 2)).constant_term().real
 

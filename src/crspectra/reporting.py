@@ -312,7 +312,6 @@ def _point_table(ctx, task, with_frame_diag):
                 np.max(np.abs(np.einsum("...k,...k->...", frame.grad, frame.xi) - 1.0))
             ),
             "transverse_identity_max": float(np.max(transverse)),
-            "chart": [int(c) for c in np.atleast_1d(frame.chart)],
         }
     return result, points
 

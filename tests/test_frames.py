@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chart_oracle import ChartOracle
 from crspectra.errors import (
     DegenerateJ,
     NotOnSurface,
@@ -23,8 +24,9 @@ def test_sphere_frame_at_pole():
     assert fr.r == pytest.approx(1.0)
     assert np.allclose(fr.xi, [1.0, 0.0])
     assert np.allclose(fr.h, np.diag([0.0, 1.0]))
-    assert int(fr.chart) == 0
-    assert np.allclose(fr.levi, [[1.0]])
+    chart = ChartOracle(fr.grad, fr.hessian)
+    assert chart.chart.tolist() == [0]
+    assert np.allclose(chart.levi, [[[1.0]]])
 
 
 def test_squared_sphere_frame():
@@ -52,8 +54,9 @@ def test_normal_form_frame_at_origin():
     assert fr.J == pytest.approx(0.25)
     assert fr.detH == pytest.approx(0.0)
     assert fr.r == pytest.approx(0.0)
-    assert int(fr.chart) == 1
-    assert np.allclose(fr.levi, [[1.0]])
+    chart = ChartOracle(fr.grad, fr.hessian)
+    assert chart.chart.tolist() == [1]
+    assert np.allclose(chart.levi, [[[1.0]]])
     assert np.allclose(fr.xi, [0.0, -2.0j])
 
 
@@ -64,7 +67,11 @@ def test_frame_invariants_generic_points():
     assert np.max(np.abs(pair - 1.0)) < 1e-12
     trans = np.einsum("pj,pjk->pk", fr.xi, fr.hessian) - fr.r[:, None] * np.conj(fr.grad)
     assert np.max(np.abs(trans)) < 1e-10
-    ident = np.einsum("pab,pbc->pac", fr.levi_inv, fr.levi)
+    # the nonchart block of h inverts the Levi form of the chart fields
+    chart = ChartOracle(fr.grad, fr.hessian)
+    rows = np.arange(len(pts))[:, None, None]
+    block = fr.h[rows, chart.nonchart[:, :, None], chart.nonchart[:, None, :]]
+    ident = np.einsum("pab,pbc->pac", block, chart.levi)
     assert np.max(np.abs(ident - np.eye(fr.n))) < 1e-10
 
 
@@ -80,28 +87,23 @@ def test_reeb_and_normal_fields():
     assert np.max(np.abs(t_rho)) < 1e-12         # T rho = 0
 
 
-def test_chart_independence_of_scalars():
+@pytest.mark.parametrize("chart", [0, 1])
+def test_chart_oracle_matches_ambient_levi_inverse(chart):
+    # the Levi inverse lifted through either chart is the one ambient h
     pts = points_on_surface(SQUARED, 30, seed=21)
     keep = (np.abs(pts[:, 0]) > 0.35) & (np.abs(pts[:, 1]) > 0.35)
     pts = pts[keep]
-    fr0 = build_frame(SQUARED, pts, chart=0)
-    fr1 = build_frame(SQUARED, pts, chart=1)
-    assert np.max(np.abs(fr0.r - fr1.r)) < 1e-9
-    assert np.max(np.abs(fr0.J - fr1.J)) < 1e-9
+    fr = build_frame(SQUARED, pts)
+    lifted = ChartOracle(fr.grad, fr.hessian, chart).ambient_levi_inverse()
+    assert np.max(np.abs(lifted - fr.h)) < 1e-9
 
 
-def _chart_route_pairing(fr, u_jet, v_jet):
+def _chart_route_pairing(oracle, u_jet, v_jet):
     """Levi-inverse pairing of Z_betabar u and Z_betabar v, with Z_betabar =
-    d_betabar - (rho_betabar / rho_wbar) d_wbar in the frame's chart."""
-    rows = np.arange(fr.grad.shape[0])
-    gbar = np.conj(fr.grad)
-    ratio = np.take_along_axis(gbar, fr.nonchart, axis=1) / gbar[rows, fr.chart][:, None]
-
-    def z_bar(jet):
-        db = jet.dbar_gradient()
-        return np.take_along_axis(db, fr.nonchart, axis=1) - ratio * db[rows, fr.chart][:, None]
-
-    return np.einsum("pgs,pg,ps->p", fr.levi_inv, z_bar(u_jet), np.conj(z_bar(v_jet)))
+    d_betabar - (rho_betabar / rho_wbar) d_wbar in the oracle's chart."""
+    z_bar_u = np.einsum("pgk,pk->pg", np.conj(oracle.fields), u_jet.dbar_gradient())
+    z_bar_v = np.einsum("pgk,pk->pg", np.conj(oracle.fields), v_jet.dbar_gradient())
+    return np.einsum("pgs,pg,ps->p", oracle.levi_inv, z_bar_u, np.conj(z_bar_v))
 
 
 @pytest.mark.parametrize("chart", [None, 0], ids=["max-gradient", "chart-0"])
@@ -120,15 +122,16 @@ def test_ambient_levi_inverse(text, n, u, v, chart):
     pts = points_on_surface(rho, 60, seed=3)
     if chart is not None:
         pts = pts[np.abs(pts[:, chart]) > 0.3]
-    fr = build_frame(rho, pts, chart=chart)
+    fr = build_frame(rho, pts)
+    oracle = ChartOracle(fr.grad, fr.hessian, chart)
     h, scale = fr.h, np.max(np.abs(fr.h))
     assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) <= 1e-14 * scale
     assert np.max(np.abs(np.einsum("pkl,pl->pk", h, fr.grad))) <= 1e-14 * scale
     rows = np.arange(len(pts))[:, None, None]
-    block = h[rows, fr.nonchart[:, :, None], fr.nonchart[:, None, :]]
-    assert np.array_equal(block, fr.levi_inv)
+    block = h[rows, oracle.nonchart[:, :, None], oracle.nonchart[:, None, :]]
+    assert np.max(np.abs(block - oracle.levi_inv)) <= 1e-14 * scale
     u_jet, v_jet = parse(u, n).jet({}, pts, 1), parse(v, n).jet({}, pts, 1)
-    want = _chart_route_pairing(fr, u_jet, v_jet)
+    want = _chart_route_pairing(oracle, u_jet, v_jet)
     got = dbar_pairing(fr, u_jet, v_jet)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -35,11 +35,14 @@ def mostly(valid):
 
 SPHERE_N1 = "abs2(z1)+abs2(z2)-1"
 SPHERE_N2 = "abs2(z1)+abs2(z2)+abs2(z3)-1"
+# J = 1 > 0 and a negative definite Levi form: fails the pseudoconvexity test
+FLIPPED_N2 = "-(abs2(z1)+abs2(z2)+abs2(z3)-1)"
 EXPRESSIONS = st.sampled_from([
     SPHERE_N1,
     SPHERE_N2,
     "abs2(z1)+abs2(z2)+a*re(z1^2)-1",     # needs params["a"]
-    "-(abs2(z1)+abs2(z2)-1)",              # not pseudoconvex: a numerical failure
+    "-(abs2(z1)+abs2(z2)-1)",              # J < 0: a numerical failure
+    FLIPPED_N2,
     "abs2(z1)+abs2(z2)-1+0.01*i*re(z1)",  # not real-valued
     "abs2(z1",
 ])
@@ -157,6 +160,8 @@ def _job(tasks, **fields):
                     "decomposition": {"f_maps": ["z1", "z2"], "psi": ""}}]))
 @example(job=_job([{"kind": "bound_reilly", "F_maps": ["z1", "z2"]}],
                   defining_function="-(abs2(z1)+abs2(z2)-1)"))
+@example(job=_job([{"kind": "invariants", "points": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}],
+                  dimension_n=2, defining_function=FLIPPED_N2))
 def test_any_job_dict_ends_in_an_exit_code(tmp_path, job):
     try:
         report, code = run_job_data(job, base_dir=tmp_path)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from crspectra.errors import DegenerateJ
+from chart_oracle import ChartOracle
+from crspectra.errors import DegenerateJ, InternalConsistencyError, NotStrictlyPseudoconvex
 from crspectra.expressions import parse
-from crspectra.frames import build_frame
+from crspectra.frames import build_frame, read_derivatives
 from crspectra.operators import (
     NormalizedDefiningFunction,
     curvature_quantities,
@@ -123,16 +126,17 @@ def test_fefferman_scaling_multilinearity():
 
 
 def test_ricci_sphere_is_multiple_of_levi():
-    # log J vanishes identically, so the Ricci tensor is (n+1) r h; in the
-    # chart coframe h is the identity exactly at the coordinate poles
+    # log J vanishes identically, so the Ricci tensor is (n+1) r times the
+    # Levi form; at the pole (1, 0) the tangent (1,0) space is spanned by e_2
     pts = points_on_surface(SPHERE, 10, seed=14)
     fr = build_frame(SPHERE, pts)
     logj = log_fefferman_jet(SPHERE.jet({}, pts, 4))
     ric = ricci_tensor(fr, logj)
-    assert np.max(np.abs(ric - 2.0 * fr.levi)) < 1e-10
+    chart = ChartOracle(fr.grad, fr.hessian)
+    assert np.max(np.abs(chart.project(ric) - 2.0 * chart.levi)) < 1e-10
     pole = build_frame(SPHERE, [1.0, 0.0])
     ric0 = ricci_tensor(pole, log_fefferman_jet(SPHERE.jet({}, np.array([1.0, 0.0], dtype=complex), 4)))
-    assert np.max(np.abs(ric0 - 2.0 * np.eye(1))) < 1e-12
+    assert np.max(np.abs(ric0 - 2.0 * np.diag([0.0, 1.0]))) < 1e-12
 
 
 def test_ricci_trace_matches_webster_scalar():
@@ -140,7 +144,7 @@ def test_ricci_trace_matches_webster_scalar():
     fr = build_frame(ELLIPSOID, pts)
     logj = log_fefferman_jet(ELLIPSOID.jet({}, pts, 4))
     ric = ricci_tensor(fr, logj)
-    trace = np.einsum("pba,pab->p", fr.levi_inv, ric).real
+    trace = np.einsum("pba,pab->p", fr.h, ric).real
     scal, _ = webster_curvatures(fr, logj)
     assert np.max(np.abs(trace - scal)) < 1e-9
     herm = np.max(np.abs(ric - np.conj(np.swapaxes(ric, -1, -2))))
@@ -199,7 +203,7 @@ def test_first_normalization_fixed_point_and_unit_j():
 
     nd2 = NormalizedDefiningFunction(SQUARED)
     pts2 = points_on_surface(SQUARED, 50, seed=20)
-    vals = nd2.fefferman_values(pts2)
+    vals = fefferman_det_jet(nd2.jet(pts2, 2)).constant_term().real
     assert np.max(np.abs(vals - 1.0)) < 1e-9
 
 
@@ -212,20 +216,96 @@ def test_frame_j_matches_fefferman_jet_constant():
     assert np.max(np.abs(fr.J - jj.constant_term().real)) < 1e-12
 
 
-def test_chart_independence_of_operator_scalars():
+@pytest.mark.parametrize("chart", [0, 1])
+def test_chart_oracle_matches_ambient_operator_scalars(chart):
+    # the chart route: R_theta is the trace of the chart Ricci tensor, and the
+    # operators read the Levi inverse lifted through the chart fields
     pts = points_on_surface(SQUARED, 30, seed=31)
     keep = (np.abs(pts[:, 0]) > 0.35) & (np.abs(pts[:, 1]) > 0.35)
     pts = pts[keep]
-    q0 = curvature_quantities(SQUARED, pts, chart=0)
-    q1 = curvature_quantities(SQUARED, pts, chart=1)
-    for key in ("R_theta", "D", "R_Theta"):
-        assert np.max(np.abs(q0[key] - q1[key])) < 1e-9, key
+    q = curvature_quantities(SQUARED, pts)
+    fr, n = q["frame"], 1
+    oracle = ChartOracle(fr.grad, fr.hessian, chart)
+    via_chart = dataclasses.replace(fr, h=oracle.ambient_levi_inverse())
+    logj = log_fefferman_jet(SQUARED.jet({}, pts, 4))
+    r_theta = np.einsum("pba,pab->p", oracle.levi_inv, oracle.ricci(logj, fr.r)).real
+    d = (r_theta - sub_laplacian(via_chart, logj)
+         - n / (n + 1) * dbar_pairing(via_chart, logj, logj).real)
+    want = {"R_theta": r_theta, "D": d, "R_Theta": fr.J ** (1.0 / (n + 2)) * d}
+    for key, value in want.items():
+        assert np.max(np.abs(q[key] - value)) < 1e-9, key
     u = parse("abs2(z1)-abs2(z2)+re(z1*conj(z2))", 1)
     f = parse("z1*conj(z2)^2", 1)
     for jets, op in ((u, sub_laplacian), (f, kohn_laplacian)):
-        v0 = op(q0["frame"], jets.jet({}, pts, 2))
-        v1 = op(q1["frame"], jets.jet({}, pts, 2))
-        assert np.max(np.abs(v0 - v1)) < 1e-9
+        jet = jets.jet({}, pts, 2)
+        assert np.max(np.abs(op(fr, jet) - op(via_chart, jet))) < 1e-9
+
+
+def _random_quadric(n):
+    """z^T A conj(z) + c |z1|^4 - K with A = a + i b Hermitian; the entries
+    of A, c and K are parameters."""
+    m = n + 1
+    terms = [f"a{j}{j}*abs2(z{j})" for j in range(1, m + 1)]
+    terms += [
+        f"2*(a{j}{k}*re(z{j}*conj(z{k}))-b{j}{k}*im(z{j}*conj(z{k})))"
+        for j in range(1, m + 1) for k in range(j + 1, m + 1)
+    ]
+    return parse("+".join(terms) + "+c*abs2(z1)^2-K", n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pseudoconvexity_and_ricci_on_random_quadrics(n):
+    # each draw puts a random point p on a random quadric; A has a random
+    # signature, so Levi forms of every signature occur, and at n = 2 the
+    # negative definite ones have J > 0 and reach the pseudoconvexity test
+    m = n + 1
+    rho = _random_quadric(n)
+    names = sorted(rho.parameters() - {"K"})
+    rng = np.random.default_rng(n)
+    verdicts = []
+    for _ in range(200):
+        params = {name: rng.normal() for name in names}
+        p = rng.normal(size=(1, m)) + 1j * rng.normal(size=(1, m))
+        params["K"] = float(rho.value({**params, "K": 0.0}, p).real[0])
+        jet = rho.jet(params, p, 4)
+        _, grad, hess = read_derivatives(jet)
+        levi_min = np.min(np.linalg.eigvalsh(ChartOracle(grad, hess).levi))
+        try:
+            fr = build_frame(rho, p, params)
+        except DegenerateJ:
+            continue
+        except InternalConsistencyError:
+            # the frame's exact-arithmetic checks refuse a few points where r
+            # is large and psi = rho_{j kbar} + (1 - r) rho_j rho_kbar is ill
+            # conditioned; they reach no verdict
+            continue
+        except NotStrictlyPseudoconvex:
+            verdicts.append((levi_min, False))
+            continue
+        verdicts.append((levi_min, True))
+
+        # each check is relative to the size of the terms it sums
+        logj = log_fefferman_jet(jet)
+        ric = ricci_tensor(fr, logj)
+        full = -logj.mixed_hessian() + (n + 1) * fr.r[..., None, None] * fr.hessian
+        proj = np.eye(m) - fr.xi[..., :, None] * fr.grad[..., None, :]
+        scale = np.max(np.abs(proj)) ** 2 * np.max(np.abs(full))
+        xi_scale = np.max(np.abs(fr.xi)) * scale
+        assert np.max(np.abs(np.einsum("pa,pab->pb", fr.xi, ric))) <= 1e-12 * xi_scale
+        assert np.max(np.abs(np.einsum("pab,pb->pa", ric, np.conj(fr.xi)))) <= 1e-12 * xi_scale
+        for chart in range(m):
+            oracle = ChartOracle(grad, hess, chart)
+            want = oracle.ricci(logj, fr.r)
+            chart_scale = np.max(np.abs(oracle.fields)) ** 2 * scale
+            assert np.max(np.abs(oracle.project(ric) - want)) <= 1e-12 * chart_scale
+        r_theta, _ = webster_curvatures(fr, logj)
+        trace = np.einsum("pba,pab->p", fr.h, ric).real
+        assert np.max(np.abs(trace - r_theta)) <= 1e-12 * np.max(np.abs(fr.h)) * scale
+
+    assert all((levi_min > 0.0) == built for levi_min, built in verdicts)
+    assert sum(built for _, built in verdicts) >= 20
+    if n == 2:
+        assert sum(not built for _, built in verdicts) >= 20
 
 
 def _laplace_det(rows):
@@ -302,5 +382,5 @@ def test_log_fefferman_jet_rejects_nonpositive_j(order):
 
 def test_first_normalization_unit_j_n2():
     pts = points_on_surface(QUARTIC, 40, seed=21)
-    vals = NormalizedDefiningFunction(QUARTIC).fefferman_values(pts)
+    vals = fefferman_det_jet(NormalizedDefiningFunction(QUARTIC).jet(pts, 2)).constant_term().real
     assert np.max(np.abs(vals - 1.0)) < 1e-10

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chart_oracle import ChartOracle
 from crspectra.errors import CholeskyFailure, IllConditionedGram, NoPositiveEigenvalue
 from crspectra.expressions import parse
 from crspectra.quadrature import QuadratureSettings, build_quadrature
@@ -151,23 +152,10 @@ def _direct_monomial(z, a, b, da=None, db=None):
     return factor * np.prod(z ** a, axis=1) * np.prod(np.conj(z) ** b, axis=1)
 
 
-def _chart_levi_inverse(frame):
-    """P^T L^-1 conj(P) with P the chart projection Z_betabar = d_betabar -
-    (rho_betabar / rho_wbar) d_wbar: the frame's h by an independent route."""
-    count, m, n = frame.grad.shape[0], frame.m, frame.n
-    rows = np.arange(count)
-    gbar = np.conj(frame.grad)
-    ratio = np.take_along_axis(gbar, frame.nonchart, axis=1) / gbar[rows, frame.chart][:, None]
-    proj = np.zeros((count, n, m), dtype=complex)
-    proj[rows[:, None], np.arange(n)[None, :], frame.nonchart] = 1.0
-    proj[rows, :, frame.chart] -= ratio
-    return np.einsum("pgk,pgs,psl->pkl", proj, frame.levi_inv, np.conj(proj))
-
-
 def _dense_reference(rule, basis):
     """G, S and the stiffness by parts from the basis values, dbar_k and
     d_j dbar_k at every rule point, each monomial evaluated by plain powers;
-    the Levi inverse comes from the chart projection, not from frame.h."""
+    the Levi inverse comes from the chart oracle, not from frame.h."""
     z, w, frame = rule.points, rule.weights, rule.frame
     m, n = frame.m, frame.n
     pairs = list(zip(basis.holo, basis.anti))
@@ -176,7 +164,7 @@ def _dense_reference(rule, basis):
         np.stack([_direct_monomial(z, a, b, db=k) for a, b in pairs], axis=1)
         for k in range(m)
     ], axis=1)
-    h = _chart_levi_inverse(frame)
+    h = ChartOracle(frame.grad, frame.hessian).ambient_levi_inverse()
     gram = (values * w[:, None]).T @ np.conj(values)
     stiffness = sum(
         (dbar[:, k] * (w * h[:, k, l])[:, None]).T @ np.conj(dbar[:, l])
