@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .expressions import Expression, parse
 from .frames import CRFrame, build_frame, frame_from_jet
-from .jets import MAX_ORDER, Jet, jet_space, jet_variable
+from .jets import MAX_ORDER, Jet, jet_space
 from .operators import (
     curvature_quantities,
     dbar_pairing,

@@ -18,8 +18,9 @@ the recursive evaluators and printer stay within Python's recursion limit.
 
 ``Expression.jet`` runs a program lowered once per variable count and order
 and cached on the expression: a flat list of jet ops, each holding only the
-rows of its static support (the terms the tree lets be nonzero).  Products
-of ``Jet`` objects outside expressions are full dense convolutions.
+rows of its static support (the terms the tree lets be nonzero).  Its
+products and series compositions run the kernel of ``jets`` on those
+supports, the one that ``Jet`` products and ``Jet.exp`` run on full ones.
 ``Expression.value`` is a separate plain complex evaluator: it also accepts a
 complex ``log``/``pow`` base, which jets refuse.
 """
@@ -41,9 +42,11 @@ from .errors import (
 from .jets import (
     Jet,
     exp_series,
+    horner,
     jet_space,
     log_series,
     pow_series,
+    product,
     reciprocal_series,
 )
 
@@ -341,8 +344,6 @@ def _is_real(node):
     if isinstance(node, Call):
         if node.name in ("re", "im", "abs2"):
             return True
-        if node.name == "pow":
-            return _is_real(node.args[0])
         return _is_real(node.args[0])
     raise TypeError(f"unknown node {node!r}")
 
@@ -365,19 +366,16 @@ def _is_holomorphic(node):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _param_names(node, out):
-    if isinstance(node, Param):
-        out.add(node.name)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        _param_names(node.left, out)
-        _param_names(node.right, out)
-    elif isinstance(node, Neg):
-        _param_names(node.arg, out)
-    elif isinstance(node, PowInt):
-        _param_names(node.base, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _param_names(a, out)
+def _param_names(root):
+    """Names of the parameters in the tree, collected without recursion."""
+    names = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Param):
+            names.add(node.name)
+        stack.extend(_children(node))
+    return names
 
 
 # --- printer -------------------------------------------------------------
@@ -615,31 +613,13 @@ class _JetProgram:
         src = [at[int(perm[t])] for t in support]
         return self._emit(lambda x: np.conj(x[src]), (a,), support, self.reals[a])
 
-    def _product_plan(self, sa, sb):
-        """The pairs of a product of jets with supports ``sa`` and ``sb``:
-        row positions in each factor, the first pair of each output term,
-        and the product's support; None when no pair is left."""
-        n = self.space.n_terms
-        i1, i2, out = self.space.mul_table()
-        pos_a = np.full(n, -1, dtype=np.intp)
-        pos_a[list(sa)] = np.arange(len(sa))
-        pos_b = np.full(n, -1, dtype=np.intp)
-        pos_b[list(sb)] = np.arange(len(sb))
-        keep = (pos_a[i1] >= 0) & (pos_b[i2] >= 0)
-        if not keep.any():
-            return None
-        ko = out[keep]
-        starts = np.flatnonzero(np.diff(ko, prepend=-1))
-        pa, pb = _row_selector(pos_a[i1[keep]]), _row_selector(pos_b[i2[keep]])
-        return pa, pb, starts, ko[starts].tolist()
-
     def _mul(self, a, b):
-        pa, pb, starts, support = self._product_plan(self.supports[a], self.supports[b])
-        return self._emit(lambda x, y: _product(x, y, pa, pb, starts), (a, b),
-                          support, self.reals[a] and self.reals[b])
+        plan = self.space.product_plan(self.supports[a], self.supports[b])
+        return self._emit(lambda x, y: product(x, y, plan), (a, b),
+                          plan[3], self.reals[a] and self.reals[b])
 
     def _pow_int(self, a, k):
-        """Repeated squaring, as ``Jet.pow_int``."""
+        """a^k by repeated squaring (through the reciprocal for k < 0)."""
         if k < 0:
             return self._pow_int(self._reciprocal(a), -k)
         if k == 0:
@@ -658,52 +638,12 @@ class _JetProgram:
         return self._series(a, lambda c: reciprocal_series(c, order), self.reals[a])
 
     def _series(self, a, coefficients, real):
-        """f(a) as sum_k series[k] (a - a0)^k by Horner's rule, as ``Jet._horner``,
-        where ``coefficients(a0)`` checks a0 and returns the series."""
-        sa = self.supports[a]  # every support holds the constant term 0 first
-        sh = sa[1:]
-        support, plans = (0,), []
-        for _ in range(self.space.order):
-            plan = self._product_plan(support, sh) if sh else None
-            plans.append(plan)
-            support = (0,) if plan is None else (0,) + tuple(plan[3])
-
-        def horner(x):
-            series = coefficients(x[0])
-            h = x[1:]
-            acc = _constant_row(series[-1])
-            for k, plan in zip(range(len(series) - 2, -1, -1), plans):
-                if plan is None:
-                    acc = _constant_row(series[k])
-                else:
-                    pa, pb, starts, _ = plan
-                    acc = np.concatenate(
-                        [_constant_row(series[k]), _product(acc, h, pa, pb, starts)]
-                    )
-            return acc
-
-        return self._emit(horner, (a,), support, real)
-
-
-def _row_selector(index):
-    """``index`` as a row selector: a view (no copy) when it takes every row
-    in order."""
-    if np.array_equal(index, np.arange(len(index))):
-        return slice(None)
-    return index
-
-
-def _constant_row(value):
-    """A value over the batch as a single row."""
-    return np.asarray(value, dtype=np.complex128)[None]
-
-
-def _product(x, y, pa, pb, starts):
-    """Rows of a product: the pairs' products summed per output term."""
-    terms = x[pa] * y[pb]
-    if len(starts) == len(terms):
-        return terms
-    return np.add.reduceat(terms, starts, axis=0)
+        """f(a) as sum_k series[k] (a - a0)^k by ``jets.horner``, where
+        ``coefficients(a0)`` checks a0 and returns the series."""
+        # every support holds the constant term 0 first
+        plans, support = self.space.series_plans(self.supports[a][1:])
+        return self._emit(lambda x: horner(coefficients(x[0]), x[1:], plans), (a,),
+                          support, real)
 
 
 def _eval_value(node, params, pts):
@@ -796,9 +736,7 @@ class Expression:
         return _is_holomorphic(self.root)
 
     def parameters(self):
-        out = set()
-        _param_names(self.root, out)
-        return out
+        return _param_names(self.root)
 
     def __str__(self):
         return _render(self.root, 1)

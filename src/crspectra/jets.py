@@ -7,14 +7,16 @@ plain truncated convolution.  Coefficient arrays may carry trailing batch
 axes: shape ``(n_terms, *batch)`` over a batch of base points, which is how
 the quadrature and assembly code evaluates thousands of points at once.
 
-Storage is dense: every jet holds all ``n_terms`` coefficients, and a
-product of two jets is the full truncated convolution over
-``JetSpace.mul_table`` (1,820 pairs at order 4 in 3 variables).  Expression
-jets do not go through these products: ``expressions`` lowers each
-expression once into a cached program over static supports (the terms the
-tree lets be nonzero), which shares ``JetSpace.mul_table`` and the series
-coefficients below.  Only operator-level jets (``exp(log J)`` and the
-volume-normalized defining function) multiply ``Jet`` objects.
+Products and series compositions run one kernel on supports, the sorted
+terms that can be nonzero: ``JetSpace.product_plan`` picks the pairs of
+``JetSpace.mul_table`` whose two factors lie in the operand supports, and
+``product`` and ``horner`` (Horner's rule on a series about the constant
+term) multiply only those pairs.  ``expressions`` lowers each expression
+once into a cached program over static supports (the terms the tree lets
+be nonzero); a ``Jet`` holds every term, and its product and ``exp`` run
+the same kernel on full supports.  A ``Jet`` is otherwise a coefficient
+container: the operator-level jets (``exp(log J)`` and the
+volume-normalized defining function) need no other arithmetic.
 
 All operations are pure; jets are immutable by convention.
 """
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import (
     DivisionByZeroJet,
-    IndexOutOfRange,
     JetOrderError,
     LogOfNonpositive,
     NotRealValued,
@@ -85,6 +86,7 @@ class JetSpace:
                 [[self.index[(ej, ek)] for ek in eye] for ej in eye], dtype=np.intp
             )
         self._mul_table = None
+        self._dense_plans = None
         self._deriv_tables = {}
 
     def mul_table(self):
@@ -107,6 +109,40 @@ class JetSpace:
             self._mul_table = (i1, i2, out)
         return self._mul_table
 
+    def product_plan(self, sa, sb):
+        """The pairs of a product of jets with supports ``sa`` and ``sb``
+        (sorted, nonempty term indices): row positions in each factor, the
+        first pair of each output term, and the product's support."""
+        i1, i2, out = self.mul_table()
+        pos_a = np.full(self.n_terms, -1, dtype=np.intp)
+        pos_a[list(sa)] = np.arange(len(sa))
+        pos_b = np.full(self.n_terms, -1, dtype=np.intp)
+        pos_b[list(sb)] = np.arange(len(sb))
+        keep = (pos_a[i1] >= 0) & (pos_b[i2] >= 0)
+        ko = out[keep]
+        starts = np.flatnonzero(np.diff(ko, prepend=-1))
+        pa, pb = _row_selector(pos_a[i1[keep]]), _row_selector(pos_b[i2[keep]])
+        return pa, pb, starts, ko[starts].tolist()
+
+    def series_plans(self, sh):
+        """The product plans of ``horner`` for a nilpotent part with support
+        ``sh`` (None for each when ``sh`` is empty), and the support of the
+        result."""
+        support, plans = (0,), []
+        for _ in range(self.order):
+            plan = self.product_plan(support, sh) if len(sh) else None
+            plans.append(plan)
+            support = (0,) if plan is None else (0,) + tuple(plan[3])
+        return plans, support
+
+    def dense_plans(self):
+        """The plans of a product and of a series on full supports."""
+        if self._dense_plans is None:
+            full = range(self.n_terms)
+            self._dense_plans = (self.product_plan(full, full),
+                                 self.series_plans(full[1:])[0])
+        return self._dense_plans
+
     def deriv_table(self, alpha, beta):
         """Gather indices + factorial multipliers for d^alpha dbar^beta."""
         key = (tuple(alpha), tuple(beta))
@@ -126,6 +162,43 @@ class JetSpace:
         return self._deriv_tables[key]
 
 
+def _row_selector(index):
+    """``index`` as a row selector: a view (no copy) when it takes every row
+    in order."""
+    if np.array_equal(index, np.arange(len(index))):
+        return slice(None)
+    return index
+
+
+def _constant_row(value):
+    """A value over the batch as a single row."""
+    return np.asarray(value, dtype=np.complex128)[None]
+
+
+def product(x, y, plan):
+    """Rows of a product, shape ``(len(support), *batch)``: the pairs of
+    ``plan`` (from ``JetSpace.product_plan``) multiplied and summed per
+    output term."""
+    pa, pb, starts, _ = plan
+    terms = x[pa] * y[pb]
+    if len(starts) == len(terms):
+        return terms
+    return np.add.reduceat(terms, starts, axis=0)
+
+
+def horner(series, h, plans):
+    """Rows of sum_k series[k] h^k by Horner's rule, where ``h`` holds the
+    rows of a nilpotent part and ``plans`` come from
+    ``JetSpace.series_plans``; series[k] are arrays over the batch."""
+    acc = _constant_row(series[-1])
+    for k, plan in zip(range(len(series) - 2, -1, -1), plans):
+        if plan is None:
+            acc = _constant_row(series[k])
+        else:
+            acc = np.concatenate([_constant_row(series[k]), product(acc, h, plan)])
+    return acc
+
+
 @lru_cache(maxsize=None)
 def jet_space(m: int, order: int) -> JetSpace:
     return JetSpace(m, order)
@@ -134,8 +207,8 @@ def jet_space(m: int, order: int) -> JetSpace:
 class Jet:
     """Truncated Taylor expansion at a (possibly batched) base point.
 
-    Coefficients are stored densely; products are full truncated
-    convolutions.
+    Coefficients are stored densely; products and ``exp`` run the shared
+    kernel on full supports.
     """
 
     __slots__ = ("space", "point", "coeffs", "is_real")
@@ -145,18 +218,6 @@ class Jet:
         self.point = np.asarray(point, dtype=np.complex128)
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         self.is_real = bool(is_real)
-
-    # --- construction ----------------------------------------------------
-
-    @classmethod
-    def constant(cls, m, point, value, order=MAX_ORDER):
-        space = jet_space(m, order)
-        point = np.asarray(point, dtype=np.complex128)
-        batch = point.shape[:-1]
-        value = np.asarray(value, dtype=np.complex128)
-        coeffs = np.zeros((space.n_terms,) + batch, dtype=np.complex128)
-        coeffs[0] = value
-        return cls(space, point, coeffs, is_real=bool(np.all(value.imag == 0.0)))
 
     @property
     def order(self):
@@ -169,14 +230,6 @@ class Jet:
     @property
     def batch_shape(self):
         return self.coeffs.shape[1:]
-
-    def copy(self, coeffs=None, is_real=None):
-        return Jet(
-            self.space,
-            self.point,
-            self.coeffs if coeffs is None else coeffs,
-            self.is_real if is_real is None else is_real,
-        )
 
     # --- coefficient access ----------------------------------------------
 
@@ -262,134 +315,25 @@ class Jet:
         ):
             raise JetOrderError("jet mismatch: operands must share the base point")
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return Jet(
-                self.space,
-                self.point,
-                self.coeffs + other.coeffs,
-                self.is_real and other.is_real,
-            )
-        return self._add_scalar(other)
-
-    __radd__ = __add__
-
-    def _add_scalar(self, s):
-        s = complex(s)
-        coeffs = self.coeffs.copy()
-        coeffs[0] = coeffs[0] + s
-        return Jet(self.space, self.point, coeffs, self.is_real and s.imag == 0.0)
-
-    def __neg__(self):
-        return Jet(self.space, self.point, -self.coeffs, self.is_real)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return Jet(
-                self.space,
-                self.point,
-                self.coeffs - other.coeffs,
-                self.is_real and other.is_real,
-            )
-        return self._add_scalar(-complex(other))
-
-    def __rsub__(self, other):
-        return (-self)._add_scalar(other)
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
-            i1, i2, out = self.space.mul_table()
-            # every term has the pair (constant, term), so the runs of the
-            # sorted output indices are the terms in order
-            starts = np.flatnonzero(np.diff(out, prepend=-1))
-            coeffs = np.add.reduceat(self.coeffs[i1] * other.coeffs[i2], starts, axis=0)
-            return Jet(
-                self.space, self.point, coeffs, self.is_real and other.is_real
-            )
+            plan, _ = self.space.dense_plans()
+            return Jet(self.space, self.point, product(self.coeffs, other.coeffs, plan),
+                       self.is_real and other.is_real)
         s = complex(other)
         return Jet(self.space, self.point, self.coeffs * s, self.is_real and s.imag == 0.0)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        s = complex(other)
-        if abs(s) < DIV_TOL:
-            raise DivisionByZeroJet("division by zero scalar")
-        return self * (1.0 / s)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, k):
-        return self.pow_int(k)
-
-    # --- series compositions -----------------------------------------------
-
-    def _nilpotent_part(self):
-        coeffs = self.coeffs.copy()
-        coeffs[0] = 0.0
-        return Jet(self.space, self.point, coeffs, self.is_real)
-
-    def _horner(self, series):
-        """Evaluate sum_k series[k] * (f - f0)^k; series[k] arrays broadcast."""
-        h = self._nilpotent_part()
-        acc = Jet.constant(self.m, self.point, series[-1], self.order)
-        for k in range(len(series) - 2, -1, -1):
-            acc = acc * h  # allocates fresh coefficients
-            acc.coeffs[0] += series[k]
-        return acc
-
-    def reciprocal(self):
-        out = self._horner(reciprocal_series(self.constant_term(), self.order))
-        out.is_real = self.is_real
-        return out
-
-    def log(self):
-        out = self._horner(log_series(self.constant_term(), self.is_real, self.order))
-        out.is_real = True
-        return out
-
     def exp(self):
-        out = self._horner(exp_series(self.constant_term(), self.order))
-        out.is_real = self.is_real
-        return out
-
-    def pow_real(self, s):
-        """f**s for real s via the binomial series; needs f real and positive."""
-        out = self._horner(
-            pow_series(self.constant_term(), self.is_real, s, self.order)
-        )
-        out.is_real = True
-        return out
-
-    def pow_int(self, k):
-        k = int(k)
-        if k < 0:
-            return self.reciprocal().pow_int(-k)
-        result = Jet.constant(self.m, self.point, np.ones(self.batch_shape), self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def real_part(self):
-        out = (self + self.conj()) * 0.5
-        out.is_real = True
-        return out
-
-    def imag_part(self):
-        out = (self - self.conj()) * complex(0.0, -0.5)
-        out.is_real = True
-        return out
+        """exp(f) by Horner's rule on the series of exp about f's constant term."""
+        _, plans = self.space.dense_plans()
+        # a lone point runs as a batch of one, as in expression programs, so
+        # each point's jet does not depend on the batch it comes in
+        flat = self.coeffs.reshape(self.space.n_terms, -1)
+        coeffs = horner(exp_series(flat[0], self.order), flat[1:], plans)
+        return Jet(self.space, self.point, coeffs.reshape(self.coeffs.shape), self.is_real)
 
     def hermitized(self):
         """Average with its own conjugate-symmetrization and flag real.
@@ -443,36 +387,10 @@ def exp_series(c, order):
 
 def pow_series(c, is_real, s, order):
     """Binomial series of f**s for real s."""
-    c = _positive_real(c, is_real, "pow_real")
+    c = _positive_real(c, is_real, "pow")
     series = []
     binom = 1.0
     for k in range(order + 1):
         series.append(binom * c ** (s - k))
         binom *= (s - k) / (k + 1)
     return series
-
-
-def jet_variable(point, index, kind, order=MAX_ORDER):
-    """Jet of the coordinate function z_index (or conj(z_index)) at point.
-
-    ``index`` is 1-based; ``kind`` is 'holomorphic' or 'antiholomorphic'.
-    """
-    point = np.asarray(point, dtype=np.complex128)
-    m = point.shape[-1]
-    if not 1 <= index <= m:
-        raise IndexOutOfRange(f"coordinate index {index} out of range 1..{m}")
-    if kind not in ("holomorphic", "antiholomorphic"):
-        raise ValueError(f"unknown variable kind {kind!r}")
-    holo = kind == "holomorphic"
-    space = jet_space(m, order)
-    batch = point.shape[:-1]
-    coeffs = np.zeros((space.n_terms,) + batch, dtype=np.complex128)
-    value = point[..., index - 1]
-    coeffs[0] = value if holo else np.conj(value)
-    if order >= 1:
-        e = tuple(1 if j == index - 1 else 0 for j in range(m))
-        zero = (0,) * m
-        key = (e, zero) if holo else (zero, e)
-        coeffs[space.index[key]] = 1.0
-    return Jet(space, point, coeffs, is_real=False)
-

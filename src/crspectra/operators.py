@@ -170,21 +170,26 @@ def curvature_quantities(rho, points, params=None):
 class NormalizedDefiningFunction:
     """Evaluator for rho_hat = J[rho]^(-1/(n+2)) rho, with J[rho_hat] = 1 on M.
 
-    Jets are available up to order 2 (each order of rho_hat consumes two
-    extra orders of rho through the determinant).
+    It takes the signature of ``Expression.jet``, so it stands in for an
+    expression wherever a defining function is read through its jets
+    (``build_frame``, ``re_densify``).  Jets are available up to order 2
+    (each order of rho_hat consumes two extra orders of rho through the
+    determinant).
     """
 
-    def __init__(self, rho, params=None):
+    def __init__(self, rho):
         self.rho = rho
-        self.params = params
         self.n = rho.n
 
-    def jet(self, points, order=2) -> Jet:
+    @property
+    def m(self):
+        return self.n + 1
+
+    def jet(self, params, points, order) -> Jet:
         if order > 2:
             raise JetOrderError(
                 "normalized defining function jets are limited to order 2"
             )
-        rho_jet = self.rho.jet(self.params, points, order + 2)
+        rho_jet = self.rho.jet(params, points, order + 2)
         factor = (log_fefferman_jet(rho_jet) * (-1.0 / (self.n + 2))).exp()
         return factor * rho_jet.truncate(order)
-

@@ -1,6 +1,6 @@
 """Expression jets, which run a program lowered once over static supports,
-against a reference evaluator that composes the dense ``Jet`` operators along
-the tree."""
+against a reference evaluator that composes the dense reference algebra of
+``dense_jet`` along the tree."""
 
 import sys
 import threading
@@ -18,29 +18,29 @@ from crspectra.errors import (
 from crspectra.expressions import (
     Add, Call, ConjVar, Div, Literal, Mul, Neg, Param, PowInt, Sub, Var, parse,
 )
-from crspectra.jets import Jet, jet_variable
 from crspectra.verification import random_expression
+from dense_jet import DenseJet
 
 JET_ERRORS = (DivisionByZeroJet, LogOfNonpositive, NotRealValued, UnboundParameter)
 PARAMS = {"alpha": 0.7}
 
 
 def oracle(node, params, point, order):
-    """The jet of ``node`` by dense ``Jet`` arithmetic, node by node."""
+    """The jet of ``node`` by dense reference arithmetic, node by node."""
     m = point.shape[-1]
 
     def go(node):
         if isinstance(node, Literal):
-            return Jet.constant(m, point, np.full(point.shape[:-1], node.value), order)
+            return DenseJet.constant(m, point, np.full(point.shape[:-1], node.value), order)
         if isinstance(node, Param):
             if node.name not in params:
                 raise UnboundParameter(node.name)
-            return Jet.constant(m, point, np.full(point.shape[:-1],
-                                                  float(params[node.name])), order)
+            return DenseJet.constant(m, point, np.full(point.shape[:-1],
+                                                       float(params[node.name])), order)
         if isinstance(node, Var):
-            return jet_variable(point, node.index, "holomorphic", order)
+            return DenseJet.variable(point, node.index, "holomorphic", order)
         if isinstance(node, ConjVar):
-            return jet_variable(point, node.index, "antiholomorphic", order)
+            return DenseJet.variable(point, node.index, "antiholomorphic", order)
         if isinstance(node, Neg):
             return -go(node.arg)
         if isinstance(node, (Add, Sub, Mul, Div)):
@@ -58,7 +58,7 @@ def oracle(node, params, point, order):
             return base.pow_int(int(s)) if s == int(s) else base.pow_real(s)
         arg = go(node.args[0])
         if node.name == "abs2":
-            return (arg * arg.conj()).copy(is_real=True)
+            return (arg * arg.conj()).copy(True)
         return {"conj": arg.conj, "re": arg.real_part, "im": arg.imag_part,
                 "log": arg.log, "exp": arg.exp}[node.name]()
 

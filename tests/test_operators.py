@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chart_oracle import ChartOracle
+from dense_jet import DenseJet
 from crspectra.errors import DegenerateJ, InternalConsistencyError, NotStrictlyPseudoconvex
 from crspectra.expressions import parse
 from crspectra.frames import build_frame, read_derivatives
@@ -18,7 +19,13 @@ from crspectra.operators import (
     sub_laplacian,
     webster_curvatures,
 )
-from crspectra.quadrature import points_on_surface
+from crspectra.quadrature import (
+    QuadratureSettings,
+    build_quadrature,
+    points_on_surface,
+    re_densify,
+)
+from crspectra.spectral import estimate_lambda1
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
@@ -196,15 +203,26 @@ def test_super_pseudoconvexity_flag_tracks_sign():
 
 def test_first_normalization_fixed_point_and_unit_j():
     nd = NormalizedDefiningFunction(SPHERE)
+    assert (nd.n, nd.m) == (1, 2)
     pts = points_on_surface(SPHERE, 10, seed=19)
-    jet = nd.jet(pts, 2)
+    jet = nd.jet({}, pts, 2)
     base = SPHERE.jet({}, pts, 2)
     assert np.max(np.abs(jet.coeffs - base.coeffs)) < 1e-12  # J = 1 already
 
     nd2 = NormalizedDefiningFunction(SQUARED)
     pts2 = points_on_surface(SQUARED, 50, seed=20)
-    vals = fefferman_det_jet(nd2.jet(pts2, 2)).constant_term().real
+    vals = fefferman_det_jet(nd2.jet({}, pts2, 2)).constant_term().real
     assert np.max(np.abs(vals - 1.0)) < 1e-9
+
+
+def test_re_densify_with_the_normalized_defining_function():
+    # the volume-normalized structure of the squared sphere is that of the
+    # unit sphere: volume 4 pi^2 and lambda1 = 1 (the squared sphere's own
+    # structure gives 16 pi^2 and 0.5)
+    rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=16))
+    normalized = re_densify(rule, NormalizedDefiningFunction(SQUARED))
+    assert abs(normalized.volume - 4.0 * np.pi**2) < 1e-10
+    assert abs(estimate_lambda1(normalized, 3).lambda1 - 1.0) < 1e-10
 
 
 def test_frame_j_matches_fefferman_jet_constant():
@@ -326,7 +344,8 @@ def _reference_log_fefferman(rho_jet):
     are the derivative jets of rho, each truncated to the output order."""
     m, order = rho_jet.m, rho_jet.order - 2
     units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
-    rows = [[rho_jet.derivative(a, b).truncate(order) for b in units] for a in units]
+    rows = [[DenseJet.of(rho_jet.derivative(a, b).truncate(order)) for b in units]
+            for a in units]
     jj = (-_laplace_det(rows)).hermitized()
     if np.min(jj.constant_term().real) <= 1e-12:
         raise DegenerateJ("J <= 1e-12")
@@ -382,5 +401,5 @@ def test_log_fefferman_jet_rejects_nonpositive_j(order):
 
 def test_first_normalization_unit_j_n2():
     pts = points_on_surface(QUARTIC, 40, seed=21)
-    vals = fefferman_det_jet(NormalizedDefiningFunction(QUARTIC).jet(pts, 2)).constant_term().real
+    vals = fefferman_det_jet(NormalizedDefiningFunction(QUARTIC).jet({}, pts, 2)).constant_term().real
     assert np.max(np.abs(vals - 1.0)) < 1e-10
