@@ -142,6 +142,11 @@ def upper_bound(dec: Decomposition, rule: QuadratureRule) -> BoundReport:
 
     checked at 20 rule points drawn with the rule's seed to relative 1e-7.
     """
+    if not isinstance(rule.rho, Expression):
+        raise NotApplicable(
+            f"the decomposition bound needs the rule of an expression, not of a "
+            f"{type(rule.rho).__name__}: it is an identity about rho and a bound for theta"
+        )
     n, frame, params = rule.n, rule.frame, rule.params
     dec_diag = validate_decomposition(rule.rho, dec, rule.points, params=params)
     v = rule.volume

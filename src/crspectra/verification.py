@@ -5,10 +5,10 @@ pass/fail line per check and exits nonzero on any failure.  The pytest
 acceptance module asserts the same results, so the suite runs identically
 inside and outside CI.
 
-The derivative oracle here is central finite differences evaluated in
-50-digit arithmetic (mpmath).  At the pinned step 1e-3 a float64 stencil
-for a 4th-order derivative is dominated by cancellation noise (~1e-4
-relative), so high precision is what makes the 1e-5 tolerance meaningful.
+The derivative reference is Cauchy's integral formula: with z and conj(z)
+independent, an expression is holomorphic in 2m variables, and the FFT of
+its values on a small polycircle, taken by the plain value evaluator and not
+by the jets it checks, gives its Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .bounds import Decomposition, lower_bound, special_bound, upper_bound
 from .expressions import (
-    Add, Call, ConjVar, Div, Literal, Mul, Neg, Param, PowInt, Sub, Var, parse,
+    Add, Call, ConjVar, Div, Expression, Literal, Mul, Neg, Param, PowInt, Sub, Var, parse,
 )
 from .frames import build_frame
 from .operators import curvature_quantities, kohn_laplacian, sub_laplacian
@@ -42,137 +40,66 @@ class CheckResult:
     seconds: float
 
 
-# --- mpmath expression evaluation -----------------------------------------
+# --- the jet reference: Cauchy's formula by FFT -----------------------------
+
+# the polycircle: terms of order >= 8 alias onto orders <= 4 at relative
+# size ~radius^8; the rounding of the values grows by radius^-4 at order 4
+CAUCHY_RADIUS = 0.05
+CAUCHY_SAMPLES = 8
 
 
-def _eval_mp(node, params, zvals):
+def _split_conj(node, m, conj=False):
+    """The tree of ``node`` (of ``conj(node)`` when ``conj``) as a
+    holomorphic function of 2m variables (z, w), where z_{m+k} = w_k stands
+    for conj(z_k): conjugation moves down to the leaves, and the real-valued
+    calls re, im, abs2 expand through the tree of conj(a)."""
     if isinstance(node, Literal):
-        return mpmath.mpc(node.value)
+        return Literal(node.value.conjugate()) if conj else node
     if isinstance(node, Param):
-        return mpmath.mpc(params[node.name])
-    if isinstance(node, Var):
-        return zvals[node.index - 1]
-    if isinstance(node, ConjVar):
-        return mpmath.conj(zvals[node.index - 1])
+        return node
+    if isinstance(node, (Var, ConjVar)):
+        barred = isinstance(node, ConjVar) != conj
+        return Var(node.index + m if barred else node.index)
     if isinstance(node, Neg):
-        return -_eval_mp(node.arg, params, zvals)
-    if isinstance(node, Add):
-        return _eval_mp(node.left, params, zvals) + _eval_mp(node.right, params, zvals)
-    if isinstance(node, Sub):
-        return _eval_mp(node.left, params, zvals) - _eval_mp(node.right, params, zvals)
-    if isinstance(node, Mul):
-        return _eval_mp(node.left, params, zvals) * _eval_mp(node.right, params, zvals)
-    if isinstance(node, Div):
-        return _eval_mp(node.left, params, zvals) / _eval_mp(node.right, params, zvals)
+        return Neg(_split_conj(node.arg, m, conj))
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return type(node)(_split_conj(node.left, m, conj), _split_conj(node.right, m, conj))
     if isinstance(node, PowInt):
-        return _eval_mp(node.base, params, zvals) ** node.exponent
-    if isinstance(node, Call):
-        if node.name == "pow":
-            base = _eval_mp(node.args[0], params, zvals)
-            return mpmath.power(base, node.args[1].value.real)
-        arg = _eval_mp(node.args[0], params, zvals)
-        if node.name == "conj":
-            return mpmath.conj(arg)
-        if node.name == "re":
-            return mpmath.mpc(arg.real)
-        if node.name == "im":
-            return mpmath.mpc(arg.imag)
-        if node.name == "abs2":
-            return arg * mpmath.conj(arg)
-        if node.name == "log":
-            return mpmath.log(arg)
-        if node.name == "exp":
-            return mpmath.exp(arg)
+        return PowInt(_split_conj(node.base, m, conj), node.exponent)
+    a = node.args[0]
+    if node.name == "conj":
+        return _split_conj(a, m, not conj)
+    if node.name in ("pow", "log", "exp"):
+        return Call(node.name, (_split_conj(a, m, conj),) + node.args[1:])
+    # a real value is its own conjugate, so the flag drops here
+    f, fbar = _split_conj(a, m), _split_conj(a, m, True)
+    if node.name == "re":
+        return Mul(Literal(0.5), Add(f, fbar))
+    if node.name == "im":
+        return Mul(Literal(-0.5j), Sub(f, fbar))
+    if node.name == "abs2":
+        return Mul(f, fbar)
     raise TypeError(f"unknown node {node!r}")
 
 
-_CENTRAL = {
-    0: {0: Fraction(1)},
-    1: {-1: Fraction(-1, 2), 1: Fraction(1, 2)},
-    2: {-1: Fraction(1), 0: Fraction(-2), 1: Fraction(1)},
-    3: {-2: Fraction(-1, 2), -1: Fraction(1), 1: Fraction(-1), 2: Fraction(1, 2)},
-    4: {-2: Fraction(1), -1: Fraction(-4), 0: Fraction(6), 1: Fraction(-4), 2: Fraction(1)},
-}
-
-
-def _wirtinger_to_real(a, b):
-    """(d/dz)^a (d/dzbar)^b as {(px, py): complex coeff} over real partials."""
-    out = {}
-    for p1 in range(a + 1):
-        for p2 in range(b + 1):
-            px = p1 + p2
-            py = (a - p1) + (b - p2)
-            coeff = (
-                math.comb(a, p1)
-                * math.comb(b, p2)
-                * (-1j) ** (a - p1)
-                * (1j) ** (b - p2)
-                / 2 ** (a + b)
-            )
-            out[(px, py)] = out.get((px, py), 0.0) + coeff
-    return out
-
-
-def _fd_once(expr, params, point, max_order, hmp):
+def cauchy_partials(expr, params, point, max_order=4):
+    """All mixed Wirtinger partials up to max_order, {(alpha, beta): complex},
+    by Cauchy's integral formula (Lyness & Moler 1967; Fornberg 1981): the
+    FFT of the split tree's values on a polycircle about (point, conj(point))
+    gives its Taylor coefficients c, and the partial is alpha! beta! c."""
     m = expr.m
-    cache = {}
-
-    def value_at(offset):
-        if offset not in cache:
-            zs = [
-                mpmath.mpc(point[j]) + hmp * (offset[2 * j] + 1j * offset[2 * j + 1])
-                for j in range(m)
-            ]
-            cache[offset] = _eval_mp(expr.root, params, zs)
-        return cache[offset]
-
-    results = {}
-    multi = [
-        (alpha, beta)
-        for alpha in itertools.product(range(max_order + 1), repeat=m)
-        for beta in itertools.product(range(max_order + 1), repeat=m)
-        if sum(alpha) + sum(beta) <= max_order
-    ]
-    for alpha, beta in multi:
-        # expand into real-axis partials per complex variable
-        per_var = [_wirtinger_to_real(alpha[j], beta[j]) for j in range(m)]
-        total = mpmath.mpc(0)
-        for combo in itertools.product(*[pv.items() for pv in per_var]):
-            coeff = 1.0 + 0.0j
-            axis_orders = []
-            for (px, py), c in combo:
-                coeff *= c
-                axis_orders += [px, py]
-            order_total = sum(axis_orders)
-            stencils = [_CENTRAL[k].items() for k in axis_orders]
-            acc = mpmath.mpc(0)
-            for offsets in itertools.product(*stencils):
-                weight = Fraction(1)
-                for _, w in offsets:
-                    weight *= w
-                if weight == 0:
-                    continue
-                off = tuple(o for o, _ in offsets)
-                acc += mpmath.mpf(weight.numerator) / weight.denominator * value_at(off)
-            total += mpmath.mpc(coeff) * acc / hmp**order_total
-        results[(alpha, beta)] = total
-    return results
-
-
-def fd_partials(expr, params, point, max_order=4, h=1e-3, dps=40):
-    """All mixed Wirtinger partials up to max_order by central differences.
-
-    Returns {(alpha, beta): complex}.  Function values are computed in
-    ``dps``-digit arithmetic and shared across partials; one Richardson
-    step (steps h and h/2) removes the leading h^2 truncation term.
-    """
-    point = [complex(z) for z in np.asarray(point, dtype=complex)]
-    with mpmath.workdps(dps):
-        coarse = _fd_once(expr, params, point, max_order, mpmath.mpf(h))
-        fine = _fd_once(expr, params, point, max_order, mpmath.mpf(h) / 2)
-        return {
-            key: complex((4 * fine[key] - coarse[key]) / 3) for key in coarse
-        }
+    point = np.asarray(point, dtype=np.complex128)
+    circle = CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(CAUCHY_SAMPLES) / CAUCHY_SAMPLES)
+    grid = np.stack(np.meshgrid(*[circle] * (2 * m), indexing="ij"), axis=-1)
+    split = Expression(_split_conj(expr.root, m), 2 * m - 1)
+    values = split.value(params, grid + np.concatenate([point, np.conj(point)]))
+    coeffs = np.fft.fftn(values) / values.size
+    return {
+        (k[:m], k[m:]): complex(coeffs[k] * math.prod(map(math.factorial, k))
+                                / CAUCHY_RADIUS ** sum(k))
+        for k in itertools.product(range(max_order + 1), repeat=2 * m)
+        if sum(k) <= max_order
+    }
 
 
 def random_expression(rng, n):
@@ -481,23 +408,27 @@ def check_coordinate_bound_gate(ctx):
     return ok, f"condition max {cond:.2e}; value {report.value:.12f}; r spread {spread:.2e}"
 
 
+def jet_engine_cases():
+    """The 50 (expression, params, point) cases of the jet-engine check."""
+    rng = np.random.default_rng(2024)
+    # a few three-variable cases, mostly two
+    return [random_expression(rng, 2 if case % 5 == 4 else 1) for case in range(50)]
+
+
+def partial_errors(jet, reference):
+    """|jet partial - ref| / max(1, |ref|) over a {(alpha, beta): ref} reference."""
+    return [abs(complex(jet.partial(alpha, beta)) - ref) / max(1.0, abs(ref))
+            for (alpha, beta), ref in reference.items()]
+
+
 def check_jet_engine(ctx):
     """Mixed partials to order 4 of 50 random composed expressions against
-    the high-precision central-difference oracle (step 1e-3, rel 1e-5)."""
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    checked = 0
-    for case in range(50):
-        n = 2 if case % 5 == 4 else 1  # a few three-variable cases, mostly two
-        expr, params, point = random_expression(rng, n)
-        jet = expr.jet(params, point, 4)
-        fd = fd_partials(expr, params, point, max_order=4)
-        for (alpha, beta), fd_val in fd.items():
-            jet_val = complex(jet.partial(alpha, beta))
-            err = abs(jet_val - fd_val) / max(1.0, abs(fd_val))
-            worst = max(worst, err)
-            checked += 1
-    return worst <= 1e-5, f"{checked} partials over 50 expressions; worst rel err {worst:.2e}"
+    Cauchy's formula by FFT (radius 0.05, 8 samples per circle; rel 1e-5)."""
+    errors = []
+    for expr, params, point in jet_engine_cases():
+        errors += partial_errors(expr.jet(params, point, 4), cauchy_partials(expr, params, point))
+    worst = max(errors)
+    return worst <= 1e-5, f"{len(errors)} partials over 50 expressions; worst rel err {worst:.2e}"
 
 
 def check_report_determinism(ctx):
@@ -530,7 +461,7 @@ CHECKS = [
     ("operator-identities", "adjoint consistency and pointwise operator identities", check_operator_identities),
     ("decomposition-identities", "pointwise identities of the N = 2 decomposition", check_decomposition_identities),
     ("coordinate-bound-gate", "sign-condition coordinate bound on the sphere", check_coordinate_bound_gate),
-    ("jet-engine", "jet partials vs high-precision finite differences", check_jet_engine),
+    ("jet-engine", "jet partials vs Cauchy's formula by FFT", check_jet_engine),
     ("determinism", "byte-identical reports for a fixed seed", check_report_determinism),
 ]
 

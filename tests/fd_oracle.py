@@ -1,0 +1,150 @@
+"""Reference Wirtinger partials by central finite differences in 40-digit
+arithmetic (mpmath), for the tests.
+
+At the pinned step 1e-3 a float64 stencil for a 4th-order derivative is
+dominated by cancellation noise (~1e-4 relative), so high precision is what
+makes the 1e-5 tolerance meaningful.  It is an independent reference for the
+jets: it shares no code with them, nor with the Cauchy-formula reference of
+``crspectra.verification``.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+
+from crspectra.expressions import (
+    Add, Call, ConjVar, Div, Literal, Mul, Neg, Param, PowInt, Sub, Var,
+)
+
+
+def _eval_mp(node, params, zvals):
+    if isinstance(node, Literal):
+        return mpmath.mpc(node.value)
+    if isinstance(node, Param):
+        return mpmath.mpc(params[node.name])
+    if isinstance(node, Var):
+        return zvals[node.index - 1]
+    if isinstance(node, ConjVar):
+        return mpmath.conj(zvals[node.index - 1])
+    if isinstance(node, Neg):
+        return -_eval_mp(node.arg, params, zvals)
+    if isinstance(node, Add):
+        return _eval_mp(node.left, params, zvals) + _eval_mp(node.right, params, zvals)
+    if isinstance(node, Sub):
+        return _eval_mp(node.left, params, zvals) - _eval_mp(node.right, params, zvals)
+    if isinstance(node, Mul):
+        return _eval_mp(node.left, params, zvals) * _eval_mp(node.right, params, zvals)
+    if isinstance(node, Div):
+        return _eval_mp(node.left, params, zvals) / _eval_mp(node.right, params, zvals)
+    if isinstance(node, PowInt):
+        return _eval_mp(node.base, params, zvals) ** node.exponent
+    if isinstance(node, Call):
+        if node.name == "pow":
+            base = _eval_mp(node.args[0], params, zvals)
+            return mpmath.power(base, node.args[1].value.real)
+        arg = _eval_mp(node.args[0], params, zvals)
+        if node.name == "conj":
+            return mpmath.conj(arg)
+        if node.name == "re":
+            return mpmath.mpc(arg.real)
+        if node.name == "im":
+            return mpmath.mpc(arg.imag)
+        if node.name == "abs2":
+            return arg * mpmath.conj(arg)
+        if node.name == "log":
+            return mpmath.log(arg)
+        if node.name == "exp":
+            return mpmath.exp(arg)
+    raise TypeError(f"unknown node {node!r}")
+
+
+_CENTRAL = {
+    0: {0: Fraction(1)},
+    1: {-1: Fraction(-1, 2), 1: Fraction(1, 2)},
+    2: {-1: Fraction(1), 0: Fraction(-2), 1: Fraction(1)},
+    3: {-2: Fraction(-1, 2), -1: Fraction(1), 1: Fraction(-1), 2: Fraction(1, 2)},
+    4: {-2: Fraction(1), -1: Fraction(-4), 0: Fraction(6), 1: Fraction(-4), 2: Fraction(1)},
+}
+
+
+def _wirtinger_to_real(a, b):
+    """(d/dz)^a (d/dzbar)^b as {(px, py): complex coeff} over real partials."""
+    out = {}
+    for p1 in range(a + 1):
+        for p2 in range(b + 1):
+            px = p1 + p2
+            py = (a - p1) + (b - p2)
+            coeff = (
+                math.comb(a, p1)
+                * math.comb(b, p2)
+                * (-1j) ** (a - p1)
+                * (1j) ** (b - p2)
+                / 2 ** (a + b)
+            )
+            out[(px, py)] = out.get((px, py), 0.0) + coeff
+    return out
+
+
+def _fd_once(expr, params, point, max_order, hmp):
+    m = expr.m
+    cache = {}
+
+    def value_at(offset):
+        if offset not in cache:
+            zs = [
+                mpmath.mpc(point[j]) + hmp * (offset[2 * j] + 1j * offset[2 * j + 1])
+                for j in range(m)
+            ]
+            cache[offset] = _eval_mp(expr.root, params, zs)
+        return cache[offset]
+
+    results = {}
+    multi = [
+        (alpha, beta)
+        for alpha in itertools.product(range(max_order + 1), repeat=m)
+        for beta in itertools.product(range(max_order + 1), repeat=m)
+        if sum(alpha) + sum(beta) <= max_order
+    ]
+    for alpha, beta in multi:
+        # expand into real-axis partials per complex variable
+        per_var = [_wirtinger_to_real(alpha[j], beta[j]) for j in range(m)]
+        total = mpmath.mpc(0)
+        for combo in itertools.product(*[pv.items() for pv in per_var]):
+            coeff = 1.0 + 0.0j
+            axis_orders = []
+            for (px, py), c in combo:
+                coeff *= c
+                axis_orders += [px, py]
+            order_total = sum(axis_orders)
+            stencils = [_CENTRAL[k].items() for k in axis_orders]
+            acc = mpmath.mpc(0)
+            for offsets in itertools.product(*stencils):
+                weight = Fraction(1)
+                for _, w in offsets:
+                    weight *= w
+                if weight == 0:
+                    continue
+                off = tuple(o for o, _ in offsets)
+                acc += mpmath.mpf(weight.numerator) / weight.denominator * value_at(off)
+            total += mpmath.mpc(coeff) * acc / hmp**order_total
+        results[(alpha, beta)] = total
+    return results
+
+
+def fd_partials(expr, params, point, max_order=4, h=1e-3, dps=40):
+    """All mixed Wirtinger partials up to max_order by central differences.
+
+    Returns {(alpha, beta): complex}.  Function values are computed in
+    ``dps``-digit arithmetic and shared across partials; one Richardson
+    step (steps h and h/2) removes the leading h^2 truncation term.
+    """
+    point = [complex(z) for z in np.asarray(point, dtype=complex)]
+    with mpmath.workdps(dps):
+        coarse = _fd_once(expr, params, point, max_order, mpmath.mpf(h))
+        fine = _fd_once(expr, params, point, max_order, mpmath.mpf(h) / 2)
+        return {
+            key: complex((4 * fine[key] - coarse[key]) / 3) for key in coarse
+        }

@@ -21,7 +21,10 @@ from crspectra.errors import (
     NotOnSphereImage,
 )
 from crspectra.expressions import parse
-from crspectra.quadrature import QuadratureSettings, build_quadrature, points_on_surface
+from crspectra.operators import NormalizedDefiningFunction
+from crspectra.quadrature import (
+    QuadratureSettings, build_quadrature, points_on_surface, re_densify,
+)
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
@@ -79,6 +82,13 @@ def test_upper_bound_with_pluriharmonic_part():
     report = upper_bound(dec, rule)
     assert report.diagnostics["identities_ok"]
     assert report.value > 0.9
+
+
+def test_upper_bound_refuses_a_rule_of_the_normalized_defining_function():
+    rule = re_densify(build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=8)),
+                      NormalizedDefiningFunction(SPHERE))
+    with pytest.raises(NotApplicable, match="NormalizedDefiningFunction"):
+        upper_bound(_identity_dec(), rule)
 
 
 def test_invalid_decomposition_wrong_residual(sphere_rule):

@@ -11,6 +11,7 @@ from crspectra.errors import (
 from crspectra.expressions import parse
 from crspectra.jets import Jet, jet_space
 from dense_jet import DenseJet
+from fd_oracle import fd_partials
 
 
 def test_coordinate_jet_basic():
@@ -216,9 +217,6 @@ def test_derivative_shifts_and_rescales():
 
 
 def test_fourth_order_partials_match_fd_oracle_example():
-    from crspectra.expressions import parse
-    from crspectra.verification import fd_partials
-
     e = parse("exp(z1*conj(z1)+z2*conj(z2))", 1)
     pt = np.array([0.3, 0.2 - 0.1j])
     jet = e.jet({}, pt, 4)

@@ -37,12 +37,16 @@ SPHERE_N1 = "abs2(z1)+abs2(z2)-1"
 SPHERE_N2 = "abs2(z1)+abs2(z2)+abs2(z3)-1"
 # J = 1 > 0 and a negative definite Levi form: fails the pseudoconvexity test
 FLIPPED_N2 = "-(abs2(z1)+abs2(z2)+abs2(z3)-1)"
+# radius 70: Newton's clipped steps end short of the surface, and every ray
+# goes through the bisection fallback
+SPHERE_R70 = "abs2(z1)+abs2(z2)-4900"
 EXPRESSIONS = st.sampled_from([
     SPHERE_N1,
     SPHERE_N2,
     "abs2(z1)+abs2(z2)+a*re(z1^2)-1",     # needs params["a"]
     "-(abs2(z1)+abs2(z2)-1)",              # J < 0: a numerical failure
     FLIPPED_N2,
+    SPHERE_R70,
     "abs2(z1)+abs2(z2)-1+0.01*i*re(z1)",  # not real-valued
     "abs2(z1",
 ])
@@ -162,6 +166,7 @@ def _job(tasks, **fields):
                   defining_function="-(abs2(z1)+abs2(z2)-1)"))
 @example(job=_job([{"kind": "invariants", "points": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}],
                   dimension_n=2, defining_function=FLIPPED_N2))
+@example(job=_job([{"kind": "curvature", "num_points": 3}], defining_function=SPHERE_R70))
 def test_any_job_dict_ends_in_an_exit_code(tmp_path, job):
     try:
         report, code = run_job_data(job, base_dir=tmp_path)
@@ -169,3 +174,9 @@ def test_any_job_dict_ends_in_an_exit_code(tmp_path, job):
         return
     assert code in (0, 2, 3)
     canonical_json(report)  # the report is finite and serializable
+
+
+def test_points_task_on_a_radius_70_sphere_succeeds(tmp_path):
+    job = _job([{"kind": "curvature", "num_points": 3}], defining_function=SPHERE_R70)
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 0, report

@@ -56,6 +56,16 @@ def test_radial_point_single():
     assert np.allclose(p, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("radius", [70, 100])
+def test_large_spheres_project_through_the_bisection_fallback(radius):
+    # Newton's clipped steps cannot reach t = 70 from t = 1, and t = 100 is
+    # a point of the fallback's scan grid; near |z| = 100 the rounding of
+    # rho alone exceeds the 1e-12 residual bound
+    rho = parse(f"abs2(z1)+abs2(z2)-{radius * radius}", 1)
+    pts = points_on_surface(rho, 20, seed=0)
+    assert np.max(np.abs(np.linalg.norm(pts, axis=1) / radius - 1.0)) <= 1e-12
+
+
 def test_no_root_found():
     # surface bounded away from some rays: |z1|^2 |z2|^2 = const style is
     # awkward; use a shifted sphere that misses rays pointing away from it
