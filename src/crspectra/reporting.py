@@ -77,6 +77,10 @@ def _serialize(obj, out):
         out.append("}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         values = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if all(type(v) is float for v in values):
+            # a column of a point table: one join, no call per item
+            out.append("[" + ",".join(map(_format_float, values)) + "]")
+            return
         out.append("[")
         for i, v in enumerate(values):
             if i:

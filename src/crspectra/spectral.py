@@ -13,14 +13,14 @@ leading principal blocks.
 
 Assembly: every entry of G, S and the stiffness by parts is a sum of
 point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with
-|p| + |q| <= 2 degree.  Each chunk of rule points builds one table of those
-bi-monomials and takes all moments with one matrix product against the
-per-point weights (w; w h, the m^2 entries of the frame's ambient Levi
-inverse, which give both the dbar_b pairing and delta_tilde; and m more,
-n w conj(xi), for the stiffness by parts); the matrices are then gathered
-from the moments.  A chunk holds the largest power of two of points whose
-table fits in 16 MB (at least 64), so chunk boundaries depend only on the
-basis and the rule.
+|p| + |q| <= 2 degree and c one of w, w h (h the frame's ambient Levi
+inverse, which gives both the dbar_b pairing and delta_tilde) and n w
+conj(xi).  With z = x + iy these are integer combinations of real moments:
+each chunk of rule points tabulates the monomials of x_2..x_m, y_1..y_m and
+takes the real moments of each power x_1^s with one matrix product, and one
+sparse binomial map turns their sum into mu.  A chunk holds the largest
+power of two of points whose table fits in 4 MB (at least 64), so chunk
+boundaries depend only on the basis and the rule.
 
 Determinism: chunk boundaries and reduction order do not depend on the
 thread budget, so reports are bit-identical for any CR_SPECTRA_THREADS given
@@ -31,6 +31,7 @@ build may change the last bits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -51,7 +52,7 @@ MAX_DEGREE = 6
 GRAM_DROP_TOL = 1e-13       # relative; below this a direction is null on M
 GRAM_COND_TOL = 1e-12       # retained directions below this are ambiguous
 
-TABLE_BYTES = 16 << 20      # bi-monomial table of one assembly chunk
+TABLE_BYTES = 4 << 20       # real monomial table of one assembly chunk
 MIN_CHUNK = 64              # points per assembly chunk, at least
 
 
@@ -99,18 +100,16 @@ class MonomialBasis:
         return out
 
 
-class _BiMonomials:
-    """The bi-monomials z^p conj(z)^q, |p| + |q| <= degree, as table rows.
+class _Monomials:
+    """The monomials of ``nvar`` variables of degree <= ``degree``, as rows.
 
-    The variables are z_1..z_m, conj(z_1)..conj(z_m).  Rows are graded by
-    degree; segment v of the degree-t block is variable v times the rows of
-    the degree-(t-1) block whose lowest variable is >= v, which form a
-    contiguous tail of that block, so the table is built by multiplying
-    whole row slices by one variable.
+    Rows are graded by degree; segment v of the degree-t block is variable v
+    times the rows of the degree-(t-1) block whose lowest variable is >= v,
+    which form a contiguous tail of that block, so the table is built by
+    multiplying whole row slices by one variable.
     """
 
-    def __init__(self, m, degree):
-        nvar = 2 * m
+    def __init__(self, nvar, degree):
         blocks = [np.zeros((1, nvar), dtype=np.intp)]
         steps = []      # (first row, parent start, parent stop, variable)
         # start: first row of the last block; tails[v]: offset in it of the
@@ -131,6 +130,7 @@ class _BiMonomials:
             blocks.append(np.concatenate(block))
         self.exps = np.concatenate(blocks)
         self.steps = steps
+        self.ends = np.cumsum([len(b) for b in blocks])   # rows of degree <= t
         self._radix = (degree + 1) ** np.arange(nvar)
         keys = self.exps @ self._radix
         self._order = np.argsort(keys)
@@ -140,19 +140,68 @@ class _BiMonomials:
         return self.exps.shape[0]
 
     def rows(self, p, q):
-        """Rows of z^p conj(z)^q for exponent arrays p, q of shape (..., m);
-        negative exponents are clamped to 0."""
+        """Rows of the exponents [p, q], joined along the last axis; negative
+        exponents are clamped to 0."""
         keys = np.maximum(np.concatenate([p, q], axis=-1), 0) @ self._radix
         return self._order[np.searchsorted(self._sorted_keys, keys)]
 
-    def table(self, pts):
-        """Values at the points (P, m): an (N, P) complex array."""
-        variables = np.concatenate([pts.T, np.conj(pts).T])
-        out = np.empty((len(self), pts.shape[0]), dtype=np.complex128)
+    def table(self, variables):
+        """Values at the points of the variables (nvar, P): an (N, P) array."""
+        out = np.empty((len(self), variables.shape[1]), dtype=variables.dtype)
         out[0] = 1.0
         for row, lo, hi, v in self.steps:
             np.multiply(out[lo:hi], variables[v], out=out[row:row + hi - lo])
         return out
+
+
+@functools.lru_cache(maxsize=4)
+class _MomentPlan:
+    """Cached index maps of the moment assembly of the basis of (m, degree).
+
+    Block s of the real moments holds x_1^s times the ``table`` rows of degree
+    <= 2 degree - s.  ``parts``: the binomial map z^p conj(z)^q = sum_beta
+    prod_j K[p_j, q_j, beta_j] x^(p+q-beta) y^beta, split into the entries
+    (row, column, coefficient) of its real and its imaginary part; those of
+    (q, p) mirror those of (p, q), so G is Hermitian by construction.
+    """
+
+    def __init__(self, m, degree):
+        top = 2 * degree
+        self.basis = MonomialBasis.build(m, degree)
+        self.table = _Monomials(2 * m - 1, top)
+        self.offsets = np.concatenate([[0], np.cumsum(self.table.ends[::-1])])
+        bimon = _Monomials(2 * m, top)
+        self.size = len(bimon)
+
+        # K[p, q, b]: the coefficient of t^b in (1 + it)^p (1 - it)^q
+        P = np.polynomial.polynomial
+        K = np.zeros((top + 1, top + 1, 2 * top + 1), dtype=np.complex128)
+        for i, j in itertools.product(range(top + 1), repeat=2):
+            K[i, j, :i + j + 1] = P.polymul(P.polypow([1, 1j], i), P.polypow([1, -1j], j))
+        p, q = bimon.exps[:, :m], bimon.exps[:, m:]
+        row, coef = np.arange(self.size), np.ones(self.size, dtype=np.complex128)
+        beta = np.zeros((self.size, 0), dtype=np.intp)
+        for j in range(m):
+            # every entry spreads over beta_j = 0..p_j + q_j
+            reps = p[row, j] + q[row, j] + 1
+            bj = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            row = np.repeat(row, reps)
+            beta = np.column_stack([np.repeat(beta, reps, axis=0), bj])
+            coef = np.repeat(coef, reps) * K[p[row, j], q[row, j], bj]
+            row, beta, coef = row[coef != 0], beta[coef != 0], coef[coef != 0]
+        alpha = p[row] + q[row] - beta
+        col = self.offsets[alpha[:, 0]] + self.table.rows(alpha[:, 1:], beta)
+        self.parts = [(row[c != 0], col[c != 0], c[c != 0]) for c in (coef.real, coef.imag)]
+
+        a, b = self.basis.holo, self.basis.anti
+        unit = np.eye(m, dtype=np.intp)
+        p0 = a[:, None, :] + b[None, :, :]
+        q0 = b[:, None, :] + a[None, :, :]
+        self.gram_rows = bimon.rows(p0, q0)
+        # lowered[j][k]: rows of the exponents (a_u+b_v-e_j, b_u+a_v-e_k)
+        self.lowered = [[bimon.rows(p0 - unit[j], q0 - unit[k]) for k in range(m)]
+                        for j in range(m)]
+        self.ibp_rows = [bimon.rows(p0, q0 - unit[k]) for k in range(m)]
 
 
 @dataclass
@@ -177,9 +226,9 @@ class SpectralProblem:
 
 def _chunk_points(table_rows):
     """Points per assembly chunk: the largest power of two whose table of
-    ``table_rows`` complex rows fits in TABLE_BYTES, and at least MIN_CHUNK."""
+    ``table_rows`` real rows fits in TABLE_BYTES, and at least MIN_CHUNK."""
     chunk = MIN_CHUNK
-    while 2 * chunk * table_rows * 16 <= TABLE_BYTES:
+    while 2 * chunk * table_rows * 8 <= TABLE_BYTES:
         chunk *= 2
     return chunk
 
@@ -193,29 +242,47 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     inverse (|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar))
     S[u,v] = sum_kl b_uk b_vl mu_{h_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
     The stiffness by parts integrates (box_b phi_u) conj(phi_v), with
-    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.
+    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.  The chunks take
+    the real moments of x_1^s times the ``_MomentPlan.table`` rows against
+    the real weight rows w, w h_kk, w Re h_kl and w Im h_kl (k < l; h is
+    Hermitian), n w Re conj(xi_k) and n w Im conj(xi_k).
     """
     frame = rule.frame
     m, n = frame.m, frame.n
-    bimon = _BiMonomials(m, 2 * basis.degree)
+    plan = _MomentPlan(m, basis.degree)
+    ku, lu = np.triu_indices(m, 1)
 
     def piece(sl):
-        ww = rule.weights[sl]
-        cols = [ww[:, None], ww[:, None] * frame.h[sl].reshape(-1, m * m)]
+        ww, pts = rule.weights[sl], rule.points[sl]
+        wh = ww[:, None, None] * frame.h[sl]
+        rows = [ww[None], np.diagonal(wh, axis1=1, axis2=2).real.T,
+                wh[:, ku, lu].real.T, wh[:, ku, lu].imag.T]
         if check_ibp:
-            cols.append((n * ww)[:, None] * np.conj(frame.xi[sl]))
-        return (bimon.table(rule.points[sl]) @ np.concatenate(cols, axis=1))[None]
+            cxi = (n * ww)[:, None] * np.conj(frame.xi[sl])
+            rows += [cxi.real.T, cxi.imag.T]
+        weights = np.concatenate(rows)
+        table = plan.table.table(np.concatenate([pts[:, 1:].real.T, pts.imag.T]))
+        blocks = []
+        for size in plan.table.ends[::-1]:     # x_1^s times rows of degree <= 2 degree - s
+            blocks.append(weights @ table[:size].T)
+            weights = weights * pts[:, 0].real
+        return np.concatenate(blocks, axis=1)[None]
 
-    mu = map_chunks(piece, len(rule), _chunk_points(len(bimon))).sum(axis=0)
+    real = map_chunks(piece, len(rule), _chunk_points(len(plan.table))).sum(axis=0)
+    moments = np.zeros((plan.size, len(real)), dtype=np.complex128)
+    for part, (row, col, coef) in zip((moments.real, moments.imag), plan.parts):
+        part[:] = np.stack([np.bincount(row, coef * r[col], minlength=plan.size)
+                            for r in real], axis=1)
+    # the complex weights: w, w h_kl in column 1 + k m + l, n w conj(xi_k)
+    re, im, xi = np.split(moments[:, 1 + m:], [len(ku), 2 * len(ku)], axis=1)
+    h = np.zeros((plan.size, m, m), dtype=np.complex128)
+    h[:, range(m), range(m)] = moments[:, 1:1 + m]
+    h[:, ku, lu], h[:, lu, ku] = re + 1j * im, re - 1j * im
+    xi_re, xi_im = np.split(xi, 2, axis=1)      # empty without check_ibp
+    mu = np.concatenate([moments[:, :1], h.reshape(-1, m * m), xi_re + 1j * xi_im], axis=1)
 
-    a, b = basis.holo, basis.anti
-    unit = np.eye(m, dtype=np.intp)
-    p0 = a[:, None, :] + b[None, :, :]
-    q0 = b[:, None, :] + a[None, :, :]
-    # lowered[j][k]: rows of the exponents (a_u+b_v-e_j, b_u+a_v-e_k)
-    lowered = [[bimon.rows(p0 - unit[j], q0 - unit[k]) for k in range(m)]
-               for j in range(m)]
-    G = mu[bimon.rows(p0, q0), 0]
+    a, b, lowered = plan.basis.holo, plan.basis.anti, plan.lowered
+    G = mu[plan.gram_rows, 0]
     S = np.zeros_like(G)
     for k in range(m):
         for l in range(m):
@@ -227,7 +294,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
         for k in range(m):
             Sp -= (a[:, j] * b[:, k])[:, None] * mu[lowered[j][k], 1 + k * m + j]
     for k in range(m):
-        Sp += b[:, k, None] * mu[bimon.rows(p0, q0 - unit[k]), 1 + m * m + k]
+        Sp += b[:, k, None] * mu[plan.ibp_rows[k], 1 + m * m + k]
     return G, S, Sp
 
 

@@ -30,11 +30,25 @@ def test_canonical_json_formatting():
     text = canonical_json(payload)
     assert text == '{"a":[0.10000000000000001,2,true,null],"b":1.0,"c":{"x":1.0000000000000001e-17}}'
     assert canonical_json(payload) == text  # stable
+    # lists of plain floats are joined in one step; mixed lists go item by item
+    payload = {
+        "a": [2.0, -0.0, 1e16, 5e-324, 0.1],
+        "b": [1.5, 2, True, -3.0],
+        "c": [],
+        "d": [[1.0, 2.5], (3, 0.25)],
+        "e": np.array([0.5, -1.0]),
+    }
+    assert canonical_json(payload) == (
+        '{"a":[2.0,-0.0,10000000000000000,4.9406564584124654e-324,0.10000000000000001],'
+        '"b":[1.5,2,true,-3.0],"c":[],"d":[[1.0,2.5],[3,0.25]],"e":[0.5,-1.0]}'
+    )
 
 
 def test_canonical_json_rejects_non_finite():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
+    with pytest.raises(ValueError):
+        canonical_json({"x": [1.0, float("nan")]})
 
 
 def test_normalize_job_validates():
@@ -234,8 +248,9 @@ def test_lower_bound_single_point_serializes(tmp_path):
     canonical_json(report)  # must not contain non-finite values
 
 
-# 13,824 rule points: four degree-3 assembly chunks and two rule chunks, so
-# the threaded runs reduce chunks computed on different threads
+# 13,824 rule points (resolution 24 cubed): four degree-3 assembly chunks of
+# 4,096 points and two rule chunks, so the threaded runs reduce chunks computed
+# on different threads (test_threaded_job_spans_assembly_chunks)
 THREADED_JOB = {
     **SPHERE_JOB,
     "quadrature": {"type": "hopf_product", "resolution": 24, "seed": 3},
@@ -246,6 +261,15 @@ THREADED_MONTE_CARLO_JOB = {
     **THREADED_JOB,
     "quadrature": {"type": "monte_carlo", "samples": 9000, "seed": 3},
 }
+
+
+def test_threaded_job_spans_assembly_chunks():
+    from crspectra import spectral
+
+    points = THREADED_JOB["quadrature"]["resolution"] ** 3
+    degree = THREADED_JOB["tasks"][0]["degree"]
+    chunk = spectral._chunk_points(len(spectral._MomentPlan(2, degree).table))
+    assert points == 13_824 and -(-points // chunk) >= 2
 
 
 def test_thread_count_does_not_change_report(tmp_path, monkeypatch):

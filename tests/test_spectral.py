@@ -182,7 +182,7 @@ def _dense_reference(rule, basis):
 @pytest.mark.parametrize(
     "rho,settings,top",
     [
-        (ELLIPSOID, QuadratureSettings("hopf_product", resolution=12), 5),
+        (ELLIPSOID, QuadratureSettings("hopf_product", resolution=12), 6),
         (parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)-1", 2),
          QuadratureSettings("monte_carlo", samples=1500, seed=4), 3),
     ],
