@@ -169,7 +169,7 @@ class _MomentPlan:
         top = 2 * degree
         self.basis = MonomialBasis.build(m, degree)
         self.table = _Monomials(2 * m - 1, top)
-        self.offsets = np.concatenate([[0], np.cumsum(self.table.ends[::-1])])
+        offsets = np.concatenate([[0], np.cumsum(self.table.ends[::-1])])
         bimon = _Monomials(2 * m, top)
         self.size = len(bimon)
 
@@ -190,7 +190,7 @@ class _MomentPlan:
             coef = np.repeat(coef, reps) * K[p[row, j], q[row, j], bj]
             row, beta, coef = row[coef != 0], beta[coef != 0], coef[coef != 0]
         alpha = p[row] + q[row] - beta
-        col = self.offsets[alpha[:, 0]] + self.table.rows(alpha[:, 1:], beta)
+        col = offsets[alpha[:, 0]] + self.table.rows(alpha[:, 1:], beta)
         self.parts = [(row[c != 0], col[c != 0], c[c != 0]) for c in (coef.real, coef.imag)]
 
         a, b = self.basis.holo, self.basis.anti
