@@ -31,7 +31,6 @@ build may change the last bits.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -106,7 +105,8 @@ class _Monomials:
     Rows are graded by degree; segment v of the degree-t block is variable v
     times the rows of the degree-(t-1) block whose lowest variable is >= v,
     which form a contiguous tail of that block, so the table is built by
-    multiplying whole row slices by one variable.
+    multiplying whole row slices by one variable.  ``rank`` maps the key
+    e @ radix of an exponent vector e to its row.
     """
 
     def __init__(self, nvar, degree):
@@ -128,22 +128,16 @@ class _Monomials:
                 block.append(child)
             start, tails = stop, new_tails
             blocks.append(np.concatenate(block))
+        self.degree = degree
         self.exps = np.concatenate(blocks)
         self.steps = steps
         self.ends = np.cumsum([len(b) for b in blocks])   # rows of degree <= t
-        self._radix = (degree + 1) ** np.arange(nvar)
-        keys = self.exps @ self._radix
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
+        self.radix = (degree + 1) ** np.arange(nvar)
+        self.rank = np.zeros((degree + 1) ** nvar, dtype=np.intp)
+        self.rank[self.exps @ self.radix] = np.arange(len(self.exps))
 
     def __len__(self):
         return self.exps.shape[0]
-
-    def rows(self, p, q):
-        """Rows of the exponents [p, q], joined along the last axis; negative
-        exponents are clamped to 0."""
-        keys = np.maximum(np.concatenate([p, q], axis=-1), 0) @ self._radix
-        return self._order[np.searchsorted(self._sorted_keys, keys)]
 
     def table(self, variables):
         """Values at the points of the variables (nvar, P): an (N, P) array."""
@@ -154,54 +148,41 @@ class _Monomials:
         return out
 
 
-@functools.lru_cache(maxsize=4)
-class _MomentPlan:
-    """Cached index maps of the moment assembly of the basis of (m, degree).
+def _binomial_map(m, bimon, table):
+    """The integer map from real moments to the complex moments of ``bimon``.
 
-    Block s of the real moments holds x_1^s times the ``table`` rows of degree
-    <= 2 degree - s.  ``parts``: the binomial map z^p conj(z)^q = sum_beta
-    prod_j K[p_j, q_j, beta_j] x^(p+q-beta) y^beta, split into the entries
-    (row, column, coefficient) of its real and its imaginary part; those of
-    (q, p) mirror those of (p, q), so G is Hermitian by construction.
+    z^p conj(z)^q = sum_beta prod_j K[p_j, q_j, beta_j] x^(p+q-beta) y^beta,
+    and block s of the real moments holds x_1^s times the ``table`` rows of
+    degree <= bimon.degree - s.  Returns the entries (row, column, coefficient)
+    of the real and of the imaginary part of the map; those of (q, p) mirror
+    those of (p, q), so the moments of real weights are Hermitian.
     """
-
-    def __init__(self, m, degree):
-        top = 2 * degree
-        self.basis = MonomialBasis.build(m, degree)
-        self.table = _Monomials(2 * m - 1, top)
-        offsets = np.concatenate([[0], np.cumsum(self.table.ends[::-1])])
-        bimon = _Monomials(2 * m, top)
-        self.size = len(bimon)
-
-        # K[p, q, b]: the coefficient of t^b in (1 + it)^p (1 - it)^q
-        P = np.polynomial.polynomial
-        K = np.zeros((top + 1, top + 1, 2 * top + 1), dtype=np.complex128)
-        for i, j in itertools.product(range(top + 1), repeat=2):
-            K[i, j, :i + j + 1] = P.polymul(P.polypow([1, 1j], i), P.polypow([1, -1j], j))
-        p, q = bimon.exps[:, :m], bimon.exps[:, m:]
-        row, coef = np.arange(self.size), np.ones(self.size, dtype=np.complex128)
-        beta = np.zeros((self.size, 0), dtype=np.intp)
-        for j in range(m):
-            # every entry spreads over beta_j = 0..p_j + q_j
-            reps = p[row, j] + q[row, j] + 1
-            bj = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            row = np.repeat(row, reps)
-            beta = np.column_stack([np.repeat(beta, reps, axis=0), bj])
-            coef = np.repeat(coef, reps) * K[p[row, j], q[row, j], bj]
-            row, beta, coef = row[coef != 0], beta[coef != 0], coef[coef != 0]
-        alpha = p[row] + q[row] - beta
-        col = offsets[alpha[:, 0]] + self.table.rows(alpha[:, 1:], beta)
-        self.parts = [(row[c != 0], col[c != 0], c[c != 0]) for c in (coef.real, coef.imag)]
-
-        a, b = self.basis.holo, self.basis.anti
-        unit = np.eye(m, dtype=np.intp)
-        p0 = a[:, None, :] + b[None, :, :]
-        q0 = b[:, None, :] + a[None, :, :]
-        self.gram_rows = bimon.rows(p0, q0)
-        # lowered[j][k]: rows of the exponents (a_u+b_v-e_j, b_u+a_v-e_k)
-        self.lowered = [[bimon.rows(p0 - unit[j], q0 - unit[k]) for k in range(m)]
-                        for j in range(m)]
-        self.ibp_rows = [bimon.rows(p0, q0 - unit[k]) for k in range(m)]
+    top = bimon.degree
+    offsets = np.concatenate([[0], np.cumsum(table.ends[::-1])])
+    # K[p, q, b]: the coefficient of t^b in (1 + it)^p (1 - it)^q, the
+    # product of the rows p of A and q of conj(A), A[p] = (1 + it)^p
+    A = np.zeros((top + 1, 2 * top + 1), dtype=np.complex128)
+    A[0, 0] = 1.0
+    for i in range(top):
+        A[i + 1] = A[i] + 1j * np.roll(A[i], 1)
+    K = np.zeros((top + 1, top + 1, 2 * top + 1), dtype=np.complex128)
+    for b in range(top + 1):
+        K[:, :, b:] += A[:, b, None, None] * np.conj(A[None, :, :2 * top + 1 - b])
+    p, q = bimon.exps[:, :m], bimon.exps[:, m:]
+    row, coef = np.arange(len(bimon)), np.ones(len(bimon), dtype=np.complex128)
+    beta = np.zeros((len(bimon), 0), dtype=np.intp)
+    for j in range(m):
+        # every entry spreads over beta_j = 0..p_j + q_j
+        reps = p[row, j] + q[row, j] + 1
+        bj = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        row = np.repeat(row, reps)
+        beta = np.column_stack([np.repeat(beta, reps, axis=0), bj])
+        coef = np.repeat(coef, reps) * K[p[row, j], q[row, j], bj]
+        row, beta, coef = row[coef != 0], beta[coef != 0], coef[coef != 0]
+    alpha = p[row] + q[row] - beta
+    col = offsets[alpha[:, 0]] + table.rank[
+        alpha[:, 1:] @ table.radix[:m - 1] + beta @ table.radix[m - 1:]]
+    return [(row[c != 0], col[c != 0], c[c != 0]) for c in (coef.real, coef.imag)]
 
 
 @dataclass
@@ -243,13 +224,14 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     S[u,v] = sum_kl b_uk b_vl mu_{h_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
     The stiffness by parts integrates (box_b phi_u) conj(phi_v), with
     box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.  The chunks take
-    the real moments of x_1^s times the ``_MomentPlan.table`` rows against
-    the real weight rows w, w h_kk, w Re h_kl and w Im h_kl (k < l; h is
-    Hermitian), n w Re conj(xi_k) and n w Im conj(xi_k).
+    the real moments of x_1^s times the monomials of x_2..x_m, y_1..y_m
+    against the real weight rows w, w h_kk, w Re h_kl and w Im h_kl (k < l;
+    h is Hermitian), n w Re conj(xi_k) and n w Im conj(xi_k), and
+    ``_binomial_map`` turns their sum into mu.
     """
     frame = rule.frame
-    m, n = frame.m, frame.n
-    plan = _MomentPlan(m, basis.degree)
+    m, n, top = frame.m, frame.n, 2 * basis.degree
+    table = _Monomials(2 * m - 1, top)
     ku, lu = np.triu_indices(m, 1)
 
     def piece(sl):
@@ -261,40 +243,52 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
             cxi = (n * ww)[:, None] * np.conj(frame.xi[sl])
             rows += [cxi.real.T, cxi.imag.T]
         weights = np.concatenate(rows)
-        table = plan.table.table(np.concatenate([pts[:, 1:].real.T, pts.imag.T]))
+        values = table.table(np.concatenate([pts[:, 1:].real.T, pts.imag.T]))
         blocks = []
-        for size in plan.table.ends[::-1]:     # x_1^s times rows of degree <= 2 degree - s
-            blocks.append(weights @ table[:size].T)
+        for size in table.ends[::-1]:     # x_1^s times rows of degree <= 2 degree - s
+            blocks.append(weights @ values[:size].T)
             weights = weights * pts[:, 0].real
         return np.concatenate(blocks, axis=1)[None]
 
-    real = map_chunks(piece, len(rule), _chunk_points(len(plan.table))).sum(axis=0)
-    moments = np.zeros((plan.size, len(real)), dtype=np.complex128)
-    for part, (row, col, coef) in zip((moments.real, moments.imag), plan.parts):
-        part[:] = np.stack([np.bincount(row, coef * r[col], minlength=plan.size)
+    real = map_chunks(piece, len(rule), _chunk_points(len(table))).sum(axis=0)
+    bimon = _Monomials(2 * m, top)
+    moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
+    for part, (row, col, coef) in zip((moments.real, moments.imag),
+                                      _binomial_map(m, bimon, table)):
+        part[:] = np.stack([np.bincount(row, coef * r[col], minlength=len(bimon))
                             for r in real], axis=1)
     # the complex weights: w, w h_kl in column 1 + k m + l, n w conj(xi_k)
     re, im, xi = np.split(moments[:, 1 + m:], [len(ku), 2 * len(ku)], axis=1)
-    h = np.zeros((plan.size, m, m), dtype=np.complex128)
+    h = np.zeros((len(bimon), m, m), dtype=np.complex128)
     h[:, range(m), range(m)] = moments[:, 1:1 + m]
     h[:, ku, lu], h[:, lu, ku] = re + 1j * im, re - 1j * im
     xi_re, xi_im = np.split(xi, 2, axis=1)      # empty without check_ibp
     mu = np.concatenate([moments[:, :1], h.reshape(-1, m * m), xi_re + 1j * xi_im], axis=1)
 
-    a, b, lowered = plan.basis.holo, plan.basis.anti, plan.lowered
-    G = mu[plan.gram_rows, 0]
+    a, b = basis.holo, basis.anti
+    rp, rq = bimon.radix[:m], bimon.radix[m:]
+    # the key of (a_u + b_v, b_u + a_v) is left[u] + right[v]
+    left, right = a @ rp + b @ rq, b @ rp + a @ rq
+
+    def gather(col, shift=0):
+        """mu[(a_u + b_v, b_u + a_v) lowered by the key ``shift``, col].  An
+        exponent lowered below 0 reads an arbitrary row: every such entry
+        has coefficient 0."""
+        return mu[bimon.rank[np.maximum(left[:, None] + right - shift, 0)], col]
+
+    G = gather(0)
     S = np.zeros_like(G)
     for k in range(m):
         for l in range(m):
-            S += (b[:, k, None] * b[None, :, l]) * mu[lowered[l][k], 1 + k * m + l]
+            S += (b[:, k, None] * b[None, :, l]) * gather(1 + k * m + l, rp[l] + rq[k])
     if not check_ibp:
         return G, S, None
     Sp = np.zeros_like(G)
     for j in range(m):
         for k in range(m):
-            Sp -= (a[:, j] * b[:, k])[:, None] * mu[lowered[j][k], 1 + k * m + j]
+            Sp -= (a[:, j] * b[:, k])[:, None] * gather(1 + k * m + j, rp[j] + rq[k])
     for k in range(m):
-        Sp += b[:, k, None] * mu[plan.ibp_rows[k], 1 + m * m + k]
+        Sp += b[:, k, None] * gather(1 + m * m + k, rq[k])
     return G, S, Sp
 
 
@@ -306,10 +300,14 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis, kernel_tol=1e-6,
     The stiffness consistency diagnostic compares against the integral of
     (box_b phi_u) conj(phi_v): on a closed surface both quadratures must
     agree to quadrature accuracy, which validates the operator end to end.
+    The Hermitian deviation is the largest |X - X^H| of G, S and the frame's
+    Levi inverse h, which the assembly reads only above its diagonal.
     """
     G, S, Sp = _galerkin_matrices(rule, basis, check_ibp)
+    h = rule.frame.h
     herm_dev = max(
-        float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T)))
+        float(np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))),
+        float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T))),
     )
     G = hermitize(G)
     S = hermitize(S)

@@ -268,7 +268,8 @@ def test_threaded_job_spans_assembly_chunks():
 
     points = THREADED_JOB["quadrature"]["resolution"] ** 3
     degree = THREADED_JOB["tasks"][0]["degree"]
-    chunk = spectral._chunk_points(len(spectral._MomentPlan(2, degree).table))
+    # a chunk tabulates the monomials of x2, y1, y2 up to degree 2 * degree
+    chunk = spectral._chunk_points(len(spectral._Monomials(3, 2 * degree)))
     assert points == 13_824 and chunk < points
 
 
