@@ -40,7 +40,6 @@ from .quadrature import (
     QuadratureSettings,
     build_quadrature,
     integrate,
-    pfaffian,
     points_on_surface,
     project_rays,
     re_densify,

@@ -201,7 +201,7 @@ def reilly_bound(f_maps, rule: QuadratureRule) -> BoundReport:
     """Immersion-into-a-sphere bound: n * average transverse curvature of the
     pullback, in the pullback volume form.
 
-    ``rule`` is any quadrature rule on M; its points, tangent bases, params
+    ``rule`` is any quadrature rule on M; its points, sphere weights, params
     and seed are reused, with the density recomputed for the pullback
     defining function.
     """

@@ -1,27 +1,34 @@
-"""Points, tangent frames, and quadrature rules for the contact volume form.
+"""Points and quadrature rules for the contact volume form.
 
 The measure is theta ^ (d theta)^n with theta = (i/2)(dbar rho - d rho).
-The form is evaluated directly on pushed-forward tangent bases through a
-Pfaffian expansion, so any star-shaped surface and any chart work, and the
-result is independently checkable against Stokes (the unit-sphere volume is
-4 pi^2).
+On M, theta ^ (d theta)^n ^ drho is 2^(n+1) n! J times the Euclidean volume
+form, with J Fefferman's determinant (Fefferman, Ann. Math. 103, 1976).  On
+the radial graph p = t(u) u over the unit sphere of directions u, the form
+is therefore
 
-Two rule types:
+    2^(n+1) n! J |p|^(2m) / drho(p)   per unit area of the sphere,
+
+with the radial slope drho(p) = 2 Re sum_j rho_j p_j.  The density is read
+off the CR frame at the rule points, so any star-shaped surface works, and
+the result is independently checkable against Stokes (the unit-sphere volume
+is 4 pi^2).
+
+Two rule types, both weighted in the area of the unit sphere:
 
 * ``hopf_product`` (n = 1): Gauss-Legendre in the colatitude of the Hopf
   chart z1 = cos(eta) e^{i phi1}, z2 = sin(eta) e^{i phi2}, tensored with
   uniform (trapezoidal) grids in the two angles, radially projected to M.
 * ``monte_carlo`` (any n): seeded uniform directions, radially projected.
 
-Both project their directions and push the direction tangents forward in
+Both project their directions and read the 2-jet of rho at the points in
 chunks of 8,192 through ``runtime.map_chunks``.
 
 A rule is the discretized pseudohermitian structure: it holds the defining
 function and params it was built for, and that function's CR frame at its
 points, so its consumers take the rule alone.  ``build_quadrature`` builds
-the frame from the value, gradient and complex Hessian its push-forward
-already read; ``re_densify`` builds the frame of another defining function
-of M from that function's own jet.
+the frame from the value, gradient and complex Hessian it read at the
+points; ``re_densify`` builds the frame of another defining function of M
+from that function's own jet.
 """
 
 from __future__ import annotations
@@ -57,14 +64,12 @@ class QuadratureSettings:
 
 @dataclass
 class QuadratureRule:
-    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: points,
-    tangent bases and weights, with rho, its params and its CR frame at the
-    points."""
+    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: points
+    and weights, with rho, its params and its CR frame at the points."""
 
     points: np.ndarray           # (P, m) complex, on M
-    tangents: np.ndarray         # (P, 2n+1, m) complex
-    base_weights: np.ndarray     # (P,) parameter-measure weights
-    density: np.ndarray          # (P,) |theta ^ (d theta)^n| on the tangent basis
+    base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
+    density: np.ndarray          # (P,) theta ^ (d theta)^n per unit sphere area
     settings: QuadratureSettings
     rho: object                  # the defining function (Expression)
     params: dict | None          # its parameter values
@@ -170,74 +175,29 @@ def _bisect_failures(rho, params, t, dirs, idx):
     return t
 
 
-def _as_real(v):
-    out = np.empty(v.shape[:-1] + (2 * v.shape[-1],))
-    out[..., 0::2] = v.real
-    out[..., 1::2] = v.imag
-    return out
-
-
 # --- the contact volume form ------------------------------------------------
 
 
-def pfaffian(a):
-    """Pfaffian of an even antisymmetric matrix (recursive expansion)."""
-    a = np.asarray(a)
-    k = a.shape[-1]
-    if k % 2:
-        raise ValueError("Pfaffian needs even size")
-    if k == 0:
-        return np.ones(a.shape[:-2])
-    if k == 2:
-        return a[..., 0, 1]
-    if k == 4:
-        return (
-            a[..., 0, 1] * a[..., 2, 3]
-            - a[..., 0, 2] * a[..., 1, 3]
-            + a[..., 0, 3] * a[..., 1, 2]
+def _volume_density(frame):
+    """theta ^ (d theta)^n per unit area of the sphere of directions at the
+    frame's points (P, m): 2^(n+1) n! J |p|^(2m) / drho(p)."""
+    p = frame.point
+    slope = 2.0 * np.einsum("pj,pj->p", frame.grad, p).real
+    worst = int(np.argmin(slope))
+    if slope[worst] <= 0.0:
+        raise DegenerateFrame(
+            f"radial slope drho(p) = {slope[worst]:.3e} <= 0 at {p[worst]}: "
+            "the ray crosses M inward there"
         )
-    total = 0.0
-    for j in range(1, k):
-        rest = [i for i in range(1, k) if i != j]
-        minor = a[..., rest, :][..., :, rest]
-        total = total + (-1.0) ** (j + 1) * a[..., 0, j] * pfaffian(minor)
-    return total
-
-
-def _form_value(grad, hess, tangents, n):
-    """theta ^ (d theta)^n evaluated on 2n+1 tangent vectors (signed)."""
-    theta = np.einsum("...j,...kj->...k", grad, tangents).imag
-    s = np.einsum("...ab,...ia,...jb->...ij", hess, tangents, np.conj(tangents))
-    b = -2.0 * s.imag
-    k = tangents.shape[-2]
-    total = 0.0
-    for drop in range(k):
-        keep = [i for i in range(k) if i != drop]
-        minor = b[..., keep, :][..., :, keep]
-        total = total + (-1.0) ** drop * theta[..., drop] * pfaffian(minor)
-    return math.factorial(n) * total
-
-
-def _push_forward(rho, params, t, dirs, du, pts):
-    """Tangent vectors of the radial graph, V = t' u + t du with drho(V) = 0,
-    for each parameter tangent ``du`` (P, k, m) of the unit directions, and
-    the value, gradient and Hessian of rho at the points."""
-    value, grad, hess = read_derivatives(rho.jet(params, pts, 2))
-    slope_u = 2.0 * np.einsum("pj,pj->p", grad, dirs).real
-    slope_d = 2.0 * np.einsum("pj,pkj->pk", grad, du).real
-    tprime = -t[:, None] * slope_d / slope_u[:, None]
-    tangents = tprime[:, :, None] * dirs[:, None, :] + t[:, None, None] * du
-    return tangents, value, grad, hess
-
-
-def _check_surface(value, tangents, grad):
-    res = np.abs(value)
-    if np.max(res) > 1e-9:
-        raise NoRootFound(f"projected point off-surface by {np.max(res):.3e}")
-    pairing = 2.0 * np.einsum("pj,pkj->pk", grad, tangents).real
-    norms = np.linalg.norm(_as_real(tangents), axis=-1)
-    if np.max(np.abs(pairing) / np.maximum(norms, 1e-30)) > 1e-8:
-        raise DegenerateFrame("tangent vector fails to annihilate d rho")
+    norm2 = np.einsum("pj,pj->p", p, np.conj(p)).real
+    density = (2.0 ** (frame.n + 1) * math.factorial(frame.n)
+               * frame.J * norm2**frame.m / slope)
+    worst = int(np.argmin(density))
+    if density[worst] <= 1e-14:
+        raise DegenerateFrame(
+            f"vanishing volume density {density[worst]:.3e} at {p[worst]}"
+        )
+    return density
 
 
 def build_quadrature(rho, settings, params=None) -> QuadratureRule:
@@ -245,97 +205,67 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     if settings.type == "hopf_product":
         if rho.n != 1:
             raise JobValidationError("hopf_product rules require n = 1")
-        dirs, du, base = _hopf_directions(settings.resolution)
+        dirs, base = _hopf_directions(settings.resolution)
     else:
-        dirs, du, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
+        dirs, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
 
     def make(sl):
         d = dirs[sl]
-        t = project_rays(rho, params, d)
-        pts = t[:, None] * d
-        tangents, value, grad, hess = _push_forward(rho, params, t, d, du[sl], pts)
-        _check_surface(value, tangents, grad)
-        density = np.abs(_form_value(grad, hess, tangents, rho.n))
-        return pts, tangents, density, value, grad, hess
+        pts = project_rays(rho, params, d)[:, None] * d
+        return (pts,) + read_derivatives(rho.jet(params, pts, 2))
 
-    pts, tangents, density, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
-    if np.min(density) <= 1e-14:
-        raise DegenerateFrame(f"vanishing volume density in {settings.type} rule")
+    pts, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
+    frame = frame_from_derivatives(pts, value, grad, hess)
     return QuadratureRule(
-        points=pts, tangents=tangents, base_weights=base, density=density,
-        settings=settings, rho=rho, params=params,
-        frame=frame_from_derivatives(pts, value, grad, hess),
+        points=pts, base_weights=base, density=_volume_density(frame),
+        settings=settings, rho=rho, params=params, frame=frame,
     )
 
 
 def _hopf_directions(R):
-    """Unit directions of the hopf_product grid, their tangents (P, 3, 2) along
-    (eta, phi1, phi2) and the parameter-measure weights."""
+    """Unit directions of the hopf_product grid and their weights in the area
+    of the unit sphere S^3, whose element is cos(eta) sin(eta) d eta d phi1
+    d phi2."""
     x, wx = np.polynomial.legendre.leggauss(R)
     eta = 0.25 * np.pi * (x + 1.0)
-    weta = 0.25 * np.pi * wx
+    weta = 0.25 * np.pi * wx * np.cos(eta) * np.sin(eta)
     phi = 2.0 * np.pi * np.arange(R) / R
     wphi = 2.0 * np.pi / R
 
     E, P1, P2 = np.meshgrid(eta, phi, phi, indexing="ij")
     e, p1, p2 = E.ravel(), P1.ravel(), P2.ravel()
-    ce, se = np.cos(e), np.sin(e)
-    u1, u2 = ce * np.exp(1j * p1), se * np.exp(1j * p2)
-    dirs = np.stack([u1, u2], axis=-1)
-    du_eta = np.stack([-se * np.exp(1j * p1), ce * np.exp(1j * p2)], axis=-1)
-    du_p1 = np.stack([1j * u1, np.zeros_like(u1)], axis=-1)
-    du_p2 = np.stack([np.zeros_like(u2), 1j * u2], axis=-1)
+    dirs = np.stack([np.cos(e) * np.exp(1j * p1), np.sin(e) * np.exp(1j * p2)], axis=-1)
     base = np.repeat(weta, R * R) * wphi * wphi
-    return dirs, np.stack([du_eta, du_p1, du_p2], axis=1), base
-
-
-def _house_basis(real_dirs):
-    """Orthonormal bases of the tangent spaces of the unit sphere (batched)."""
-    P, d = real_dirs.shape
-    sign = np.where(real_dirs[:, 0] >= 0, 1.0, -1.0)
-    v = real_dirs.copy()
-    v[:, 0] += sign
-    vn = np.einsum("pi,pi->p", v, v)
-    # columns 1..d-1 of the Householder reflector I - 2 v v^T / (v.v)
-    basis = np.broadcast_to(np.eye(d)[None, :, 1:], (P, d, d - 1)).copy()
-    basis -= 2.0 * v[:, :, None] * (v[:, None, 1:] / vn[:, None, None])
-    return np.swapaxes(basis, 1, 2)  # (P, d-1, d)
+    return dirs, base
 
 
 def _monte_carlo_directions(m, samples, seed):
-    """Seeded uniform unit directions in C^m, orthonormal tangent bases
-    (P, 2m-1, m) of the unit sphere there, and equal weights."""
-    raw, dirs = _random_directions(m, samples, seed)
-    tangent_real = _house_basis(raw)
-    du = tangent_real[..., 0::2] + 1j * tangent_real[..., 1::2]
+    """Seeded uniform unit directions in C^m and equal weights in the area
+    of the unit sphere."""
     area = 2.0 * np.pi**m / math.factorial(m - 1)
-    return dirs, du, np.full(samples, area / samples)
+    return _random_directions(m, samples, seed), np.full(samples, area / samples)
 
 
 def _random_directions(m, count, seed):
-    """Seeded uniform unit directions: the real (count, 2m) coordinates and
-    the same directions in C^m, (count, m)."""
+    """Seeded uniform unit directions in C^m, (count, m)."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, 2 * m))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw, raw[:, 0::2] + 1j * raw[:, 1::2]
+    return raw[:, 0::2] + 1j * raw[:, 1::2]
 
 
 def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     """The rule of another defining function ``rho`` of M, with ``rule.params``.
 
-    The points and tangent bases stay fixed (they describe M itself); the
-    density factor is recomputed from the CR frame of ``rho`` at the points,
-    which the returned rule holds.  ``rho`` must therefore be a strictly
+    The points and sphere weights stay fixed (they describe M itself); the
+    density is recomputed from the CR frame of ``rho`` at the points, which
+    the returned rule holds.  ``rho`` must therefore be a strictly
     pseudoconvex defining function of M at the rule points.
     """
     frame = build_frame(rho, rule.points, params=rule.params)
-    density = np.abs(_form_value(frame.grad, frame.hessian, rule.tangents, frame.n))
-    if np.min(density) <= 1e-14:
-        raise DegenerateFrame("vanishing volume density after re-densifying")
     return QuadratureRule(
-        points=rule.points, tangents=rule.tangents,
-        base_weights=rule.base_weights, density=density,
+        points=rule.points, base_weights=rule.base_weights,
+        density=_volume_density(frame),
         settings=rule.settings, rho=rho, params=rule.params, frame=frame,
     )
 
@@ -348,6 +278,6 @@ def integrate(rule: QuadratureRule, values):
 
 def points_on_surface(rho, count, seed=0, params=None):
     """Seeded random on-surface points by radial projection (count, m)."""
-    _, dirs = _random_directions(rho.m, count, seed)
+    dirs = _random_directions(rho.m, count, seed)
     t = project_rays(rho, params, dirs)
     return t[:, None] * dirs

@@ -323,12 +323,18 @@ def check_bound_sandwich(ctx):
 
 
 def check_volume_by_stokes(ctx):
-    """Contact volumes: 4 pi^2 for the round sphere, 16 pi^2 when theta doubles."""
+    """Contact volumes: 4 pi^2 for the round sphere, 16 pi^2 when theta
+    doubles, and 8 pi^3 for S^5, where the density is exactly 8, so a Monte
+    Carlo rule has zero variance."""
     v1 = ctx.rule(SPHERE1).volume
     v2 = ctx.rule(SQUARED).volume
+    settings = QuadratureSettings("monte_carlo", samples=500, seed=0)
+    v3 = build_quadrature(parse(SPHERE2, 2), settings).volume
     e1 = abs(v1 - 4.0 * np.pi**2)
     e2 = abs(v2 - 16.0 * np.pi**2)
-    return (e1 <= 1e-8 and e2 <= 1e-7), f"|v-4pi^2|={e1:.2e} |v-16pi^2|={e2:.2e}"
+    e3 = abs(v3 - 8.0 * np.pi**3)
+    ok = e1 <= 1e-8 and e2 <= 1e-7 and e3 <= 1e-8
+    return ok, f"|v-4pi^2|={e1:.2e} |v-16pi^2|={e2:.2e} |v-8pi^3|={e3:.2e}"
 
 
 def check_operator_identities(ctx):
@@ -457,7 +463,7 @@ CHECKS = [
     ("invariance", "normalized scalar independent of the defining function", check_defining_function_invariance),
     ("sphere-spectrum-table", "degree-3 Ritz table with multiplicities and kernel", check_sphere_spectrum_table),
     ("bound-sandwich", "lower <= lambda1 <= upper on the ellipsoid family", check_bound_sandwich),
-    ("volume-stokes", "contact volumes 4 pi^2 and 16 pi^2", check_volume_by_stokes),
+    ("volume-stokes", "contact volumes 4 pi^2, 16 pi^2 and 8 pi^3", check_volume_by_stokes),
     ("operator-identities", "adjoint consistency and pointwise operator identities", check_operator_identities),
     ("decomposition-identities", "pointwise identities of the N = 2 decomposition", check_decomposition_identities),
     ("coordinate-bound-gate", "sign-condition coordinate bound on the sphere", check_coordinate_bound_gate),

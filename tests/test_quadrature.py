@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from crspectra.errors import JobValidationError, NoRootFound, NotRealValued
+import volume_form_oracle as oracle
+from crspectra.errors import DegenerateFrame, JobValidationError, NoRootFound, NotRealValued
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
 from crspectra.quadrature import (
     QuadratureSettings,
-    _form_value,
+    _volume_density,
     build_quadrature,
     integrate,
-    pfaffian,
     points_on_surface,
     project_rays,
     re_densify,
@@ -18,12 +18,9 @@ from crspectra.quadrature import (
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
 ELLIPSOID = parse("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1)
-
-
-def _density(rho, points, tangents):
-    """|theta ^ (d theta)^n| of rho on tangent bases at on-surface points."""
-    frame = build_frame(rho, points)
-    return np.abs(_form_value(frame.grad, frame.hessian, tangents, frame.n))
+# the surfaces of the rule_n1 and curvature_n2 benchmark workloads
+PULLBACK = parse("abs2(z1)+abs2(z2)+0.25*abs2(z1^2)-1", 1)
+QUARTIC = parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.05*abs2(z2)^2-1", 2)
 
 
 def _unit_dirs(count, m, seed):
@@ -74,7 +71,20 @@ def test_no_root_found():
         project_rays(shifted, None, np.array([[-1.0 + 0.0j, 0.0]]))
 
 
+def test_radial_slope_must_be_positive():
+    # the ray along (1, 0) meets the shifted sphere at t = 2 and t = 4;
+    # Newton from t = 1 finds the near crossing, where rho falls along the ray
+    shifted = parse("abs2(z1-3)+abs2(z2)-1", 1)
+    u = np.array([[1.0 + 0.0j, 0.0]])
+    t = project_rays(shifted, None, u)
+    assert t[0] == pytest.approx(2.0, abs=1e-12)
+    frame = build_frame(shifted, t[:, None] * u)
+    with pytest.raises(DegenerateFrame, match=r"drho\(p\) = -4\.000e\+00 <= 0 at \[2\."):
+        _volume_density(frame)
+
+
 def test_pfaffian_values():
+    pfaffian = oracle.pfaffian
     a = np.array([[0.0, 3.0], [-3.0, 0.0]])
     assert pfaffian(a) == pytest.approx(3.0)
     b = np.zeros((4, 4))
@@ -104,34 +114,56 @@ def test_density_on_orthonormal_basis_is_two():
             if norm > 1e-8:
                 vecs.append(w / norm)
         tangents = np.array(vecs)[:3, 0::2] + 1j * np.array(vecs)[:3, 1::2]
-        val = _density(SPHERE, u, tangents)
-        assert val == pytest.approx(2.0, rel=1e-12)
+        val = oracle.form_on(SPHERE, u[None], tangents[None])
+        assert val[0] == pytest.approx(2.0, rel=1e-12)
+
+
+def _hopf_tangents(rho, resolution):
+    rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=resolution))
+    tangents, _ = oracle.tangents_at(rho, rule.points, basis=oracle.hopf_tangents)
+    return rule.points, tangents
 
 
 def test_density_scaling_with_defining_function():
     scaled = parse("2*(abs2(z1)+abs2(z2)-1)", 1)
-    rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=8))
-    d1 = _density(SPHERE, rule.points, rule.tangents)
-    d2 = _density(scaled, rule.points, rule.tangents)
+    points, tangents = _hopf_tangents(SPHERE, 8)
+    d1 = oracle.form_on(SPHERE, points, tangents)
+    d2 = oracle.form_on(scaled, points, tangents)
     assert np.allclose(d2, 4.0 * d1, rtol=1e-12)
 
 
 def test_density_orientation_robustness():
-    rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=6))
-    swapped = rule.tangents[:, [1, 0, 2], :]
-    d1 = _density(SPHERE, rule.points, rule.tangents)
-    d2 = _density(SPHERE, rule.points, swapped)
+    points, tangents = _hopf_tangents(SPHERE, 6)
+    swapped = tangents[:, [1, 0, 2], :]
+    d1 = oracle.form_on(SPHERE, points, tangents)
+    d2 = oracle.form_on(SPHERE, points, swapped)
     assert np.allclose(d1, d2, rtol=1e-12)
 
 
 def test_density_change_of_basis_ratio():
     rng = np.random.default_rng(4)
-    rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=6))
+    points, tangents = _hopf_tangents(SPHERE, 6)
     mix = rng.standard_normal((3, 3))
-    mixed = np.einsum("ab,pbm->pam", mix, rule.tangents)
-    d1 = _density(SPHERE, rule.points, rule.tangents)
-    d2 = _density(SPHERE, rule.points, mixed)
+    mixed = np.einsum("ab,pbm->pam", mix, tangents)
+    d1 = oracle.form_on(SPHERE, points, tangents)
+    d2 = oracle.form_on(SPHERE, points, mixed)
     assert np.allclose(d2, abs(np.linalg.det(mix)) * d1, rtol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["hopf-n1", "monte-carlo-n2", "re-densified"])
+def test_rule_density_matches_form_on_pushed_forward_tangents(case):
+    # J and the radial slope against the Pfaffian of theta ^ (d theta)^n on
+    # tangents pushed forward from the Hopf or Householder sphere bases
+    basis = oracle.householder_tangents
+    if case == "monte-carlo-n2":
+        rule = build_quadrature(QUARTIC, QuadratureSettings("monte_carlo", samples=2000, seed=3))
+    else:
+        rule = build_quadrature(PULLBACK, QuadratureSettings("hopf_product", resolution=16))
+        basis = oracle.hopf_tangents
+    if case == "re-densified":
+        rule = re_densify(rule, parse(f"({PULLBACK})*(2+re(z1))", 1))
+    expected = oracle.density(rule.rho, rule.points, basis=basis)
+    assert np.max(np.abs(rule.density / expected - 1.0)) <= 1e-13
 
 
 def test_hopf_volume_sphere():
@@ -193,11 +225,11 @@ def test_hopf_spectral_convergence():
 
 
 def test_tangent_vectors_annihilate_drho():
-    rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=8))
-    jet = ELLIPSOID.jet(None, rule.points, 1)
+    points, tangents = _hopf_tangents(ELLIPSOID, 8)
+    jet = ELLIPSOID.jet(None, points, 1)
     grad = np.stack([jet.partial((1, 0), (0, 0)), jet.partial((0, 1), (0, 0))], axis=-1)
-    pairing = 2.0 * np.einsum("pj,pkj->pk", grad, rule.tangents).real
-    norms = np.linalg.norm(rule.tangents, axis=-1)
+    pairing = 2.0 * np.einsum("pj,pkj->pk", grad, tangents).real
+    norms = np.linalg.norm(tangents, axis=-1)
     assert np.max(np.abs(pairing) / norms) < 1e-8
 
 
