@@ -275,19 +275,41 @@ _DISPERSION_BLOCK_BYTES = 1 << 23
 
 
 def _dispersion(points):
-    """Mean nearest-neighbour distance of the sample set; the squared
-    distances are formed in row blocks of at most _DISPERSION_BLOCK_BYTES."""
+    """Mean nearest-neighbour distance of the sample set.
+
+    The squared distances come from the Gram form |x_i|^2 + |x_j|^2 -
+    2 x_i.x_j, one matrix product per row block of at most
+    _DISPERSION_BLOCK_BYTES.  The Gram form only picks candidates: every
+    distance within its rounding bound of the row minimum is measured again
+    as sum((x_i - x_j)^2), so the result is the direct formula's bit for bit,
+    whatever the BLAS.  A non-finite Gram entry makes its whole row a
+    candidate.
+    """
     count = points.shape[0]
     if count < 2:
         return 0.0
     x = points.reshape(count, -1)
     x = np.concatenate([x.real, x.imag], axis=1)
-    rows = max(1, _DISPERSION_BLOCK_BYTES // (count * x[0].nbytes))
-    nearest = np.empty(count)
+    sq = np.einsum("ij,ij->i", x, x)
+    # rounding of the Gram form and of the direct sum, with a wide margin
+    slack = 64.0 * x.shape[1] * np.finfo(float).eps
+    scale = sq + sq.max()
+    rows = max(1, _DISPERSION_BLOCK_BYTES // (count * 8))
+    nearest = np.full(count, np.inf)
     for lo in range(0, count, rows):
-        d2 = np.sum((x[lo : lo + rows, None, :] - x[None, :, :]) ** 2, axis=-1)
-        d2[np.arange(len(d2)), np.arange(lo, lo + len(d2))] = np.inf
-        nearest[lo : lo + rows] = np.min(d2, axis=1)
+        hi = min(lo + rows, count)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        gram = x[lo:hi] @ x.T
+        gram *= -2.0
+        gram += sq[lo:hi, None]
+        gram += sq
+        gram[diag] = np.inf
+        low = np.min(gram, axis=1)
+        bound = low + slack * (scale[lo:hi] + np.abs(low))
+        candidate = ~(gram > bound[:, None])
+        candidate[diag] = False
+        i, j = np.nonzero(candidate)
+        np.minimum.at(nearest, lo + i, np.sum((x[lo + i] - x[j]) ** 2, axis=-1))
     return float(np.mean(np.sqrt(nearest)))
 
 

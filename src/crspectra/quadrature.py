@@ -113,10 +113,18 @@ def project_rays(rho, params, dirs):
     """Scaling factors t > 0 with |rho(t * dirs)| <= 1e-12 along each unit ray.
 
     Safeguarded Newton from t = 1 (at most 100 steps) with a bisection
-    fallback on a geometric bracket scan over t in [1e-3, 1e3].
+    fallback on a geometric bracket scan over t in [1e-3, 1e3].  The rays
+    start at the origin, which must lie inside M: rho(0) >= 0 is a
+    validation error.
     """
     dirs = np.asarray(dirs, dtype=np.complex128)
-    P = dirs.shape[0]
+    P, m = dirs.shape
+    origin = float(rho.value(params, np.zeros((1, m), dtype=np.complex128))[0].real)
+    if not origin < 0.0:
+        raise JobValidationError(
+            f"rho(0) = {origin!r}: the rays start at the origin, which must lie "
+            "inside M (rho(0) < 0)"
+        )
     t = np.ones(P)
     for _ in range(100):
         val, slope = _rho_and_slope(rho, params, t, dirs)

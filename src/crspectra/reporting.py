@@ -1,8 +1,17 @@
 """Job execution and deterministic report serialization.
 
 Reports are canonical JSON: keys sorted, floats printed with 17 significant
-digits, no whitespace variation, so a job with a fixed seed produces
-byte-identical bytes on every run.
+digits (integral floats below 1e16 with one decimal, "1.0"), no whitespace
+variation, so a job with a fixed seed produces byte-identical bytes on every
+run.
+
+Point tables and result columns are printed a table at a time: a list nest
+that numpy reads as a rectangular float64 array with no integral value is
+printed by one %-template that holds the nest's brackets and one %.17g
+field per value.  Any other nest (ragged, with ints, bools, integral floats
+or non-finite values) is printed item by item, so the bytes are those of
+the item-by-item rules either way.  The CSV tables of point tasks go
+through the same template path.
 """
 
 from __future__ import annotations
@@ -59,6 +68,42 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _template(shape, levels, spec):
+    """A %-template for a nest of the given shape: level i opens with
+    levels[i][0], separates its items with levels[i][1] and closes with
+    levels[i][2]; each value is one ``spec`` field."""
+    if not shape:
+        return spec
+    start, sep, end = levels[0]
+    inner = _template(shape[1:], levels[1:], spec)
+    return start + sep.join([inner] * shape[0]) + end
+
+
+def _float_text(arr, levels):
+    """A float64 array as text in one % call, each value as _format_float
+    prints it: finite non-integral values straight through %.17g, any other
+    array value by value."""
+    flat = arr.ravel().tolist()
+    if np.isfinite(arr).all() and not (arr == np.trunc(arr)).any():
+        return _template(arr.shape, levels, "%.17g") % tuple(flat)
+    return _template(arr.shape, levels, "%s") % tuple(map(_format_float, flat))
+
+
+def _float_table(values):
+    """The JSON text of a rectangular nest of non-integral floats, or None.
+
+    An int or bool that numpy upcasts is integral, so a nest that holds one
+    (or an integral float) is left to the item-by-item path, which prints
+    ints and integral floats its own way."""
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError, OverflowError):  # ragged, or an int beyond float range
+        return None
+    if arr.dtype != np.float64 or arr.ndim == 0 or (arr == np.trunc(arr)).any():
+        return None
+    return _float_text(arr, (("[", ",", "]"),) * arr.ndim)
+
+
 def canonical_json(obj) -> str:
     out = []
     _serialize(obj, out)
@@ -75,14 +120,13 @@ def _serialize(obj, out):
             out.append(":")
             _serialize(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        values = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if all(type(v) is float for v in values):
-            # a column of a point table: one join, no call per item
-            out.append("[" + ",".join(map(_format_float, values)) + "]")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        table = _float_table(obj)
+        if table is not None:
+            out.append(table)
             return
         out.append("[")
-        for i, v in enumerate(values):
+        for i, v in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):
             if i:
                 out.append(",")
             _serialize(v, out)
@@ -113,12 +157,6 @@ def _echo(obj):
     if isinstance(obj, list):
         return [_echo(v) for v in obj]
     return obj
-
-
-def _points_to_pairs(points):
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(points)
-    ]
 
 
 def _pairs_to_points(pairs, m):
@@ -300,9 +338,10 @@ def _task_flag(task, key, default):
 def _point_table(ctx, task, with_frame_diag):
     points = ctx.task_points(task, 20)
     q = curvature_quantities(ctx.rho, points, params=ctx.params)
-    result = {"points": _points_to_pairs(points)}
+    pairs = np.atleast_2d(points)
+    result = {"points": np.stack([pairs.real, pairs.imag], -1).tolist()}
     for key in CSV_COLUMNS:
-        result[key] = [float(x) for x in np.atleast_1d(q[key])]
+        result[key] = np.atleast_1d(q[key]).tolist()
     result["super_pseudoconvex"] = bool(np.min(q["D"]) > 0.0)
     if with_frame_diag:
         frame = q["frame"]
@@ -330,20 +369,15 @@ def _write_text(path, text):
 
 
 def _write_csv(path, result):
-    pts = result["points"]
-    m = len(pts[0])
+    pts = np.asarray(result["points"])
+    count, m = pts.shape[:2]
     header = []
     for j in range(m):
         header += [f"point_re_{j + 1}", f"point_im_{j + 1}"]
     header += list(CSV_COLUMNS)
-    lines = [",".join(header)]
-    for i in range(len(pts)):
-        row = []
-        for j in range(m):
-            row += [_format_float(pts[i][j][0]), _format_float(pts[i][j][1])]
-        row += [_format_float(result[c][i]) for c in CSV_COLUMNS]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack([pts.reshape(count, 2 * m)] + [result[c] for c in CSV_COLUMNS])
+    rows = _float_text(table, (("", "\n", "\n"), ("", ",", "")))
+    _write_text(path, ",".join(header) + "\n" + rows)
 
 
 def _run_task(ctx, task, base_dir):
@@ -405,7 +439,7 @@ def _run_task(ctx, task, base_dir):
             "defining_functions": task["defining_functions"],
             "num_points": int(points.shape[0]),
             "max_pairwise_diff": max(diffs),
-            "normalized_scalar_first": [float(x) for x in values[0]],
+            "normalized_scalar_first": values[0].tolist(),
         }
     raise JobValidationError(f"unhandled task kind {kind!r}")
 

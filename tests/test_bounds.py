@@ -221,13 +221,28 @@ def _random_points(count, m=3, seed=0):
     return rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
 
 
-@pytest.mark.parametrize("block_rows", [None, 64])
+def _far_cluster(count, seed):
+    # a cluster of width 1e-6 at distance 1e4: the Gram form |x_i|^2 + |x_j|^2
+    # - 2 x_i.x_j cancels to far fewer digits than the distances have
+    return 1e4 * (1 + 1j) + 1e-6 * _random_points(count, seed=seed)
+
+
+def _duplicated(count, seed):
+    # every point twice (the odd one out once): exact ties at distance 0
+    pts = _random_points((count + 1) // 2, seed=seed)
+    return np.concatenate([pts, pts])[:count]
+
+
+@pytest.mark.parametrize("block_rows", [None, 64, 7])
 @pytest.mark.parametrize("count", [1, 2, 65, 1000])
-def test_dispersion_bit_equal_to_dense_formula(monkeypatch, count, block_rows):
-    pts = _random_points(count, seed=count)
+@pytest.mark.parametrize("points", [_random_points, _far_cluster, _duplicated],
+                         ids=["random", "far_cluster", "duplicated"])
+def test_dispersion_bit_equal_to_dense_formula(monkeypatch, points, count, block_rows):
+    pts = points(count, seed=count)
     if block_rows is not None:
-        # a budget of exactly block_rows rows, so 65 points take two blocks
-        monkeypatch.setattr(bounds, "_DISPERSION_BLOCK_BYTES", block_rows * count * 6 * 8)
+        # a budget of exactly block_rows rows of the 8-byte Gram matrix, so
+        # 65 points take two blocks (ten at 7 rows)
+        monkeypatch.setattr(bounds, "_DISPERSION_BLOCK_BYTES", block_rows * count * 8)
     assert _dispersion(pts) == _dense_dispersion(pts)
 
 

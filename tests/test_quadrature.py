@@ -64,22 +64,29 @@ def test_large_spheres_project_through_the_bisection_fallback(radius):
 
 
 def test_no_root_found():
-    # surface bounded away from some rays: |z1|^2 |z2|^2 = const style is
-    # awkward; use a shifted sphere that misses rays pointing away from it
-    shifted = parse("abs2(z1-3)+abs2(z2)-1", 1)
+    # the cylinder |z1| = 1 holds the origin but no ray along (0, 1) meets it
+    cylinder = parse("abs2(z1)-1", 1)
     with pytest.raises(NoRootFound):
+        project_rays(cylinder, None, np.array([[0.0, 1.0 + 0.0j]]))
+
+
+def test_origin_outside_the_surface_is_a_validation_error():
+    # the shifted sphere misses the origin: rho(0) = 8, checked before any ray
+    shifted = parse("abs2(z1-3)+abs2(z2)-1", 1)
+    with pytest.raises(JobValidationError, match=r"rho\(0\) = 8\.0"):
         project_rays(shifted, None, np.array([[-1.0 + 0.0j, 0.0]]))
 
 
 def test_radial_slope_must_be_positive():
-    # the ray along (1, 0) meets the shifted sphere at t = 2 and t = 4;
-    # Newton from t = 1 finds the near crossing, where rho falls along the ray
-    shifted = parse("abs2(z1-3)+abs2(z2)-1", 1)
+    # M is the sphere |z| = 0.5 and the sphere of radius 0.9 about (2.1, 0);
+    # the ray along (1, 0) enters the second at t = 1.2, where Newton from
+    # t = 1 lands and rho falls along the ray
+    shells = parse("(abs2(z1)+abs2(z2)-0.25)*(abs2(z1-2.1)+abs2(z2)-0.81)", 1)
     u = np.array([[1.0 + 0.0j, 0.0]])
-    t = project_rays(shifted, None, u)
-    assert t[0] == pytest.approx(2.0, abs=1e-12)
-    frame = build_frame(shifted, t[:, None] * u)
-    with pytest.raises(DegenerateFrame, match=r"drho\(p\) = -4\.000e\+00 <= 0 at \[2\."):
+    t = project_rays(shells, None, u)
+    assert t[0] == pytest.approx(1.2, abs=1e-12)
+    frame = build_frame(shells, t[:, None] * u)
+    with pytest.raises(DegenerateFrame, match=r"drho\(p\) = -2\.570e\+00 <= 0 at \[1\.2"):
         _volume_density(frame)
 
 

@@ -11,7 +11,10 @@ import pytest
 import crspectra
 from crspectra.cli import main
 from crspectra.errors import JobValidationError
-from crspectra.reporting import canonical_json, load_job, normalize_job, run_job_data
+from crspectra.reporting import (
+    CSV_COLUMNS, canonical_json, load_job, normalize_job, run_job_data,
+)
+from json_oracle import reference_csv, reference_json
 
 SPHERE_JOB = {
     "dimension_n": 1,
@@ -29,7 +32,7 @@ def test_canonical_json_formatting():
     payload = {"b": 1.0, "a": [0.1, 2, True, None], "c": {"x": 1e-17}}
     text = canonical_json(payload)
     assert text == '{"a":[0.10000000000000001,2,true,null],"b":1.0,"c":{"x":1.0000000000000001e-17}}'
-    assert canonical_json(payload) == text  # stable
+    # non-integral float tables are printed in one step; other lists go item by item
     # lists of plain floats are joined in one step; mixed lists go item by item
     payload = {
         "a": [2.0, -0.0, 1e16, 5e-324, 0.1],
@@ -49,6 +52,75 @@ def test_canonical_json_rejects_non_finite():
         canonical_json({"x": float("nan")})
     with pytest.raises(ValueError):
         canonical_json({"x": [1.0, float("nan")]})
+
+
+def _table(shape, seed=0):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+# each is printed by the one-template table path, the item-by-item path, or
+# a table path that falls back for some nests
+CANONICAL_CASES = {
+    "point_table": _table((5, 3, 2)).tolist(),
+    "point_table_one_point": _table((1, 2, 2), 1).tolist(),
+    "point_table_array": _table((4, 2, 2), 2),
+    "report_like": {"points": _table((3, 2, 2), 3).tolist(), "r": _table(3, 4).tolist(),
+                    "n": 2, "ok": True},
+    "mixed": [0.5, 2, True, -3.0, None, "x"],
+    "mixed_nest": [[1, 0.5], [True, 0.25], [0.125, False]],
+    "ragged": [[0.5], [0.25, 0.125]],
+    "ragged_depth": [[0.5, 0.25], 0.125],
+    "tuples": ((0.5, 0.25), (0.125, 0.375)),
+    "array_2d": _table((3, 4), 5),
+    "float32": [np.float32(0.1), np.float32(0.7)],
+    "float32_and_float": [[np.float32(0.1), 0.2], [0.3, np.float32(0.4)]],
+    "float64_items": [np.float64(0.1), 0.3, np.float64(-2.5)],
+    "negative_zero": [[0.5, -0.0], [0.25, 0.125]],
+    "integral": [[2.0, 0.5], [0.25, 0.125]],
+    "big_integral": [[1e16, 0.5], [0.25, 1e20]],
+    "big_int": [[2**60, 0.5], [0.25, 10**17]],
+    "integral_array": np.array([[2.0, 0.5], [-0.0, 1e16]]),
+    "empty": [],
+    "nested_empty": [[], []],
+    "deep_empty": [[[]]],
+    "empty_in_dict": {"a": [], "b": [[]], "c": ()},
+    "complex": [1 + 2j, 0.5],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_canonical_json_matches_item_by_item_reference(name):
+    payload = CANONICAL_CASES[name]
+    assert canonical_json(payload) == reference_json(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_in_a_nested_table_is_refused(bad):
+    for payload in ([[0.5, bad], [0.25, 0.125]], [[0.5, 0.25], [bad]],
+                    np.array([[0.5], [bad]])):
+        with pytest.raises(ValueError):
+            canonical_json({"x": payload})
+
+
+def test_job_report_and_csv_match_item_by_item_reference(tmp_path):
+    job = {
+        "dimension_n": 2,
+        "defining_function": "abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)-1",
+        "tasks": [
+            {"kind": "curvature", "num_points": 7, "csv": "sampled.csv"},
+            {"kind": "invariants", "csv": "given.csv",
+             "points": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.6, 0.8], [0.0, 0.0]]]},
+            {"kind": "bound_lower", "num_points": 9},
+        ],
+    }
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 0
+    assert canonical_json(report) == reference_json(report)
+    for entry in report["results"][:2]:
+        result = entry["result"]
+        text = (tmp_path / result["csv"]).read_text()
+        assert text == reference_csv(result, CSV_COLUMNS)
 
 
 def test_normalize_job_validates():
@@ -127,6 +199,18 @@ def test_numerical_failure_exit_code(tmp_path):
     path.write_text(json.dumps(job))
     code = main(["run", str(path)])
     assert code == 3
+
+
+def test_origin_outside_the_surface_is_a_validation_error(tmp_path):
+    # the rays of every sampler start at the origin; rho(0) = 8 here
+    job = {**SPHERE_JOB, "defining_function": "abs2(z1-3)+abs2(z2)-1",
+           "tasks": [{"kind": "curvature", "num_points": 4},
+                     {"kind": "spectrum", "degree": 1}]}
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 2
+    for entry in report["results"]:
+        assert entry["error"] == "JobValidationError"
+        assert "rho(0) = 8.0" in entry["message"]
 
 
 def test_run_job_writes_output(tmp_path):
@@ -389,6 +473,12 @@ def test_every_task_key_of_a_kind_is_accepted():
     assert len(normalize_job({**SPHERE_JOB, "tasks": tasks})["tasks"]) == len(TASK_KEYS)
 
 
+# rho(0) < 0, and every ray from the origin leaves {rho < 0} at |z| = 0.5 and
+# meets M again at |z| = 1.2, where rho falls along the ray; Newton from t = 1
+# lands there, and the Levi form of rho is negative definite
+_INWARD_SHELL = "-(abs2(z1)+abs2(z2)+abs2(z3)-0.25)*(abs2(z1)+abs2(z2)+abs2(z3)-1.44)"
+
+
 def test_frame_error_reported_by_every_rule_task(tmp_path):
     # the rule is built with its defining function's frame, so a surface
     # that is not strictly pseudoconvex fails every task that takes the
@@ -396,7 +486,7 @@ def test_frame_error_reported_by_every_rule_task(tmp_path):
     maps = ["z1", "z2", "z3"]
     job = {
         "dimension_n": 2,
-        "defining_function": "-(abs2(z1)+abs2(z2)+abs2(z3)-1)",
+        "defining_function": _INWARD_SHELL,
         "quadrature": {"type": "monte_carlo", "samples": 50},
         "tasks": [
             {"kind": "bound_reilly", "F_maps": maps},
@@ -423,7 +513,7 @@ def test_failed_rule_built_once_per_job(tmp_path, monkeypatch):
     maps = ["z1", "z2", "z3"]
     job = {
         "dimension_n": 2,
-        "defining_function": "-(abs2(z1)+abs2(z2)+abs2(z3)-1)",
+        "defining_function": _INWARD_SHELL,
         "quadrature": {"type": "monte_carlo", "samples": 50},
         "tasks": [
             {"kind": "bound_reilly", "F_maps": maps},
