@@ -283,7 +283,9 @@ def _dispersion(points):
     distance within its rounding bound of the row minimum is measured again
     as sum((x_i - x_j)^2), so the result is the direct formula's bit for bit,
     whatever the BLAS.  A non-finite Gram entry makes its whole row a
-    candidate.
+    candidate.  The candidates are measured in slices of whole rows holding
+    at most rows * count // (2m) pairs, so each (pairs, 2m) temporary stays
+    within the same budget even when every pair of a block is a candidate.
     """
     count = points.shape[0]
     if count < 2:
@@ -295,6 +297,7 @@ def _dispersion(points):
     slack = 64.0 * x.shape[1] * np.finfo(float).eps
     scale = sq + sq.max()
     rows = max(1, _DISPERSION_BLOCK_BYTES // (count * 8))
+    pairs = max(1, rows * count // x.shape[1])
     nearest = np.full(count, np.inf)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
@@ -307,9 +310,24 @@ def _dispersion(points):
         low = np.min(gram, axis=1)
         bound = low + slack * (scale[lo:hi] + np.abs(low))
         candidate = ~(gram > bound[:, None])
+        del gram
         candidate[diag] = False
-        i, j = np.nonzero(candidate)
-        np.minimum.at(nearest, lo + i, np.sum((x[lo + i] - x[j]) ** 2, axis=-1))
+        if np.count_nonzero(candidate) <= pairs:
+            cumulative = None
+        else:
+            # cumulative[k]: the candidates in the block's first k rows
+            cumulative = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(candidate.sum(axis=1), out=cumulative[1:])
+        start = 0
+        while start < hi - lo:
+            stop = hi - lo
+            if cumulative is not None:
+                stop = np.searchsorted(cumulative, cumulative[start] + pairs, side="right") - 1
+                stop = min(max(int(stop), start + 1), hi - lo)
+            i, j = np.nonzero(candidate[start:stop])
+            i += lo + start
+            np.minimum.at(nearest, i, np.sum((x[i] - x[j]) ** 2, axis=-1))
+            start = stop
     return float(np.mean(np.sqrt(nearest)))
 
 

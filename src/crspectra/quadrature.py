@@ -119,8 +119,11 @@ def project_rays(rho, params, dirs):
     """
     dirs = np.asarray(dirs, dtype=np.complex128)
     P, m = dirs.shape
-    origin = float(rho.value(params, np.zeros((1, m), dtype=np.complex128))[0].real)
-    if not origin < 0.0:
+    # rho may be singular at the origin (NaN or -inf there); only a value
+    # that puts the origin on or outside M is refused
+    with np.errstate(all="ignore"):
+        origin = float(rho.value(params, np.zeros((1, m), dtype=np.complex128))[0].real)
+    if origin >= 0.0:
         raise JobValidationError(
             f"rho(0) = {origin!r}: the rays start at the origin, which must lie "
             "inside M (rho(0) < 0)"

@@ -79,29 +79,37 @@ def _template(shape, levels, spec):
     return start + sep.join([inner] * shape[0]) + end
 
 
-def _float_text(arr, levels):
+def _plain(arr):
+    """Whether %.17g prints every value of a float64 array as _format_float
+    does: every value finite and none integral."""
+    return bool(np.isfinite(arr).all()) and not (arr == np.trunc(arr)).any()
+
+
+def _float_text(arr, levels, plain):
     """A float64 array as text in one % call, each value as _format_float
-    prints it: finite non-integral values straight through %.17g, any other
-    array value by value."""
+    prints it: straight through %.17g when ``plain`` (see _plain), else
+    value by value."""
     flat = arr.ravel().tolist()
-    if np.isfinite(arr).all() and not (arr == np.trunc(arr)).any():
+    if plain:
         return _template(arr.shape, levels, "%.17g") % tuple(flat)
     return _template(arr.shape, levels, "%s") % tuple(map(_format_float, flat))
 
 
 def _float_table(values):
-    """The JSON text of a rectangular nest of non-integral floats, or None.
+    """The JSON text of a rectangular nest of finite non-integral floats, or
+    None.
 
     An int or bool that numpy upcasts is integral, so a nest that holds one
-    (or an integral float) is left to the item-by-item path, which prints
-    ints and integral floats its own way."""
+    (or an integral float, or a non-finite one) is left to the item-by-item
+    path, which prints ints and integral floats its own way and refuses NaN
+    and inf."""
     try:
         arr = np.asarray(values)
     except (ValueError, TypeError, OverflowError):  # ragged, or an int beyond float range
         return None
-    if arr.dtype != np.float64 or arr.ndim == 0 or (arr == np.trunc(arr)).any():
+    if arr.dtype != np.float64 or arr.ndim == 0 or not _plain(arr):
         return None
-    return _float_text(arr, (("[", ",", "]"),) * arr.ndim)
+    return _float_text(arr, (("[", ",", "]"),) * arr.ndim, True)
 
 
 def canonical_json(obj) -> str:
@@ -376,7 +384,7 @@ def _write_csv(path, result):
         header += [f"point_re_{j + 1}", f"point_im_{j + 1}"]
     header += list(CSV_COLUMNS)
     table = np.column_stack([pts.reshape(count, 2 * m)] + [result[c] for c in CSV_COLUMNS])
-    rows = _float_text(table, (("", "\n", "\n"), ("", ",", "")))
+    rows = _float_text(table, (("", "\n", "\n"), ("", ",", "")), _plain(table))
     _write_text(path, ",".join(header) + "\n" + rows)
 
 

@@ -246,9 +246,12 @@ def test_dispersion_bit_equal_to_dense_formula(monkeypatch, points, count, block
     assert _dispersion(pts) == _dense_dispersion(pts)
 
 
-def test_dispersion_memory_is_bounded():
-    # the dense (N, N, 2m) float64 array would take 432 MB here
-    pts = _random_points(3000)
+@pytest.mark.parametrize("points", [_random_points, _far_cluster],
+                         ids=["random", "far_cluster"])
+def test_dispersion_memory_is_bounded(points):
+    # the dense (N, N, 2m) float64 array would take 432 MB here; in the far
+    # cluster nearly every pair of a block is a candidate for re-measuring
+    pts = points(3000, seed=0)
     tracemalloc.start()
     try:
         _dispersion(pts)

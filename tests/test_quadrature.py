@@ -77,6 +77,17 @@ def test_origin_outside_the_surface_is_a_validation_error():
         project_rays(shifted, None, np.array([[-1.0 + 0.0j, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, radius", [("2-pow(abs2(z1)+abs2(z2),-0.5)", 0.5),
+                                          ("log(abs2(z1)+abs2(z2))-1", np.exp(0.5))])
+def test_rho_singular_at_the_origin_still_projects(text, radius):
+    # rho(0) is NaN or -inf: neither puts the origin on or outside M, so the
+    # rays reach the sphere |z| = radius, and the origin warns of nothing
+    dirs = np.array([[1.0 + 0.0j, 0.0], [0.6, 0.8j]])
+    t = project_rays(parse(text, 1), None, dirs)
+    np.testing.assert_allclose(t, radius, rtol=1e-12)
+
+
 def test_radial_slope_must_be_positive():
     # M is the sphere |z| = 0.5 and the sphere of radius 0.9 about (2.1, 0);
     # the ray along (1, 0) enters the second at t = 1.2, where Newton from

@@ -32,8 +32,8 @@ def test_canonical_json_formatting():
     payload = {"b": 1.0, "a": [0.1, 2, True, None], "c": {"x": 1e-17}}
     text = canonical_json(payload)
     assert text == '{"a":[0.10000000000000001,2,true,null],"b":1.0,"c":{"x":1.0000000000000001e-17}}'
+    assert canonical_json(payload) == text  # stable
     # non-integral float tables are printed in one step; other lists go item by item
-    # lists of plain floats are joined in one step; mixed lists go item by item
     payload = {
         "a": [2.0, -0.0, 1e16, 5e-324, 0.1],
         "b": [1.5, 2, True, -3.0],
