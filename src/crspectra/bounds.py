@@ -345,7 +345,7 @@ def lower_bound(rho, sample_points, params=None, paneitz_positive=False) -> Boun
             "asserted by the user"
         )
     points = np.asarray(sample_points, dtype=np.complex128)
-    # raises DegenerateJ where J <= 1e-12
+    # raises DegenerateJ where J <= 1e-12 times the size of the terms of det A
     q = curvature_quantities(rho, points, params=params)
     big_r = q["R_Theta"]
     d_vals = q["D"]

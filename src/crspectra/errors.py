@@ -84,7 +84,7 @@ class NotStrictlyPseudoconvex(NumericalError):
 
 
 class InternalConsistencyError(NumericalError):
-    pass
+    """The frame's inverse misses its rounding bound: a program defect."""
 
 
 class NoRootFound(NumericalError):

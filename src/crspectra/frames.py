@@ -1,19 +1,36 @@
 """Pointwise pseudohermitian frame data computed from 2-jets of a defining function.
 
-Everything here is batched: a frame built at P points stores arrays with a
-leading batch axis, and all invariant checks run vectorized.  Matrix algebra
-for sizes 2 and 3 uses explicit cofactor formulas, which keeps the whole
-construction exact arithmetic (no pivoting, bit-reproducible).
+The frame is the inverse of Fefferman's bordered complex Hessian
 
-The frame needs no local coordinates on M: every quantity lives in the
-coordinates of C^m.  With psi = rho_{j kbar} + (1 - r) rho_j rho_kbar,
-psi conj(xi) = drho and psi equals the Levi form on ker drho, so psi is
-congruent to diag(Levi, 1).  M is therefore strictly pseudoconvex exactly
-where psi is positive definite, which Sylvester's criterion tests on the
-leading principal minors of psi (the size-m minor is det psi = J).  The
-frame carries the ambient Levi inverse h = psi^-1 - conj(xi) xi^T.  It
+    A = [[rho, rho_kbar], [rho_j, rho_{j kbar}]],   J = -det A,
+
+    A^-1 = [[-r, xi^T], [conj(xi), h]]
+
+on M: the transverse curvature r = det(rho_{j kbar}) / J, the (1,0) field
+xi with drho(xi) = 1, and the ambient Levi inverse h = h^{k lbar}, which
 annihilates drho on both sides, so operators pair (0,1) gradients in the
 coordinates of C^m, |dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar).
+``bordered_inverse`` computes J and A^-1 = adj(A) / det(A) by cofactors:
+exact formulas with no pivoting, bit-reproducible.  Its matrices keep the
+batch axes last, shape (m+1, m+1, ...), so every entry is one contiguous
+vector; frame fields keep the batch axes first.
+
+The frame needs no local coordinates on M.  With psi = rho_{j kbar} +
+(1 - r) rho_j rho_kbar, psi conj(xi) = drho and psi equals the Levi form on
+ker drho, so psi is congruent to diag(Levi, 1), and M is strictly
+pseudoconvex exactly where psi is positive definite.
+
+Four checks remain; all but the first are relative to the size of the
+terms they sum, so a constant factor on rho changes no verdict:
+
+* on the surface: |rho| <= 1e-9;
+* ``DegenerateJ`` where J <= 1e-12 sum_k |A_0k adj(A)_k0|;
+* ``InternalConsistencyError`` where an entry of A A^-1 - I exceeds
+  64 (m+1) eps (|A| |A^-1|) (every identity the frame satisfies, such as
+  drho(xi) = 1 and h drho = 0, is an entry of A A^-1 = I);
+* ``NotStrictlyPseudoconvex`` where a leading principal minor of psi of
+  size k = 1..m is <= 1e-12 times its Hadamard bound, the product of the
+  norms of its k rows (Sylvester's criterion).
 """
 
 from __future__ import annotations
@@ -38,47 +55,67 @@ def hermitize(mat):
     return 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
 
 
-def small_det(h):
-    """Determinant of (..., k, k) for k in {1, 2, 3} by explicit formula."""
-    k = h.shape[-1]
-    if k == 1:
-        return h[..., 0, 0]
-    if k == 2:
-        return h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
-    if k == 3:
-        return (
-            h[..., 0, 0] * (h[..., 1, 1] * h[..., 2, 2] - h[..., 1, 2] * h[..., 2, 1])
-            - h[..., 0, 1] * (h[..., 1, 0] * h[..., 2, 2] - h[..., 1, 2] * h[..., 2, 0])
-            + h[..., 0, 2] * (h[..., 1, 0] * h[..., 2, 1] - h[..., 1, 1] * h[..., 2, 0])
+_EPS = np.finfo(np.float64).eps
+
+
+def _det(a, rows, cols):
+    """Determinant of the submatrix a[rows][:, cols] of a batch-last (k, k,
+    ...) array, by cofactor expansion along its first row."""
+    if len(rows) == 1:
+        return a[rows[0], cols[0]]
+    total = a[rows[0], cols[0]] * _det(a, rows[1:], cols[1:])
+    for j in range(1, len(cols)):
+        term = a[rows[0], cols[j]] * _det(a, rows[1:], cols[:j] + cols[j + 1:])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _adjugate(a):
+    """Adjugate of a batch-last (k, k, ...) array: a adj(a) = det(a) I."""
+    idx = tuple(range(a.shape[0]))
+    adj = np.empty_like(a)
+    for i in idx:
+        for j in idx:
+            minor = _det(a, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+            adj[i, j] = -minor if (i + j) % 2 else minor
+    return adj
+
+
+def bordered_inverse(a, points):
+    """J = -det A and B = A^-1 = adj(A) / det(A) of the bordered Hessians
+    a (m+1, m+1, ...), batch axes last, at points (..., m).
+
+    Raises DegenerateJ where J <= 1e-12 sum_k |A_0k adj_k0| (the terms of
+    det A along row 0) and InternalConsistencyError where an entry of
+    A B - I exceeds 64 (m+1) eps (|A| |B|).
+    """
+    k = a.shape[0]
+    points = points.reshape(-1, k - 1)
+    inv = _adjugate(a)
+    terms = a[0] * inv[:, 0]
+    J = -np.sum(terms, axis=0).real
+    size = np.sum(np.abs(terms), axis=0)
+    i = int(np.argmax(1e-12 * size - J))
+    if J.flat[i] <= 1e-12 * size.flat[i]:
+        raise DegenerateJ(
+            f"J = {J.flat[i]:.3e} <= 1.0e-12 x {size.flat[i]:.3e} at {points[i]}"
         )
-    raise ValueError(f"small_det supports sizes 1..3, got {k}")
-
-
-def small_adjugate(h):
-    """Adjugate of (..., k, k) for k in {1, 2, 3}: h @ adj(h) = det(h) I."""
-    k = h.shape[-1]
-    out = np.empty_like(h)
-    if k == 1:
-        out[..., 0, 0] = 1.0
-        return out
-    if k == 2:
-        out[..., 0, 0] = h[..., 1, 1]
-        out[..., 1, 1] = h[..., 0, 0]
-        out[..., 0, 1] = -h[..., 0, 1]
-        out[..., 1, 0] = -h[..., 1, 0]
-        return out
-    if k == 3:
-        for i in range(3):
-            for j in range(3):
-                r = [a for a in range(3) if a != j]
-                c = [a for a in range(3) if a != i]
-                minor = (
-                    h[..., r[0], c[0]] * h[..., r[1], c[1]]
-                    - h[..., r[0], c[1]] * h[..., r[1], c[0]]
-                )
-                out[..., i, j] = (-1.0) ** (i + j) * minor
-        return out
-    raise ValueError(f"small_adjugate supports sizes 1..3, got {k}")
+    inv *= -1.0 / J
+    # one column of A A^-1 - I at a time keeps the temporaries at (k, ...)
+    abs_a = np.abs(a)
+    for col in range(k):
+        resid = np.einsum("ij...,j...->i...", a, inv[:, col])
+        resid[col] -= 1.0
+        resid = np.abs(resid).reshape(k, -1)
+        bound = 64 * k * _EPS * np.einsum("ij...,j...->i...", abs_a, np.abs(inv[:, col]))
+        bound = bound.reshape(k, -1)
+        row, i = np.unravel_index(int(np.argmax(resid - bound)), resid.shape)
+        if resid[row, i] > bound[row, i]:
+            raise InternalConsistencyError(
+                f"(A A^-1 - I)[{row}, {col}] = {resid[row, i]:.3e} exceeds its "
+                f"rounding bound {bound[row, i]:.3e} at {points[i]}"
+            )
+    return J, inv
 
 
 @dataclass
@@ -112,11 +149,6 @@ class CRFrame:
         return CRFrame(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
-def _worst(values, points):
-    i = int(np.argmax(values))
-    return values.reshape(-1)[i], points.reshape(-1, points.shape[-1])[i]
-
-
 def read_derivatives(jet: Jet):
     """Value, gradient and complex Hessian of a defining function from its jet.
 
@@ -145,77 +177,41 @@ def frame_from_derivatives(point, rho, grad, hess) -> CRFrame:
     m = grad.shape[-1]
     batch = grad.shape[:-1]
     points = np.broadcast_to(point, batch + (m,))
+    flat = points.reshape(-1, m)
 
-    worst_rho = np.max(np.abs(rho)) if rho.size else 0.0
-    if worst_rho > 1e-9:
-        val, pt = _worst(np.abs(np.atleast_1d(rho)), np.atleast_2d(points.reshape(-1, m)))
-        raise NotOnSurface(f"|rho| = {val:.3e} > 1.0e-09 at {pt}")
+    i = int(np.argmax(np.abs(rho)))
+    if np.abs(rho.flat[i]) > 1e-9:
+        raise NotOnSurface(f"|rho| = {np.abs(rho.flat[i]):.3e} > 1.0e-09 at {flat[i]}")
 
-    adj = small_adjugate(hess)
-    detH = small_det(hess).real
-    gbar = np.conj(grad)
-    # q = rho_kbar adj[k,j] rho_j  (real; equals J on M and det(psi) exactly)
-    q = np.einsum("...k,...kj,...j->...", gbar, adj, grad).real
-    J = q - rho * detH
-    if np.min(J) <= 1e-12:
-        val, pt = _worst(-np.atleast_1d(J), np.atleast_2d(points.reshape(-1, m)))
-        raise DegenerateJ(f"J = {-val:.3e} <= 1.0e-12 at {pt}")
+    a = np.empty((m + 1, m + 1) + batch, dtype=np.complex128)
+    a[0, 0] = rho
+    a[0, 1:] = np.moveaxis(np.conj(grad), -1, 0)
+    a[1:, 0] = np.moveaxis(grad, -1, 0)
+    a[1:, 1:] = np.moveaxis(hess, (-2, -1), (0, 1))
+    J, inv = bordered_inverse(a, flat)
+    inner = tuple(range(1, m + 1))
+    detH = _det(a, inner, inner).real
+    r = -inv[0, 0].real
 
-    r = detH / q
-    # xi^k = adj[j,k] rho_jbar / q; contraction identities then hold exactly
-    xi = np.einsum("...jk,...j->...k", adj, gbar) / q[..., None]
-
-    pairing = np.abs(np.einsum("...k,...k->...", grad, xi) - 1.0)
-    if np.max(pairing) > 1e-12:
-        raise InternalConsistencyError(
-            f"drho(xi) deviates from 1 by {np.max(pairing):.3e}"
-        )
-    transverse = np.abs(
-        np.einsum("...j,...jk->...k", xi, hess) - r[..., None] * gbar
-    )
-    if np.max(transverse) > 1e-10:
-        raise InternalConsistencyError(
-            f"xi-contraction residual {np.max(transverse):.3e} exceeds 1.0e-10"
-        )
-
-    psi = hermitize(hess + (1.0 - r)[..., None, None] * grad[..., :, None] * gbar[..., None, :])
-    det_psi = small_det(psi).real
-    if np.max(np.abs(det_psi - J)) > 1e-10 * np.max(np.abs(J)):
-        raise InternalConsistencyError(
-            f"det(psi) differs from J by {np.max(np.abs(det_psi - J)):.3e}"
-        )
-    psi_inv = small_adjugate(psi) / det_psi[..., None, None]
-
-    xi_bar_alt = np.einsum("...kj,...j->...k", psi_inv, grad)
-    crosscheck = np.max(np.abs(np.conj(xi) - xi_bar_alt))
-    if crosscheck > 1e-9:
-        raise InternalConsistencyError(
-            f"xi from adjugate and from psi-inverse disagree by {crosscheck:.3e}"
-        )
-
-    # Sylvester's criterion on psi; its size-m minor is J, checked above
-    for k in range(1, m):
-        minor = small_det(psi[..., :k, :k]).real
-        if np.min(minor) <= 1e-12:
-            val, pt = _worst(-np.atleast_1d(minor), np.atleast_2d(points.reshape(-1, m)))
+    # Sylvester's criterion on psi, each leading minor against its Hadamard
+    # bound, the product of the norms of its rows
+    psi = a[1:, 1:] + (1.0 - r) * (a[1:, 0][:, None] * a[0, 1:][None, :])
+    for k in range(1, m + 1):
+        lead = tuple(range(k))
+        minor = _det(psi, lead, lead).real
+        size = np.prod(np.sqrt(np.sum(np.abs(psi[:k, :k]) ** 2, axis=1)), axis=0)
+        i = int(np.argmax(1e-12 * size - minor))
+        if minor.flat[i] <= 1e-12 * size.flat[i]:
             raise NotStrictlyPseudoconvex(
-                f"leading {k}x{k} minor of psi {-val:.3e} <= 1.0e-12 at {pt}: "
+                f"leading {k}x{k} minor of psi {minor.flat[i]:.3e} <= 1.0e-12 x "
+                f"{size.flat[i]:.3e} at {flat[i]}: "
                 f"the Levi form is not positive definite"
             )
 
-    h = psi_inv - np.conj(xi)[..., :, None] * xi[..., None, :]
-    # diag(h psi) = 1 - conj(xi_k rho_k), since psi conj(xi) = drho
-    diag_err = np.max(np.abs(
-        np.einsum("...kl,...lk->...k", h, psi) - (1.0 - np.conj(xi * grad))
-    ))
-    if diag_err > 1e-10:
-        raise InternalConsistencyError(
-            f"Levi inverse diagonal residual {diag_err:.3e} exceeds 1.0e-10"
-        )
-
     return CRFrame(
         point=np.array(points), rho=rho, grad=grad, hessian=hess, J=J, detH=detH,
-        r=r, xi=xi, h=h,
+        r=r, xi=np.ascontiguousarray(np.moveaxis(inv[0, 1:], 0, -1)),
+        h=np.ascontiguousarray(np.moveaxis(inv[1:, 1:], (0, 1), (-2, -1))),
     )
 
 

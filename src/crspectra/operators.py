@@ -17,15 +17,17 @@ Conventions, pinned by the unit-sphere normalization:
   n+2, D with weight -1).
 * the 2-jet of log J (J = -det A, A the bordered complex Hessian) is the
   trace series log(-det A0) + tr X - tr X^2 / 2, X = A0^-1 (A - A0), which
-  is exact at order <= 2 because X^3 has order >= 3.
+  is exact at order <= 2 because X^3 has order >= 3.  J0 = -det A0 and
+  A0^-1 come from ``frames.bordered_inverse``, the cofactor inverse whose
+  blocks are the CR frame, with its relative checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateJ, JetOrderError, NotRealValued
-from .frames import CRFrame, frame_from_jet, hermitize
+from .errors import JetOrderError, NotRealValued
+from .frames import CRFrame, bordered_inverse, frame_from_jet, hermitize
 from .jets import Jet, jet_space
 
 
@@ -78,7 +80,8 @@ def log_fefferman_jet(rho_jet: Jet) -> Jet:
     Every entry of X has order >= 1, so the series is exact at order <= 2
     when cut after tr X^2, and tr X^2 needs only the first-order terms of X.
     The batch axis P stays last: steps broadcast over (m+1, m+1, T, P).
-    Raises DegenerateJ where J <= 1e-12.
+    Raises DegenerateJ where J <= 1e-12 times the size of the terms of
+    det A0 (see ``frames.bordered_inverse``).
     """
     if rho_jet.order < 2:
         raise JetOrderError("log_fefferman_jet needs a jet of order >= 2")
@@ -93,11 +96,8 @@ def log_fefferman_jet(rho_jet: Jet) -> Jet:
     mult = np.array([[mu[: target.n_terms] for _, _, mu in row] for row in tables])
     a = rho_jet.coeffs.reshape(space.n_terms, -1)[src]
     a *= mult[..., None]
-    a0 = np.moveaxis(a[:, :, 0], -1, 0)
-    j0 = -np.linalg.det(a0).real
-    if np.min(j0) <= 1e-12:
-        raise DegenerateJ(f"J = {np.min(j0):.3e} <= 1.0e-12")
-    inv = np.moveaxis(np.linalg.inv(a0), 0, -1)
+    points = np.broadcast_to(rho_jet.point, rho_jet.batch_shape + (m,))
+    j0, inv = bordered_inverse(a[:, :, 0], points)
     out = np.empty(a.shape[2:], dtype=np.complex128)
     out[0] = np.log(j0)
     out[1:] = np.einsum("ijp,jitp->tp", inv, a[:, :, 1:])

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from chart_oracle import ChartOracle
+from crspectra import frames
 from crspectra.errors import (
     DegenerateJ,
+    InternalConsistencyError,
     NotOnSurface,
     NotRealValued,
     NotStrictlyPseudoconvex,
 )
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
-from crspectra.operators import dbar_pairing
+from crspectra.operators import curvature_quantities, dbar_pairing
 from crspectra.quadrature import points_on_surface
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
@@ -36,21 +38,83 @@ def test_squared_sphere_frame():
     assert fr.r == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", [1e-6, 0.5, 2.0, 3.0])
 def test_scaling_laws(c):
-    scaled = parse(f"{c}*(abs2(z1)+abs2(z2)-1)", 1)
-    pts = points_on_surface(SPHERE, 10, seed=4)
-    base = build_frame(SPHERE, pts)
-    fr = build_frame(scaled, pts)
-    assert np.allclose(fr.J, c**3 * base.J, rtol=1e-12)
-    assert np.allclose(fr.detH, c**2 * base.detH, rtol=1e-12)
-    assert np.allclose(fr.r, base.r / c, rtol=1e-12)
+    # the frame's thresholds are relative, so a constant factor on the
+    # defining function changes no verdict, and R_Theta not at all
+    for n, text in ((1, "abs2(z1)+abs2(z2)-1"), (2, "abs2(z1)+abs2(z2)+abs2(z3)-1")):
+        base_rho, scaled = parse(text, n), parse(f"{c}*({text})", n)
+        pts = points_on_surface(base_rho, 10, seed=4)
+        base = curvature_quantities(base_rho, pts)
+        q = curvature_quantities(scaled, pts)
+        assert np.allclose(q["J"], c ** (n + 2) * base["J"], rtol=1e-12, atol=0.0)
+        assert np.allclose(q["detH"], c ** (n + 1) * base["detH"], rtol=1e-12, atol=0.0)
+        assert np.allclose(q["r"], base["r"] / c, rtol=1e-12, atol=0.0)
+        assert np.allclose(q["R_Theta"], base["R_Theta"], rtol=1e-12, atol=0.0)
+
+
+def _bordered(fr):
+    """Fefferman's bordered Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]] of
+    a frame, batch axis first."""
+    m = fr.m
+    a = np.empty(fr.batch_shape + (m + 1, m + 1), dtype=np.complex128)
+    a[..., 0, 0] = fr.rho
+    a[..., 0, 1:] = np.conj(fr.grad)
+    a[..., 1:, 0] = fr.grad
+    a[..., 1:, 1:] = fr.hessian
+    return a
+
+
+@pytest.mark.parametrize(
+    "text,n,params,points",
+    [
+        ("(abs2(z1)+abs2(z2))^2-1", 1, {}, None),
+        ("abs2(z1)+abs2(z2)+0.25*abs2(z1^2)-1", 1, {}, None),
+        ("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.05*abs2(z2)^2-1", 2, {}, None),
+        ("-im(z2) + abs2(z1) + kappa*abs2(z1)^2", 1, {"kappa": 1.0}, [[0.0, 0.0]]),
+    ],
+    ids=["squared", "rule_n1", "quartic_n2", "normal_form_origin"],
+)
+def test_frame_is_the_bordered_inverse(text, n, params, points):
+    # J = -det A and A^-1 = [[-r, xi^T], [conj(xi), h]] against LAPACK
+    rho = parse(text, n)
+    pts = points_on_surface(rho, 40, seed=6) if points is None else np.array(points)
+    fr = build_frame(rho, pts, params)
+    a = _bordered(fr)
+    inv = np.linalg.inv(a)
+    scale = np.max(np.abs(inv), axis=(-2, -1))
+    assert np.max(np.abs(fr.J + np.linalg.det(a).real) / fr.J) <= 1e-12
+    assert np.max(np.abs(fr.r + inv[:, 0, 0].real) / scale) <= 1e-12
+    assert np.max(np.abs(fr.xi - inv[:, 0, 1:]) / scale[:, None]) <= 1e-12
+    assert np.max(np.abs(np.conj(fr.xi) - inv[:, 1:, 0]) / scale[:, None]) <= 1e-12
+    assert np.max(np.abs(fr.h - inv[:, 1:, 1:]) / scale[:, None, None]) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+def test_corrupted_inverse_trips_the_residual_check(monkeypatch, entry):
+    # one entry of the adjugate off by 1e-8 relative: A A^-1 = I fails by far
+    # more than its rounding bound
+    cofactors = frames._adjugate
+
+    def corrupted(a):
+        adj = cofactors(a)
+        adj[entry] *= 1.0 + 1e-8
+        return adj
+
+    pts = points_on_surface(SQUARED, 5, seed=7)
+    build_frame(SQUARED, pts)
+    monkeypatch.setattr(frames, "_adjugate", corrupted)
+    with pytest.raises(InternalConsistencyError, match="exceeds its rounding bound"):
+        build_frame(SQUARED, pts)
 
 
 def test_normal_form_frame_at_origin():
     text = "-im(z2) + abs2(z1) + kappa*abs2(z1)^2"
     e = parse(text, 1)
-    fr = build_frame(e, [0.0, 0.0], {"kappa": 1.0})
+    # A and A^-1 have zero entries here, so |A| |A^-1| vanishes in places:
+    # the frame's checks must not divide by it
+    with np.errstate(all="raise"):
+        fr = build_frame(e, [0.0, 0.0], {"kappa": 1.0})
     assert fr.J == pytest.approx(0.25)
     assert fr.detH == pytest.approx(0.0)
     assert fr.r == pytest.approx(0.0)
