@@ -134,12 +134,12 @@ def _quadrature_block(args):
 
 
 def _points_block(task, args):
-    if getattr(args, "points", None):
+    if args.points is not None:
         try:
             task["points"] = json.loads(args.points)
         except ValueError as exc:
             raise ValidationError(f"--points is not valid JSON: {exc}") from None
-    elif getattr(args, "num_points", None):
+    elif args.num_points is not None:
         task["num_points"] = args.num_points
     return task
 

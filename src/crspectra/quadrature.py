@@ -21,7 +21,10 @@ Two rule types, both weighted in the area of the unit sphere:
 * ``monte_carlo`` (any n): seeded uniform directions, radially projected.
 
 Both project their directions and read the 2-jet of rho at the points in
-chunks of 8,192 through ``runtime.map_chunks``.
+chunks of 8,192 through ``runtime.map_chunks``.  A ray from the origin
+(inside M) takes the crossing nearest t = 1 on a geometric grid over t in
+[6.8e-4, 1.5e3], refined by a value-only bracketed search; |rho| at the
+root is checked relative to |rho| on the bracket.
 
 A rule is the discretized pseudohermitian structure: it holds the defining
 function and params it was built for, and that function's CR frame at its
@@ -41,9 +44,6 @@ import numpy as np
 from .errors import DegenerateFrame, JobValidationError, NoRootFound
 from .frames import CRFrame, build_frame, frame_from_derivatives, read_derivatives
 from .runtime import map_chunks
-
-# largest |rho| accepted at a projected ray point
-_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,24 +99,19 @@ class QuadratureRule:
 
 # --- radial projection ----------------------------------------------------
 
-
-def _rho_and_slope(rho, params, t, dirs):
-    """rho(t u) and d/dt rho(t u) for unit complex directions u."""
-    pts = t[:, None] * dirs
-    jet = rho.jet(params, pts, 1)
-    val = jet.constant_term().real
-    slope = 2.0 * np.einsum("pj,pj->p", jet.gradient(), dirs).real
-    return val, slope
+# the search grid t = _RATIO^k, |k| <= _STEPS, covers t in [1e-3, 1e3]
+_RATIO, _STEPS = 1.5, 18
 
 
 def project_rays(rho, params, dirs):
-    """Scaling factors t > 0 with |rho(t * dirs)| <= 1e-12 along each unit ray.
+    """Scaling factors t > 0 with rho(t * dirs) = 0 along each unit ray.
 
-    Safeguarded Newton from t = 1 (at most 100 steps) with a bisection
-    fallback on a geometric bracket scan over t in [1e-3, 1e3].  The rays
-    start at the origin, which must lie inside M: rho(0) >= 0 is a
-    validation error.
-    """
+    The rays start at the origin, which must lie inside M: rho(0) >= 0 is a
+    validation error.  Each ray takes the sign change of rho nearest t = 1
+    on the grid t = 1.5^k, |k| <= 18, widened from t = 1 on both sides (a
+    tie takes the inner bracket), refined by ``_illinois``.  No sign change
+    on the grid, or |rho(t u)| above 1e-9 times the larger |rho| at the
+    bracket's grid points (a pole), raises ``NoRootFound``."""
     dirs = np.asarray(dirs, dtype=np.complex128)
     P, m = dirs.shape
     # rho may be singular at the origin (NaN or -inf there); only a value
@@ -128,62 +123,58 @@ def project_rays(rho, params, dirs):
             f"rho(0) = {origin!r}: the rays start at the origin, which must lie "
             "inside M (rho(0) < 0)"
         )
-    t = np.ones(P)
-    for _ in range(100):
-        val, slope = _rho_and_slope(rho, params, t, dirs)
-        active = np.abs(val) > 1e-15
-        if not np.any(active):
-            break
-        step = np.zeros(P)
-        ok = active & (np.abs(slope) > 1e-14)
-        step[ok] = val[ok] / slope[ok]
-        step = np.clip(step, -0.5, 0.5)
-        t = np.clip(t - step, 1e-3, 1e3)
-    else:
-        # every step moved t, so val is one step behind
-        val, _ = _rho_and_slope(rho, params, t, dirs)
-    bad = np.abs(val) > _ROOT_TOL
-    if np.any(bad):
-        t = _bisect_failures(rho, params, t, dirs, np.where(bad)[0])
+    with np.errstate(all="ignore"):
+        lo, hi, flo = np.ones(P), np.ones(P), rho.value(params, dirs).real
+        fhi = flo.copy()
+        left = np.flatnonzero(flo != 0.0)
+        for k in range(1, _STEPS + 1):
+            if not left.size:
+                break
+            t_in, t_out = _RATIO**-k, _RATIO**k
+            f_in, f_out = rho.value(params, np.multiply.outer((t_in, t_out), dirs[left])).real
+            # a sign change keeps the last point on its side as the other end
+            hit_in = np.sign(f_in) * np.sign(flo[left]) <= 0
+            hit_out = ~hit_in & (np.sign(f_out) * np.sign(fhi[left]) <= 0)
+            lo[left], hi[left], flo[left], fhi[left] = (
+                np.where(hit_out, hi[left], t_in), np.where(hit_in, lo[left], t_out),
+                np.where(hit_out, fhi[left], f_in), np.where(hit_in, flo[left], f_out))
+            left = left[~(hit_in | hit_out)]
+        if left.size:
+            raise NoRootFound(f"no surface crossing along direction {dirs[left[0]]} "
+                              f"for t in [{_RATIO**-_STEPS:.2g}, {_RATIO**_STEPS:.2g}]")
+        scale = np.maximum(np.abs(flo), np.abs(fhi))
+        _illinois(rho, params, dirs, lo, hi, flo, fhi)
+    take_hi = np.abs(fhi) < np.abs(flo)
+    t, res = np.where(take_hi, hi, lo), np.abs(np.where(take_hi, fhi, flo))
+    bad = np.flatnonzero(~(res <= 1e-9 * scale))
+    if bad.size:
+        raise NoRootFound(f"rho changes sign without a root along direction {dirs[bad[0]]}: "
+                          f"|rho| = {res[bad[0]]:.3e} at t = {float(t[bad[0]])!r}")
     return t
 
 
-def _bisect_failures(rho, params, t, dirs, idx):
-    grid = np.geomspace(1e-3, 1e3, 481)
-    for i in idx:
-        u = dirs[i]
-        vals = rho.value(params, grid[:, None] * u).real
-        sign = np.sign(vals)
-        # a root on the grid itself ends the bracket before it
-        flips = np.where(sign[:-1] * sign[1:] <= 0)[0]
-        if len(flips) == 0:
-            raise NoRootFound(
-                f"no surface crossing along direction {u} for t in [1e-3, 1e3]"
-            )
-        lo, hi = grid[flips[0]], grid[flips[0] + 1]
-        flo = vals[flips[0]]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = float(rho.value(params, mid * u).real)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-16 * hi:
-                break
-        ti = 0.5 * (lo + hi)
-        for _ in range(4):  # Newton polish
-            val, slope = _rho_and_slope(rho, params, np.array([ti]), u[None])
-            if abs(slope[0]) < 1e-14:
-                break
-            ti -= float(val[0] / slope[0])
-        val, slope = _rho_and_slope(rho, params, np.array([ti]), u[None])
-        # where rho is large near M its rounding alone can exceed _ROOT_TOL;
-        # a root that t locates to within 4 ulps is accepted all the same
-        if abs(val[0]) > max(_ROOT_TOL, 4.0 * np.spacing(ti) * abs(slope[0])):
-            raise NoRootFound(f"projection residual too large along {u}")
-        t[i] = ti
-    return t
+def _illinois(rho, params, dirs, lo, hi, flo, fhi):
+    """Shrink the brackets [lo, hi] of sign changes of rho(t u) in place to a
+    zero of rho or adjacent floats: regula falsi kept a float inside the
+    bracket, halving the weight of an end kept twice running (Illinois)."""
+    wlo, whi = flo.copy(), fhi.copy()
+    moved_lo = moved_hi = False  # the end the last step moved
+    while True:
+        lo_up, hi_down = np.nextafter(lo, hi), np.nextafter(hi, lo)
+        live = (lo_up < hi) & (flo != 0.0) & (fhi != 0.0)
+        if not live.any():
+            return
+        c = hi - whi * (hi - lo) / (whi - wlo)
+        c = np.where(np.isnan(c), 0.5 * (lo + hi), np.clip(c, lo_up, hi_down))
+        fc = rho.value(params, c[:, None] * dirs).real
+        move_lo = live & (np.sign(fc) == np.sign(flo))
+        move_hi = live & ~move_lo
+        wlo = np.where(move_lo, fc, np.where(move_hi & moved_hi, 0.5 * wlo, wlo))
+        whi = np.where(move_hi, fc, np.where(move_lo & moved_lo, 0.5 * whi, whi))
+        for end, f_end, move in ((lo, flo, move_lo), (hi, fhi, move_hi)):
+            np.copyto(end, c, where=move)
+            np.copyto(f_end, fc, where=move)
+        moved_lo, moved_hi = move_lo, move_hi
 
 
 # --- the contact volume form ------------------------------------------------

@@ -29,7 +29,7 @@ from .expressions import parse
 from .operators import curvature_quantities
 from .quadrature import QuadratureSettings, build_quadrature, points_on_surface
 from .runtime import release_freed_memory
-from .spectral import MAX_DEGREE, estimate_lambda1
+from .spectral import MAX_DEGREE, check_kernel_tol, estimate_lambda1
 
 # the keys besides "kind" that each task kind reads; any other is refused
 _POINT_KEYS = ("points", "num_points", "seed")
@@ -401,7 +401,7 @@ def _run_task(ctx, task, base_dir):
     if kind == "spectrum":
         # checked before the rule is built or anything is assembled
         degree = _whole_number(task, "degree", 3, 0, MAX_DEGREE)
-        kernel_tol = _real_number(task.get("kernel_tol", 1e-6), "kernel_tol")
+        kernel_tol = check_kernel_tol(_real_number(task.get("kernel_tol", 1e-6), "kernel_tol"))
         monotonicity = _task_flag(task, "check_monotonicity", True)
         report = estimate_lambda1(ctx.rule, degree, kernel_tol=kernel_tol,
                                   check_monotonicity=monotonicity)

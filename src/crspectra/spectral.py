@@ -55,6 +55,13 @@ TABLE_BYTES = 4 << 20       # real monomial table of one assembly chunk
 MIN_CHUNK = 64              # points per assembly chunk, at least
 
 
+def check_kernel_tol(kernel_tol):
+    """kernel_tol if in (0, 1); at 0 kernel values pass as lambda1, at 1 none."""
+    if not 0.0 < kernel_tol < 1.0:
+        raise JobValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
+    return kernel_tol
+
+
 @dataclass(frozen=True)
 class MonomialBasis:
     """Exponent pairs (a, b), |a| + |b| <= degree, graded-lexicographic."""
@@ -303,6 +310,7 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis, kernel_tol=1e-6,
     The Hermitian deviation is the largest |X - X^H| of G, S and the frame's
     Levi inverse h, which the assembly reads only above its diagonal.
     """
+    check_kernel_tol(kernel_tol)
     G, S, Sp = _galerkin_matrices(rule, basis, check_ibp)
     h = rule.frame.h
     herm_dev = max(

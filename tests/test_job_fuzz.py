@@ -37,8 +37,8 @@ SPHERE_N1 = "abs2(z1)+abs2(z2)-1"
 SPHERE_N2 = "abs2(z1)+abs2(z2)+abs2(z3)-1"
 # J = 1 > 0 and a negative definite Levi form: fails the pseudoconvexity test
 FLIPPED_N2 = "-(abs2(z1)+abs2(z2)+abs2(z3)-1)"
-# radius 70: Newton's clipped steps end short of the surface, and every ray
-# goes through the bisection fallback
+# radius 70: every ray walks the search grid out to t = 1.5^11 before rho
+# changes sign, and |rho| there rounds above 1e-12
 SPHERE_R70 = "abs2(z1)+abs2(z2)-4900"
 EXPRESSIONS = st.sampled_from([
     SPHERE_N1,

@@ -53,14 +53,52 @@ def test_radial_point_single():
     assert np.allclose(p, [1.0, 0.0])
 
 
-@pytest.mark.parametrize("radius", [70, 100])
-def test_large_spheres_project_through_the_bisection_fallback(radius):
-    # Newton's clipped steps cannot reach t = 70 from t = 1, and t = 100 is
-    # a point of the fallback's scan grid; near |z| = 100 the rounding of
-    # rho alone exceeds the 1e-12 residual bound
-    rho = parse(f"abs2(z1)+abs2(z2)-{radius * radius}", 1)
+@pytest.mark.parametrize("radius", [1e-3, 70, 100, 1e3])
+def test_spheres_of_any_radius_project_to_the_surface(radius):
+    # the grid walk reaches t = 1e-3 and t = 1e3 from t = 1, and the residual
+    # bound scales with |rho| on the bracket: near |z| = 100 the rounding of
+    # rho alone exceeds 1e-12
+    rho = parse(f"abs2(z1)+abs2(z2)-{radius * radius!r}", 1)
     pts = points_on_surface(rho, 20, seed=0)
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) / radius - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 70.0, 1e3])
+def test_sphere_rule_volume_at_any_radius(radius):
+    # the sphere |z| = s bounds a volume form of total mass 4 pi^2 s^4
+    rho = parse(f"abs2(z1)+abs2(z2)-{radius * radius!r}", 1)
+    rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=8))
+    assert rule.volume == pytest.approx(4.0 * np.pi**2 * radius**4, rel=1e-12)
+
+
+def test_projection_evaluates_rho_a_fixed_number_of_times(monkeypatch):
+    # 8 or 512 rays along the coordinate axes cost the same number of value
+    # calls and no jet: the search has no per-ray loop
+    from crspectra.expressions import Expression
+
+    calls = []
+    value, jet = Expression.value, Expression.jet
+    monkeypatch.setattr(Expression, "value", lambda *a: calls.append("value") or value(*a))
+    monkeypatch.setattr(Expression, "jet", lambda *a: calls.append("jet") or jet(*a))
+    rho = parse("abs2(z1)+4*abs2(z2)-4900", 1)
+    axes = np.array([[1.0, 0.0], [0.0, 1.0]]) * np.array([1.0, 1j, -1.0, -1j])[:, None, None]
+    counts = []
+    for copies in (4, 256):
+        calls.clear()
+        t = project_rays(rho, None, np.tile(axes.reshape(8, 2), (copies, 1)))
+        np.testing.assert_allclose(t, np.tile([70.0, 35.0], 4 * copies), rtol=1e-15)
+        assert "jet" not in calls
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_sign_change_through_a_pole_is_no_root():
+    # along (1, 0), rho = 1/(0.25 - t^2) - 10 changes sign at the root
+    # t = 0.387 and at the pole t = 0.5; the grid bracket nearest t = 1 holds
+    # the pole, where |rho| only grows as the bracket shrinks
+    rho = parse("1/(0.25-abs2(z1)-abs2(z2))-10", 1)
+    with pytest.raises(NoRootFound, match=r"direction \[1\.\+0\.j 0\.\+0\.j\]"):
+        project_rays(rho, None, np.array([[1.0 + 0.0j, 0.0]]))
 
 
 def test_no_root_found():
@@ -90,8 +128,8 @@ def test_rho_singular_at_the_origin_still_projects(text, radius):
 
 def test_radial_slope_must_be_positive():
     # M is the sphere |z| = 0.5 and the sphere of radius 0.9 about (2.1, 0);
-    # the ray along (1, 0) enters the second at t = 1.2, where Newton from
-    # t = 1 lands and rho falls along the ray
+    # the ray along (1, 0) enters the second at t = 1.2, the crossing in the
+    # grid bracket [1, 1.5] next to t = 1, and rho falls along the ray
     shells = parse("(abs2(z1)+abs2(z2)-0.25)*(abs2(z1-2.1)+abs2(z2)-0.81)", 1)
     u = np.array([[1.0 + 0.0j, 0.0]])
     t = project_rays(shells, None, u)

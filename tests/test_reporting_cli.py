@@ -295,6 +295,16 @@ def test_cli_points_that_are_not_json_are_a_validation_error(capsys):
     assert capsys.readouterr().err.startswith("error: --points is not valid JSON")
 
 
+@pytest.mark.parametrize("flags", [["--num-points", "0"], ["--num-points", "-1"],
+                                   ["--points", ""]],
+                         ids=["num_points_0", "num_points_negative", "points_empty"])
+def test_cli_empty_point_flags_are_validation_errors(capsys, flags):
+    # none falls back to the default random points
+    code = main(["curvature", "--rho", "abs2(z1)+abs2(z2)-1", "--n", "1", *flags])
+    assert code == 2
+    assert "R_Theta" not in capsys.readouterr().out
+
+
 def test_cli_entry_point_subprocess():
     # the child finds the package where this process imported it from, so
     # the test also runs from a checkout without PYTHONPATH set
@@ -401,6 +411,24 @@ def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("kernel_tol", [0, 2.0])
+def test_spectrum_kernel_tol_outside_the_unit_interval_rejected_before_any_work(
+        tmp_path, monkeypatch, kernel_tol):
+    # at 0 a kernel Ritz value would pass as lambda1, at 1 or above none can
+    from crspectra import reporting, spectral
+
+    ran = []
+    monkeypatch.setattr(spectral, "assemble", lambda *a, **k: ran.append("assemble"))
+    monkeypatch.setattr(reporting, "build_quadrature", lambda *a, **k: ran.append("rule"))
+    job = {**SPHERE_JOB, "tasks": [{"kind": "spectrum", "kernel_tol": kernel_tol}]}
+    report, code = run_job_data(job, base_dir=tmp_path)
+    entry = report["results"][0]
+    assert code == 2
+    assert entry["error"] == "JobValidationError"
+    assert "kernel_tol must lie in (0, 1)" in entry["message"]
+    assert ran == []
+
+
 @pytest.mark.parametrize(
     "task",
     [
@@ -427,13 +455,17 @@ def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
         {"kind": "bound_upper", "decomposition": {"nu": True, "f_maps": ["z1", "z2"]}},
         {"kind": "bound_upper", "decomposition": {"f_maps": ["z1", "z2"], "Nu": 2}},
         {"kind": "bound_upper", "decomposition": {"f_maps": ["z1", "z2"], "psi": None}},
+        {"kind": "spectrum", "kernel_tol": 0},
+        {"kind": "spectrum", "kernel_tol": -1},
+        {"kind": "spectrum", "kernel_tol": 1},
     ],
     ids=["num_points_0", "num_points_negative", "degree_text", "seed_text",
          "ragged_points", "empty_decomposition", "empty_F_maps", "j_text",
          "kernel_tol_text", "csv_number", "csv_missing_directory", "F_maps_number",
          "defining_functions_null", "degree_true", "degree_fraction", "j_fraction",
          "seed_true", "num_points_fraction", "kernel_tol_true", "decomposition_N_text",
-         "decomposition_nu_true", "decomposition_unknown_key", "decomposition_psi_null"],
+         "decomposition_nu_true", "decomposition_unknown_key", "decomposition_psi_null",
+         "kernel_tol_0", "kernel_tol_negative", "kernel_tol_1"],
 )
 def test_malformed_task_fields_are_validation_errors(tmp_path, task):
     report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
@@ -474,8 +506,9 @@ def test_every_task_key_of_a_kind_is_accepted():
 
 
 # rho(0) < 0, and every ray from the origin leaves {rho < 0} at |z| = 0.5 and
-# meets M again at |z| = 1.2, where rho falls along the ray; Newton from t = 1
-# lands there, and the Levi form of rho is negative definite
+# meets M again at |z| = 1.2, where rho falls along the ray; the projection
+# takes that crossing, in the grid bracket [1, 1.5] next to t = 1, and the Levi
+# form of rho is negative definite
 _INWARD_SHELL = "-(abs2(z1)+abs2(z2)+abs2(z3)-0.25)*(abs2(z1)+abs2(z2)+abs2(z3)-1.44)"
 
 

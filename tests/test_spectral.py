@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from chart_oracle import ChartOracle
-from crspectra.errors import CholeskyFailure, IllConditionedGram, NoPositiveEigenvalue
+from crspectra.errors import (
+    CholeskyFailure,
+    IllConditionedGram,
+    JobValidationError,
+    NoPositiveEigenvalue,
+)
 from crspectra.expressions import parse
 from crspectra.quadrature import QuadratureSettings, build_quadrature
 from crspectra.spectral import (
@@ -102,6 +107,12 @@ def test_estimate_lambda1_monotone(sphere_rule):
     assert report.lambda1 == pytest.approx(1.0, abs=1e-8)
     assert report.lambda1_by_degree[2] >= report.lambda1_by_degree[4] - 1e-9
     assert report.kernel_dim == 15  # holomorphic monomials of degree <= 4
+
+
+@pytest.mark.parametrize("kernel_tol", [0.0, -1.0, 1.0, float("nan")])
+def test_assemble_refuses_a_kernel_tol_outside_the_unit_interval(sphere_rule, kernel_tol):
+    with pytest.raises(JobValidationError, match=r"kernel_tol must lie in \(0, 1\)"):
+        assemble(sphere_rule, MonomialBasis.build(2, 1), kernel_tol=kernel_tol)
 
 
 def test_solve_error_paths():
