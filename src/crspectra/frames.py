@@ -1,19 +1,20 @@
-"""Pointwise pseudohermitian frame data computed from 2-jets of a defining function.
+"""Fefferman's bordered complex Hessian and the pseudohermitian frame on M.
 
-The frame is the inverse of Fefferman's bordered complex Hessian
+``bordered_jet`` lays out, from a real jet of rho, the jet of
 
     A = [[rho, rho_kbar], [rho_j, rho_{j kbar}]],   J = -det A,
 
-    A^-1 = [[-r, xi^T], [conj(xi), h]]
+    A^-1 = [[-r, xi^T], [conj(xi), h]].
 
-on M: the transverse curvature r = det(rho_{j kbar}) / J, the (1,0) field
-xi with drho(xi) = 1, and the ambient Levi inverse h = h^{k lbar}, which
-annihilates drho on both sides, so operators pair (0,1) gradients in the
-coordinates of C^m, |dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar).
-``bordered_inverse`` computes J and A^-1 = adj(A) / det(A) by cofactors:
-exact formulas with no pivoting, bit-reproducible.  Its matrices keep the
-batch axes last, shape (m+1, m+1, ...), so every entry is one contiguous
-vector; frame fields keep the batch axes first.
+The frame keeps A0, the constant term of A, and A0^-1, and reads its fields
+off their blocks: on M the transverse curvature r = det(rho_{j kbar}) / J,
+the (1,0) field xi with drho(xi) = 1, and the ambient Levi inverse h =
+h^{k lbar}, which annihilates drho on both sides, so operators pair (0,1)
+gradients in the coordinates of C^m, |dbar_b u|^2 = h^{k lbar} u_kbar
+conj(u_lbar).  ``bordered_inverse`` computes J and A^-1 = adj(A) / det(A)
+by cofactors: exact formulas with no pivoting, bit-reproducible.  Its
+matrices keep the batch axes last, shape (m+1, m+1, ...), so every entry is
+one contiguous vector; the frame keeps the batch axes first.
 
 The frame needs no local coordinates on M.  With psi = rho_{j kbar} +
 (1 - r) rho_j rho_kbar, psi conj(xi) = drho and psi equals the Levi form on
@@ -47,7 +48,7 @@ from .errors import (
     NotRealValued,
     NotStrictlyPseudoconvex,
 )
-from .jets import Jet
+from .jets import Jet, jet_space
 
 
 def hermitize(mat):
@@ -83,14 +84,14 @@ def _adjugate(a):
 
 def bordered_inverse(a, points):
     """J = -det A and B = A^-1 = adj(A) / det(A) of the bordered Hessians
-    a (m+1, m+1, ...), batch axes last, at points (..., m).
+    a (m+1, m+1, ...), batch axes last, at points that broadcast to (..., m).
 
     Raises DegenerateJ where J <= 1e-12 sum_k |A_0k adj_k0| (the terms of
     det A along row 0) and InternalConsistencyError where an entry of
     A B - I exceeds 64 (m+1) eps (|A| |B|).
     """
     k = a.shape[0]
-    points = points.reshape(-1, k - 1)
+    points = np.broadcast_to(points, a.shape[2:] + (k - 1,)).reshape(-1, k - 1)
     inv = _adjugate(a)
     terms = a[0] * inv[:, 0]
     J = -np.sum(terms, axis=0).real
@@ -118,19 +119,54 @@ def bordered_inverse(a, points):
     return J, inv
 
 
+def bordered_jet(jet: Jet):
+    """The jet of A from a real jet of rho (order >= 2): shape (m+1, m+1, T,
+    ...), entry (j, k) the T terms of the order - 2 jet of A_jk, batch axes
+    last; a[:, :, 0] is A0.  A jet that is real only numerically (a sum of
+    conjugate monomial pairs, say, that the syntactic reality rules cannot
+    see) is hermitized; NotRealValued where its reality defect exceeds 1e-10
+    times its largest coefficient (at least 1).
+    """
+    if jet.order < 2:
+        raise JetOrderError("the bordered Hessian needs a jet of order >= 2")
+    if not jet.is_real:
+        defect = jet.reality_defect()
+        scale = max(1.0, float(np.max(np.abs(jet.coeffs))))
+        if defect > 1e-10 * scale:
+            raise NotRealValued(
+                f"defining function is not real-valued (defect {defect:.3e})"
+            )
+        jet = jet.hermitized()
+    space, m = jet.space, jet.m
+    # index 0 takes no derivative; the jet of d^alpha dbar^beta rho is the
+    # first T rows of its deriv_table, whose space has the order-2 one as prefix
+    terms = jet_space(m, space.order - 2).n_terms
+    units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
+    tables = [[space.deriv_table(alpha, beta) for beta in units] for alpha in units]
+    src = np.array([[s[:terms] for _, s, _ in row] for row in tables])
+    mult = np.array([[mu[:terms] for _, _, mu in row] for row in tables])
+    a = jet.coeffs[src]
+    a *= mult.reshape(mult.shape + (1,) * len(jet.batch_shape))
+    return a
+
+
 @dataclass
 class CRFrame:
     """All pointwise frame data on M; arrays carry a common batch shape."""
 
     point: np.ndarray        # (..., m) complex
-    rho: np.ndarray          # (...) real residual of the defining function
-    grad: np.ndarray         # (..., m) rho_j
-    hessian: np.ndarray      # (..., m, m) rho_{j kbar}
+    a: np.ndarray            # (..., m+1, m+1) A0
+    inv: np.ndarray          # (..., m+1, m+1) A0^-1
     J: np.ndarray            # (...) Fefferman determinant
     detH: np.ndarray         # (...)
-    r: np.ndarray            # (...) transverse curvature
-    xi: np.ndarray           # (..., m) the (1,0) field with drho(xi) = 1
-    h: np.ndarray            # (..., m, m) ambient Levi inverse h^{k lbar}
+
+    # the blocks of A0 and A0^-1, views
+    rho = property(lambda self: self.a[..., 0, 0].real)    # (...) residual of rho
+    grad = property(lambda self: self.a[..., 1:, 0])       # (..., m) rho_j
+    hessian = property(lambda self: self.a[..., 1:, 1:])   # (..., m, m) rho_{j kbar}
+    r = property(lambda self: -self.inv[..., 0, 0].real)   # (...) transverse curvature
+    xi = property(lambda self: self.inv[..., 0, 1:])       # (..., m) drho(xi) = 1
+    h = property(lambda self: self.inv[..., 1:, 1:])       # (..., m, m) h^{k lbar}
 
     @property
     def m(self):
@@ -149,49 +185,24 @@ class CRFrame:
         return CRFrame(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
-def read_derivatives(jet: Jet):
-    """Value, gradient and complex Hessian of a defining function from its jet.
-
-    Checks that the jet (order >= 2) is real, and returns ``(rho, grad,
-    hess)``: the real value (...), rho_j (..., m) and the Hermitian rho_{j
-    kbar} (..., m, m) at the jet's base points.
-    """
-    if jet.order < 2:
-        raise JetOrderError("frame construction needs a jet of order >= 2")
-    if not jet.is_real:
-        # accept numerically real jets (e.g. sums of conjugate monomial pairs
-        # that the syntactic reality rules cannot see)
-        defect = jet.reality_defect()
-        scale = max(1.0, float(np.max(np.abs(jet.coeffs))))
-        if defect > 1e-10 * scale:
-            raise NotRealValued(
-                f"defining function is not real-valued (defect {defect:.3e})"
-            )
-        jet = jet.hermitized()
-    return jet.constant_term().real, jet.gradient(), hermitize(jet.mixed_hessian())
-
-
-def frame_from_derivatives(point, rho, grad, hess) -> CRFrame:
-    """Build the frame at ``point`` (..., m) from the value, gradient and
-    Hessian of the defining function there (as from ``read_derivatives``)."""
-    m = grad.shape[-1]
-    batch = grad.shape[:-1]
+def frame_from_bordered(point, a) -> CRFrame:
+    """Build the frame at ``point`` (..., m) from A0 there, batch axes last
+    (m+1, m+1, ...)."""
+    m = a.shape[0] - 1
+    batch = a.shape[2:]
     points = np.broadcast_to(point, batch + (m,))
     flat = points.reshape(-1, m)
 
+    rho = a[0, 0].real
     i = int(np.argmax(np.abs(rho)))
     if np.abs(rho.flat[i]) > 1e-9:
         raise NotOnSurface(f"|rho| = {np.abs(rho.flat[i]):.3e} > 1.0e-09 at {flat[i]}")
 
-    a = np.empty((m + 1, m + 1) + batch, dtype=np.complex128)
-    a[0, 0] = rho
-    a[0, 1:] = np.moveaxis(np.conj(grad), -1, 0)
-    a[1:, 0] = np.moveaxis(grad, -1, 0)
-    a[1:, 1:] = np.moveaxis(hess, (-2, -1), (0, 1))
-    J, inv = bordered_inverse(a, flat)
+    J, inv = bordered_inverse(a, points)
     inner = tuple(range(1, m + 1))
     detH = _det(a, inner, inner).real
-    r = -inv[0, 0].real
+    inv = np.ascontiguousarray(np.moveaxis(inv, (0, 1), (-2, -1)))
+    r = -inv[..., 0, 0].real
 
     # Sylvester's criterion on psi, each leading minor against its Hadamard
     # bound, the product of the norms of its rows
@@ -208,17 +219,13 @@ def frame_from_derivatives(point, rho, grad, hess) -> CRFrame:
                 f"the Levi form is not positive definite"
             )
 
-    return CRFrame(
-        point=np.array(points), rho=rho, grad=grad, hessian=hess, J=J, detH=detH,
-        r=r, xi=np.ascontiguousarray(np.moveaxis(inv[0, 1:], 0, -1)),
-        h=np.ascontiguousarray(np.moveaxis(inv[1:, 1:], (0, 1), (-2, -1))),
-    )
+    a = np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+    return CRFrame(point=points, a=a, inv=inv, J=J, detH=detH)
 
 
 def frame_from_jet(jet: Jet) -> CRFrame:
     """Build the frame from a jet of the defining function (order >= 2)."""
-    points = np.broadcast_to(jet.point, jet.batch_shape + (jet.m,))
-    return frame_from_derivatives(points, *read_derivatives(jet))
+    return frame_from_bordered(jet.point, bordered_jet(jet)[:, :, 0])
 
 
 def build_frame(rho, points, params=None) -> CRFrame:

@@ -48,6 +48,13 @@ def _factorial_prod(exponents):
     return out
 
 
+def graded_exponents(m: int, order: int):
+    """Exponent vectors (alpha_1..alpha_m, beta_1..beta_m) of total order <=
+    ``order``, by total order, lexicographic within each total."""
+    exps = (e for e in itertools.product(range(order + 1), repeat=2 * m) if sum(e) <= order)
+    return sorted(exps, key=lambda e: (sum(e), e))
+
+
 class JetSpace:
     """Index tables for dense jets in ``m`` complex variables at one order."""
 
@@ -58,17 +65,7 @@ class JetSpace:
             raise JetOrderError(f"jet order {order} is negative")
         self.m = m
         self.order = order
-        exps = []
-        for total in range(order + 1):
-            block = [
-                e
-                for e in itertools.product(range(total + 1), repeat=2 * m)
-                if sum(e) == total
-            ]
-            block.sort()
-            exps.extend(block)
-        # exponent vector layout: (alpha_1..alpha_m, beta_1..beta_m)
-        self.exps = [(e[:m], e[m:]) for e in exps]
+        self.exps = [(e[:m], e[m:]) for e in graded_exponents(m, order)]
         self.index = {ab: i for i, ab in enumerate(self.exps)}
         self.n_terms = len(self.exps)
         conj = [self.index[(b, a)] for (a, b) in self.exps]

@@ -15,11 +15,11 @@ Conventions, pinned by the unit-sphere normalization:
   is the curvature functional below.  The 1/(n+2) power is forced by
   invariance under change of defining function (J rescales with weight
   n+2, D with weight -1).
-* the 2-jet of log J (J = -det A, A the bordered complex Hessian) is the
-  trace series log(-det A0) + tr X - tr X^2 / 2, X = A0^-1 (A - A0), which
-  is exact at order <= 2 because X^3 has order >= 3.  J0 = -det A0 and
-  A0^-1 come from ``frames.bordered_inverse``, the cofactor inverse whose
-  blocks are the CR frame, with its relative checks.
+* the 2-jet of log J (J = -det A, A the bordered complex Hessian of
+  ``frames.bordered_jet``) is the trace series log(-det A0) + tr X -
+  tr X^2 / 2, X = A0^-1 (A - A0), which is exact at order <= 2 because X^3
+  has order >= 3.  ``curvature_quantities`` starts it from its frame's
+  J0 = -det A0 and A0^-1, so each call runs one cofactor inverse.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import JetOrderError, NotRealValued
-from .frames import CRFrame, bordered_inverse, frame_from_jet, hermitize
+from .frames import CRFrame, bordered_inverse, bordered_jet, frame_from_bordered, hermitize
 from .jets import Jet, jet_space
 
 
@@ -79,32 +79,29 @@ def log_fefferman_jet(rho_jet: Jet) -> Jet:
     formula gives log J = log(-det A0) + tr X - tr X^2 / 2 + tr X^3 / 3 - ...
     Every entry of X has order >= 1, so the series is exact at order <= 2
     when cut after tr X^2, and tr X^2 needs only the first-order terms of X.
-    The batch axis P stays last: steps broadcast over (m+1, m+1, T, P).
     Raises DegenerateJ where J <= 1e-12 times the size of the terms of
     det A0 (see ``frames.bordered_inverse``).
     """
-    if rho_jet.order < 2:
-        raise JetOrderError("log_fefferman_jet needs a jet of order >= 2")
-    space, m = rho_jet.space, rho_jet.m
-    target = jet_space(m, space.order - 2)
-    # entry (j, k) of A = [[rho, rho_kbar], [rho_j, rho_jkbar]] (index 0: no
-    # derivative) is the first T = target.n_terms rows of its deriv_table:
-    # the target space is a prefix of each derivative's space
-    units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
-    tables = [[space.deriv_table(alpha, beta) for beta in units] for alpha in units]
-    src = np.array([[s[: target.n_terms] for _, s, _ in row] for row in tables])
-    mult = np.array([[mu[: target.n_terms] for _, _, mu in row] for row in tables])
-    a = rho_jet.coeffs.reshape(space.n_terms, -1)[src]
-    a *= mult[..., None]
-    points = np.broadcast_to(rho_jet.point, rho_jet.batch_shape + (m,))
-    j0, inv = bordered_inverse(a[:, :, 0], points)
+    a = bordered_jet(rho_jet)
+    j0, inv = bordered_inverse(a[:, :, 0], rho_jet.point)
+    return _log_j_series(rho_jet, a, j0, inv)
+
+
+def _log_j_series(rho_jet, a, j0, inv):
+    """The series of log J from a = ``bordered_jet(rho_jet)``, J0 and A0^-1
+    (m+1, m+1, ...).  Steps broadcast over (m+1, m+1, T, P), P the batch."""
+    m = rho_jet.m
+    target = jet_space(m, rho_jet.order - 2)
+    a = a.reshape(a.shape[:3] + (-1,))
+    # the frame's A0^-1 is a batch-first view; einsum runs 2x faster on a copy
+    inv = np.ascontiguousarray(inv.reshape(m + 1, m + 1, -1))
     out = np.empty(a.shape[2:], dtype=np.complex128)
-    out[0] = np.log(j0)
+    out[0] = np.log(j0).reshape(-1)
     out[1:] = np.einsum("ijp,jitp->tp", inv, a[:, :, 1:])
     i1, i2, terms = target.mul_table()
     pairs = (i1 > 0) & (i2 > 0)  # two first-order terms; only at target order 2
     if np.any(pairs):
-        x1 = np.sum(inv[:, :, None, None] * a[None, :, :, 1 : 2 * m + 1], axis=1)
+        x1 = np.einsum("ijp,jktp->iktp", inv, a[:, :, 1 : 2 * m + 1])
         tr2 = np.einsum("ikap,kibp->abp", x1, x1)[i1[pairs] - 1, i2[pairs] - 1]
         starts = np.flatnonzero(np.diff(terms[pairs], prepend=-1))
         out[terms[pairs][starts]] -= 0.5 * np.add.reduceat(tr2, starts, axis=0)
@@ -151,8 +148,9 @@ def curvature_quantities(rho, points, params=None):
     """
     points = np.asarray(points, dtype=np.complex128)
     jet = rho.jet(params, points, 4)
-    frame = frame_from_jet(jet)
-    logj = log_fefferman_jet(jet)
+    a = bordered_jet(jet)
+    frame = frame_from_bordered(points, a[:, :, 0])
+    logj = _log_j_series(jet, a, frame.J, np.moveaxis(frame.inv, (-2, -1), (0, 1)))
     rtheta, dval = webster_curvatures(frame, logj)
     n = frame.n
     big_r = frame.J ** (1.0 / (n + 2)) * dval

@@ -29,9 +29,9 @@ root is checked relative to |rho| on the bracket.
 A rule is the discretized pseudohermitian structure: it holds the defining
 function and params it was built for, and that function's CR frame at its
 points, so its consumers take the rule alone.  ``build_quadrature`` builds
-the frame from the value, gradient and complex Hessian it read at the
-points; ``re_densify`` builds the frame of another defining function of M
-from that function's own jet.
+the frame from the bordered Hessian it read at the points, chunk by chunk;
+``re_densify`` builds the frame of another defining function of M from
+that function's own jet.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFrame, JobValidationError, NoRootFound
-from .frames import CRFrame, build_frame, frame_from_derivatives, read_derivatives
+from .frames import CRFrame, bordered_jet, build_frame, frame_from_bordered
 from .runtime import map_chunks
 
 
@@ -182,7 +182,8 @@ def _illinois(rho, params, dirs, lo, hi, flo, fhi):
 
 def _volume_density(frame):
     """theta ^ (d theta)^n per unit area of the sphere of directions at the
-    frame's points (P, m): 2^(n+1) n! J |p|^(2m) / drho(p)."""
+    frame's points (P, m): 2^(n+1) n! J |p|^(2m) / drho(p).  A density at
+    most 1e-14 times the largest one vanishes: ``DegenerateFrame``."""
     p = frame.point
     slope = 2.0 * np.einsum("pj,pj->p", frame.grad, p).real
     worst = int(np.argmin(slope))
@@ -194,10 +195,11 @@ def _volume_density(frame):
     norm2 = np.einsum("pj,pj->p", p, np.conj(p)).real
     density = (2.0 ** (frame.n + 1) * math.factorial(frame.n)
                * frame.J * norm2**frame.m / slope)
-    worst = int(np.argmin(density))
-    if density[worst] <= 1e-14:
+    worst, top = int(np.argmin(density)), np.max(density)
+    if density[worst] <= 1e-14 * top:
         raise DegenerateFrame(
-            f"vanishing volume density {density[worst]:.3e} at {p[worst]}"
+            f"vanishing volume density {density[worst]:.3e} <= 1.0e-14 x {top:.3e} "
+            f"at {p[worst]}"
         )
     return density
 
@@ -214,10 +216,11 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     def make(sl):
         d = dirs[sl]
         pts = project_rays(rho, params, d)[:, None] * d
-        return (pts,) + read_derivatives(rho.jet(params, pts, 2))
+        # map_chunks joins the chunks along their first axis
+        return pts, np.moveaxis(bordered_jet(rho.jet(params, pts, 2))[:, :, 0], -1, 0)
 
-    pts, value, grad, hess = map_chunks(make, dirs.shape[0], 8192)
-    frame = frame_from_derivatives(pts, value, grad, hess)
+    pts, a = map_chunks(make, dirs.shape[0], 8192)
+    frame = frame_from_bordered(pts, np.moveaxis(a, 0, -1))
     return QuadratureRule(
         points=pts, base_weights=base, density=_volume_density(frame),
         settings=settings, rho=rho, params=params, frame=frame,

@@ -31,7 +31,6 @@ build may change the last bits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import (
     NoPositiveEigenvalue,
 )
 from .frames import hermitize
+from .jets import graded_exponents
 from .quadrature import QuadratureRule
 from .runtime import map_chunks
 
@@ -77,15 +77,7 @@ class MonomialBasis:
             raise JobValidationError(f"basis degree {degree} exceeds {MAX_DEGREE}")
         if degree < 0:
             raise JobValidationError(f"basis degree {degree} is negative")
-        exps = []
-        for total in range(degree + 1):
-            block = sorted(
-                e
-                for e in itertools.product(range(total + 1), repeat=2 * m)
-                if sum(e) == total
-            )
-            exps.extend(block)
-        arr = np.asarray(exps, dtype=np.intp)
+        arr = np.asarray(graded_exponents(m, degree), dtype=np.intp)
         return cls(m=m, degree=degree, holo=arr[:, :m], anti=arr[:, m:])
 
     def __len__(self):

@@ -7,7 +7,7 @@ from chart_oracle import ChartOracle
 from dense_jet import DenseJet
 from crspectra.errors import DegenerateJ, NotStrictlyPseudoconvex
 from crspectra.expressions import parse
-from crspectra.frames import build_frame, read_derivatives
+from crspectra.frames import build_frame
 from crspectra.operators import (
     NormalizedDefiningFunction,
     curvature_quantities,
@@ -244,7 +244,9 @@ def test_chart_oracle_matches_ambient_operator_scalars(chart):
     q = curvature_quantities(SQUARED, pts)
     fr, n = q["frame"], 1
     oracle = ChartOracle(fr.grad, fr.hessian, chart)
-    via_chart = dataclasses.replace(fr, h=oracle.ambient_levi_inverse())
+    inv = fr.inv.copy()
+    inv[:, 1:, 1:] = oracle.ambient_levi_inverse()
+    via_chart = dataclasses.replace(fr, inv=inv)
     logj = log_fefferman_jet(SQUARED.jet({}, pts, 4))
     r_theta = np.einsum("pba,pab->p", oracle.levi_inv, oracle.ricci(logj, fr.r)).real
     d = (r_theta - sub_laplacian(via_chart, logj)
@@ -286,7 +288,7 @@ def test_pseudoconvexity_and_ricci_on_random_quadrics(n):
         p = rng.normal(size=(1, m)) + 1j * rng.normal(size=(1, m))
         params["K"] = float(rho.value({**params, "K": 0.0}, p).real[0])
         jet = rho.jet(params, p, 4)
-        _, grad, hess = read_derivatives(jet)
+        grad, hess = jet.gradient(), jet.mixed_hessian()
         levi_min = np.min(np.linalg.eigvalsh(ChartOracle(grad, hess).levi))
         try:
             fr = build_frame(rho, p, params)
@@ -392,6 +394,45 @@ def test_log_fefferman_jet_rejects_nonpositive_j(order):
         log_fefferman_jet(rho_jet)
     with pytest.raises(DegenerateJ):
         fefferman_det_jet(rho_jet)
+
+
+def test_curvature_quantities_inverts_the_bordered_hessian_once(monkeypatch):
+    # the frame's J and A0^-1 also start the log J series
+    from crspectra import frames, operators
+
+    calls = []
+    original = frames.bordered_inverse
+
+    def counting(a, points):
+        calls.append(a.shape)
+        return original(a, points)
+
+    for module in (frames, operators):
+        monkeypatch.setattr(module, "bordered_inverse", counting)
+    pts = points_on_surface(QUARTIC, 7, seed=2)
+    curvature_quantities(QUARTIC, pts)
+    assert calls == [(4, 4, 7)]
+
+
+@pytest.mark.parametrize("text", [QUARTIC_TEXT, f"({QUARTIC_TEXT})*(2+re(z1))"])
+def test_curvature_quantities_log_j_is_log_fefferman_jet(monkeypatch, text):
+    from crspectra import operators
+
+    rho = parse(text, 2)
+    pts = points_on_surface(rho, 20, seed=5)
+    seen = []
+    original = operators.webster_curvatures
+
+    def capture(frame, logj):
+        seen.append(logj)
+        return original(frame, logj)
+
+    monkeypatch.setattr(operators, "webster_curvatures", capture)
+    curvature_quantities(rho, pts)
+    want = log_fefferman_jet(rho.jet({}, pts, 4))
+    scale = max(1.0, float(np.max(np.abs(want.coeffs))))
+    assert seen[0].is_real and seen[0].order == 2
+    np.testing.assert_allclose(seen[0].coeffs, want.coeffs, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_first_normalization_unit_j_n2():

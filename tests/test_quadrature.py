@@ -63,12 +63,30 @@ def test_spheres_of_any_radius_project_to_the_surface(radius):
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) / radius - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("radius", [1e-3, 1.0, 70.0, 1e3])
-def test_sphere_rule_volume_at_any_radius(radius):
-    # the sphere |z| = s bounds a volume form of total mass 4 pi^2 s^4
-    rho = parse(f"abs2(z1)+abs2(z2)-{radius * radius!r}", 1)
+@pytest.mark.parametrize("power, radius",
+                         [(1, 1e-3), (1, 1.0), (1, 70.0), (1, 1e3), (2, 1e-2), (2, 1e-3)])
+def test_sphere_rule_volume_at_any_radius(power, radius):
+    # the sphere |z| = s, as |z|^(2k) = s^(2k), bounds a volume form of total
+    # mass 4 pi^2 k^2 s^(4k): theta scales by the slope k s^(2k-2) of t^k at
+    # t = s^2.  At k = 2 and small s every density is tiny (about 1e-15 at
+    # s = 0.01), which only a relative vanishing-density check lets through
+    rho = parse(f"(abs2(z1)+abs2(z2))^{power}-{radius ** (2 * power)!r}", 1)
     rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=8))
-    assert rule.volume == pytest.approx(4.0 * np.pi**2 * radius**4, rel=1e-12)
+    want = 4.0 * np.pi**2 * power**2 * radius ** (4 * power)
+    assert rule.volume == pytest.approx(want, rel=1e-12)
+
+
+def test_vanishing_volume_density_is_relative():
+    # the unit sphere about (1, 0) passes through the origin: near it, at
+    # p = (delta^2 / 2, delta), the density 4 |p|^4 / drho(p) is 4 delta^2,
+    # 4e-16 at delta = 1e-8, against 16 at (2, 0)
+    rho = parse("abs2(z1-1)+abs2(z2)-1", 1)
+    delta = 1e-8
+    pts = np.array([[delta**2 / 2.0, delta], [2.0, 0.0]])
+    frame = build_frame(rho, pts)
+    with pytest.raises(DegenerateFrame,
+                       match=r"vanishing volume density 4\.0\d*e-16 <= 1\.0e-14 x 1\.600e\+01"):
+        _volume_density(frame)
 
 
 def test_projection_evaluates_rho_a_fixed_number_of_times(monkeypatch):

@@ -616,14 +616,14 @@ def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
     from crspectra import frames, quadrature
 
     sizes = []
-    original = frames.frame_from_derivatives
+    original = frames.frame_from_bordered
 
     def counting(point, *args, **kwargs):
         sizes.append(int(np.prod(np.shape(point)[:-1])))
         return original(point, *args, **kwargs)
 
     for module in (frames, quadrature):
-        monkeypatch.setattr(module, "frame_from_derivatives", counting)
+        monkeypatch.setattr(module, "frame_from_bordered", counting)
     job = {**SPHERE_JOB, "tasks": UPPER_AND_SPECTRUM_TASKS}
     report, code = run_job_data(job, base_dir=tmp_path)
     assert code == 0

@@ -55,10 +55,11 @@ def test_low_degree_gram_and_stiffness(sphere_rule):
 
 def test_herm_deviation_sees_a_non_hermitian_levi_inverse(sphere_rule):
     # the assembly reads h only above its diagonal, so the diagnostic reads h
-    h = sphere_rule.frame.h.copy()
+    inv = sphere_rule.frame.inv.copy()
+    h = inv[:, 1:, 1:]  # the frame reads h off A^-1
     h[:, 1, 0] += 1e-6
     h[:, 0, 0] += 2e-6j
-    frame = dataclasses.replace(sphere_rule.frame, h=h)
+    frame = dataclasses.replace(sphere_rule.frame, inv=inv)
     rule = dataclasses.replace(sphere_rule, frame=frame)
     problem = assemble(rule, MonomialBasis.build(2, 1))
     assert problem.herm_deviation == pytest.approx(4e-6, rel=1e-6)
