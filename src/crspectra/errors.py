@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the whole-number check that input fields share.
 
 Two families matter for the CLI exit codes: ValidationError (bad input,
 exit 2) and NumericalError (the computation itself failed, exit 3).
 """
+
+import numbers
 
 
 class CrSpectraError(Exception):
@@ -39,6 +41,18 @@ class UnboundParameter(ValidationError):
 
 class JobValidationError(ValidationError):
     pass
+
+
+def whole_number(value, name, minimum, maximum=None):
+    """value as an int in [minimum, maximum]; an integral float counts,
+    bools, fractions and anything else are a JobValidationError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
+            or (maximum is not None and value > maximum)):
+        within = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise JobValidationError(f"{name} must be an integer {within}, got {value!r}")
+    return int(value)
 
 
 class InvalidDecomposition(ValidationError):

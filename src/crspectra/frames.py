@@ -21,10 +21,12 @@ The frame needs no local coordinates on M.  With psi = rho_{j kbar} +
 ker drho, so psi is congruent to diag(Levi, 1), and M is strictly
 pseudoconvex exactly where psi is positive definite.
 
-Four checks remain; all but the first are relative to the size of the
-terms they sum, so a constant factor on rho changes no verdict:
+Four checks remain, each relative to the size of the terms it sums, so a
+constant factor on rho changes no verdict (the first has a floor):
 
-* on the surface: |rho| <= 1e-9;
+* on the surface: |rho(p)| <= 1e-9 max(1, |p| |drho(p)|), with |drho| = 2
+  |rho_j| the norm of the real differential: a relative error delta in p
+  moves rho by about |p| |drho| delta;
 * ``DegenerateJ`` where J <= 1e-12 sum_k |A_0k adj(A)_k0|;
 * ``InternalConsistencyError`` where an entry of A A^-1 - I exceeds
   64 (m+1) eps (|A| |A^-1|) (every identity the frame satisfies, such as
@@ -193,10 +195,14 @@ def frame_from_bordered(point, a) -> CRFrame:
     points = np.broadcast_to(point, batch + (m,))
     flat = points.reshape(-1, m)
 
-    rho = a[0, 0].real
-    i = int(np.argmax(np.abs(rho)))
-    if np.abs(rho.flat[i]) > 1e-9:
-        raise NotOnSurface(f"|rho| = {np.abs(rho.flat[i]):.3e} > 1.0e-09 at {flat[i]}")
+    rho = np.abs(a[0, 0].real)
+    slope = 2.0 * np.sqrt(np.sum(np.abs(a[1:, 0]) ** 2, axis=0))
+    scale = np.maximum(1.0, np.linalg.norm(points, axis=-1) * slope)
+    i = int(np.argmax(rho / scale))
+    if rho.flat[i] > 1e-9 * scale.flat[i]:
+        raise NotOnSurface(
+            f"|rho| = {rho.flat[i]:.3e} > 1.0e-09 x {scale.flat[i]:.3e} at {flat[i]}"
+        )
 
     J, inv = bordered_inverse(a, points)
     inner = tuple(range(1, m + 1))

@@ -37,29 +37,46 @@ that function's own jet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFrame, JobValidationError, NoRootFound
+from .errors import DegenerateFrame, JobValidationError, NoRootFound, whole_number
 from .frames import CRFrame, bordered_jet, build_frame, frame_from_bordered
 from .runtime import map_chunks
 
 
+RULE_TYPES = ("hopf_product", "monte_carlo")
+
+# Upper bounds of the rule sizes, far above any job this package ships
+# (resolution 32, 9,000 samples), so that a value numpy cannot allocate
+# (10**400) is a validation error, not a traceback.  A hopf_product rule has
+# resolution^3 points.
+MAX_RESOLUTION = 128
+MAX_SAMPLES = 1_000_000
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
+    """Rule settings, checked when made: ``type`` one of RULE_TYPES,
+    ``resolution`` in [2, MAX_RESOLUTION], ``samples`` in [1, MAX_SAMPLES]
+    and ``seed`` >= 0, all four whatever the type; JobValidationError
+    otherwise.  Integral floats become ints."""
+
     type: str = "hopf_product"
     resolution: int = 16
     samples: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.type not in RULE_TYPES:
+            raise JobValidationError(f"unknown quadrature type {self.type!r}")
+        for name, low, high in (("resolution", 2, MAX_RESOLUTION),
+                                ("samples", 1, MAX_SAMPLES), ("seed", 0, None)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, low, high))
+
     def to_dict(self):
-        return {
-            "type": self.type,
-            "resolution": int(self.resolution),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-        }
+        return asdict(self)
 
 
 @dataclass

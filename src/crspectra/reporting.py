@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds import Decomposition, lower_bound, reilly_bound, special_bound, upper_bound
-from .errors import JobValidationError, NumericalError, ValidationError
+from .errors import JobValidationError, NumericalError, ValidationError, whole_number
 from .expressions import parse
 from .operators import curvature_quantities
 from .quadrature import QuadratureSettings, build_quadrature, points_on_surface
-from .runtime import release_freed_memory
 from .spectral import MAX_DEGREE, check_kernel_tol, estimate_lambda1
 
 # the keys besides "kind" that each task kind reads; any other is refused
@@ -47,13 +47,10 @@ TASK_KINDS = tuple(TASK_KEYS)
 
 CSV_COLUMNS = ("r", "J", "detH", "R_theta", "D", "R_Theta")
 
-# Upper bounds of the size fields, far above any job this package ships
-# (1,000 points, resolution 32, 9,000 samples), so that a value numpy cannot
-# allocate (10**400) is a validation error, not a traceback.  A hopf_product
-# rule has resolution^3 points.
+# Upper bound of num_points, far above any job this package ships (1,000
+# points), so that a value numpy cannot allocate (10**400) is a validation
+# error, not a traceback; quadrature.QuadratureSettings bounds the rule sizes.
 MAX_POINTS = 10_000
-MAX_RESOLUTION = 128
-MAX_SAMPLES = 1_000_000
 
 
 # --- canonical serialization ------------------------------------------------
@@ -189,16 +186,8 @@ def _pairs_to_points(pairs, m):
 
 
 def _whole_number(data, name, default, minimum, maximum=None):
-    """data[name] as an int in [minimum, maximum]; an integral float counts,
-    bools, fractions and anything else are validation errors."""
-    value = data.get(name, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
-            or (maximum is not None and value > maximum)):
-        within = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise JobValidationError(f"{name} must be an integer {within}, got {value!r}")
-    return value
+    """data[name], or default, checked by ``errors.whole_number``."""
+    return whole_number(data.get(name, default), name, minimum, maximum)
 
 
 def _real_number(value, name):
@@ -214,22 +203,13 @@ def _real_number(value, name):
 
 
 def _quadrature_settings(data):
+    """The job's quadrature block; QuadratureSettings checks its values."""
     if not isinstance(data, dict):
         raise JobValidationError("quadrature settings must be an object")
-    extra = set(data) - {"type", "resolution", "samples", "seed"}
+    extra = set(data) - {f.name for f in fields(QuadratureSettings)}
     if extra:
         raise JobValidationError(f"unknown quadrature settings {sorted(extra)}")
-    default = QuadratureSettings()
-    kind = data.get("type", default.type)
-    if kind not in ("hopf_product", "monte_carlo"):
-        raise JobValidationError(f"unknown quadrature type {kind!r}")
-    return QuadratureSettings(
-        type=kind,
-        resolution=_whole_number(data, "resolution", default.resolution, 2,
-                                 MAX_RESOLUTION),
-        samples=_whole_number(data, "samples", default.samples, 1, MAX_SAMPLES),
-        seed=_whole_number(data, "seed", default.seed, 0),
-    )
+    return QuadratureSettings(**data)
 
 
 def _decomposition(data, n):
@@ -464,9 +444,6 @@ def run_job_data(job: dict, base_dir="."):
     results = []
     saw_validation = saw_numerical = False
     for i, task in enumerate(job["tasks"]):
-        # each task starts from the memory that is live, not from what the
-        # allocator kept of earlier tasks' arrays
-        release_freed_memory()
         entry = {"task": task["kind"], "index": i}
         try:
             entry["status"] = "ok"

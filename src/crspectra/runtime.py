@@ -1,5 +1,4 @@
-"""Execution helpers: thread budget, deterministic chunked evaluation and
-release of freed heap memory."""
+"""Execution helpers: thread budget and deterministic chunked evaluation."""
 
 from __future__ import annotations
 
@@ -9,8 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 ENV_THREADS = "CR_SPECTRA_THREADS"
-
-_malloc_trim = None
 
 
 def max_threads() -> int:
@@ -42,24 +39,3 @@ def map_chunks(fn, total, chunk_size):
         return tuple(np.concatenate([p[i] for p in parts], axis=0) for i in range(len(first)))
     return np.concatenate(parts, axis=0)
 
-
-def release_freed_memory():
-    """Return the C allocator's free heap pages to the operating system.
-
-    glibc keeps large freed arrays in its heaps once its adaptive mmap
-    threshold has risen, and which of them it keeps depends on how earlier
-    work and the pool threads' arenas happened to interleave; without this
-    the resident set a task starts from, and with it the peak, varies from
-    job to job by tens of MB.  Calls ``malloc_trim(0)``, a few milliseconds at
-    most; a no-op where the C library has no ``malloc_trim``.
-    """
-    global _malloc_trim
-    if _malloc_trim is None:
-        import ctypes
-
-        try:
-            _malloc_trim = ctypes.CDLL(None).malloc_trim
-        except (AttributeError, OSError, TypeError):
-            _malloc_trim = False
-    if _malloc_trim:
-        _malloc_trim(0)

@@ -205,6 +205,16 @@ def test_off_surface_point_rejected():
         build_frame(SPHERE, [1.1, 0.0])
 
 
+def test_off_surface_point_rejected_on_a_large_surface():
+    # the on-surface bound scales with |p| |drho| (4e8 at radius 100), so
+    # rounding residuals pass but a point moved off M by 1e-6 relative does not
+    rho = parse("(abs2(z1)+abs2(z2))^2-1e8", 1)
+    u = points_on_surface(rho, 4, seed=0)
+    build_frame(rho, u)
+    with pytest.raises(NotOnSurface):
+        build_frame(rho, u * (1.0 + 1e-6))
+
+
 def test_negative_j_rejected():
     flipped = parse("-(abs2(z1)+abs2(z2)-1)", 1)
     with pytest.raises(DegenerateJ):

@@ -64,12 +64,15 @@ def test_spheres_of_any_radius_project_to_the_surface(radius):
 
 
 @pytest.mark.parametrize("power, radius",
-                         [(1, 1e-3), (1, 1.0), (1, 70.0), (1, 1e3), (2, 1e-2), (2, 1e-3)])
+                         [(1, 1e-3), (1, 1.0), (1, 70.0), (1, 1e3), (2, 1e-2), (2, 1e-3),
+                          (2, 100.0)])
 def test_sphere_rule_volume_at_any_radius(power, radius):
     # the sphere |z| = s, as |z|^(2k) = s^(2k), bounds a volume form of total
     # mass 4 pi^2 k^2 s^(4k): theta scales by the slope k s^(2k-2) of t^k at
     # t = s^2.  At k = 2 and small s every density is tiny (about 1e-15 at
-    # s = 0.01), which only a relative vanishing-density check lets through
+    # s = 0.01), which only a relative vanishing-density check lets through;
+    # at s = 100 the projected points carry |rho| = 3e-8 from rounding, which
+    # only an on-surface check relative to |p| |drho| lets through
     rho = parse(f"(abs2(z1)+abs2(z2))^{power}-{radius ** (2 * power)!r}", 1)
     rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=8))
     want = 4.0 * np.pi**2 * power**2 * radius ** (4 * power)
@@ -321,6 +324,19 @@ def test_points_on_surface_deterministic():
     assert np.array_equal(a, b)
     res = np.abs(ELLIPSOID.value(None, a).real)
     assert np.max(res) < 1e-12
+
+
+@pytest.mark.parametrize("settings, field",
+                         [({"type": "gauss"}, "type"), ({"resolution": 1}, "resolution"),
+                          ({"resolution": 0}, "resolution"),
+                          ({"type": "monte_carlo", "samples": 0}, "samples")],
+                         ids=["type_unknown", "resolution_1", "resolution_0", "samples_0"])
+def test_bad_quadrature_settings_refused_when_made(settings, field):
+    # unchecked, these built a Monte Carlo rule, a one-point rule of volume
+    # 62.01 on the unit sphere (2 pi^2 = 19.74), and raised a numpy
+    # ValueError and a ZeroDivisionError
+    with pytest.raises(JobValidationError, match=field):
+        QuadratureSettings(**settings)
 
 
 def test_rule_weights_strictly_positive():
