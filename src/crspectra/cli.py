@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .reporting import canonical_json, load_job, run_job_data
+from .reporting import CSV_COLUMNS, canonical_json, load_job, run_job_data
 
 GRAMMAR_HELP = """\
 expression grammar:
@@ -219,7 +219,7 @@ def _summarize(report):
             lines.append(f"{head}: max pairwise R_Theta diff = {r['max_pairwise_diff']:.3e}")
         elif "r" in r:
             lines.append(f"{head}: {len(r['r'])} points")
-            for col in ("r", "J", "detH", "R_theta", "D", "R_Theta"):
+            for col in CSV_COLUMNS:
                 lines.append(
                     f"    {col}: min {min(r[col]):.12g}  max {max(r[col]):.12g}"
                 )

@@ -20,30 +20,29 @@ Two rule types, both weighted in the area of the unit sphere:
   uniform (trapezoidal) grids in the two angles, radially projected to M.
 * ``monte_carlo`` (any n): seeded uniform directions, radially projected.
 
-Both project their directions and read the 2-jet of rho at the points in
-chunks of 8,192 through ``runtime.map_chunks``.  A ray from the origin
-(inside M) takes the crossing nearest t = 1 on a geometric grid over t in
-[6.8e-4, 1.5e3], refined by a value-only bracketed search; |rho| at the
-root is checked relative to |rho| on the bracket.
+Both project their directions in chunks of ``runtime.CHUNK_POINTS``
+through ``runtime.map_chunks``.  A ray from the origin (inside M) takes the
+crossing nearest t = 1 on a geometric grid over t in [6.8e-4, 1.5e3],
+refined by a value-only bracketed search; |rho| at the root is checked
+relative to |rho| on the bracket.
 
 A rule is the discretized pseudohermitian structure: it holds the defining
 function and params it was built for, and that function's CR frame at its
-points, so its consumers take the rule alone.  ``build_quadrature`` builds
-the frame from the bordered Hessian it read at the points, chunk by chunk;
-``re_densify`` builds the frame of another defining function of M from
-that function's own jet.
+points, so its consumers take the rule alone.  Its points are the frame's,
+and its density comes from the frame's J and gradient.  ``build_quadrature``
+and ``re_densify`` both take the frame from ``frames.build_frame``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateFrame, JobValidationError, NoRootFound, whole_number
-from .frames import CRFrame, bordered_jet, build_frame, frame_from_bordered
-from .runtime import map_chunks
+from .frames import CRFrame, build_frame
+from .runtime import CHUNK_POINTS, map_chunks
 
 
 RULE_TYPES = ("hopf_product", "monte_carlo")
@@ -81,24 +80,24 @@ class QuadratureSettings:
 
 @dataclass
 class QuadratureRule:
-    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: points
-    and weights, with rho, its params and its CR frame at the points."""
+    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: rho, its
+    params, its CR frame at the points and their sphere weights.  The points,
+    the density and the weights are read off the frame."""
 
-    points: np.ndarray           # (P, m) complex, on M
     base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
-    density: np.ndarray          # (P,) theta ^ (d theta)^n per unit sphere area
     settings: QuadratureSettings
     rho: object                  # the defining function (Expression)
     params: dict | None          # its parameter values
     frame: CRFrame               # the CR frame of rho at the points
+    density: np.ndarray = field(init=False)  # (P,) theta ^ (d theta)^n per unit sphere area
     weights: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.weights = self.base_weights * self.density
+    points = property(lambda self: self.frame.point)  # (P, m) complex, on M
+    n = property(lambda self: self.frame.n)
 
-    @property
-    def n(self):
-        return self.frame.n
+    def __post_init__(self):
+        self.density = _volume_density(self.frame)
+        self.weights = self.base_weights * self.density
 
     def __len__(self):
         return self.points.shape[0]
@@ -108,10 +107,7 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
     def meta(self):
-        out = self.settings.to_dict()
-        out["points"] = int(len(self))
-        out["volume"] = self.volume
-        return out
+        return {**self.settings.to_dict(), "points": len(self), "volume": self.volume}
 
 
 # --- radial projection ----------------------------------------------------
@@ -194,6 +190,12 @@ def _illinois(rho, params, dirs, lo, hi, flo, fhi):
         moved_lo, moved_hi = move_lo, move_hi
 
 
+def _surface_points(rho, params, dirs):
+    """The crossings t u of M along the unit rays u (P, m), in chunks."""
+    return map_chunks(lambda sl: project_rays(rho, params, dirs[sl])[:, None] * dirs[sl],
+                      dirs.shape[0], CHUNK_POINTS)
+
+
 # --- the contact volume form ------------------------------------------------
 
 
@@ -230,18 +232,8 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     else:
         dirs, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
 
-    def make(sl):
-        d = dirs[sl]
-        pts = project_rays(rho, params, d)[:, None] * d
-        # map_chunks joins the chunks along their first axis
-        return pts, np.moveaxis(bordered_jet(rho.jet(params, pts, 2))[:, :, 0], -1, 0)
-
-    pts, a = map_chunks(make, dirs.shape[0], 8192)
-    frame = frame_from_bordered(pts, np.moveaxis(a, 0, -1))
-    return QuadratureRule(
-        points=pts, base_weights=base, density=_volume_density(frame),
-        settings=settings, rho=rho, params=params, frame=frame,
-    )
+    frame = build_frame(rho, _surface_points(rho, params, dirs), params)
+    return QuadratureRule(base, settings, rho, params, frame)
 
 
 def _hopf_directions(R):
@@ -284,12 +276,7 @@ def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     the returned rule holds.  ``rho`` must therefore be a strictly
     pseudoconvex defining function of M at the rule points.
     """
-    frame = build_frame(rho, rule.points, params=rule.params)
-    return QuadratureRule(
-        points=rule.points, base_weights=rule.base_weights,
-        density=_volume_density(frame),
-        settings=rule.settings, rho=rho, params=rule.params, frame=frame,
-    )
+    return replace(rule, rho=rho, frame=build_frame(rho, rule.points, rule.params))
 
 
 def integrate(rule: QuadratureRule, values):
@@ -300,6 +287,4 @@ def integrate(rule: QuadratureRule, values):
 
 def points_on_surface(rho, count, seed=0, params=None):
     """Seeded random on-surface points by radial projection (count, m)."""
-    dirs = _random_directions(rho.m, count, seed)
-    t = project_rays(rho, params, dirs)
-    return t[:, None] * dirs
+    return _surface_points(rho, params, _random_directions(rho.m, count, seed))

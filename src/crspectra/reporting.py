@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import Decomposition, lower_bound, reilly_bound, special_bound, upper_bound
-from .errors import JobValidationError, NumericalError, ValidationError, whole_number
+from .errors import JobValidationError, NotOnSurface, NumericalError, ValidationError, whole_number
 from .expressions import parse
 from .operators import curvature_quantities
 from .quadrature import QuadratureSettings, build_quadrature, points_on_surface
@@ -410,13 +410,12 @@ def _run_task(ctx, task, base_dir):
         points = ctx.task_points(task, 25)
         values = []
         for expr in exprs:
-            res = np.abs(expr.value(ctx.params, points).real)
-            if np.max(res) > 1e-8:
+            try:
+                values.append(curvature_quantities(expr, points, params=ctx.params)["R_Theta"])
+            except NotOnSurface as exc:
                 raise JobValidationError(
-                    f"{expr} does not vanish on the sampled surface "
-                    f"(max |rho| = {np.max(res):.3e})"
-                )
-            values.append(curvature_quantities(expr, points, params=ctx.params)["R_Theta"])
+                    f"{expr} does not vanish on the sampled surface ({exc})"
+                ) from exc
         values = np.asarray(values)
         diffs = [
             float(np.max(np.abs(values[i] - values[j])))

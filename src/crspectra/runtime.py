@@ -9,6 +9,9 @@ import numpy as np
 
 ENV_THREADS = "CR_SPECTRA_THREADS"
 
+# points per chunk of the ray projection and of the frame's order-2 jets
+CHUNK_POINTS = 8192
+
 
 def max_threads() -> int:
     """Worker budget from CR_SPECTRA_THREADS; hardware concurrency by default."""
@@ -25,9 +28,9 @@ def map_chunks(fn, total, chunk_size):
     """Apply fn(slice) over fixed-size chunks and concatenate results in order.
 
     Chunk boundaries are independent of the thread budget, so results are
-    bit-identical whatever parallelism is used.
+    bit-identical whatever parallelism is used.  total = 0 is one empty chunk.
     """
-    slices = [slice(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
+    slices = [slice(s, min(s + chunk_size, total)) for s in range(0, max(total, 1), chunk_size)]
     workers = min(max_threads(), len(slices))
     if workers <= 1 or len(slices) == 1:
         parts = [fn(s) for s in slices]

@@ -318,6 +318,41 @@ def test_re_densify_matches_direct_build():
     assert np.allclose(back.density, rule.density / 4.0, rtol=1e-12)
 
 
+# 13,824 points (24 cubed): more than one chunk of runtime.CHUNK_POINTS
+@pytest.fixture(scope="module")
+def rule_of_two_chunks():
+    return build_quadrature(PULLBACK, QuadratureSettings("hopf_product", resolution=24))
+
+
+def test_re_densify_reads_jets_in_chunks(rule_of_two_chunks, monkeypatch):
+    from crspectra.expressions import Expression
+
+    sizes = []
+    original = Expression.jet
+
+    def counting(self, params, point, order):
+        sizes.append((order, int(np.prod(np.shape(point)[:-1]))))
+        return original(self, params, point, order)
+
+    monkeypatch.setattr(Expression, "jet", counting)
+    re_densify(rule_of_two_chunks, parse(f"({PULLBACK})*(2+re(z1))", 1))
+    assert len(rule_of_two_chunks) == 13_824
+    assert sorted(sizes) == [(2, 5_632), (2, 8_192)]
+
+
+def test_re_densify_with_the_rule_function_reproduces_the_rule(rule_of_two_chunks):
+    rule = rule_of_two_chunks
+    again = re_densify(rule, rule.rho)
+    for name in ("points", "density", "weights"):
+        assert np.array_equal(getattr(again, name), getattr(rule, name))
+    for name in ("a", "inv"):
+        assert np.array_equal(getattr(again.frame, name), getattr(rule.frame, name))
+
+
+def test_points_on_surface_of_no_points_is_empty():
+    assert points_on_surface(ELLIPSOID, 0).shape == (0, 2)
+
+
 def test_points_on_surface_deterministic():
     a = points_on_surface(ELLIPSOID, 10, seed=5)
     b = points_on_surface(ELLIPSOID, 10, seed=5)

@@ -224,6 +224,29 @@ def test_run_job_writes_output(tmp_path):
     assert saved["job"]["dimension_n"] == 1
 
 
+@pytest.mark.parametrize("factor", ["1e9", "1e-9", "1e12"])
+def test_invariance_check_accepts_a_rescaled_defining_function(tmp_path, factor):
+    # |rho| on the sampled points grows with the factor (2.2e-7 at 1e9), but
+    # so does |drho|: the frame's on-surface check is relative to both
+    fns = ["abs2(z1)+abs2(z2)-1", f"{factor}*(abs2(z1)+abs2(z2)-1)"]
+    job = {**SPHERE_JOB, "tasks": [{"kind": "invariance_check", "defining_functions": fns}]}
+    report, code = run_job_data(job, base_dir=tmp_path)
+    assert code == 0
+    assert report["results"][0]["result"]["max_pairwise_diff"] < 1e-13
+
+
+def test_invariance_check_refuses_another_surface(tmp_path):
+    other = "abs2(z1)+abs2(z2)-1.01"
+    job = {**SPHERE_JOB, "tasks": [
+        {"kind": "invariance_check", "defining_functions": ["abs2(z1)+abs2(z2)-1", other]}]}
+    report, code = run_job_data(job, base_dir=tmp_path)
+    entry = report["results"][0]
+    assert code == 2
+    assert entry["error"] == "JobValidationError"
+    assert str(crspectra.parse(other, 1)) in entry["message"]
+    assert "does not vanish on the sampled surface" in entry["message"]
+
+
 def test_cli_one_shot_invariants(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main([
@@ -613,7 +636,7 @@ UPPER_AND_SPECTRUM_TASKS = [
 
 
 def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
-    from crspectra import frames, quadrature
+    from crspectra import frames
 
     sizes = []
     original = frames.frame_from_bordered
@@ -622,8 +645,7 @@ def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
         sizes.append(int(np.prod(np.shape(point)[:-1])))
         return original(point, *args, **kwargs)
 
-    for module in (frames, quadrature):
-        monkeypatch.setattr(module, "frame_from_bordered", counting)
+    monkeypatch.setattr(frames, "frame_from_bordered", counting)
     job = {**SPHERE_JOB, "tasks": UPPER_AND_SPECTRUM_TASKS}
     report, code = run_job_data(job, base_dir=tmp_path)
     assert code == 0
