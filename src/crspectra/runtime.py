@@ -1,44 +1,38 @@
-"""Execution helpers: thread budget and deterministic chunked evaluation."""
+"""Chunked evaluation on the calling thread: chunk boundaries depend only on
+the total and the chunk size, and chunks run and combine in chunk order."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-ENV_THREADS = "CR_SPECTRA_THREADS"
 
 # points per chunk of the ray projection and of the frame's order-2 jets
 CHUNK_POINTS = 8192
 
 
 def max_threads() -> int:
-    """Worker budget from CR_SPECTRA_THREADS; hardware concurrency by default."""
-    value = os.environ.get(ENV_THREADS)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """1: every chunk runs on the calling thread.  Nothing in crspectra calls
+    it; ``perfbench/tracer.py``, its only importer, reads it."""
+    return 1
+
+
+def chunk_slices(total, chunk_size):
+    """Contiguous slices of chunk_size items covering range(total) in order
+    (the last may be shorter); total = 0 is one empty chunk."""
+    return [slice(s, min(s + chunk_size, total)) for s in range(0, max(total, 1), chunk_size)]
 
 
 def map_chunks(fn, total, chunk_size):
-    """Apply fn(slice) over fixed-size chunks and concatenate results in order.
+    """fn(slice) over chunk_slices(total, chunk_size), concatenated in order
+    along axis 0."""
+    return np.concatenate([fn(s) for s in chunk_slices(total, chunk_size)], axis=0)
 
-    Chunk boundaries are independent of the thread budget, so results are
-    bit-identical whatever parallelism is used.  total = 0 is one empty chunk.
-    """
-    slices = [slice(s, min(s + chunk_size, total)) for s in range(0, max(total, 1), chunk_size)]
-    workers = min(max_threads(), len(slices))
-    if workers <= 1 or len(slices) == 1:
-        parts = [fn(s) for s in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, slices))
-    first = parts[0]
-    if isinstance(first, tuple):
-        return tuple(np.concatenate([p[i] for p in parts], axis=0) for i in range(len(first)))
-    return np.concatenate(parts, axis=0)
 
+def sum_chunks(fn, total, chunk_size):
+    """The sum of the fresh arrays fn(slice) over chunk_slices(total,
+    chunk_size), each added into one running sum in chunk order as it is
+    made: bit-identical to np.stack(parts).sum(axis=0), one part alive."""
+    slices = chunk_slices(total, chunk_size)
+    running = fn(slices[0])
+    for sl in slices[1:]:
+        running += fn(sl)
+    return running

@@ -22,11 +22,11 @@ sparse binomial map turns their sum into mu.  A chunk holds the largest
 power of two of points whose table fits in 4 MB (at least 64), so chunk
 boundaries depend only on the basis and the rule.
 
-Determinism: chunk boundaries and reduction order do not depend on the
-thread budget, so reports are bit-identical for any CR_SPECTRA_THREADS given
-a fixed BLAS build and BLAS thread count.  The moment products, the pencil
-reduction and the eigensolves go through BLAS and LAPACK, so a different
-build may change the last bits.
+Determinism: chunk boundaries are fixed by the basis and the rule, and each
+chunk's real moments are added into one running sum in chunk order, so
+reports are bit-identical on every run given a fixed BLAS build and BLAS
+thread count.  The moment products, the pencil reduction and the eigensolves
+go through BLAS and LAPACK, so a different build may change the last bits.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
 from .frames import hermitize
 from .jets import graded_exponents
 from .quadrature import QuadratureRule
-from .runtime import map_chunks
+from .runtime import CHUNK_POINTS, chunk_slices, sum_chunks
 
 MAX_DEGREE = 6
 
@@ -247,9 +247,9 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
         for size in table.ends[::-1]:     # x_1^s times rows of degree <= 2 degree - s
             blocks.append(weights @ values[:size].T)
             weights = weights * pts[:, 0].real
-        return np.concatenate(blocks, axis=1)[None]
+        return np.concatenate(blocks, axis=1)
 
-    real = map_chunks(piece, len(rule), _chunk_points(len(table))).sum(axis=0)
+    real = sum_chunks(piece, len(rule), _chunk_points(len(table)))
     bimon = _Monomials(2 * m, top)
     moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
     for part, (row, col, coef) in zip((moments.real, moments.imag),
@@ -306,7 +306,8 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis, kernel_tol=1e-6,
     G, S, Sp = _galerkin_matrices(rule, basis, check_ibp)
     h = rule.frame.h
     herm_dev = max(
-        float(np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))),
+        *(float(np.max(np.abs(h[sl] - np.conj(np.swapaxes(h[sl], -1, -2)))))
+          for sl in chunk_slices(len(h), CHUNK_POINTS)),
         float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T))),
     )
     G = hermitize(G)

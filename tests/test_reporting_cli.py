@@ -366,49 +366,62 @@ def test_lower_bound_single_point_serializes(tmp_path):
 
 
 # 13,824 rule points (resolution 24 cubed): four degree-3 assembly chunks of
-# 4,096 points and two rule chunks, so the threaded runs reduce chunks computed
-# on different threads (test_threaded_job_spans_assembly_chunks)
-THREADED_JOB = {
+# 4,096 points and two rule chunks, so the Galerkin sums add up several chunks
+# (test_chunked_job_spans_assembly_chunks)
+CHUNKED_JOB = {
     **SPHERE_JOB,
     "quadrature": {"type": "hopf_product", "resolution": 24, "seed": 3},
     "tasks": [{"kind": "spectrum", "degree": 3, "check_monotonicity": True}],
 }
-# 9,000 samples: two Monte Carlo rule chunks of at most 8,192 directions
-THREADED_MONTE_CARLO_JOB = {
-    **THREADED_JOB,
+# 9,000 samples: two Monte Carlo rule chunks of at most 8,192 directions and
+# three degree-3 assembly chunks
+CHUNKED_MONTE_CARLO_JOB = {
+    **CHUNKED_JOB,
     "quadrature": {"type": "monte_carlo", "samples": 9000, "seed": 3},
 }
 
 
-def test_threaded_job_spans_assembly_chunks():
+def _assembly_chunk(job):
     from crspectra import spectral
 
-    points = THREADED_JOB["quadrature"]["resolution"] ** 3
-    degree = THREADED_JOB["tasks"][0]["degree"]
     # a chunk tabulates the monomials of x2, y1, y2 up to degree 2 * degree
-    chunk = spectral._chunk_points(len(spectral._Monomials(3, 2 * degree)))
-    assert points == 13_824 and chunk < points
+    degree = job["tasks"][0]["degree"]
+    return spectral._chunk_points(len(spectral._Monomials(3, 2 * degree)))
 
 
-def test_thread_count_does_not_change_report(tmp_path, monkeypatch):
-    for job in (THREADED_JOB, THREADED_MONTE_CARLO_JOB):
-        monkeypatch.setenv("CR_SPECTRA_THREADS", "1")
-        r1, _ = run_job_data(job, base_dir=tmp_path)
-        monkeypatch.setenv("CR_SPECTRA_THREADS", "4")
-        r2, _ = run_job_data(job, base_dir=tmp_path)
-        assert r1["results"][0]["status"] == "ok"
-        assert canonical_json(r1) == canonical_json(r2)
+def test_chunked_job_spans_assembly_chunks():
+    points = CHUNKED_JOB["quadrature"]["resolution"] ** 3
+    assert points == 13_824 and _assembly_chunk(CHUNKED_JOB) == 4096
+
+
+@pytest.mark.parametrize("job,chunks", [(CHUNKED_JOB, 4), (CHUNKED_MONTE_CARLO_JOB, 3)],
+                         ids=["hopf_product", "monte_carlo"])
+def test_running_sum_matches_stacked_chunk_sum(job, chunks, monkeypatch):
+    # the Galerkin matrices from the running sum equal, bit for bit, those
+    # from stacking every chunk's partial and summing along axis 0
+    from crspectra import runtime, spectral
+    from crspectra.quadrature import QuadratureSettings, build_quadrature
+
+    rho = crspectra.parse(job["defining_function"], job["dimension_n"])
+    rule = build_quadrature(rho, QuadratureSettings(**job["quadrature"]))
+    basis = spectral.MonomialBasis.build(rho.m, job["tasks"][0]["degree"])
+    assert len(runtime.chunk_slices(len(rule), _assembly_chunk(job))) == chunks
+    running = spectral._galerkin_matrices(rule, basis, check_ibp=True)
+    monkeypatch.setattr(spectral, "sum_chunks", lambda fn, total, size: np.stack(
+        [fn(sl) for sl in runtime.chunk_slices(total, size)]).sum(axis=0))
+    stacked = spectral._galerkin_matrices(rule, basis, check_ibp=True)
+    for got, want in zip(running, stacked):
+        assert np.array_equal(got, want)
 
 
 def test_blas_thread_count_does_not_change_report(tmp_path):
     job_path = tmp_path / "job.json"
-    job_path.write_text(json.dumps(THREADED_JOB), encoding="utf-8")
+    job_path.write_text(json.dumps(CHUNKED_JOB), encoding="utf-8")
     src = str(Path(crspectra.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for blas_threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path, "CR_SPECTRA_THREADS": "2",
-               "OPENBLAS_NUM_THREADS": blas_threads}
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas_threads}
         proc = subprocess.run(
             [sys.executable, "-m", "crspectra.cli", "run", str(job_path)],
             capture_output=True, env=env, timeout=300,
@@ -781,9 +794,9 @@ print(json.dumps(peaks))
 def test_peak_memory_steady_over_repeated_jobs():
     # the peak resident set of one interpreter running the same job again and
     # again settles after a few jobs: what one job frees, the next reuses.
-    # Growth from job 3 to job 10 read 0 to 2.6 MiB over 85 runs on Linux
-    # (1 and 2 map_chunks workers), hence the 8 MiB margin; keeping each
-    # job's rule alive adds about 10.5 MiB
+    # Growth from job 3 to job 10 read 0 to 2.6 MiB over 85 runs on Linux,
+    # hence the 8 MiB margin; keeping each job's rule alive adds about
+    # 10.5 MiB
     pytest.importorskip("resource")
     src = str(Path(crspectra.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_herm_deviation_sees_a_non_hermitian_levi_inverse(sphere_rule):
     rule = dataclasses.replace(sphere_rule, frame=frame)
     problem = assemble(rule, MonomialBasis.build(2, 1))
     assert problem.herm_deviation == pytest.approx(4e-6, rel=1e-6)
+
+
+def test_assembly_memory_does_not_grow_with_the_rule():
+    # each chunk's moments go into one running sum and h is checked chunk by
+    # chunk, so the memory assemble allocates is the same at 4x the points
+    # (it grew with the points when every chunk's partial was kept)
+    rho = parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.05*abs2(z2)^2-1", 2)
+    basis = MonomialBasis.build(3, 3)
+    peaks = []
+    for samples in (8192, 32768):
+        rule = build_quadrature(rho, QuadratureSettings("monte_carlo", samples=samples, seed=1))
+        tracemalloc.start()
+        try:
+            assemble(rule, basis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_sphere_degree3_table(sphere_rule):
