@@ -1,12 +1,13 @@
 """Fefferman's bordered complex Hessian and the pseudohermitian frame on M.
 
-``bordered_jet`` lays out, from a real jet of rho, the jet of
+``bordered_jet`` reads, from a real jet of rho, the value A0 at its base
+point of
 
     A = [[rho, rho_kbar], [rho_j, rho_{j kbar}]],   J = -det A,
 
     A^-1 = [[-r, xi^T], [conj(xi), h]].
 
-The frame keeps A0, the constant term of A, and A0^-1, and reads its fields
+The frame keeps A0 and A0^-1, and reads its fields
 off their blocks: on M the transverse curvature r = det(rho_{j kbar}) / J,
 the (1,0) field xi with drho(xi) = 1, and the ambient Levi inverse h =
 h^{k lbar}, which annihilates drho on both sides, so operators pair (0,1)
@@ -50,7 +51,7 @@ from .errors import (
     NotRealValued,
     NotStrictlyPseudoconvex,
 )
-from .jets import Jet, jet_space
+from .jets import Jet
 from .runtime import CHUNK_POINTS, map_chunks
 
 
@@ -123,12 +124,13 @@ def bordered_inverse(a, points):
 
 
 def bordered_jet(jet: Jet):
-    """The jet of A from a real jet of rho (order >= 2): shape (m+1, m+1, T,
-    ...), entry (j, k) the T terms of the order - 2 jet of A_jk, batch axes
-    last; a[:, :, 0] is A0.  A jet that is real only numerically (a sum of
-    conjugate monomial pairs, say, that the syntactic reality rules cannot
-    see) is hermitized; NotRealValued where its reality defect exceeds 1e-10
-    times its largest coefficient (at least 1).
+    """A0, the bordered Hessian at the base point, from a real jet of rho
+    (order >= 2): shape (m+1, m+1, ...), batch axes last; and the real jet it
+    was read from.  A jet that is real only numerically (a sum of conjugate
+    monomial pairs, say, that the syntactic reality rules cannot see) is
+    hermitized, so the series of log J reads the same jet; NotRealValued
+    where its reality defect exceeds 1e-10 times its largest coefficient (at
+    least 1).
     """
     if jet.order < 2:
         raise JetOrderError("the bordered Hessian needs a jet of order >= 2")
@@ -140,17 +142,12 @@ def bordered_jet(jet: Jet):
                 f"defining function is not real-valued (defect {defect:.3e})"
             )
         jet = jet.hermitized()
+    # first and mixed second derivatives are their Taylor coefficients
     space, m = jet.space, jet.m
-    # index 0 takes no derivative; the jet of d^alpha dbar^beta rho is the
-    # first T rows of its deriv_table, whose space has the order-2 one as prefix
-    terms = jet_space(m, space.order - 2).n_terms
-    units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
-    tables = [[space.deriv_table(alpha, beta) for beta in units] for alpha in units]
-    src = np.array([[s[:terms] for _, s, _ in row] for row in tables])
-    mult = np.array([[mu[:terms] for _, _, mu in row] for row in tables])
-    a = jet.coeffs[src]
-    a *= mult.reshape(mult.shape + (1,) * len(jet.batch_shape))
-    return a
+    index = np.zeros((m + 1, m + 1), dtype=np.intp)
+    index[0, 1:], index[1:, 0], index[1:, 1:] = (
+        space.dbar_index, space.holo_index, space.mixed_index)
+    return jet.coeffs[index], jet
 
 
 @dataclass
@@ -232,7 +229,7 @@ def frame_from_bordered(point, a) -> CRFrame:
 
 def frame_from_jet(jet: Jet) -> CRFrame:
     """Build the frame from a jet of the defining function (order >= 2)."""
-    return frame_from_bordered(jet.point, bordered_jet(jet)[:, :, 0])
+    return frame_from_bordered(jet.point, bordered_jet(jet)[0])
 
 
 def build_frame(rho, points, params=None) -> CRFrame:
@@ -243,7 +240,7 @@ def build_frame(rho, points, params=None) -> CRFrame:
     flat = points.reshape(-1, points.shape[-1])
 
     def gather(sl):
-        return np.moveaxis(bordered_jet(rho.jet(params, flat[sl], 2))[:, :, 0], -1, 0)
+        return np.moveaxis(bordered_jet(rho.jet(params, flat[sl], 2))[0], -1, 0)
 
     a = map_chunks(gather, flat.shape[0], CHUNK_POINTS)
     # the inverse runs entry by entry, about twice as fast on contiguous rows

@@ -15,14 +15,20 @@ Conventions, pinned by the unit-sphere normalization:
   is the curvature functional below.  The 1/(n+2) power is forced by
   invariance under change of defining function (J rescales with weight
   n+2, D with weight -1).
-* the 2-jet of log J (J = -det A, A the bordered complex Hessian of
-  ``frames.bordered_jet``) is the trace series log(-det A0) + tr X -
-  tr X^2 / 2, X = A0^-1 (A - A0), which is exact at order <= 2 because X^3
-  has order >= 3.  ``curvature_quantities`` starts it from its frame's
-  J0 = -det A0 and A0^-1, so each call runs one cofactor inverse.
+* the 2-jet of log J (J = -det A, A the bordered complex Hessian whose
+  constant term A0 ``frames.bordered_jet`` reads) is the trace series
+  log(-det A0) + tr X - tr X^2 / 2, X = A0^-1 (A - A0), which is exact at
+  order <= 2 because X^3 has order >= 3.  The terms of A are read straight
+  off the jet of rho, and only the canonical half of the terms of log J
+  is summed; the rest are their conjugates.  ``curvature_quantities``
+  starts it from its frame's J0 = -det A0 and A0^-1, so each call runs one
+  cofactor inverse.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,31 +88,81 @@ def log_fefferman_jet(rho_jet: Jet) -> Jet:
     Raises DegenerateJ where J <= 1e-12 times the size of the terms of
     det A0 (see ``frames.bordered_inverse``).
     """
-    a = bordered_jet(rho_jet)
-    j0, inv = bordered_inverse(a[:, :, 0], rho_jet.point)
-    return _log_j_series(rho_jet, a, j0, inv)
+    a0, rho_jet = bordered_jet(rho_jet)
+    j0, inv = bordered_inverse(a0, rho_jet.point)
+    return _log_j_series(rho_jet, j0, inv)
 
 
-def _log_j_series(rho_jet, a, j0, inv):
-    """The series of log J from a = ``bordered_jet(rho_jet)``, J0 and A0^-1
-    (m+1, m+1, ...).  Steps broadcast over (m+1, m+1, T, P), P the batch."""
+@lru_cache(maxsize=None)
+def _log_j_plan(m, order):
+    """Index plan of ``_log_j_series`` for a jet of rho of this order.
+
+    log J is real, so only its canonical terms are summed: holomorphic order
+    above antiholomorphic, or equal orders and index <= conj_perm; the rest
+    are their conjugates.  The plan's terms are the canonical ones, led at
+    target order 2 by the antiholomorphic first-order terms, so that its
+    first 2m terms are the first-order ones, whose X_p = A0^-1 A_p feed
+    tr X^2.  Term t of the jet of A_jk is row src[j, k, t] of rho's jet
+    times mult[j, k, t] (``JetSpace.deriv_table``).  Each canonical order-2
+    term takes tr(X_p X_q) of one unordered pair of first-order terms: half
+    of it from the series when p = q, all of it when p != q (the ordered
+    pairs (p, q) and (q, p) both count).
+    """
+    space, target = jet_space(m, order), jet_space(m, order - 2)
+    conj = target.conj_perm
+    lead = [sum(a) - sum(b) for a, b in target.exps]
+    canon = np.array([t for t in range(1, target.n_terms)
+                      if lead[t] > 0 or (lead[t] == 0 and t <= conj[t])], dtype=np.intp)
+    first = np.arange(1, 2 * m + 1) if target.order == 2 else np.arange(0)
+    terms = np.concatenate([np.setdiff1d(first, canon), canon])
+    units = [(0,) * m] + [tuple(int(s == j) for s in range(m)) for j in range(m)]
+    tables = [[space.deriv_table(a, b) for b in units] for a in units]
+    i1, i2, out = target.mul_table()
+    pairs = (i1 > 0) & (i1 <= i2) & np.isin(out, canon)
+    n_anti = len(terms) - len(canon)
+    pos = np.zeros(target.n_terms, dtype=np.intp)
+    pos[terms] = np.arange(len(terms))
+    return SimpleNamespace(
+        target=target, canon=canon, self_conj=canon[conj[canon] == canon],
+        src=np.array([[s[terms] for _, s, _ in row] for row in tables], dtype=np.intp),
+        mult=np.array([[mu[terms, None] for _, _, mu in row] for row in tables]),
+        n_anti=n_anti, n_first=len(first), p=pos[i1[pairs]], q=pos[i2[pairs]],
+        at=pos[out[pairs]] - n_anti, weight=np.where(i1[pairs] == i2[pairs], 0.5, 1.0)[:, None],
+    )
+
+
+def _log_j_series(rho_jet, j0, inv):
+    """The series of log J from a real jet of rho, J0 and A0^-1 (m+1, m+1,
+    ...).  Every step runs on rows of shape (terms, P), P the flattened
+    batch, so each temporary holds a few rows."""
     m = rho_jet.m
-    target = jet_space(m, rho_jet.order - 2)
-    a = a.reshape(a.shape[:3] + (-1,))
-    # the frame's A0^-1 is a batch-first view; einsum runs 2x faster on a copy
+    plan = _log_j_plan(m, rho_jet.order)
+    rows = rho_jet.coeffs.reshape(rho_jet.space.n_terms, -1)
+    # the frame's A0^-1 is a batch-first view; its rows run faster copied
     inv = np.ascontiguousarray(inv.reshape(m + 1, m + 1, -1))
-    out = np.empty(a.shape[2:], dtype=np.complex128)
+    size = rows.shape[1]
+    # tr A0^-1 A_t = sum inv[k, j] A_t[j, k]; x[k, i] = X_p[i, k]
+    tr = np.zeros((len(plan.canon), size), dtype=np.complex128)
+    x = np.zeros((m + 1, m + 1, plan.n_first, size), dtype=np.complex128)
+    for j in range(m + 1):
+        for k in range(m + 1):
+            a = rows[plan.src[j, k]] * plan.mult[j, k]
+            tr += inv[k, j] * a[plan.n_anti:]
+            x[k] += inv[:, j, None] * a[: plan.n_first]
+    if len(plan.p):
+        tr2 = np.zeros((len(plan.p), size), dtype=np.complex128)
+        for i in range(m + 1):
+            for k in range(m + 1):
+                tr2 += x[k, i, plan.p] * x[i, k, plan.q]
+        tr[plan.at] -= plan.weight * tr2
+    target = plan.target
+    out = np.empty((target.n_terms, size), dtype=np.complex128)
     out[0] = np.log(j0).reshape(-1)
-    out[1:] = np.einsum("ijp,jitp->tp", inv, a[:, :, 1:])
-    i1, i2, terms = target.mul_table()
-    pairs = (i1 > 0) & (i2 > 0)  # two first-order terms; only at target order 2
-    if np.any(pairs):
-        x1 = np.einsum("ijp,jktp->iktp", inv, a[:, :, 1 : 2 * m + 1])
-        tr2 = np.einsum("ikap,kibp->abp", x1, x1)[i1[pairs] - 1, i2[pairs] - 1]
-        starts = np.flatnonzero(np.diff(terms[pairs], prepend=-1))
-        out[terms[pairs][starts]] -= 0.5 * np.add.reduceat(tr2, starts, axis=0)
+    out[plan.canon] = tr
+    out[plan.self_conj] = out[plan.self_conj].real
+    out[target.conj_perm[plan.canon]] = np.conj(out[plan.canon])
     out = out.reshape((target.n_terms,) + rho_jet.batch_shape)
-    return Jet(target, rho_jet.point, out).hermitized()
+    return Jet(target, rho_jet.point, out, True)
 
 
 def fefferman_det_jet(rho_jet: Jet) -> Jet:
@@ -147,10 +203,9 @@ def curvature_quantities(rho, points, params=None):
     Returns a dict with keys r, J, detH, R_theta, D, R_Theta plus the frame.
     """
     points = np.asarray(points, dtype=np.complex128)
-    jet = rho.jet(params, points, 4)
-    a = bordered_jet(jet)
-    frame = frame_from_bordered(points, a[:, :, 0])
-    logj = _log_j_series(jet, a, frame.J, np.moveaxis(frame.inv, (-2, -1), (0, 1)))
+    a0, jet = bordered_jet(rho.jet(params, points, 4))
+    frame = frame_from_bordered(points, a0)
+    logj = _log_j_series(jet, frame.J, np.moveaxis(frame.inv, (-2, -1), (0, 1)))
     rtheta, dval = webster_curvatures(frame, logj)
     n = frame.n
     big_r = frame.J ** (1.0 / (n + 2)) * dval

@@ -377,6 +377,9 @@ def test_log_fefferman_jet_matches_laplace_expansion(text, n, order, batch):
     ref = _reference_log_fefferman(rho_jet)
     assert got.is_real and got.order == order - 2
     assert got.coeffs.shape == ref.coeffs.shape == (ref.space.n_terms,) + batch
+    # each noncanonical term is written as the conjugate of its partner, and
+    # each self-conjugate term is real, so the symmetry holds bit for bit
+    np.testing.assert_array_equal(got.coeffs[got.space.conj_perm], np.conj(got.coeffs))
     # log J is O(1); coefficients that vanish identically are compared
     # against that scale
     scale = max(1.0, float(np.max(np.abs(ref.coeffs))))
@@ -430,9 +433,46 @@ def test_curvature_quantities_log_j_is_log_fefferman_jet(monkeypatch, text):
     monkeypatch.setattr(operators, "webster_curvatures", capture)
     curvature_quantities(rho, pts)
     want = log_fefferman_jet(rho.jet({}, pts, 4))
-    scale = max(1.0, float(np.max(np.abs(want.coeffs))))
+    # the same kernel on the same J0 and A0^-1: equal to the last bit
     assert seen[0].is_real and seen[0].order == 2
-    np.testing.assert_allclose(seen[0].coeffs, want.coeffs, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_array_equal(seen[0].coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("text,n", [
+    ("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1),
+    (f"({QUARTIC_TEXT})*(2+re(z1))", 2),
+])
+def test_normalized_defining_function_matches_laplace_expansion(text, n, order):
+    # rho_hat = exp(-log J / (n+2)) rho, with log J from the oracle
+    rho = parse(text, n)
+    pts = _oracle_points(rho, (7,))
+    rho_jet = rho.jet({}, pts, order + 2)
+    ref = (_reference_log_fefferman(rho_jet) * (-1.0 / (n + 2))).exp()
+    ref = ref * DenseJet.of(rho_jet.truncate(order))
+    got = NormalizedDefiningFunction(rho).jet({}, pts, order)
+    assert got.order == order
+    # the constant term is rho's residual on M, about 1e-16; it and the
+    # coefficients that vanish identically are compared against the scale
+    scale = max(1.0, float(np.max(np.abs(ref.coeffs))))
+    np.testing.assert_allclose(got.coeffs, ref.coeffs, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_numerically_real_defining_function_is_hermitized_once():
+    # the same function, written so that its jets are real only numerically
+    # (not flagged) and as re(...) (flagged): the frame and the log J series
+    # read one hermitized jet, so both spellings agree
+    plain = parse("abs2(z1)+abs2(z2)+0.1*(z1*conj(z2)+conj(z1)*z2)+0.2*abs2(z1)^2-1", 1)
+    flagged = parse("abs2(z1)+abs2(z2)+0.2*re(z1*conj(z2))+0.2*abs2(z1)^2-1", 1)
+    pts = points_on_surface(flagged, 30, seed=17)
+    assert not plain.jet({}, pts, 4).is_real and flagged.jet({}, pts, 4).is_real
+    got, want = curvature_quantities(plain, pts), curvature_quantities(flagged, pts)
+    for key in ("R_theta", "D", "R_Theta", "J"):
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
+    got = log_fefferman_jet(plain.jet({}, pts, 4))
+    want = log_fefferman_jet(flagged.jet({}, pts, 4))
+    assert got.is_real
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
 def test_first_normalization_unit_j_n2():
