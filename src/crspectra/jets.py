@@ -23,7 +23,6 @@ All operations are pure; jets are immutable by convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 import numpy as np
@@ -50,9 +49,16 @@ def _factorial_prod(exponents):
 
 def graded_exponents(m: int, order: int):
     """Exponent vectors (alpha_1..alpha_m, beta_1..beta_m) of total order <=
-    ``order``, by total order, lexicographic within each total."""
-    exps = (e for e in itertools.product(range(order + 1), repeat=2 * m) if sum(e) <= order)
-    return sorted(exps, key=lambda e: (sum(e), e))
+    ``order`` as the rows of an integer array, by total order, lexicographic
+    within each total."""
+    # every vector of total <= order in lexicographic order, one entry at a
+    # time: a row with r units of order left is followed by 0..r
+    exps = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(2 * m):
+        room = order + 1 - exps.sum(axis=1)
+        nxt = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        exps = np.column_stack([np.repeat(exps, room, axis=0), nxt])
+    return exps[np.argsort(exps.sum(axis=1), kind="stable")]
 
 
 class JetSpace:
@@ -65,7 +71,8 @@ class JetSpace:
             raise JetOrderError(f"jet order {order} is negative")
         self.m = m
         self.order = order
-        self.exps = [(e[:m], e[m:]) for e in graded_exponents(m, order)]
+        self._grid = graded_exponents(m, order)
+        self.exps = [(tuple(e[:m]), tuple(e[m:])) for e in self._grid.tolist()]
         self.index = {ab: i for i, ab in enumerate(self.exps)}
         self.n_terms = len(self.exps)
         conj = [self.index[(b, a)] for (a, b) in self.exps]
@@ -88,22 +95,16 @@ class JetSpace:
 
     def mul_table(self):
         """Every coefficient pair of a truncated product, as index arrays
-        ``(i1, i2, out)`` sorted by output term ``out``."""
+        ``(i1, i2, out)`` sorted by output term ``out``, then ``i1``, ``i2``."""
         if self._mul_table is None:
-            pairs = []
-            for i1, (a1, b1) in enumerate(self.exps):
-                t1 = sum(a1) + sum(b1)
-                for i2, (a2, b2) in enumerate(self.exps):
-                    if t1 + sum(a2) + sum(b2) > self.order:
-                        continue
-                    a = tuple(x + y for x, y in zip(a1, a2))
-                    b = tuple(x + y for x, y in zip(b1, b2))
-                    pairs.append((self.index[(a, b)], i1, i2))
-            pairs.sort()
-            out = np.asarray([p[0] for p in pairs], dtype=np.intp)
-            i1 = np.asarray([p[1] for p in pairs], dtype=np.intp)
-            i2 = np.asarray([p[2] for p in pairs], dtype=np.intp)
-            self._mul_table = (i1, i2, out)
+            grid, total = self._grid, self._grid.sum(axis=1)
+            i1, i2 = np.nonzero(total[:, None] + total <= self.order)   # by i1, then i2
+            radix = (self.order + 1) ** np.arange(2 * self.m)
+            rank = np.zeros((self.order + 1) ** (2 * self.m), dtype=np.intp)
+            rank[grid @ radix] = np.arange(self.n_terms)
+            out = rank[(grid[i1] + grid[i2]) @ radix]
+            by_out = np.argsort(out, kind="stable")
+            self._mul_table = (i1[by_out], i2[by_out], out[by_out])
         return self._mul_table
 
     def product_plan(self, sa, sb):

@@ -12,15 +12,22 @@ the lower-degree Ritz values of the monotonicity diagnostic come from their
 leading principal blocks.
 
 Assembly: every entry of G, S and the stiffness by parts is a sum of
-point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with
-|p| + |q| <= 2 degree and c one of w, w h (h the frame's ambient Levi
-inverse, which gives both the dbar_b pairing and delta_tilde) and n w
-conj(xi).  With z = x + iy these are integer combinations of real moments:
-each chunk of rule points tabulates the monomials of x_2..x_m, y_1..y_m and
-takes the real moments of each power x_1^s with one matrix product, and one
-sparse binomial map turns their sum into mu.  A chunk holds the largest
-power of two of points whose table fits in 4 MB (at least 64), so chunk
-boundaries depend only on the basis and the rule.
+point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q, with c
+one of w, w h (h the frame's ambient Levi inverse, which gives both the
+dbar_b pairing and delta_tilde) and n w conj(xi).  The entries read each
+weight only up to its reach: |p| + |q| <= 2 degree for w, 2 degree - 1 for
+n w conj(xi) and 2 degree - 2 for w h.  With z = x + iy these are integer
+combinations of real moments: each chunk of rule points tabulates the
+monomials of x_2..x_m, y_1..y_m and stacks the real weight rows by levels
+k = 2 degree..0, level k being level k + 1 times x_1 followed by the rows
+of reach k.  The moments against the monomials of degree t are one matrix
+product of the levels >= t, a prefix of the stack, with those table rows,
+so each point costs one multiply-add per moment a row reaches: with the
+conj(xi) rows 5,841 at degree 5 in C^2, against 9,009 for every row to
+2 degree, and 21,615 (against 48,048) at degree 4 in C^3.  One sparse
+binomial map turns the sum of the chunks into mu.  A chunk holds the
+largest power of two of points whose table fits in 4 MB (at least 64), so
+chunk boundaries depend only on the basis and the rule.
 
 Determinism: chunk boundaries are fixed by the basis and the rule, and each
 chunk's real moments are added into one running sum in chunk order, so
@@ -217,21 +224,44 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     """G, S and (with ``check_ibp``) the stiffness by parts, from moments.
 
     Every entry is a sum of point-weighted moments
-    mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q with |p| + |q| <= 2 degree:
+    mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q:
     G[u,v] = mu_1(a_u+b_v, b_u+a_v), and with h the frame's ambient Levi
     inverse (|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar))
     S[u,v] = sum_kl b_uk b_vl mu_{h_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
     The stiffness by parts integrates (box_b phi_u) conj(phi_v), with
-    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.  The chunks take
-    the real moments of x_1^s times the monomials of x_2..x_m, y_1..y_m
-    against the real weight rows w, w h_kk, w Re h_kl and w Im h_kl (k < l;
-    h is Hermitian), n w Re conj(xi_k) and n w Im conj(xi_k), and
-    ``_binomial_map`` turns their sum into mu.
+    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.
+
+    The real weight rows are w, w h_kk, w Re h_kl and w Im h_kl (k < l; h is
+    Hermitian), n w Re conj(xi_k) and n w Im conj(xi_k).  The entries read
+    a row's moments only up to its reach: 2 degree for w, 2 degree - 1 for
+    the conj(xi) rows, 2 degree - 2 for the h rows.  A chunk builds one
+    stack by levels k = 2 degree..0: level k is level k + 1 times x_1,
+    followed by the rows of reach k, so a row at level k holds its weight
+    times x_1^(reach - k), and the levels >= t form a prefix of the stack.
+    The moments against the table's monomials of degree t in x_2..x_m,
+    y_1..y_m are one product of that prefix with those table rows.  The sum
+    of the chunks is scattered into the real moments of x_1^s times the
+    table rows of degree <= 2 degree - s (entries beyond a row's reach stay
+    0), and ``_binomial_map`` turns those into mu.
     """
     frame = rule.frame
     m, n, top = frame.m, frame.n, 2 * basis.degree
     table = _Monomials(2 * m - 1, top)
     ku, lu = np.triu_indices(m, 1)
+    n_rows = 1 + m * m + (2 * m if check_ibp else 0)
+    # the reach of each real weight row, and the rows by falling reach
+    reach = np.repeat([top, top - 2, top - 1], [1, m * m, n_rows - 1 - m * m])
+    order = np.argsort(-reach, kind="stable")
+    sizes = [int(np.sum(reach >= k)) for k in range(top, -1, -1)]     # rows of level k
+    # the weight row and the power of x_1 of each stack row
+    stack_row = np.concatenate([order[:size] for size in sizes])
+    stack_power = reach[stack_row] - np.repeat(np.arange(top, -1, -1), sizes)
+    prefix = np.cumsum(sizes)[::-1]         # stack rows of the levels >= t
+    bounds = np.concatenate([[0], table.ends])  # table rows of degree t
+    offsets = np.concatenate([[0], np.cumsum(table.ends[::-1])])
+    base = stack_row * offsets[-1] + offsets[stack_power]
+    slots = np.concatenate([(base[:prefix[t], None] + np.arange(bounds[t], bounds[t + 1])).ravel()
+                            for t in range(top + 1)])
 
     def piece(sl):
         ww, pts = rule.weights[sl], rule.points[sl]
@@ -241,15 +271,20 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
         if check_ibp:
             cxi = (n * ww)[:, None] * np.conj(frame.xi[sl])
             rows += [cxi.real.T, cxi.imag.T]
-        weights = np.concatenate(rows)
+        weights = np.concatenate(rows)[order]
+        x1, stack = pts[:, 0].real, np.empty((prefix[0], len(ww)))
+        lo = hi = 0     # the rows of the level above
+        for size in sizes:
+            mid = 2 * hi - lo
+            np.multiply(stack[lo:hi], x1, out=stack[hi:mid])
+            stack[mid:hi + size] = weights[hi - lo:size]
+            lo, hi = hi, hi + size
         values = table.table(np.concatenate([pts[:, 1:].real.T, pts.imag.T]))
-        blocks = []
-        for size in table.ends[::-1]:     # x_1^s times rows of degree <= 2 degree - s
-            blocks.append(weights @ values[:size].T)
-            weights = weights * pts[:, 0].real
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate([(stack[:prefix[t]] @ values[bounds[t]:bounds[t + 1]].T).ravel()
+                               for t in range(top + 1)])
 
-    real = sum_chunks(piece, len(rule), _chunk_points(len(table)))
+    real = np.zeros((n_rows, offsets[-1]))
+    real.flat[slots] = sum_chunks(piece, len(rule), _chunk_points(len(table)))
     bimon = _Monomials(2 * m, top)
     moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
     for part, (row, col, coef) in zip((moments.real, moments.imag),
@@ -352,7 +387,7 @@ def solve(problem: SpectralProblem) -> SolveResult:
         )
     W = U[:, keep] / np.sqrt(kept)[None, :]
     St = hermitize(W.conj().T @ S @ W)
-    lam, _ = np.linalg.eigh(St)
+    lam = np.linalg.eigvalsh(St)
     thr = problem.kernel_tol * max(1.0, float(lam[-1]))
     kernel_dim = int(np.sum(lam < thr))
     positive = lam[lam >= thr]

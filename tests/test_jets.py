@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from crspectra.errors import (
     LogOfNonpositive,
 )
 from crspectra.expressions import parse
-from crspectra.jets import Jet, jet_space
+from crspectra.jets import Jet, JetSpace, graded_exponents, jet_space
 from dense_jet import DenseJet
 from fd_oracle import fd_partials
 
@@ -36,6 +38,40 @@ def test_coordinate_index_out_of_range():
 def test_order_cap():
     with pytest.raises(JetOrderError):
         jet_space(2, 5)
+
+
+def _graded_exponents_by_sorting(m, order):
+    """The exponent vectors of total <= order by plain enumeration and sort."""
+    exps = (e for e in itertools.product(range(order + 1), repeat=2 * m) if sum(e) <= order)
+    return sorted(exps, key=lambda e: (sum(e), e))
+
+
+def _mul_table_by_pairs(space):
+    """(i1, i2, out) by a loop over every pair of terms, sorted as tuples."""
+    pairs = []
+    for i1, (a1, b1) in enumerate(space.exps):
+        for i2, (a2, b2) in enumerate(space.exps):
+            if sum(a1) + sum(b1) + sum(a2) + sum(b2) > space.order:
+                continue
+            a = tuple(x + y for x, y in zip(a1, a2))
+            b = tuple(x + y for x, y in zip(b1, b2))
+            pairs.append((space.index[(a, b)], i1, i2))
+    pairs.sort()
+    return tuple(np.asarray([p[k] for p in pairs], dtype=np.intp) for k in (1, 2, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_index_tables_match_enumeration(m, order):
+    want = _graded_exponents_by_sorting(m, order)
+    got = graded_exponents(m, order)
+    assert got.shape == (len(want), 2 * m)
+    assert got.tolist() == [list(e) for e in want]
+    space = JetSpace(m, order)
+    assert space.exps == [(e[:m], e[m:]) for e in want]
+    for got_col, want_col in zip(space.mul_table(), _mul_table_by_pairs(space)):
+        assert got_col.dtype == np.intp
+        np.testing.assert_array_equal(got_col, want_col)
 
 
 def test_modulus_squared_expansion():

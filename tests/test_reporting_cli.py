@@ -414,9 +414,11 @@ def test_running_sum_matches_stacked_chunk_sum(job, chunks, monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_blas_thread_count_does_not_change_report(tmp_path):
+def _reports_at_blas_threads(job, tmp_path):
+    """The stdout of ``crspectra run`` on ``job`` with BLAS on 1 and on 2
+    threads, each in a fresh process."""
     job_path = tmp_path / "job.json"
-    job_path.write_text(json.dumps(CHUNKED_JOB), encoding="utf-8")
+    job_path.write_text(json.dumps(job), encoding="utf-8")
     src = str(Path(crspectra.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -428,8 +430,41 @@ def test_blas_thread_count_does_not_change_report(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_blas_thread_count_does_not_change_report(tmp_path):
+    outputs = _reports_at_blas_threads(CHUNKED_JOB, tmp_path)
     assert b'"status":"ok"' in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# the surface, rule and tasks of the rule_n1 benchmark workload: at degree 5
+# the Ritz values of the ill-conditioned tail move with the BLAS thread count
+PULLBACK_MAPS = ["z1", "z2", "0.5*z1^2"]
+PULLBACK_DEGREE5_JOB = {
+    "dimension_n": 1,
+    "defining_function": "abs2(z1)+abs2(z2)+0.25*abs2(z1^2)-1",
+    "quadrature": {"type": "hopf_product", "resolution": 32, "seed": 0},
+    "tasks": [
+        {"kind": "bound_upper", "decomposition": {"N": 1, "nu": 1, "f_maps": PULLBACK_MAPS}},
+        {"kind": "bound_reilly", "F_maps": PULLBACK_MAPS},
+        {"kind": "bound_special", "j": 2, "num_points": 200, "seed": 0},
+        {"kind": "bound_lower", "num_points": 200, "seed": 1, "paneitz_positive": True},
+        {"kind": "spectrum", "degree": 5, "check_monotonicity": True},
+    ],
+}
+
+
+def test_blas_thread_count_keeps_degree5_lambda1_and_bounds(tmp_path):
+    outputs = _reports_at_blas_threads(PULLBACK_DEGREE5_JOB, tmp_path)
+    one, two = ([entry["result"] for entry in json.loads(out.splitlines()[-1])["results"]]
+                for out in outputs)
+    assert [r.get("kind") for r in one] == [r.get("kind") for r in two]
+    pairs = [(a["value"], b["value"]) for a, b in zip(one[:4], two[:4])]
+    pairs.append((one[4]["lambda1"], two[4]["lambda1"]))
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
