@@ -42,7 +42,7 @@ for a in (0.0, 0.05, 0.1):
     )
     up = upper_bound(dec, rule)
     lo = lower_bound(rho, points_on_surface(rho, 50, seed=11), paneitz_positive=True)
-    lam1 = solve(assemble(rule, MonomialBasis.build(2, 4), check_ibp=False)).lambda1
+    lam1 = solve(assemble(rule, MonomialBasis.build(2, 4))).lambda1
     print(f"{a:5.2f} {lo.value:12.8f} {lam1:12.8f} {up.value:12.8f}")
 
 print("\n== immersion bound for the quadratic sphere immersion ==")
@@ -50,7 +50,7 @@ squared = parse("(abs2(z1)+abs2(z2))^2-1", 1)
 rule2 = build_quadrature(squared, QuadratureSettings("hopf_product", resolution=32))
 maps = [parse("z1^2", 1), parse("pow(2,0.5)*z1*z2", 1), parse("z2^2", 1)]
 rb = reilly_bound(maps, rule2)
-lam1 = solve(assemble(rule2, MonomialBasis.build(2, 2), check_ibp=False)).lambda1
+lam1 = solve(assemble(rule2, MonomialBasis.build(2, 2))).lambda1
 print(f"bound = {rb.value:.9f}, true lambda1 = {lam1:.9f}")
 print("constant transverse curvature does not force equality.")
 

@@ -100,7 +100,7 @@ def build_parser():
 
     p_spec = sub.add_parser("spectrum", help="Galerkin spectrum of the Kohn Laplacian")
     _add_common(p_spec)
-    p_spec.add_argument("--degree", type=int, default=3, help="monomial basis degree (<= 6)")
+    p_spec.add_argument("--degree", type=int, default=3, help="monomial basis degree, 1 to 6")
     p_spec.add_argument("--kernel-tol", type=float, default=1e-6)
 
     sub.add_parser("verify", help="run the built-in verification suite")

@@ -464,9 +464,6 @@ class _JetProgram:
         self.supports = []
         self.reals = []
         self.root = self._lower(root)
-        if _is_real(root):
-            # a syntactically real tree yields a real-flagged jet
-            self.reals[self.root] = True
         # release each slot after its last use
         last = {j: k for k, (_, ins) in enumerate(self.steps) for j in ins}
         frees = [[] for _ in self.steps]

@@ -380,7 +380,8 @@ def _run_task(ctx, task, base_dir):
         return result
     if kind == "spectrum":
         # checked before the rule is built or anything is assembled
-        degree = _whole_number(task, "degree", 3, 0, MAX_DEGREE)
+        # degree 0 holds only the constant, which has no positive Ritz value
+        degree = _whole_number(task, "degree", 3, 1, MAX_DEGREE)
         kernel_tol = check_kernel_tol(_real_number(task.get("kernel_tol", 1e-6), "kernel_tol"))
         monotonicity = _task_flag(task, "check_monotonicity", True)
         report = estimate_lambda1(ctx.rule, degree, kernel_tol=kernel_tol,

@@ -7,9 +7,12 @@ live in the basis; the solver projects that null space out (relative
 eigenvalue < 1e-13) before reducing the pencil.
 
 The graded basis of degree d - 1 is a prefix of the degree-d basis, so the
-Gram and stiffness matrices are assembled once, at the requested degree, and
-the lower-degree Ritz values of the monotonicity diagnostic come from their
-leading principal blocks.
+Gram, stiffness and by-parts stiffness matrices are assembled once, at the
+requested degree, and the lower-degree Ritz values of the monotonicity
+diagnostic come from their leading principal blocks.  Every assembly builds
+the by-parts matrix, so every pencil carries its integration-by-parts
+deviation.  The kernel threshold belongs to the eigen-split: ``solve`` takes
+it and counts the Ritz values below it as the kernel of box_b.
 
 Assembly: every entry of G, S and the stiffness by parts is a sum of
 point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q, with c
@@ -38,7 +41,7 @@ go through BLAS and LAPACK, so a different build may change the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,19 +199,17 @@ class SpectralProblem:
     gram: np.ndarray
     stiffness: np.ndarray
     basis: MonomialBasis
-    kernel_tol: float = 1e-6
     herm_deviation: float = 0.0
-    ibp_deviation: float | None = None
-    rule_meta: dict = field(default_factory=dict)
+    ibp_deviation: float = 0.0
 
     def leading_block(self, degree):
-        """The pencil of the degree-``degree`` sub-basis (no IBP diagnostic)."""
+        """The pencil of the degree-``degree`` sub-basis.  It keeps this
+        pencil's deviations, which bound its own: a maximum over a leading
+        block cannot exceed the maximum over the whole matrix."""
         basis = self.basis.truncate(degree)
         size = len(basis)
-        return SpectralProblem(
-            gram=self.gram[:size, :size], stiffness=self.stiffness[:size, :size],
-            basis=basis, kernel_tol=self.kernel_tol,
-        )
+        return replace(self, gram=self.gram[:size, :size],
+                       stiffness=self.stiffness[:size, :size], basis=basis)
 
 
 def _chunk_points(table_rows):
@@ -220,8 +221,8 @@ def _chunk_points(table_rows):
     return chunk
 
 
-def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
-    """G, S and (with ``check_ibp``) the stiffness by parts, from moments.
+def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
+    """G, S and the stiffness by parts, from moments.
 
     Every entry is a sum of point-weighted moments
     mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q:
@@ -248,9 +249,8 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     m, n, top = frame.m, frame.n, 2 * basis.degree
     table = _Monomials(2 * m - 1, top)
     ku, lu = np.triu_indices(m, 1)
-    n_rows = 1 + m * m + (2 * m if check_ibp else 0)
     # the reach of each real weight row, and the rows by falling reach
-    reach = np.repeat([top, top - 2, top - 1], [1, m * m, n_rows - 1 - m * m])
+    reach = np.repeat([top, top - 2, top - 1], [1, m * m, 2 * m])
     order = np.argsort(-reach, kind="stable")
     sizes = [int(np.sum(reach >= k)) for k in range(top, -1, -1)]     # rows of level k
     # the weight row and the power of x_1 of each stack row
@@ -266,12 +266,10 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     def piece(sl):
         ww, pts = rule.weights[sl], rule.points[sl]
         wh = ww[:, None, None] * frame.h[sl]
-        rows = [ww[None], np.diagonal(wh, axis1=1, axis2=2).real.T,
-                wh[:, ku, lu].real.T, wh[:, ku, lu].imag.T]
-        if check_ibp:
-            cxi = (n * ww)[:, None] * np.conj(frame.xi[sl])
-            rows += [cxi.real.T, cxi.imag.T]
-        weights = np.concatenate(rows)[order]
+        cxi = (n * ww)[:, None] * np.conj(frame.xi[sl])
+        weights = np.concatenate([ww[None], np.diagonal(wh, axis1=1, axis2=2).real.T,
+                                  wh[:, ku, lu].real.T, wh[:, ku, lu].imag.T,
+                                  cxi.real.T, cxi.imag.T])[order]
         x1, stack = pts[:, 0].real, np.empty((prefix[0], len(ww)))
         lo = hi = 0     # the rows of the level above
         for size in sizes:
@@ -283,7 +281,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
         return np.concatenate([(stack[:prefix[t]] @ values[bounds[t]:bounds[t + 1]].T).ravel()
                                for t in range(top + 1)])
 
-    real = np.zeros((n_rows, offsets[-1]))
+    real = np.zeros((len(reach), offsets[-1]))
     real.flat[slots] = sum_chunks(piece, len(rule), _chunk_points(len(table)))
     bimon = _Monomials(2 * m, top)
     moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
@@ -296,7 +294,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     h = np.zeros((len(bimon), m, m), dtype=np.complex128)
     h[:, range(m), range(m)] = moments[:, 1:1 + m]
     h[:, ku, lu], h[:, lu, ku] = re + 1j * im, re - 1j * im
-    xi_re, xi_im = np.split(xi, 2, axis=1)      # empty without check_ibp
+    xi_re, xi_im = np.split(xi, 2, axis=1)
     mu = np.concatenate([moments[:, :1], h.reshape(-1, m * m), xi_re + 1j * xi_im], axis=1)
 
     a, b = basis.holo, basis.anti
@@ -315,8 +313,6 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     for k in range(m):
         for l in range(m):
             S += (b[:, k, None] * b[None, :, l]) * gather(1 + k * m + l, rp[l] + rq[k])
-    if not check_ibp:
-        return G, S, None
     Sp = np.zeros_like(G)
     for j in range(m):
         for k in range(m):
@@ -326,19 +322,18 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, check_ibp):
     return G, S, Sp
 
 
-def assemble(rule: QuadratureRule, basis: MonomialBasis, kernel_tol=1e-6,
-             check_ibp=True) -> SpectralProblem:
+def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
     """Gram and stiffness matrices of the dbar_b pairing of the rule's
-    structure over the rule.
+    structure over the rule, with their deviations.
 
-    The stiffness consistency diagnostic compares against the integral of
-    (box_b phi_u) conj(phi_v): on a closed surface both quadratures must
-    agree to quadrature accuracy, which validates the operator end to end.
-    The Hermitian deviation is the largest |X - X^H| of G, S and the frame's
-    Levi inverse h, which the assembly reads only above its diagonal.
+    The integration-by-parts deviation is the largest |S - S'|, S' the
+    stiffness by parts, the integral of (box_b phi_u) conj(phi_v): on a
+    closed surface both quadratures must agree to quadrature accuracy, which
+    validates the operator end to end.  The Hermitian deviation is the
+    largest |X - X^H| of G, S and the frame's Levi inverse h, which the
+    assembly reads only above its diagonal.
     """
-    check_kernel_tol(kernel_tol)
-    G, S, Sp = _galerkin_matrices(rule, basis, check_ibp)
+    G, S, Sp = _galerkin_matrices(rule, basis)
     h = rule.frame.h
     herm_dev = max(
         *(float(np.max(np.abs(h[sl] - np.conj(np.swapaxes(h[sl], -1, -2)))))
@@ -347,10 +342,9 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis, kernel_tol=1e-6,
     )
     G = hermitize(G)
     S = hermitize(S)
-    ibp_dev = None if Sp is None else float(np.max(np.abs(S - Sp)))
     return SpectralProblem(
-        gram=G, stiffness=S, basis=basis, kernel_tol=kernel_tol,
-        herm_deviation=herm_dev, ibp_deviation=ibp_dev, rule_meta=rule.meta(),
+        gram=G, stiffness=S, basis=basis,
+        herm_deviation=herm_dev, ibp_deviation=float(np.max(np.abs(S - Sp))),
     )
 
 
@@ -361,11 +355,15 @@ class SolveResult:
     lambda1: float
     dropped_dim: int
     gram_cond: float
-    kernel_tol: float
 
 
-def solve(problem: SpectralProblem) -> SolveResult:
-    """Ritz values of the (stiffness, gram) pencil on the numerical range of G."""
+def solve(problem: SpectralProblem, kernel_tol=1e-6) -> SolveResult:
+    """Ritz values of the (stiffness, gram) pencil on the numerical range of G.
+
+    Ritz values below ``kernel_tol`` times max(1, the largest) count as the
+    kernel of box_b; lambda1 is the least value above that threshold.
+    """
+    check_kernel_tol(kernel_tol)
     G, S = problem.gram, problem.stiffness
     wg, U = np.linalg.eigh(G)
     wmax = float(wg[-1])
@@ -388,7 +386,7 @@ def solve(problem: SpectralProblem) -> SolveResult:
     W = U[:, keep] / np.sqrt(kept)[None, :]
     St = hermitize(W.conj().T @ S @ W)
     lam = np.linalg.eigvalsh(St)
-    thr = problem.kernel_tol * max(1.0, float(lam[-1]))
+    thr = kernel_tol * max(1.0, float(lam[-1]))
     kernel_dim = int(np.sum(lam < thr))
     positive = lam[lam >= thr]
     if positive.size == 0:
@@ -396,7 +394,6 @@ def solve(problem: SpectralProblem) -> SolveResult:
     return SolveResult(
         eigenvalues=lam, kernel_dim=kernel_dim, lambda1=float(positive[0]),
         dropped_dim=int(np.sum(~keep)), gram_cond=gram_cond,
-        kernel_tol=problem.kernel_tol,
     )
 
 
@@ -410,7 +407,7 @@ class SpectralReport:
     dropped_dim: int
     gram_cond: float
     herm_deviation: float
-    ibp_deviation: float | None
+    ibp_deviation: float
     lambda1_by_degree: dict
     monotone_ok: bool
     rule_meta: dict
@@ -425,7 +422,7 @@ class SpectralReport:
             "dropped_dim": int(self.dropped_dim),
             "gram_cond": float(self.gram_cond),
             "herm_deviation": float(self.herm_deviation),
-            "ibp_deviation": None if self.ibp_deviation is None else float(self.ibp_deviation),
+            "ibp_deviation": float(self.ibp_deviation),
             "lambda1_by_degree": {str(k): float(v) for k, v in self.lambda1_by_degree.items()},
             "monotone_ok": bool(self.monotone_ok),
             "quadrature": self.rule_meta,
@@ -440,10 +437,10 @@ def estimate_lambda1(rule: QuadratureRule, degree, kernel_tol=1e-6,
     leading principal block of that pencil.
     """
     basis = MonomialBasis.build(rule.frame.m, degree)
-    problem = assemble(rule, basis, kernel_tol=kernel_tol)
+    problem = assemble(rule, basis)
     lower = range(2, degree) if check_monotonicity else ()
-    by_degree = {d: solve(problem.leading_block(d)).lambda1 for d in lower}
-    result = solve(problem)
+    by_degree = {d: solve(problem.leading_block(d), kernel_tol).lambda1 for d in lower}
+    result = solve(problem, kernel_tol)
     by_degree[degree] = result.lambda1
     vals = [by_degree[d] for d in sorted(by_degree)]
     monotone = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
@@ -459,5 +456,5 @@ def estimate_lambda1(rule: QuadratureRule, degree, kernel_tol=1e-6,
         ibp_deviation=problem.ibp_deviation,
         lambda1_by_degree=by_degree,
         monotone_ok=monotone,
-        rule_meta=problem.rule_meta,
+        rule_meta=rule.meta(),
     )

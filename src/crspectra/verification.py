@@ -218,7 +218,7 @@ def check_rescaled_sphere_spectrum(ctx):
     bordered-determinant computation gives 8 and 1, and both are reported."""
     expr = parse(SQUARED, 1)
     rule = ctx.rule(SQUARED)
-    problem = assemble(rule, MonomialBasis.build(2, 2), check_ibp=False)
+    problem = assemble(rule, MonomialBasis.build(2, 2))
     lam1 = solve(problem).lambda1
     pts = points_on_surface(expr, 50, seed=33)
     frame = build_frame(expr, pts)
@@ -276,7 +276,7 @@ def sphere_spectrum_oracle(degree, n):
 
 def check_sphere_spectrum_table(ctx):
     """Degree-3 Ritz values on the round 3-sphere against the exact table."""
-    problem = assemble(ctx.rule(SPHERE1), MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(ctx.rule(SPHERE1), MonomialBasis.build(2, 3))
     result = solve(problem)
     table, kernel = sphere_spectrum_oracle(3, 1)
     ok = result.kernel_dim == kernel
@@ -312,7 +312,7 @@ def check_bound_sandwich(ctx):
         up = upper_bound(dec, rule)
         pts = points_on_surface(expr, 50, seed=11)
         lo = lower_bound(expr, pts, paneitz_positive=True)
-        lam1 = solve(assemble(rule, MonomialBasis.build(2, 4), check_ibp=False)).lambda1
+        lam1 = solve(assemble(rule, MonomialBasis.build(2, 4))).lambda1
         ok = ok and (lo.value - 1e-6 <= lam1 <= up.value + 1e-6)
         ok = ok and up.diagnostics["identities_ok"]
         if a == 0.0:
@@ -344,7 +344,7 @@ def check_operator_identities(ctx):
     expr = parse(text, 1)
     rule = ctx.rule(text)
     basis = MonomialBasis.build(2, 4)
-    problem = assemble(rule, basis, check_ibp=True)
+    problem = assemble(rule, basis)
     scale = max(1.0, float(np.max(np.abs(problem.stiffness))))
     ibp_ok = problem.ibp_deviation <= 1e-7 * scale
 

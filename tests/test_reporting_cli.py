@@ -406,10 +406,10 @@ def test_running_sum_matches_stacked_chunk_sum(job, chunks, monkeypatch):
     rule = build_quadrature(rho, QuadratureSettings(**job["quadrature"]))
     basis = spectral.MonomialBasis.build(rho.m, job["tasks"][0]["degree"])
     assert len(runtime.chunk_slices(len(rule), _assembly_chunk(job))) == chunks
-    running = spectral._galerkin_matrices(rule, basis, check_ibp=True)
+    running = spectral._galerkin_matrices(rule, basis)
     monkeypatch.setattr(spectral, "sum_chunks", lambda fn, total, size: np.stack(
         [fn(sl) for sl in runtime.chunk_slices(total, size)]).sum(axis=0))
-    stacked = spectral._galerkin_matrices(rule, basis, check_ibp=True)
+    stacked = spectral._galerkin_matrices(rule, basis)
     for got, want in zip(running, stacked):
         assert np.array_equal(got, want)
 
@@ -467,18 +467,20 @@ def test_blas_thread_count_keeps_degree5_lambda1_and_bounds(tmp_path):
         assert abs(a - b) <= 1e-12 * abs(a)
 
 
-def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch):
+@pytest.mark.parametrize("degree", [9, 0])
+def test_spectrum_degree_rejected_before_any_work(tmp_path, monkeypatch, degree):
+    # degree 0 holds only the constant, so no Ritz value could be positive
     from crspectra import reporting, spectral
 
     ran = []
     monkeypatch.setattr(spectral, "assemble", lambda *a, **k: ran.append("assemble"))
     monkeypatch.setattr(reporting, "build_quadrature", lambda *a, **k: ran.append("rule"))
-    job = {**SPHERE_JOB, "tasks": [{"kind": "spectrum", "degree": 9}]}
+    job = {**SPHERE_JOB, "tasks": [{"kind": "spectrum", "degree": degree}]}
     report, code = run_job_data(job, base_dir=tmp_path)
     entry = report["results"][0]
     assert code == 2
     assert entry["error"] == "JobValidationError"
-    assert "9" in entry["message"]
+    assert f"got {degree}" in entry["message"]
     assert ran == []
 
 

@@ -85,7 +85,7 @@ def test_assembly_memory_does_not_grow_with_the_rule():
 
 
 def test_sphere_degree3_table(sphere_rule):
-    problem = assemble(sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3))
     result = solve(problem)
     table, kernel = sphere_spectrum_oracle(3, 1)
     assert result.kernel_dim == kernel == 10
@@ -97,7 +97,7 @@ def test_sphere_degree3_table(sphere_rule):
 
 def test_rescaled_sphere_lambda1():
     rule = build_quadrature(SQUARED, QuadratureSettings("hopf_product", resolution=32))
-    problem = assemble(rule, MonomialBasis.build(2, 2), check_ibp=False)
+    problem = assemble(rule, MonomialBasis.build(2, 2))
     assert solve(problem).lambda1 == pytest.approx(0.5, abs=1e-6)
 
 
@@ -109,14 +109,14 @@ def test_degenerate_basis_has_no_positive_eigenvalue(sphere_rule):
 
 
 def test_stiffness_positive_semidefinite(sphere_rule):
-    problem = assemble(sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3))
     result = solve(problem)
     assert result.eigenvalues[0] >= -1e-9
 
 
 def test_integration_by_parts_consistency():
     rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=24))
-    problem = assemble(rule, MonomialBasis.build(2, 3), check_ibp=True)
+    problem = assemble(rule, MonomialBasis.build(2, 3))
     scale = max(1.0, float(np.max(np.abs(problem.stiffness))))
     assert problem.ibp_deviation <= 1e-8 * scale
 
@@ -130,9 +130,10 @@ def test_estimate_lambda1_monotone(sphere_rule):
 
 
 @pytest.mark.parametrize("kernel_tol", [0.0, -1.0, 1.0, float("nan")])
-def test_assemble_refuses_a_kernel_tol_outside_the_unit_interval(sphere_rule, kernel_tol):
+def test_solve_refuses_a_kernel_tol_outside_the_unit_interval(sphere_rule, kernel_tol):
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 1))
     with pytest.raises(JobValidationError, match=r"kernel_tol must lie in \(0, 1\)"):
-        assemble(sphere_rule, MonomialBasis.build(2, 1), kernel_tol=kernel_tol)
+        solve(problem, kernel_tol=kernel_tol)
 
 
 def test_solve_error_paths():
@@ -158,7 +159,7 @@ def test_solve_error_paths():
 def test_dropped_dimension_counts_surface_relations(sphere_rule):
     # multiples of the defining function of total degree <= 3 span a
     # 5-dimensional null space: rho * {1, z1, z2, zbar1, zbar2}
-    problem = assemble(sphere_rule, MonomialBasis.build(2, 3), check_ibp=False)
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3))
     assert solve(problem).dropped_dim == 5
 
 
@@ -176,7 +177,7 @@ def test_lambda1_by_degree_matches_separate_assemblies():
     report = estimate_lambda1(rule, 4)
     assert sorted(report.lambda1_by_degree) == [2, 3, 4]
     for d, lam in report.lambda1_by_degree.items():
-        problem = assemble(rule, MonomialBasis.build(2, d), check_ibp=False)
+        problem = assemble(rule, MonomialBasis.build(2, d))
         direct = solve(problem).lambda1
         assert abs(lam - direct) <= 1e-12 * abs(direct)
 
@@ -223,7 +224,6 @@ def _dense_reference(rule, basis):
     return gram, stiffness, by_parts
 
 
-@pytest.mark.parametrize("check_ibp", [True, False], ids=["ibp", "no-ibp"])
 @pytest.mark.parametrize(
     "rho,settings,top",
     [
@@ -233,15 +233,12 @@ def _dense_reference(rule, basis):
     ],
     ids=["hopf-m2", "monte_carlo-m3"],
 )
-def test_moment_assembly_matches_dense_reference(rho, settings, top, check_ibp):
-    # without the conj(xi) rows the h rows follow w directly in the stack
+def test_moment_assembly_matches_dense_reference(rho, settings, top):
     rule = build_quadrature(rho, settings)
     reference = _dense_reference(rule, MonomialBasis.build(rho.m, top))
     for degree in range(top + 1):
         basis = MonomialBasis.build(rho.m, degree)
         size = len(basis)
-        got = _galerkin_matrices(rule, basis, check_ibp=check_ibp)
-        assert (got[2] is None) == (not check_ibp)
-        for mat, want in zip(got[:2 + check_ibp], reference):
+        for mat, want in zip(_galerkin_matrices(rule, basis), reference):
             want = want[:size, :size]
             assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
