@@ -136,6 +136,21 @@ def test_solve_refuses_a_kernel_tol_outside_the_unit_interval(sphere_rule, kerne
         solve(problem, kernel_tol=kernel_tol)
 
 
+def test_solve_kernel_tol_sets_the_split(sphere_rule):
+    # Ritz values on the round sphere: 0 (x10), 1 (x2), 2, ..., largest 4; a
+    # threshold of 0.3 * 4 moves the two 1s into the kernel
+    problem = assemble(sphere_rule, MonomialBasis.build(2, 3))
+    default, wide = solve(problem), solve(problem, kernel_tol=0.3)
+    assert np.array_equal(default.eigenvalues, wide.eigenvalues)
+    assert (default.kernel_dim, wide.kernel_dim) == (10, 12)
+    assert default.lambda1 == pytest.approx(1.0, abs=1e-9)
+    assert wide.lambda1 == pytest.approx(2.0, abs=1e-9)
+    report = estimate_lambda1(sphere_rule, 3, kernel_tol=0.3)
+    assert (report.lambda1, report.kernel_dim) == (wide.lambda1, wide.kernel_dim)
+    block = solve(problem.leading_block(2), kernel_tol=0.3).lambda1
+    assert report.lambda1_by_degree[2] == block
+
+
 def test_solve_error_paths():
     basis = MonomialBasis.build(2, 0)
     # indefinite "gram" matrix
@@ -180,6 +195,23 @@ def test_lambda1_by_degree_matches_separate_assemblies():
         problem = assemble(rule, MonomialBasis.build(2, d))
         direct = solve(problem).lambda1
         assert abs(lam - direct) <= 1e-12 * abs(direct)
+
+
+def test_leading_block_keeps_the_pencils_deviations():
+    rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=16))
+    problem = assemble(rule, MonomialBasis.build(2, 4))
+    for d in (2, 3):
+        block = problem.leading_block(d)
+        size = len(block.basis)
+        assert np.array_equal(block.basis.holo, MonomialBasis.build(2, d).holo)
+        assert np.array_equal(block.gram, problem.gram[:size, :size])
+        assert np.array_equal(block.stiffness, problem.stiffness[:size, :size])
+        assert block.herm_deviation == problem.herm_deviation
+        assert block.ibp_deviation == problem.ibp_deviation
+        # the whole pencil's deviations bound those of the block's own assembly
+        own = assemble(rule, MonomialBasis.build(2, d))
+        assert own.herm_deviation <= block.herm_deviation
+        assert own.ibp_deviation <= block.ibp_deviation
 
 
 def _direct_monomial(z, a, b, da=None, db=None):
