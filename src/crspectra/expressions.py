@@ -22,7 +22,9 @@ rows of its static support (the terms the tree lets be nonzero).  Its
 products and series compositions run the kernel of ``jets`` on those
 supports, the one that ``Jet`` products and ``Jet.exp`` run on full ones.
 ``Expression.value`` is a separate plain complex evaluator: it also accepts a
-complex ``log``/``pow`` base, which jets refuse.
+complex ``log``/``pow`` base, which jets refuse.  ``Expression.charges``
+reads the torus charges off the tree, once per expression: the rotations
+z_j -> e^{i t_j} z_j that fix the function, read without evaluating it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import re as _re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -376,6 +379,67 @@ def _param_names(root):
             names.add(node.name)
         stack.extend(_children(node))
     return names
+
+
+# a product or power builds its charge set only up to this many charges; a
+# larger one is carried as lattice generators instead
+MAX_CHARGES = 256
+
+
+def _charge_sum(a, b):
+    """The charge pair of the product of two nodes with charge pairs a, b."""
+    (ca, ga), (cb, gb) = a, b
+    if len(ca) * len(cb) > MAX_CHARGES:
+        zero = tuple(0 for _ in next(iter(ca)))
+        return frozenset({zero}), ga | gb | ca | cb
+    return frozenset(tuple(x + y for x, y in zip(p, q)) for p in ca for q in cb), ga | gb
+
+
+def _charges(node, m):
+    """(C, G): the torus charges of ``node`` lie in C + L(G), L(G) the lattice
+    spanned by G.  A function of z expands along the torus orbits
+    z -> (e^{i t_1} z_1, ..., e^{i t_m} z_m) in characters e^{i k.t}; k is a
+    charge.  z_j has {e_j}, conj negates, + and - unite, * is the Minkowski
+    sum, re and im add the negation and abs2 sums the set with its negation,
+    so abs2(z1) has {0}.  exp, log, pow and / send the union of their
+    arguments' sets to G: their series reach the whole lattice, and a later
+    product must not cancel what it reaches.  Nothing is read off numbers,
+    so the pair is conservative (0*z1 keeps e_1)."""
+    if isinstance(node, (Literal, Param)):
+        return frozenset({(0,) * m}), frozenset()
+    if isinstance(node, (Var, ConjVar)):
+        sign = 1 if isinstance(node, Var) else -1
+        return frozenset({tuple(sign * (j == node.index - 1) for j in range(m))}), frozenset()
+    if isinstance(node, Neg):
+        return _charges(node.arg, m)
+    if isinstance(node, (Add, Sub)):
+        (ca, ga), (cb, gb) = _charges(node.left, m), _charges(node.right, m)
+        return ca | cb, ga | gb
+    if isinstance(node, Mul):
+        return _charge_sum(_charges(node.left, m), _charges(node.right, m))
+    if isinstance(node, PowInt):
+        base, k = _charges(node.base, m), node.exponent
+        out = frozenset({(0,) * m}), frozenset()
+        while k:
+            if k & 1:
+                out = _charge_sum(out, base)
+            k >>= 1
+            if k:
+                base = _charge_sum(base, base)
+        return out
+    if isinstance(node, Call) and node.name in ("conj", "re", "im", "abs2"):
+        c, g = _charges(node.args[0], m)
+        neg = frozenset(tuple(-x for x in k) for k in c)
+        if node.name == "conj":
+            return neg, g
+        if node.name == "abs2":
+            return _charge_sum((c, g), (neg, g))
+        return c | neg, g
+    if isinstance(node, (Call, Div)):
+        args = node.args if isinstance(node, Call) else (node.left, node.right)
+        spans = [c | g for c, g in (_charges(arg, m) for arg in args)]
+        return frozenset({(0,) * m}), frozenset().union(*spans)
+    raise TypeError(f"unknown node {node!r}")
 
 
 # --- printer -------------------------------------------------------------
@@ -731,6 +795,13 @@ class Expression:
     @property
     def holomorphic(self):
         return _is_holomorphic(self.root)
+
+    @cached_property
+    def charges(self):
+        """The torus charges read off the tree (``_charges``), as a frozenset
+        of m-tuples: every torus rotation z -> (e^{i t_j} z_j) with k.t in
+        2 pi Z for each charge k leaves the function unchanged."""
+        return frozenset.union(*_charges(self.root, self.m))
 
     def parameters(self):
         return _param_names(self.root)

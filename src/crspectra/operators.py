@@ -238,6 +238,11 @@ class NormalizedDefiningFunction:
     def m(self):
         return self.n + 1
 
+    @property
+    def charges(self):
+        """rho's torus charges: a rotation that fixes rho fixes J[rho] too."""
+        return self.rho.charges
+
     def jet(self, params, points, order) -> Jet:
         if order > 2:
             raise JetOrderError(

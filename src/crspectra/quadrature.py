@@ -31,6 +31,18 @@ function and params it was built for, and that function's CR frame at its
 points, so its consumers take the rule alone.  Its points are the frame's,
 and its density comes from the frame's J and gradient.  ``build_quadrature``
 and ``re_densify`` both take the frame from ``frames.build_frame``.
+
+Torus orbits: a rotation z_j -> e^{2 pi i s_j / R} z_j of the hopf_product
+phase grid maps the grid onto itself, and it fixes rho when k.s = 0 mod R
+for every torus charge k of rho (``Expression.charges``).  The points fall
+into orbits of those rotations: one ray is projected per orbit, so t is
+constant along it, and ``frames.build_frame`` runs at the orbit
+representatives only.  Every other point takes its representative's
+frame rotated (A0 -> D A0 D*, J and det H kept), which every frame check,
+run at the representatives, covers.  A rho that no grid rotation fixes,
+and every Monte Carlo rule, has one-point orbits and is built point by
+point, bit-identically to a per-point build.  ``re_densify`` uses the
+rotations that fix both the rule's rho and the new one.
 """
 
 from __future__ import annotations
@@ -82,7 +94,9 @@ class QuadratureSettings:
 class QuadratureRule:
     """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: rho, its
     params, its CR frame at the points and their sphere weights.  The points,
-    the density and the weights are read off the frame."""
+    the density and the weights are read off the frame.  The frame is held at
+    every point; on a hopf_product grid it was built at one point per torus
+    orbit of rho and rotated to the rest (see the module docstring)."""
 
     base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
     settings: QuadratureSettings
@@ -190,12 +204,6 @@ def _illinois(rho, params, dirs, lo, hi, flo, fhi):
         moved_lo, moved_hi = move_lo, move_hi
 
 
-def _surface_points(rho, params, dirs):
-    """The crossings t u of M along the unit rays u (P, m), in chunks."""
-    return map_chunks(lambda sl: project_rays(rho, params, dirs[sl])[:, None] * dirs[sl],
-                      dirs.shape[0], CHUNK_POINTS)
-
-
 # --- the contact volume form ------------------------------------------------
 
 
@@ -224,7 +232,11 @@ def _volume_density(frame):
 
 
 def build_quadrature(rho, settings, params=None) -> QuadratureRule:
-    """Quadrature rule for integrals against theta ^ (d theta)^n on {rho = 0}."""
+    """Quadrature rule for integrals against theta ^ (d theta)^n on {rho = 0}.
+
+    One ray is projected per torus orbit of the points, and the frame is
+    built at the orbit representatives and rotated to the rest
+    (``_torus_orbits``, ``_orbit_frame``)."""
     if settings.type == "hopf_product":
         if rho.n != 1:
             raise JobValidationError("hopf_product rules require n = 1")
@@ -232,8 +244,90 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     else:
         dirs, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
 
-    frame = build_frame(rho, _surface_points(rho, params, dirs), params)
+    orbits = _torus_orbits(settings, rho.charges, len(dirs))
+    reps = dirs[orbits.reps]
+    t = map_chunks(lambda sl: project_rays(rho, params, reps[sl]), len(reps), CHUNK_POINTS)
+    frame = _orbit_frame(rho, t[orbits.orbit, None] * dirs, params, orbits)
     return QuadratureRule(base, settings, rho, params, frame)
+
+
+# --- torus orbits -------------------------------------------------------------
+
+
+class _Orbits:
+    """The torus orbits of a rule's points under the grid rotations that fix
+    a defining function: ``reps`` (Q,) the ascending index of one point per
+    orbit, the smallest; ``orbit`` (P,) the position in ``reps`` of each
+    point's representative; ``phase`` (P, m+1, m+1) d_j conj(d_k), d = (1,
+    e^{-i phi_1}, ..., e^{-i phi_m}), where the point is its representative
+    rotated by z_j -> e^{i phi_j} z_j, or None when every orbit is one point.
+    A plain class: a dataclass would cost a millisecond at import."""
+
+    def __init__(self, reps, orbit, phase):
+        self.reps, self.orbit, self.phase = reps, orbit, phase
+
+
+def _phase_classes(R, charges):
+    """The classes of the phase grid Z_R^2 (index j1 R + j2) under the shifts
+    s with k.s = 0 mod R for every charge k: each index's class, numbered by
+    the class's smallest index, and that index of each class.  Two indices
+    share a class when every charge's character k.j mod R agrees on them;
+    a charge that fixes every shift the earlier ones fix splits nothing."""
+    j = np.indices((R, R)).reshape(2, -1)
+    label, first = np.zeros(R * R, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    fixed = j                           # the shifts that fix every charge read
+    for k in charges:
+        k = np.array([c % R for c in k])
+        moved = (k @ fixed) % R != 0
+        if moved.any():
+            fixed = fixed[:, ~moved]
+            _, first, label = np.unique(label * R + (k @ j) % R,
+                                        return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[label], np.sort(first)
+
+
+def _torus_orbits(settings, charges, count):
+    """The orbits of a rule's ``count`` points under the rotations of its
+    phase grid that fix a function with these torus charges.  A
+    ``hopf_product`` point (eta_i, phi1 = 2 pi j1 / R, phi2 = 2 pi j2 / R)
+    has index i R^2 + j1 R + j2, and a rotation by whole grid steps maps the
+    grid onto itself; a Monte Carlo rule has no grid, so its orbits are
+    single points."""
+    if settings.type == "hopf_product":
+        R = settings.resolution
+        label, first = _phase_classes(R, charges)
+        if len(first) < R * R:
+            rows = np.arange(R)[:, None]
+            j = np.indices((R, R)).reshape(2, -1)
+            shift = (j - j[:, first[label]]) % R               # (2, R^2)
+            d = np.ones((R * R, 3), dtype=np.complex128)
+            d[:, 1:] = np.exp(-2j * np.pi * np.arange(R) / R)[shift].T
+            return _Orbits((rows * (R * R) + first).ravel(), (rows * len(first) + label).ravel(),
+                           np.tile(d[:, :, None] * np.conj(d[:, None, :]), (R, 1, 1)))
+    return _Orbits(np.arange(count), np.arange(count), None)
+
+
+def _orbit_frame(rho, points, params, orbits):
+    """The frame of rho at ``points`` (P, m), built at the orbit
+    representatives only.  rho(T z) = rho(z) for the rotation T z = (e^{i
+    phi_j} z_j) gives A0(T p) = D A0(p) D* and A0^-1(T p) = D A0^-1(p) D*,
+    D = diag(1, e^{-i phi_1}, ..., e^{-i phi_m}), with J and detH equal.
+    Every frame check runs at the representatives, whose D is the identity.
+    One-point orbits are not multiplied at all: x (1+0j) can flip the sign of
+    a zero."""
+    if orbits.phase is None:
+        return build_frame(rho, points, params)
+    rep = build_frame(rho, points[orbits.reps], params)
+
+    def rotate(x):
+        out = np.take(x, orbits.orbit, axis=0)
+        out *= orbits.phase                 # D X D*
+        return out
+
+    return CRFrame(point=points, a=rotate(rep.a), inv=rotate(rep.inv),
+                   J=rep.J[orbits.orbit], detH=rep.detH[orbits.orbit])
 
 
 def _hopf_directions(R):
@@ -274,9 +368,12 @@ def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     The points and sphere weights stay fixed (they describe M itself); the
     density is recomputed from the CR frame of ``rho`` at the points, which
     the returned rule holds.  ``rho`` must therefore be a strictly
-    pseudoconvex defining function of M at the rule points.
+    pseudoconvex defining function of M at the rule points.  The frame is
+    built on the orbits of the grid rotations that fix both the rule's
+    defining function and ``rho``.
     """
-    return replace(rule, rho=rho, frame=build_frame(rho, rule.points, rule.params))
+    orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, len(rule))
+    return replace(rule, rho=rho, frame=_orbit_frame(rho, rule.points, rule.params, orbits))
 
 
 def integrate(rule: QuadratureRule, values):
@@ -286,5 +383,8 @@ def integrate(rule: QuadratureRule, values):
 
 
 def points_on_surface(rho, count, seed=0, params=None):
-    """Seeded random on-surface points by radial projection (count, m)."""
-    return _surface_points(rho, params, _random_directions(rho.m, count, seed))
+    """Seeded random on-surface points by radial projection (count, m), in
+    chunks."""
+    dirs = _random_directions(rho.m, count, seed)
+    return map_chunks(lambda sl: project_rays(rho, params, dirs[sl])[:, None] * dirs[sl],
+                      count, CHUNK_POINTS)

@@ -42,6 +42,8 @@ go through BLAS and LAPACK, so a different build may change the last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -221,6 +223,36 @@ def _chunk_points(table_rows):
     return chunk
 
 
+@lru_cache(maxsize=None)
+def _galerkin_plan(m, degree):
+    """The index plan of ``_galerkin_matrices`` in C^m at this basis degree:
+    the real monomial table and its bimonomial table, the weight rows by
+    falling reach (``order``), the rows of each level (``sizes``), the stack
+    rows of the levels >= t (``prefix``), the table rows of degree t
+    (``bounds``), the slots of the real moments that the chunk sums fill,
+    and the binomial map.  It holds no rule data, so it is built once."""
+    top = 2 * degree
+    table = _Monomials(2 * m - 1, top)
+    ku, lu = np.triu_indices(m, 1)
+    # the reach of each real weight row, and the rows by falling reach
+    reach = np.repeat([top, top - 2, top - 1], [1, m * m, 2 * m])
+    order = np.argsort(-reach, kind="stable")
+    sizes = [int(np.sum(reach >= k)) for k in range(top, -1, -1)]     # rows of level k
+    # the weight row and the power of x_1 of each stack row
+    stack_row = np.concatenate([order[:size] for size in sizes])
+    stack_power = reach[stack_row] - np.repeat(np.arange(top, -1, -1), sizes)
+    prefix = np.cumsum(sizes)[::-1]         # stack rows of the levels >= t
+    bounds = np.concatenate([[0], table.ends])  # table rows of degree t
+    offsets = np.concatenate([[0], np.cumsum(table.ends[::-1])])
+    base = stack_row * offsets[-1] + offsets[stack_power]
+    slots = np.concatenate([(base[:prefix[t], None] + np.arange(bounds[t], bounds[t + 1])).ravel()
+                            for t in range(top + 1)])
+    bimon = _Monomials(2 * m, top)
+    return SimpleNamespace(table=table, ku=ku, lu=lu, order=order, sizes=sizes, prefix=prefix,
+                           bounds=bounds, offsets=offsets, slots=slots, bimon=bimon,
+                           binomial=_binomial_map(m, bimon, table))
+
+
 def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     """G, S and the stiffness by parts, from moments.
 
@@ -246,22 +278,11 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     0), and ``_binomial_map`` turns those into mu.
     """
     frame = rule.frame
-    m, n, top = frame.m, frame.n, 2 * basis.degree
-    table = _Monomials(2 * m - 1, top)
-    ku, lu = np.triu_indices(m, 1)
-    # the reach of each real weight row, and the rows by falling reach
-    reach = np.repeat([top, top - 2, top - 1], [1, m * m, 2 * m])
-    order = np.argsort(-reach, kind="stable")
-    sizes = [int(np.sum(reach >= k)) for k in range(top, -1, -1)]     # rows of level k
-    # the weight row and the power of x_1 of each stack row
-    stack_row = np.concatenate([order[:size] for size in sizes])
-    stack_power = reach[stack_row] - np.repeat(np.arange(top, -1, -1), sizes)
-    prefix = np.cumsum(sizes)[::-1]         # stack rows of the levels >= t
-    bounds = np.concatenate([[0], table.ends])  # table rows of degree t
-    offsets = np.concatenate([[0], np.cumsum(table.ends[::-1])])
-    base = stack_row * offsets[-1] + offsets[stack_power]
-    slots = np.concatenate([(base[:prefix[t], None] + np.arange(bounds[t], bounds[t + 1])).ravel()
-                            for t in range(top + 1)])
+    m, n = frame.m, frame.n
+    plan = _galerkin_plan(m, basis.degree)
+    table, ku, lu, order, sizes, prefix, bounds = (
+        plan.table, plan.ku, plan.lu, plan.order, plan.sizes, plan.prefix, plan.bounds)
+    top = 2 * basis.degree
 
     def piece(sl):
         ww, pts = rule.weights[sl], rule.points[sl]
@@ -281,12 +302,11 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
         return np.concatenate([(stack[:prefix[t]] @ values[bounds[t]:bounds[t + 1]].T).ravel()
                                for t in range(top + 1)])
 
-    real = np.zeros((len(reach), offsets[-1]))
-    real.flat[slots] = sum_chunks(piece, len(rule), _chunk_points(len(table)))
-    bimon = _Monomials(2 * m, top)
+    real = np.zeros((len(order), plan.offsets[-1]))
+    real.flat[plan.slots] = sum_chunks(piece, len(rule), _chunk_points(len(table)))
+    bimon = plan.bimon
     moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
-    for part, (row, col, coef) in zip((moments.real, moments.imag),
-                                      _binomial_map(m, bimon, table)):
+    for part, (row, col, coef) in zip((moments.real, moments.imag), plan.binomial):
         part[:] = np.stack([np.bincount(row, coef * r[col], minlength=len(bimon))
                             for r in real], axis=1)
     # the complex weights: w, w h_kl in column 1 + k m + l, n w conj(xi_k)

@@ -158,10 +158,12 @@ RESOLUTION = 32
 
 
 class _Context:
-    """Caches quadrature rules (n = 1) shared between checks."""
+    """Caches quadrature rules (n = 1) and their Galerkin pencils shared
+    between checks."""
 
     def __init__(self):
         self._rules = {}
+        self._problems = {}
 
     def rule(self, text, seed=0):
         key = (text, seed)
@@ -169,6 +171,13 @@ class _Context:
             settings = QuadratureSettings("hopf_product", resolution=RESOLUTION, seed=seed)
             self._rules[key] = build_quadrature(parse(text, 1), settings)
         return self._rules[key]
+
+    def problem(self, text, degree):
+        """The pencil of the seed-0 rule of ``text`` at this basis degree."""
+        key = (text, degree)
+        if key not in self._problems:
+            self._problems[key] = assemble(self.rule(text), MonomialBasis.build(2, degree))
+        return self._problems[key]
 
 
 def check_sphere_invariants(ctx):
@@ -217,9 +226,7 @@ def check_rescaled_sphere_spectrum(ctx):
     from the values printed alongside the worked example (4 and 2) -- the
     bordered-determinant computation gives 8 and 1, and both are reported."""
     expr = parse(SQUARED, 1)
-    rule = ctx.rule(SQUARED)
-    problem = assemble(rule, MonomialBasis.build(2, 2))
-    lam1 = solve(problem).lambda1
+    lam1 = solve(ctx.problem(SQUARED, 2)).lambda1
     pts = points_on_surface(expr, 50, seed=33)
     frame = build_frame(expr, pts)
     det_err = float(np.max(np.abs(frame.detH - 8.0)))
@@ -276,7 +283,7 @@ def sphere_spectrum_oracle(degree, n):
 
 def check_sphere_spectrum_table(ctx):
     """Degree-3 Ritz values on the round 3-sphere against the exact table."""
-    problem = assemble(ctx.rule(SPHERE1), MonomialBasis.build(2, 3))
+    problem = ctx.problem(SPHERE1, 3)
     result = solve(problem)
     table, kernel = sphere_spectrum_oracle(3, 1)
     ok = result.kernel_dim == kernel
@@ -312,7 +319,7 @@ def check_bound_sandwich(ctx):
         up = upper_bound(dec, rule)
         pts = points_on_surface(expr, 50, seed=11)
         lo = lower_bound(expr, pts, paneitz_positive=True)
-        lam1 = solve(assemble(rule, MonomialBasis.build(2, 4))).lambda1
+        lam1 = solve(ctx.problem(text, 4)).lambda1
         ok = ok and (lo.value - 1e-6 <= lam1 <= up.value + 1e-6)
         ok = ok and up.diagnostics["identities_ok"]
         if a == 0.0:
@@ -342,9 +349,7 @@ def check_operator_identities(ctx):
     (c) delta_b u = box_b u + conj(box_b u)."""
     text = _ellipsoid(0.1)
     expr = parse(text, 1)
-    rule = ctx.rule(text)
-    basis = MonomialBasis.build(2, 4)
-    problem = assemble(rule, basis)
+    problem = ctx.problem(text, 4)
     scale = max(1.0, float(np.max(np.abs(problem.stiffness))))
     ibp_ok = problem.ibp_deviation <= 1e-7 * scale
 

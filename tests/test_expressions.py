@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crspectra.errors import (
     ExpressionSyntaxError,
@@ -7,7 +8,7 @@ from crspectra.errors import (
     UnboundParameter,
     UnknownIdentifier,
 )
-from crspectra.expressions import MAX_DEPTH, parse
+from crspectra.expressions import MAX_CHARGES, MAX_DEPTH, parse
 from crspectra.reporting import run_job_data
 
 
@@ -194,3 +195,92 @@ def test_expression_at_depth_limit_evaluates():
     pt = np.array([0.3 + 0.2j, 0.1])
     assert e.jet({}, pt, 4).constant_term() == pytest.approx(0.3)
     assert e.value({}, pt) == pytest.approx(0.3)
+
+
+# --- torus charges ------------------------------------------------------------
+
+
+def _fixes(charges, shift, R):
+    """True when the grid rotation z_j -> e^{2 pi i shift_j / R} z_j fixes
+    every charge."""
+    return all(sum(k * s for k, s in zip(c, shift)) % R == 0 for c in charges)
+
+
+@pytest.mark.parametrize("text, charges", [
+    ("abs2(z1)", {(0, 0)}),
+    ("re(z1^2)", {(2, 0), (-2, 0)}),
+    ("im(z1*conj(z2))", {(1, -1), (-1, 1)}),
+    ("conj(z1)*z2^3", {(-1, 3)}),
+    ("(z1+conj(z2))*z2", {(1, 1), (0, 0)}),
+    ("z1^1000", {(1000, 0)}),
+    ("kappa*abs2(z1)^2-(0.5+i)", {(0, 0)}),
+    ("abs2(z1)+abs2(z2)+0.25*abs2(z1^2)-1", {(0, 0)}),
+    # exp, log, pow and / keep the union of their arguments' sets
+    ("exp(re(z1))", {(0, 0), (1, 0), (-1, 0)}),
+    ("log(1+abs2(z1))", {(0, 0)}),
+    ("pow(abs2(z1+z2),0.5)", {(0, 0), (1, -1), (-1, 1)}),
+    ("z1/z2", {(0, 0), (1, 0), (0, 1)}),
+])
+def test_charges_read_off_the_tree(text, charges):
+    expr = parse(text, 1)
+    assert expr.charges == charges
+    assert expr.charges is expr.charges     # read once per expression
+
+
+def test_charges_read_no_numbers():
+    # 0*z1 vanishes, but the tree still carries z1's charge
+    assert parse("abs2(z1)+0*z1", 1).charges == {(0, 0), (1, 0)}
+
+
+@pytest.mark.parametrize("text", ["exp(re(z1))", "abs2(exp(z1))", "exp(z1)*conj(z1)"])
+def test_lattice_charges_survive_products(text):
+    # the series of exp reaches every multiple of e1, so no product cancels
+    # e1: |exp(z1)|^2 = exp(2 re z1) is not invariant under z1 -> -z1
+    charges = parse(text, 1).charges
+    assert not _fixes(charges, (1, 0), 32) and not _fixes(charges, (16, 0), 32)
+    assert _fixes(charges, (0, 1), 32)
+
+
+def test_large_charge_sets_fall_back_to_generators():
+    # the 40th power would hold 861 charges; its generators still see that
+    # the half turn of both coordinates negates the base, which abs2 undoes
+    expr = parse("abs2((z1+z2+conj(z1))^40)", 1)
+    assert len(expr.charges) <= 4 * MAX_CHARGES
+    fixed = [s for s in np.ndindex(8, 8) if _fixes(expr.charges, s, 8)]
+    assert fixed == [(0, 0), (4, 4)]
+
+
+def _tree():
+    leaves = st.sampled_from(["z1", "z2", "conj(z1)", "conj(z2)", "alpha", "i", "0.5"])
+
+    def grow(inner):
+        two = st.tuples(inner, inner)
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), two).map(
+                lambda t: f"({t[1][0]}){t[0]}({t[1][1]})"),
+            st.tuples(inner, st.integers(0, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["abs2", "re", "im", "conj", "exp", "log"]),
+                      inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.sampled_from(["0.5", "-1", "1.5"])).map(
+                lambda t: f"pow({t[0]},{t[1]})"),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_tree(), seed=st.integers(0, 2**32 - 1))
+def test_charges_claim_no_symmetry_the_values_break(text, seed):
+    # every quarter-turn rotation that fixes the charges leaves the values
+    # unchanged (multiplying by i is exact, so only the evaluation rounds)
+    expr = parse(text, 1)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.8, 0.8, (5, 2)) + 1j * rng.uniform(-0.8, 0.8, (5, 2))
+    turn = np.array([1, 1j, -1, -1j])
+    with np.errstate(all="ignore"):
+        base = expr.value({"alpha": 0.7}, pts)
+        for shift in np.ndindex(4, 4):
+            if _fixes(expr.charges, shift, 4):
+                moved = expr.value({"alpha": 0.7}, pts * turn[list(shift)])
+                finite = np.isfinite(base) & (np.abs(base) < 1e8)
+                np.testing.assert_allclose(moved[finite], base[finite], rtol=1e-9, atol=1e-9)

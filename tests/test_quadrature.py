@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 import volume_form_oracle as oracle
+from crspectra.bounds import pullback_defining_function
 from crspectra.errors import DegenerateFrame, JobValidationError, NoRootFound, NotRealValued
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
 from crspectra.quadrature import (
+    QuadratureRule,
     QuadratureSettings,
+    _hopf_directions,
+    _monte_carlo_directions,
     _volume_density,
     build_quadrature,
     integrate,
@@ -318,26 +322,38 @@ def test_re_densify_matches_direct_build():
     assert np.allclose(back.density, rule.density / 4.0, rtol=1e-12)
 
 
+def _count_jet_points(monkeypatch):
+    """The (order, point count) of every Expression.jet call from now on."""
+    from crspectra.expressions import Expression
+
+    read = []
+    original = Expression.jet
+
+    def counting(self, params, point, order):
+        read.append((order, int(np.prod(np.shape(point)[:-1]))))
+        return original(self, params, point, order)
+
+    monkeypatch.setattr(Expression, "jet", counting)
+    return read
+
+
 # 13,824 points (24 cubed): more than one chunk of runtime.CHUNK_POINTS
 @pytest.fixture(scope="module")
 def rule_of_two_chunks():
     return build_quadrature(PULLBACK, QuadratureSettings("hopf_product", resolution=24))
 
 
-def test_re_densify_reads_jets_in_chunks(rule_of_two_chunks, monkeypatch):
-    from crspectra.expressions import Expression
-
-    sizes = []
-    original = Expression.jet
-
-    def counting(self, params, point, order):
-        sizes.append((order, int(np.prod(np.shape(point)[:-1]))))
-        return original(self, params, point, order)
-
-    monkeypatch.setattr(Expression, "jet", counting)
-    re_densify(rule_of_two_chunks, parse(f"({PULLBACK})*(2+re(z1))", 1))
+# (2+re(z1)) fixes only the z2 rotations, so each orbit is a z2 circle of
+# 24 points; (2+re(z1+z2)) fixes no grid rotation, so every point is read
+@pytest.mark.parametrize("factor, sizes", [
+    ("2+re(z1)", [(2, 576)]),
+    ("2+re(z1+z2)", [(2, 5_632), (2, 8_192)]),
+], ids=["z2-circles", "no-symmetry"])
+def test_re_densify_reads_jets_in_chunks(rule_of_two_chunks, monkeypatch, factor, sizes):
+    read = _count_jet_points(monkeypatch)
+    re_densify(rule_of_two_chunks, parse(f"({PULLBACK})*({factor})", 1))
     assert len(rule_of_two_chunks) == 13_824
-    assert sorted(sizes) == [(2, 5_632), (2, 8_192)]
+    assert sorted(read) == sizes
 
 
 def test_re_densify_with_the_rule_function_reproduces_the_rule(rule_of_two_chunks):
@@ -388,3 +404,81 @@ def test_non_real_defining_function_refused_when_rule_is_built(settings):
     rho = parse("abs2(z1)+abs2(z2)-1+0.01*i*re(z1)", 1)
     with pytest.raises(NotRealValued):
         build_quadrature(rho, settings)
+
+
+# --- torus orbits -------------------------------------------------------------
+
+
+def _assert_frame_is_per_point(rule, tol):
+    # the rotated frame against a frame built at every point
+    direct = build_frame(rule.rho, rule.points, rule.params)
+    for name in ("a", "inv", "J", "detH"):
+        got, want = getattr(rule.frame, name), getattr(direct, name)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
+    density = _volume_density(direct)
+    assert np.max(np.abs(rule.density - density)) <= tol * np.max(density)
+
+
+# the pullback is Reinhardt: one orbit per colatitude node; the ellipsoid's
+# re(z1^2) is fixed by the z2 rotations and the half turn of z1 only, so
+# 16 of the 1,024 phase pairs represent the rest
+@pytest.mark.parametrize("rho, reps", [(PULLBACK, 32), (ELLIPSOID, 32 * 16)],
+                         ids=["pullback", "ellipsoid"])
+def test_orbit_frame_matches_per_point_frame(rho, reps, monkeypatch):
+    read = _count_jet_points(monkeypatch)
+    rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=32))
+    assert read == [(2, reps)] and len(rule) == 32**3
+    _assert_frame_is_per_point(rule, 1e-13)
+
+
+def test_orbit_representatives_are_built_directly():
+    rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=8))
+    # the smallest phase index of each orbit: j1 in {0, 1, 2, 3}, j2 = 0
+    reps = (np.arange(8)[:, None] * 64 + np.arange(4) * 8).ravel()
+    direct = build_frame(ELLIPSOID, rule.points[reps])
+    for name in ("a", "inv", "J", "detH"):
+        assert np.array_equal(getattr(rule.frame, name)[reps], getattr(direct, name))
+
+
+# sum |F|^2 - 1 for the unitary F = ((z1+z2)/sqrt 2, (z1-z2)/sqrt 2) is the
+# sphere's function written with charges e1 - e2: of the sphere rule's
+# rotations only the diagonal ones fix it.  The ellipsoid's own function is
+# fixed by the half turn of z1, but a rule built from (2+re(z1)) times it is
+# not.  Either way each orbit is one circle of R points.
+@pytest.mark.parametrize("rule_rho, rho", [
+    (SPHERE, pullback_defining_function([parse("(z1+z2)*0.7071067811865476", 1),
+                                         parse("(z1-z2)*0.7071067811865476", 1)])),
+    (parse("(abs2(z1)+abs2(z2)+0.1*re(z1^2)-1)*(2+re(z1))", 1), ELLIPSOID),
+], ids=["reilly-map", "rule-function"])
+def test_re_densify_reduces_by_the_shared_rotations_only(rule_rho, rho, monkeypatch):
+    rule = build_quadrature(rule_rho, QuadratureSettings("hopf_product", resolution=16))
+    read = _count_jet_points(monkeypatch)
+    again = re_densify(rule, rho)
+    assert read == [(2, 16**3 // 16)]
+    _assert_frame_is_per_point(again, 1e-13)
+
+
+def _per_point_rule(rho, settings, dirs, base):
+    """The rule built without orbits: every ray projected, the frame built
+    at every point."""
+    points = project_rays(rho, None, dirs)[:, None] * dirs
+    return QuadratureRule(base, settings, rho, None, build_frame(rho, points))
+
+
+@pytest.mark.parametrize("case", ["hopf-no-symmetry", "monte-carlo"])
+def test_rule_without_orbits_is_built_point_by_point(case):
+    # a hopf grid whose function no grid rotation fixes, and a Monte Carlo
+    # rule (a Reinhardt function, but no grid), give the per-point rule bit
+    # for bit: nothing is rotated, not even by a unit phase
+    if case == "monte-carlo":
+        settings = QuadratureSettings("monte_carlo", samples=9000, seed=2)
+        rho, (dirs, base) = SPHERE, _monte_carlo_directions(2, 9000, 2)
+    else:
+        settings = QuadratureSettings("hopf_product", resolution=24)
+        rho = parse("abs2(z1)+abs2(z2)+0.1*re(z1)+0.1*re(z2)-1", 1)
+        dirs, base = _hopf_directions(24)
+    rule, direct = build_quadrature(rho, settings), _per_point_rule(rho, settings, dirs, base)
+    for name in ("points", "density", "weights"):
+        assert np.array_equal(getattr(rule, name), getattr(direct, name))
+    for name in ("a", "inv", "J", "detH"):
+        assert np.array_equal(getattr(rule.frame, name), getattr(direct.frame, name))

@@ -699,8 +699,12 @@ def test_rule_frame_built_once_per_job(tmp_path, monkeypatch):
     job = {**SPHERE_JOB, "tasks": UPPER_AND_SPECTRUM_TASKS}
     report, code = run_job_data(job, base_dir=tmp_path)
     assert code == 0
+    # the sphere is Reinhardt, so the rule's frame is built once, at one point
+    # per torus orbit: one per colatitude node of the grid
     rule_points = report["results"][1]["result"]["quadrature"]["points"]
-    assert sizes.count(rule_points) == 1
+    resolution = SPHERE_JOB["quadrature"]["resolution"]
+    assert rule_points == resolution**3
+    assert sizes.count(resolution) == 1 and rule_points not in sizes
 
 
 def test_rule_defining_function_jet_evaluated_once(tmp_path, monkeypatch):
@@ -719,9 +723,10 @@ def test_rule_defining_function_jet_evaluated_once(tmp_path, monkeypatch):
     job = {**SPHERE_JOB, "tasks": UPPER_AND_SPECTRUM_TASKS}
     report, code = run_job_data(job, base_dir=tmp_path)
     assert code == 0
-    # the rule's push-forward reads the order-2 jet (in chunks); the frame
-    # shared by the bound and the spectrum is built from what it read
-    assert sum(points) == report["results"][1]["result"]["quadrature"]["points"]
+    # the rule's frame reads the order-2 jet at its orbit representatives,
+    # one per colatitude node of the grid of the Reinhardt sphere; the bound
+    # and the spectrum share that frame
+    assert sum(points) == SPHERE_JOB["quadrature"]["resolution"]
 
 
 FLAG_TASKS = {"paneitz_positive": {"kind": "bound_lower", "num_points": 5},

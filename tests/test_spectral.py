@@ -18,6 +18,7 @@ from crspectra.spectral import (
     MonomialBasis,
     SpectralProblem,
     _galerkin_matrices,
+    _galerkin_plan,
     assemble,
     estimate_lambda1,
     solve,
@@ -72,6 +73,7 @@ def test_assembly_memory_does_not_grow_with_the_rule():
     # (it grew with the points when every chunk's partial was kept)
     rho = parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.05*abs2(z2)^2-1", 2)
     basis = MonomialBasis.build(3, 3)
+    _galerkin_plan(3, 3)    # built once per process, outside both measurements
     peaks = []
     for samples in (8192, 32768):
         rule = build_quadrature(rho, QuadratureSettings("monte_carlo", samples=samples, seed=1))
@@ -274,3 +276,16 @@ def test_moment_assembly_matches_dense_reference(rho, settings, top):
         for mat, want in zip(_galerkin_matrices(rule, basis), reference):
             want = want[:size, :size]
             assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_galerkin_plan_built_once_per_dimension_and_degree(sphere_rule):
+    # the plan holds no rule data; a pencil from the cached plan equals the
+    # one from a fresh plan bit for bit, so no assembly writes into it
+    _galerkin_plan.cache_clear()
+    basis = MonomialBasis.build(2, 3)
+    first, again = assemble(sphere_rule, basis), assemble(sphere_rule, basis)
+    info = _galerkin_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(first.gram, again.gram)
+    assert np.array_equal(first.stiffness, again.stiffness)
+    assert first.ibp_deviation == again.ibp_deviation
