@@ -27,7 +27,7 @@ from .errors import (
     NotApplicable,
     NotOnSphereImage,
 )
-from .expressions import Add, Call, Expression, Literal, Sub
+from .expressions import BinOp, Call, Expression, Literal
 from .frames import frame_from_jet
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
 from .quadrature import QuadratureRule, integrate, re_densify
@@ -193,8 +193,8 @@ def pullback_defining_function(f_maps) -> Expression:
     total = None
     for f in f_maps:
         term = Call("abs2", (f.root,))
-        total = term if total is None else Add(total, term)
-    return Expression(Sub(total, Literal(complex(1.0))), f_maps[0].n)
+        total = term if total is None else BinOp("+", total, term)
+    return Expression(BinOp("-", total, Literal(complex(1.0))), f_maps[0].n)
 
 
 def reilly_bound(f_maps, rule: QuadratureRule) -> BoundReport:

@@ -16,6 +16,12 @@ must be finite floats, and expression trees may nest at most ``MAX_DEPTH``
 levels (parentheses, unary minus, calls and operator chains all count), so
 the recursive evaluators and printer stay within Python's recursion limit.
 
+A parsed tree has seven node shapes: ``Literal(value)``, ``Var(index,
+conj)`` (``z_j``, or ``conj(z_j)`` when ``conj``, to which the parser folds
+a conjugated coordinate), ``Param(name)``, ``BinOp(op, left, right)`` with
+``op`` one of ``+-*/``, ``Neg(arg)``, ``PowInt(base, exponent)`` and
+``Call(name, args)`` for the functions above.
+
 ``Expression.jet`` runs a program lowered once per variable count and order
 and cached on the expression: a flat list of jet ops, each holding only the
 rows of its static support (the terms the tree lets be nonzero).  Its
@@ -30,6 +36,7 @@ z_j -> e^{i t_j} z_j that fix the function, read without evaluating it.
 from __future__ import annotations
 
 import math
+import operator
 import re as _re
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,11 +81,7 @@ class Literal:
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class ConjVar:
-    index: int
+    conj: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,25 +90,8 @@ class Param:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:
+    op: str  # one of "+-*/"
     left: object
     right: object
 
@@ -203,8 +189,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
+                node = BinOp(value, node, self.term())
             else:
                 return node
 
@@ -214,8 +199,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
+                node = BinOp(value, node, self.factor())
             else:
                 return node
 
@@ -296,12 +280,8 @@ class _Parser:
             args = [args[0], exponent]
         elif len(args) != 1:
             raise ExpressionSyntaxError(f"{name} takes one argument", offset)
-        if name == "conj":
-            arg = args[0]
-            if isinstance(arg, Var):
-                return ConjVar(arg.index)
-            if isinstance(arg, ConjVar):
-                return Var(arg.index)
+        if name == "conj" and isinstance(args[0], Var):
+            return Var(args[0].index, not args[0].conj)
         return Call(name, tuple(args))
 
 
@@ -309,7 +289,7 @@ class _Parser:
 
 
 def _children(node):
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, BinOp):
         return (node.left, node.right)
     if isinstance(node, Neg):
         return (node.arg,)
@@ -336,11 +316,11 @@ def _is_real(node):
         return node.value.imag == 0.0
     if isinstance(node, Param):
         return True
-    if isinstance(node, (Var, ConjVar)):
+    if isinstance(node, Var):
         return False
     if isinstance(node, Neg):
         return _is_real(node.arg)
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, BinOp):
         return _is_real(node.left) and _is_real(node.right)
     if isinstance(node, PowInt):
         return _is_real(node.base)
@@ -352,13 +332,13 @@ def _is_real(node):
 
 
 def _is_holomorphic(node):
-    if isinstance(node, (Literal, Param, Var)):
+    if isinstance(node, (Literal, Param)):
         return True
-    if isinstance(node, ConjVar):
-        return False
+    if isinstance(node, Var):
+        return not node.conj
     if isinstance(node, Neg):
         return _is_holomorphic(node.arg)
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, BinOp):
         return _is_holomorphic(node.left) and _is_holomorphic(node.right)
     if isinstance(node, PowInt):
         return _is_holomorphic(node.base)
@@ -367,18 +347,6 @@ def _is_holomorphic(node):
             return False
         return all(_is_holomorphic(a) for a in node.args)
     raise TypeError(f"unknown node {node!r}")
-
-
-def _param_names(root):
-    """Names of the parameters in the tree, collected without recursion."""
-    names = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Param):
-            names.add(node.name)
-        stack.extend(_children(node))
-    return names
 
 
 # a product or power builds its charge set only up to this many charges; a
@@ -407,16 +375,16 @@ def _charges(node, m):
     so the pair is conservative (0*z1 keeps e_1)."""
     if isinstance(node, (Literal, Param)):
         return frozenset({(0,) * m}), frozenset()
-    if isinstance(node, (Var, ConjVar)):
-        sign = 1 if isinstance(node, Var) else -1
+    if isinstance(node, Var):
+        sign = -1 if node.conj else 1
         return frozenset({tuple(sign * (j == node.index - 1) for j in range(m))}), frozenset()
     if isinstance(node, Neg):
         return _charges(node.arg, m)
-    if isinstance(node, (Add, Sub)):
-        (ca, ga), (cb, gb) = _charges(node.left, m), _charges(node.right, m)
-        return ca | cb, ga | gb
-    if isinstance(node, Mul):
-        return _charge_sum(_charges(node.left, m), _charges(node.right, m))
+    if isinstance(node, BinOp) and node.op in "+-*":
+        a, b = _charges(node.left, m), _charges(node.right, m)
+        if node.op == "*":
+            return _charge_sum(a, b)
+        return a[0] | b[0], a[1] | b[1]
     if isinstance(node, PowInt):
         base, k = _charges(node.base, m), node.exponent
         out = frozenset({(0,) * m}), frozenset()
@@ -435,7 +403,7 @@ def _charges(node, m):
         if node.name == "abs2":
             return _charge_sum((c, g), (neg, g))
         return c | neg, g
-    if isinstance(node, (Call, Div)):
+    if isinstance(node, (Call, BinOp)):  # exp, log, pow and /
         args = node.args if isinstance(node, Call) else (node.left, node.right)
         spans = [c | g for c, g in (_charges(arg, m) for arg in args)]
         return frozenset({(0,) * m}), frozenset().union(*spans)
@@ -468,23 +436,14 @@ def _render(node, required):
         text = _print_literal(node.value)
         mine = 1 if text.startswith("-") else 4
     elif isinstance(node, Var):
-        text, mine = f"z{node.index}", 4
-    elif isinstance(node, ConjVar):
-        text, mine = f"conj(z{node.index})", 4
+        text, mine = f"conj(z{node.index})" if node.conj else f"z{node.index}", 4
     elif isinstance(node, Param):
         text, mine = node.name, 4
-    elif isinstance(node, Add):
-        text = f"{_render(node.left, 1)}+{_render(node.right, 2)}"
-        mine = 1
-    elif isinstance(node, Sub):
-        text = f"{_render(node.left, 1)}-{_render(node.right, 2)}"
-        mine = 1
-    elif isinstance(node, Mul):
-        text = f"{_render(node.left, 2)}*{_render(node.right, 3)}"
-        mine = 2
-    elif isinstance(node, Div):
-        text = f"{_render(node.left, 2)}/{_render(node.right, 3)}"
-        mine = 2
+    elif isinstance(node, BinOp):
+        # + and - bind at level 1, * and / at 2; a right operand needs a level
+        # more, as the chains associate to the left
+        mine = 1 if node.op in "+-" else 2
+        text = f"{_render(node.left, mine)}{node.op}{_render(node.right, mine + 1)}"
     elif isinstance(node, Neg):
         text = f"-{_render(node.arg, 4)}"
         mine = 1
@@ -577,20 +536,16 @@ class _JetProgram:
                 return _full(point, float(params[name]))
 
             return self._emit(param, (), (0,), True)
-        if isinstance(node, (Var, ConjVar)):
+        if isinstance(node, Var):
             return self._variable(node)
         if isinstance(node, Neg):
             a = self._lower(node.arg)
             return self._emit(np.negative, (a,), self.supports[a], self.reals[a])
-        if isinstance(node, (Add, Sub)):
+        if isinstance(node, BinOp):
             a, b = self._lower(node.left), self._lower(node.right)
-            return self._add(a, b, subtract=isinstance(node, Sub))
-        if isinstance(node, Mul):
-            a, b = self._lower(node.left), self._lower(node.right)
-            return self._mul(a, b)
-        if isinstance(node, Div):
-            a, b = self._lower(node.left), self._lower(node.right)
-            return self._mul(a, self._reciprocal(b))
+            if node.op in "+-":
+                return self._add(a, b, subtract=node.op == "-")
+            return self._mul(a, self._reciprocal(b) if node.op == "/" else b)
         if isinstance(node, PowInt):
             return self._pow_int(self._lower(node.base), node.exponent)
         if isinstance(node, Call):
@@ -627,7 +582,7 @@ class _JetProgram:
         if not 1 <= node.index <= m:
             raise IndexOutOfRange(f"coordinate index {node.index} out of range 1..{m}")
         j = node.index - 1
-        holo = isinstance(node, Var)
+        holo = not node.conj
         if self.space.order == 0:
             support = (0,)
         else:
@@ -707,6 +662,9 @@ class _JetProgram:
                           support, real)
 
 
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _eval_value(node, params, pts):
     if isinstance(node, Literal):
         return np.asarray(node.value, dtype=np.complex128)
@@ -715,19 +673,13 @@ def _eval_value(node, params, pts):
             raise UnboundParameter(f"parameter {node.name!r} has no binding")
         return np.asarray(complex(float(params[node.name])), dtype=np.complex128)
     if isinstance(node, Var):
-        return pts[..., node.index - 1]
-    if isinstance(node, ConjVar):
-        return np.conj(pts[..., node.index - 1])
+        z = pts[..., node.index - 1]
+        return np.conj(z) if node.conj else z
     if isinstance(node, Neg):
         return -_eval_value(node.arg, params, pts)
-    if isinstance(node, Add):
-        return _eval_value(node.left, params, pts) + _eval_value(node.right, params, pts)
-    if isinstance(node, Sub):
-        return _eval_value(node.left, params, pts) - _eval_value(node.right, params, pts)
-    if isinstance(node, Mul):
-        return _eval_value(node.left, params, pts) * _eval_value(node.right, params, pts)
-    if isinstance(node, Div):
-        return _eval_value(node.left, params, pts) / _eval_value(node.right, params, pts)
+    if isinstance(node, BinOp):
+        return _BINOPS[node.op](_eval_value(node.left, params, pts),
+                                _eval_value(node.right, params, pts))
     if isinstance(node, PowInt):
         return _eval_value(node.base, params, pts) ** node.exponent
     if isinstance(node, Call):
@@ -762,8 +714,9 @@ class Expression:
     def __init__(self, root, n):
         self.root = root
         self.n = int(n)
-        # jet programs by (m, order); a racing thread may lower one twice,
-        # but stores it only when complete
+        # jet programs by (m, order), each lowered on first use.  crspectra
+        # runs on one thread; a caller's threads racing here may lower a
+        # program twice, but store it only when complete
         self._programs = {}
 
     @property
@@ -802,9 +755,6 @@ class Expression:
         of m-tuples: every torus rotation z -> (e^{i t_j} z_j) with k.t in
         2 pi Z for each charge k leaves the function unchanged."""
         return frozenset.union(*_charges(self.root, self.m))
-
-    def parameters(self):
-        return _param_names(self.root)
 
     def __str__(self):
         return _render(self.root, 1)

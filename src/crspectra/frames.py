@@ -181,7 +181,7 @@ class CRFrame:
         return self.point.shape[:-1]
 
     def take(self, idx):
-        """Sub-frame at batch indices idx (batch shape must be 1-d)."""
+        """The frame restricted to batch indices idx (batch shape must be 1-d)."""
         return CRFrame(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 

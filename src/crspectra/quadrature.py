@@ -126,7 +126,7 @@ class QuadratureRule:
 
 # --- radial projection ----------------------------------------------------
 
-# the search grid t = _RATIO^k, |k| <= _STEPS, covers t in [1e-3, 1e3]
+# the search grid t = _RATIO^k, |k| <= _STEPS, covers t in [6.8e-4, 1.5e3]
 _RATIO, _STEPS = 1.5, 18
 
 

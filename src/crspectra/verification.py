@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Decomposition, lower_bound, special_bound, upper_bound
-from .expressions import (
-    Add, Call, ConjVar, Div, Expression, Literal, Mul, Neg, Param, PowInt, Sub, Var, parse,
-)
+from .expressions import BinOp, Call, Expression, Literal, Neg, Param, PowInt, Var, parse
 from .frames import build_frame
 from .operators import curvature_quantities, kohn_laplacian, sub_laplacian
 from .quadrature import QuadratureSettings, build_quadrature, points_on_surface
@@ -57,13 +55,13 @@ def _split_conj(node, m, conj=False):
         return Literal(node.value.conjugate()) if conj else node
     if isinstance(node, Param):
         return node
-    if isinstance(node, (Var, ConjVar)):
-        barred = isinstance(node, ConjVar) != conj
+    if isinstance(node, Var):
+        barred = node.conj != conj
         return Var(node.index + m if barred else node.index)
     if isinstance(node, Neg):
         return Neg(_split_conj(node.arg, m, conj))
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return type(node)(_split_conj(node.left, m, conj), _split_conj(node.right, m, conj))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _split_conj(node.left, m, conj), _split_conj(node.right, m, conj))
     if isinstance(node, PowInt):
         return PowInt(_split_conj(node.base, m, conj), node.exponent)
     a = node.args[0]
@@ -74,11 +72,11 @@ def _split_conj(node, m, conj=False):
     # a real value is its own conjugate, so the flag drops here
     f, fbar = _split_conj(a, m), _split_conj(a, m, True)
     if node.name == "re":
-        return Mul(Literal(0.5), Add(f, fbar))
+        return BinOp("*", Literal(0.5), BinOp("+", f, fbar))
     if node.name == "im":
-        return Mul(Literal(-0.5j), Sub(f, fbar))
+        return BinOp("*", Literal(-0.5j), BinOp("-", f, fbar))
     if node.name == "abs2":
-        return Mul(f, fbar)
+        return BinOp("*", f, fbar)
     raise TypeError(f"unknown node {node!r}")
 
 

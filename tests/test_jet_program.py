@@ -2,6 +2,7 @@
 against a reference evaluator that composes the dense reference algebra of
 ``dense_jet`` along the tree."""
 
+import operator
 import sys
 import threading
 
@@ -15,14 +16,13 @@ from crspectra.errors import (
     NotRealValued,
     UnboundParameter,
 )
-from crspectra.expressions import (
-    Add, Call, ConjVar, Div, Literal, Mul, Neg, Param, PowInt, Sub, Var, parse,
-)
+from crspectra.expressions import BinOp, Call, Literal, Neg, Param, PowInt, Var, parse
 from crspectra.verification import random_expression
 from dense_jet import DenseJet
 
 JET_ERRORS = (DivisionByZeroJet, LogOfNonpositive, NotRealValued, UnboundParameter)
 PARAMS = {"alpha": 0.7}
+BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def oracle(node, params, point, order):
@@ -38,18 +38,12 @@ def oracle(node, params, point, order):
             return DenseJet.constant(m, point, np.full(point.shape[:-1],
                                                        float(params[node.name])), order)
         if isinstance(node, Var):
-            return DenseJet.variable(point, node.index, "holomorphic", order)
-        if isinstance(node, ConjVar):
-            return DenseJet.variable(point, node.index, "antiholomorphic", order)
+            kind = "antiholomorphic" if node.conj else "holomorphic"
+            return DenseJet.variable(point, node.index, kind, order)
         if isinstance(node, Neg):
             return -go(node.arg)
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            a, b = go(node.left), go(node.right)
-            if isinstance(node, Add):
-                return a + b
-            if isinstance(node, Sub):
-                return a - b
-            return a * b if isinstance(node, Mul) else a / b
+        if isinstance(node, BinOp):
+            return BINOPS[node.op](go(node.left), go(node.right))
         if isinstance(node, PowInt):
             return go(node.base).pow_int(node.exponent)
         if node.name == "pow":

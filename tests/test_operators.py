@@ -263,14 +263,16 @@ def test_chart_oracle_matches_ambient_operator_scalars(chart):
 
 def _random_quadric(n):
     """z^T A conj(z) + c |z1|^4 - K with A = a + i b Hermitian; the entries
-    of A, c and K are parameters."""
+    of A, c and K are parameters.  Returns the expression and the sorted
+    names of every parameter but K."""
     m = n + 1
+    pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
     terms = [f"a{j}{j}*abs2(z{j})" for j in range(1, m + 1)]
-    terms += [
-        f"2*(a{j}{k}*re(z{j}*conj(z{k}))-b{j}{k}*im(z{j}*conj(z{k})))"
-        for j in range(1, m + 1) for k in range(j + 1, m + 1)
-    ]
-    return parse("+".join(terms) + "+c*abs2(z1)^2-K", n)
+    terms += [f"2*(a{j}{k}*re(z{j}*conj(z{k}))-b{j}{k}*im(z{j}*conj(z{k})))"
+              for j, k in pairs]
+    names = [f"a{j}{j}" for j in range(1, m + 1)]
+    names += [f"{x}{j}{k}" for j, k in pairs for x in "ab"] + ["c"]
+    return parse("+".join(terms) + "+c*abs2(z1)^2-K", n), sorted(names)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -279,8 +281,7 @@ def test_pseudoconvexity_and_ricci_on_random_quadrics(n):
     # signature, so Levi forms of every signature occur, and at n = 2 the
     # negative definite ones have J > 0 and reach the pseudoconvexity test
     m = n + 1
-    rho = _random_quadric(n)
-    names = sorted(rho.parameters() - {"K"})
+    rho, names = _random_quadric(n)
     rng = np.random.default_rng(n)
     verdicts = []
     for _ in range(200):
