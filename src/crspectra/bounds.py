@@ -248,7 +248,7 @@ def special_bound(rho, j, sample_points, params=None) -> BoundReport:
     zero = (0,) * rho.m
     rho_j_jet = jet3.derivative(ej, zero)
     dt = delta_tilde(frame, rho_j_jet)
-    rho_jbar = np.conj(frame.grad[..., j - 1])
+    rho_jbar = np.conj(frame.grad[j - 1])
     lhs = (n * frame.r * rho_jbar * dt).real + np.abs(dt) ** 2
     cond_max = float(np.max(lhs))
     condition_ok = cond_max <= CONDITION_TOL

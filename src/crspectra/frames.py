@@ -13,9 +13,10 @@ the (1,0) field xi with drho(xi) = 1, and the ambient Levi inverse h =
 h^{k lbar}, which annihilates drho on both sides, so operators pair (0,1)
 gradients in the coordinates of C^m, |dbar_b u|^2 = h^{k lbar} u_kbar
 conj(u_lbar).  ``bordered_inverse`` computes J and A^-1 = adj(A) / det(A)
-by cofactors: exact formulas with no pivoting, bit-reproducible.  Its
-matrices keep the batch axes last, shape (m+1, m+1, ...), so every entry is
-one contiguous vector; the frame keeps the batch axes first.
+by cofactors: exact formulas with no pivoting, bit-reproducible.  Jets,
+frames and their read-offs keep the batch axes last: A0 and A0^-1 are
+(m+1, m+1, ...), so every entry is one contiguous vector, the frame's
+vectors are (m, ...) and its matrices (m, m, ...); points are (..., m).
 
 The frame needs no local coordinates on M.  With psi = rho_{j kbar} +
 (1 - r) rho_j rho_kbar, psi conj(xi) = drho and psi equals the Levi form on
@@ -39,7 +40,7 @@ constant factor on rho changes no verdict (the first has a floor):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +53,12 @@ from .errors import (
     NotStrictlyPseudoconvex,
 )
 from .jets import Jet
-from .runtime import CHUNK_POINTS, map_chunks
+from .runtime import CHUNK_POINTS, chunk_slices
 
 
 def hermitize(mat):
-    """Average a (... , k, k) matrix with its conjugate transpose."""
-    return 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
+    """Average a (k, k, ...) matrix with its conjugate transpose."""
+    return 0.5 * (mat + np.conj(np.swapaxes(mat, 0, 1)))
 
 
 _EPS = np.finfo(np.float64).eps
@@ -152,21 +153,21 @@ def bordered_jet(jet: Jet):
 
 @dataclass
 class CRFrame:
-    """All pointwise frame data on M; arrays carry a common batch shape."""
+    """All pointwise frame data on M over a common batch shape (...)."""
 
     point: np.ndarray        # (..., m) complex
-    a: np.ndarray            # (..., m+1, m+1) A0
-    inv: np.ndarray          # (..., m+1, m+1) A0^-1
+    a: np.ndarray            # (m+1, m+1, ...) A0
+    inv: np.ndarray          # (m+1, m+1, ...) A0^-1
     J: np.ndarray            # (...) Fefferman determinant
     detH: np.ndarray         # (...)
 
     # the blocks of A0 and A0^-1, views
-    rho = property(lambda self: self.a[..., 0, 0].real)    # (...) residual of rho
-    grad = property(lambda self: self.a[..., 1:, 0])       # (..., m) rho_j
-    hessian = property(lambda self: self.a[..., 1:, 1:])   # (..., m, m) rho_{j kbar}
-    r = property(lambda self: -self.inv[..., 0, 0].real)   # (...) transverse curvature
-    xi = property(lambda self: self.inv[..., 0, 1:])       # (..., m) drho(xi) = 1
-    h = property(lambda self: self.inv[..., 1:, 1:])       # (..., m, m) h^{k lbar}
+    rho = property(lambda self: self.a[0, 0].real)       # (...) residual of rho
+    grad = property(lambda self: self.a[1:, 0])          # (m, ...) rho_j
+    hessian = property(lambda self: self.a[1:, 1:])      # (m, m, ...) rho_{j kbar}
+    r = property(lambda self: -self.inv[0, 0].real)      # (...) transverse curvature
+    xi = property(lambda self: self.inv[0, 1:])          # (m, ...) drho(xi) = 1
+    h = property(lambda self: self.inv[1:, 1:])          # (m, m, ...) h^{k lbar}
 
     @property
     def m(self):
@@ -182,7 +183,8 @@ class CRFrame:
 
     def take(self, idx):
         """The frame restricted to batch indices idx (batch shape must be 1-d)."""
-        return CRFrame(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
+        return CRFrame(point=self.point[idx], a=np.take(self.a, idx, axis=-1),
+                       inv=np.take(self.inv, idx, axis=-1), J=self.J[idx], detH=self.detH[idx])
 
 
 def frame_from_bordered(point, a) -> CRFrame:
@@ -205,8 +207,7 @@ def frame_from_bordered(point, a) -> CRFrame:
     J, inv = bordered_inverse(a, points)
     inner = tuple(range(1, m + 1))
     detH = _det(a, inner, inner).real
-    inv = np.ascontiguousarray(np.moveaxis(inv, (0, 1), (-2, -1)))
-    r = -inv[..., 0, 0].real
+    r = -inv[0, 0].real
 
     # Sylvester's criterion on psi, each leading minor against its Hadamard
     # bound, the product of the norms of its rows
@@ -223,7 +224,6 @@ def frame_from_bordered(point, a) -> CRFrame:
                 f"the Levi form is not positive definite"
             )
 
-    a = np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
     return CRFrame(point=points, a=a, inv=inv, J=J, detH=detH)
 
 
@@ -234,15 +234,12 @@ def frame_from_jet(jet: Jet) -> CRFrame:
 
 def build_frame(rho, points, params=None) -> CRFrame:
     """The frame of {rho = 0} at ``points`` (..., m): A0 is read off the
-    order-2 jet of rho in chunks of ``runtime.CHUNK_POINTS`` (batch axis
-    first, as map_chunks joins them) and inverted once over all the points."""
+    order-2 jet of rho in chunks of ``runtime.CHUNK_POINTS`` and inverted
+    once over all the points."""
     points = np.asarray(points, dtype=np.complex128)
-    flat = points.reshape(-1, points.shape[-1])
-
-    def gather(sl):
-        return np.moveaxis(bordered_jet(rho.jet(params, flat[sl], 2))[0], -1, 0)
-
-    a = map_chunks(gather, flat.shape[0], CHUNK_POINTS)
-    # the inverse runs entry by entry, about twice as fast on contiguous rows
-    a = np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(a.shape[1:] + points.shape[:-1])
-    return frame_from_bordered(points, a)
+    m = points.shape[-1]
+    flat = points.reshape(-1, m)
+    a = np.empty((m + 1, m + 1, len(flat)), dtype=np.complex128)
+    for sl in chunk_slices(len(flat), CHUNK_POINTS):
+        a[..., sl] = bordered_jet(rho.jet(params, flat[sl], 2))[0]
+    return frame_from_bordered(points, a.reshape(a.shape[:2] + points.shape[:-1]))

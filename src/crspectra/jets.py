@@ -6,6 +6,9 @@ coefficients (derivative divided by alpha!*beta!), so multiplication is a
 plain truncated convolution.  Coefficient arrays may carry trailing batch
 axes: shape ``(n_terms, *batch)`` over a batch of base points, which is how
 the quadrature and assembly code evaluates thousands of points at once.
+The read-offs keep that layout, as do the frames built from them: a
+gradient is (m, *batch) and a mixed Hessian (m, m, *batch), while points
+are (*batch, m).
 
 Products and series compositions run one kernel on supports, the sorted
 terms that can be nonzero: ``JetSpace.product_plan`` picks the pairs of
@@ -251,24 +254,21 @@ class Jet:
 
     def _read_off(self, index, what):
         # first and mixed second derivatives have unit factorials, so each
-        # is its Taylor coefficient; the term axes move behind the batch axes
+        # is its Taylor coefficient
         if index is None:
             raise JetOrderError(f"a jet of order {self.order} has no {what}")
-        k = index.ndim
-        return np.ascontiguousarray(
-            np.moveaxis(self.coeffs[index], tuple(range(k)), tuple(range(-k, 0)))
-        )
+        return self.coeffs[index]
 
     def gradient(self):
-        """Holomorphic gradient d_j f at the base point, shape (*batch, m)."""
+        """Holomorphic gradient d_j f at the base point, shape (m, *batch)."""
         return self._read_off(self.space.holo_index, "gradient")
 
     def dbar_gradient(self):
-        """Antiholomorphic gradient dbar_k f at the base point, shape (*batch, m)."""
+        """Antiholomorphic gradient dbar_k f at the base point, shape (m, *batch)."""
         return self._read_off(self.space.dbar_index, "dbar_gradient")
 
     def mixed_hessian(self):
-        """Mixed partials d_j dbar_k f at the base point, shape (*batch, m, m)."""
+        """Mixed partials d_j dbar_k f at the base point, shape (m, m, *batch)."""
         return self._read_off(self.space.mixed_index, "mixed_hessian")
 
     # --- structural operations --------------------------------------------

@@ -39,13 +39,13 @@ from .jets import Jet, jet_space
 
 def delta_tilde(frame: CRFrame, f_jet: Jet):
     """The degenerate second-order operator -h^{k jbar} d_j dbar_k f."""
-    return -np.einsum("...kj,...jk->...", frame.h, f_jet.mixed_hessian())
+    return -np.einsum("kj...,jk...->...", frame.h, f_jet.mixed_hessian())
 
 
 def normal_derivative(frame: CRFrame, f_jet: Jet):
     """N f for the transverse real field N = (xi + conj(xi)) / 2."""
-    holo = np.einsum("...k,...k->...", frame.xi, f_jet.gradient())
-    anti = np.einsum("...k,...k->...", np.conj(frame.xi), f_jet.dbar_gradient())
+    holo = np.einsum("k...,k...->...", frame.xi, f_jet.gradient())
+    anti = np.einsum("k...,k...->...", np.conj(frame.xi), f_jet.dbar_gradient())
     return 0.5 * (holo + anti)
 
 
@@ -54,7 +54,7 @@ def kohn_laplacian(frame: CRFrame, f_jet: Jet):
     if f_jet.order < 2:
         raise JetOrderError("kohn_laplacian needs a jet of order >= 2")
     n = frame.n
-    xibar_f = np.einsum("...k,...k->...", np.conj(frame.xi), f_jet.dbar_gradient())
+    xibar_f = np.einsum("k...,k...->...", np.conj(frame.xi), f_jet.dbar_gradient())
     return delta_tilde(frame, f_jet) + n * xibar_f
 
 
@@ -63,7 +63,7 @@ def sub_laplacian(frame: CRFrame, u_jet: Jet):
     if not u_jet.is_real:
         raise NotRealValued("sub_laplacian requires a real-flagged jet")
     n = frame.n
-    nu = np.einsum("...k,...k->...", frame.xi, u_jet.gradient()).real
+    nu = np.einsum("k...,k...->...", frame.xi, u_jet.gradient()).real
     return 2.0 * (delta_tilde(frame, u_jet).real + n * nu)
 
 
@@ -74,7 +74,7 @@ def dbar_pairing(frame: CRFrame, u_jet: Jet, v_jet: Jet):
     Hermitian in (u, v); nonnegative on the diagonal; vanishes when u is
     holomorphic.  Realizes the squared norm |dbar_b u|^2 for u = v.
     """
-    return np.einsum("...kl,...k,...l->...", frame.h, u_jet.dbar_gradient(),
+    return np.einsum("kl...,k...,l...->...", frame.h, u_jet.dbar_gradient(),
                      np.conj(v_jet.dbar_gradient()))
 
 
@@ -138,8 +138,7 @@ def _log_j_series(rho_jet, j0, inv):
     m = rho_jet.m
     plan = _log_j_plan(m, rho_jet.order)
     rows = rho_jet.coeffs.reshape(rho_jet.space.n_terms, -1)
-    # the frame's A0^-1 is a batch-first view; its rows run faster copied
-    inv = np.ascontiguousarray(inv.reshape(m + 1, m + 1, -1))
+    inv = inv.reshape(m + 1, m + 1, -1)
     size = rows.shape[1]
     # tr A0^-1 A_t = sum inv[k, j] A_t[j, k]; x[k, i] = X_p[i, k]
     tr = np.zeros((len(plan.canon), size), dtype=np.complex128)
@@ -172,7 +171,7 @@ def fefferman_det_jet(rho_jet: Jet) -> Jet:
 
 
 def ricci_tensor(frame: CRFrame, logJ_jet: Jet):
-    """Webster Ricci tensor as an ambient Hermitian matrix, shape (..., m, m).
+    """Webster Ricci tensor as an ambient Hermitian matrix, shape (m, m, ...).
 
     Pi^T (-(log J)_{j kbar} + (n+1) r rho_{j kbar}) conj(Pi) with the
     projection Pi = I - xi drho^T onto ker drho along xi.  It annihilates xi
@@ -180,9 +179,10 @@ def ricci_tensor(frame: CRFrame, logJ_jet: Jet):
     Ric(Z, conj(W)) is the Webster Ricci tensor of theta, and its h-trace
     h^{k jbar} Ric_{j kbar} is R_theta.
     """
-    ric = -logJ_jet.mixed_hessian() + (frame.n + 1) * frame.r[..., None, None] * frame.hessian
-    proj = np.eye(frame.m) - frame.xi[..., :, None] * frame.grad[..., None, :]
-    return hermitize(np.einsum("...ja,...jk,...kb->...ab", proj, ric, np.conj(proj)))
+    ric = -logJ_jet.mixed_hessian() + (frame.n + 1) * frame.r * frame.hessian
+    m = frame.m
+    proj = np.eye(m).reshape((m, m) + (1,) * frame.r.ndim) - frame.xi[:, None] * frame.grad[None, :]
+    return hermitize(np.einsum("ja...,jk...,kb...->ab...", proj, ric, np.conj(proj)))
 
 
 def webster_curvatures(frame: CRFrame, logJ_jet: Jet):
@@ -205,7 +205,7 @@ def curvature_quantities(rho, points, params=None):
     points = np.asarray(points, dtype=np.complex128)
     a0, jet = bordered_jet(rho.jet(params, points, 4))
     frame = frame_from_bordered(points, a0)
-    logj = _log_j_series(jet, frame.J, np.moveaxis(frame.inv, (-2, -1), (0, 1)))
+    logj = _log_j_series(jet, frame.J, frame.inv)
     rtheta, dval = webster_curvatures(frame, logj)
     n = frame.n
     big_r = frame.J ** (1.0 / (n + 2)) * dval

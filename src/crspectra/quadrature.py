@@ -212,7 +212,7 @@ def _volume_density(frame):
     frame's points (P, m): 2^(n+1) n! J |p|^(2m) / drho(p).  A density at
     most 1e-14 times the largest one vanishes: ``DegenerateFrame``."""
     p = frame.point
-    slope = 2.0 * np.einsum("pj,pj->p", frame.grad, p).real
+    slope = 2.0 * np.einsum("jp,pj->p", frame.grad, p).real
     worst = int(np.argmin(slope))
     if slope[worst] <= 0.0:
         raise DegenerateFrame(
@@ -258,7 +258,7 @@ class _Orbits:
     """The torus orbits of a rule's points under the grid rotations that fix
     a defining function: ``reps`` (Q,) the ascending index of one point per
     orbit, the smallest; ``orbit`` (P,) the position in ``reps`` of each
-    point's representative; ``phase`` (P, m+1, m+1) d_j conj(d_k), d = (1,
+    point's representative; ``phase`` (m+1, m+1, P) d_j conj(d_k), d = (1,
     e^{-i phi_1}, ..., e^{-i phi_m}), where the point is its representative
     rotated by z_j -> e^{i phi_j} z_j, or None when every orbit is one point.
     A plain class: a dataclass would cost a millisecond at import."""
@@ -302,10 +302,10 @@ def _torus_orbits(settings, charges, count):
             rows = np.arange(R)[:, None]
             j = np.indices((R, R)).reshape(2, -1)
             shift = (j - j[:, first[label]]) % R               # (2, R^2)
-            d = np.ones((R * R, 3), dtype=np.complex128)
-            d[:, 1:] = np.exp(-2j * np.pi * np.arange(R) / R)[shift].T
+            d = np.ones((3, R * R), dtype=np.complex128)
+            d[1:] = np.exp(-2j * np.pi * np.arange(R) / R)[shift]
             return _Orbits((rows * (R * R) + first).ravel(), (rows * len(first) + label).ravel(),
-                           np.tile(d[:, :, None] * np.conj(d[:, None, :]), (R, 1, 1)))
+                           np.tile(d[:, None] * np.conj(d[None, :]), (1, 1, R)))
     return _Orbits(np.arange(count), np.arange(count), None)
 
 
@@ -322,7 +322,7 @@ def _orbit_frame(rho, points, params, orbits):
     rep = build_frame(rho, points[orbits.reps], params)
 
     def rotate(x):
-        out = np.take(x, orbits.orbit, axis=0)
+        out = np.take(x, orbits.orbit, axis=-1)
         out *= orbits.phase                 # D X D*
         return out
 

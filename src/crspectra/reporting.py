@@ -167,10 +167,14 @@ def _echo(obj):
 def _pairs_to_points(pairs, m):
     try:
         arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise JobValidationError(
             f"points must be arrays of {m} [re, im] number pairs"
         ) from None
+    # float() reads true and "1" as 1.0; the other numeric fields refuse them
+    bad = [x for x in np.asarray(pairs, dtype=object).flat if type(x) not in (int, float)]
+    if bad:
+        raise JobValidationError(f"points must hold numbers, got {bad[0]!r}")
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[1] != m or arr.shape[2] != 2:
@@ -334,13 +338,13 @@ def _point_table(ctx, task, with_frame_diag):
     if with_frame_diag:
         frame = q["frame"]
         transverse = np.abs(
-            np.einsum("...j,...jk->...k", frame.xi, frame.hessian)
-            - frame.r[..., None] * np.conj(frame.grad)
+            np.einsum("j...,jk...->k...", frame.xi, frame.hessian)
+            - frame.r * np.conj(frame.grad)
         )
         result["diagnostics"] = {
             "on_surface_max": float(np.max(np.abs(frame.rho))),
             "xi_pairing_max": float(
-                np.max(np.abs(np.einsum("...k,...k->...", frame.grad, frame.xi) - 1.0))
+                np.max(np.abs(np.einsum("k...,k...->...", frame.grad, frame.xi) - 1.0))
             ),
             "transverse_identity_max": float(np.max(transverse)),
         }

@@ -101,14 +101,6 @@ class MonomialBasis:
         return MonomialBasis(m=self.m, degree=degree, holo=self.holo[:size],
                              anti=self.anti[:size])
 
-    def labels(self):
-        out = []
-        for a, b in zip(self.holo, self.anti):
-            parts = [f"z{j+1}^{e}" for j, e in enumerate(a) if e]
-            parts += [f"zb{j+1}^{e}" for j, e in enumerate(b) if e]
-            out.append("*".join(parts) if parts else "1")
-        return out
-
 
 class _Monomials:
     """The monomials of ``nvar`` variables of degree <= ``degree``, as rows.
@@ -286,11 +278,11 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
 
     def piece(sl):
         ww, pts = rule.weights[sl], rule.points[sl]
-        wh = ww[:, None, None] * frame.h[sl]
-        cxi = (n * ww)[:, None] * np.conj(frame.xi[sl])
-        weights = np.concatenate([ww[None], np.diagonal(wh, axis1=1, axis2=2).real.T,
-                                  wh[:, ku, lu].real.T, wh[:, ku, lu].imag.T,
-                                  cxi.real.T, cxi.imag.T])[order]
+        wh = ww * frame.h[..., sl]
+        cxi = (n * ww) * np.conj(frame.xi[..., sl])
+        weights = np.concatenate([ww[None], wh[range(m), range(m)].real,
+                                  wh[ku, lu].real, wh[ku, lu].imag,
+                                  cxi.real, cxi.imag])[order]
         x1, stack = pts[:, 0].real, np.empty((prefix[0], len(ww)))
         lo = hi = 0     # the rows of the level above
         for size in sizes:
@@ -356,8 +348,8 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
     G, S, Sp = _galerkin_matrices(rule, basis)
     h = rule.frame.h
     herm_dev = max(
-        *(float(np.max(np.abs(h[sl] - np.conj(np.swapaxes(h[sl], -1, -2)))))
-          for sl in chunk_slices(len(h), CHUNK_POINTS)),
+        *(float(np.max(np.abs(h[..., sl] - np.conj(np.swapaxes(h[..., sl], 0, 1)))))
+          for sl in chunk_slices(len(rule), CHUNK_POINTS)),
         float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T))),
     )
     G = hermitize(G)

@@ -10,18 +10,22 @@ Levi.  Nothing here reads the frame's ambient Levi inverse h.
 
 import numpy as np
 
-from crspectra.frames import hermitize
+
+def hermitize(mat):
+    """Average a batch-first (P, k, k) matrix with its conjugate transpose."""
+    return 0.5 * (mat + np.conj(np.swapaxes(mat, -1, -2)))
 
 
 class ChartOracle:
     """Chart fields, Levi form and its inverse from the gradient rho_j
-    (..., m) and complex Hessian rho_{j kbar} (..., m, m) of a defining
-    function, flattened to one batch axis P."""
+    (m, ...) and complex Hessian rho_{j kbar} (m, m, ...) of a defining
+    function, in the library's batch-last layout.  The oracle flattens the
+    batch to one axis P and keeps it first."""
 
     def __init__(self, grad, hessian, w=None):
-        m = grad.shape[-1]
+        m = grad.shape[0]
         n = m - 1
-        grad = grad.reshape(-1, m)
+        grad = grad.reshape(m, -1).T
         rows = np.arange(grad.shape[0])
         if w is None:
             self.chart = np.argmax(np.abs(grad), axis=1)
@@ -41,10 +45,10 @@ class ChartOracle:
         self.levi_inv = np.linalg.inv(self.levi)
 
     def project(self, mat):
-        """An (..., m, m) matrix H_{j kbar} on the chart fields:
+        """An (m, m, ...) matrix H_{j kbar} on the chart fields:
         H(Z_alpha, conj(Z_beta)), shape (P, n, n)."""
-        mat = mat.reshape(-1, self.m, self.m)
-        return np.einsum("paj,pjk,pbk->pab", self.fields, mat, np.conj(self.fields))
+        mat = mat.reshape(self.m, self.m, -1)
+        return np.einsum("paj,jkp,pbk->pab", self.fields, mat, np.conj(self.fields))
 
     def ambient_levi_inverse(self):
         """conj(Z)^T L^-1 Z: the inverse Levi form lifted to C^m through the

@@ -11,9 +11,9 @@ from crspectra.errors import (
     NotStrictlyPseudoconvex,
 )
 from crspectra.expressions import parse
-from crspectra.frames import build_frame
+from crspectra.frames import build_frame, frame_from_jet
 from crspectra.operators import curvature_quantities, dbar_pairing
-from crspectra.quadrature import points_on_surface
+from crspectra.quadrature import QuadratureSettings, build_quadrature, points_on_surface
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
@@ -55,14 +55,14 @@ def test_scaling_laws(c):
 
 def _bordered(fr):
     """Fefferman's bordered Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]] of
-    a frame, batch axis first."""
+    a frame, batch axis first for LAPACK."""
     m = fr.m
-    a = np.empty(fr.batch_shape + (m + 1, m + 1), dtype=np.complex128)
-    a[..., 0, 0] = fr.rho
-    a[..., 0, 1:] = np.conj(fr.grad)
-    a[..., 1:, 0] = fr.grad
-    a[..., 1:, 1:] = fr.hessian
-    return a
+    a = np.empty((m + 1, m + 1) + fr.batch_shape, dtype=np.complex128)
+    a[0, 0] = fr.rho
+    a[0, 1:] = np.conj(fr.grad)
+    a[1:, 0] = fr.grad
+    a[1:, 1:] = fr.hessian
+    return np.moveaxis(a, (0, 1), (-2, -1))
 
 
 @pytest.mark.parametrize(
@@ -85,9 +85,9 @@ def test_frame_is_the_bordered_inverse(text, n, params, points):
     scale = np.max(np.abs(inv), axis=(-2, -1))
     assert np.max(np.abs(fr.J + np.linalg.det(a).real) / fr.J) <= 1e-12
     assert np.max(np.abs(fr.r + inv[:, 0, 0].real) / scale) <= 1e-12
-    assert np.max(np.abs(fr.xi - inv[:, 0, 1:]) / scale[:, None]) <= 1e-12
-    assert np.max(np.abs(np.conj(fr.xi) - inv[:, 1:, 0]) / scale[:, None]) <= 1e-12
-    assert np.max(np.abs(fr.h - inv[:, 1:, 1:]) / scale[:, None, None]) <= 1e-12
+    assert np.max(np.abs(fr.xi - inv[:, 0, 1:].T) / scale) <= 1e-12
+    assert np.max(np.abs(np.conj(fr.xi) - inv[:, 1:, 0].T) / scale) <= 1e-12
+    assert np.max(np.abs(fr.h - np.moveaxis(inv[:, 1:, 1:], 0, -1)) / scale) <= 1e-12
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
@@ -127,14 +127,14 @@ def test_normal_form_frame_at_origin():
 def test_frame_invariants_generic_points():
     pts = points_on_surface(SQUARED, 40, seed=9)
     fr = build_frame(SQUARED, pts)
-    pair = np.einsum("pk,pk->p", fr.grad, fr.xi)
+    pair = np.einsum("kp,kp->p", fr.grad, fr.xi)
     assert np.max(np.abs(pair - 1.0)) < 1e-12
-    trans = np.einsum("pj,pjk->pk", fr.xi, fr.hessian) - fr.r[:, None] * np.conj(fr.grad)
+    trans = np.einsum("jp,jkp->kp", fr.xi, fr.hessian) - fr.r * np.conj(fr.grad)
     assert np.max(np.abs(trans)) < 1e-10
     # the nonchart block of h inverts the Levi form of the chart fields
     chart = ChartOracle(fr.grad, fr.hessian)
     rows = np.arange(len(pts))[:, None, None]
-    block = fr.h[rows, chart.nonchart[:, :, None], chart.nonchart[:, None, :]]
+    block = fr.h[chart.nonchart[:, :, None], chart.nonchart[:, None, :], rows]
     ident = np.einsum("pab,pbc->pac", block, chart.levi)
     assert np.max(np.abs(ident - np.eye(fr.n))) < 1e-10
 
@@ -145,8 +145,8 @@ def test_reeb_and_normal_fields():
     jet = SPHERE.jet({}, pts, 1)
     grad = np.stack([jet.partial((1, 0), (0, 0)), jet.partial((0, 1), (0, 0))], axis=-1)
     # N = (xi + conj(xi)) / 2 and T = i (xi - conj(xi)) as (1,0) parts
-    n_rho = 2.0 * np.einsum("pk,pk->p", grad, 0.5 * fr.xi).real
-    t_rho = 2.0 * np.einsum("pk,pk->p", grad, 1j * fr.xi).real
+    n_rho = 2.0 * np.einsum("pk,kp->p", grad, 0.5 * fr.xi).real
+    t_rho = 2.0 * np.einsum("pk,kp->p", grad, 1j * fr.xi).real
     assert np.max(np.abs(n_rho - 1.0)) < 1e-12   # N rho = 1
     assert np.max(np.abs(t_rho)) < 1e-12         # T rho = 0
 
@@ -159,14 +159,14 @@ def test_chart_oracle_matches_ambient_levi_inverse(chart):
     pts = pts[keep]
     fr = build_frame(SQUARED, pts)
     lifted = ChartOracle(fr.grad, fr.hessian, chart).ambient_levi_inverse()
-    assert np.max(np.abs(lifted - fr.h)) < 1e-9
+    assert np.max(np.abs(lifted - np.moveaxis(fr.h, -1, 0))) < 1e-9
 
 
 def _chart_route_pairing(oracle, u_jet, v_jet):
     """Levi-inverse pairing of Z_betabar u and Z_betabar v, with Z_betabar =
     d_betabar - (rho_betabar / rho_wbar) d_wbar in the oracle's chart."""
-    z_bar_u = np.einsum("pgk,pk->pg", np.conj(oracle.fields), u_jet.dbar_gradient())
-    z_bar_v = np.einsum("pgk,pk->pg", np.conj(oracle.fields), v_jet.dbar_gradient())
+    z_bar_u = np.einsum("pgk,kp->pg", np.conj(oracle.fields), u_jet.dbar_gradient())
+    z_bar_v = np.einsum("pgk,kp->pg", np.conj(oracle.fields), v_jet.dbar_gradient())
     return np.einsum("pgs,pg,ps->p", oracle.levi_inv, z_bar_u, np.conj(z_bar_v))
 
 
@@ -189,10 +189,10 @@ def test_ambient_levi_inverse(text, n, u, v, chart):
     fr = build_frame(rho, pts)
     oracle = ChartOracle(fr.grad, fr.hessian, chart)
     h, scale = fr.h, np.max(np.abs(fr.h))
-    assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) <= 1e-14 * scale
-    assert np.max(np.abs(np.einsum("pkl,pl->pk", h, fr.grad))) <= 1e-14 * scale
+    assert np.max(np.abs(h - np.conj(np.swapaxes(h, 0, 1)))) <= 1e-14 * scale
+    assert np.max(np.abs(np.einsum("klp,lp->kp", h, fr.grad))) <= 1e-14 * scale
     rows = np.arange(len(pts))[:, None, None]
-    block = h[rows, oracle.nonchart[:, :, None], oracle.nonchart[:, None, :]]
+    block = h[oracle.nonchart[:, :, None], oracle.nonchart[:, None, :], rows]
     assert np.max(np.abs(block - oracle.levi_inv)) <= 1e-14 * scale
     u_jet, v_jet = parse(u, n).jet({}, pts, 1), parse(v, n).jet({}, pts, 1)
     want = _chart_route_pairing(oracle, u_jet, v_jet)
@@ -241,3 +241,31 @@ def test_frame_take_subsets():
     sub = fr.take(np.array([0, 3, 7]))
     assert sub.batch_shape == (3,)
     assert np.allclose(sub.point[1], pts[3])
+
+
+def test_one_layout_batch_axes_last():
+    # A0 and A0^-1 are (m+1, m+1, *batch) and C-contiguous, and the frame's
+    # fields are views of their blocks; jet read-offs put the batch last too
+    pts = points_on_surface(SQUARED, 20, seed=8)
+    rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=4))
+    frames_under_test = {
+        "build_frame": build_frame(SQUARED, pts.reshape(4, 5, 2)),
+        "frame_from_jet": frame_from_jet(SQUARED.jet({}, pts, 3)),
+        "curvature_quantities": curvature_quantities(SQUARED, pts)["frame"],
+        "orbit-rotated rule": rule.frame,
+        "take": rule.frame.take(np.array([0, 9, 33])),
+    }
+    for name, fr in frames_under_test.items():
+        m, batch = fr.m, fr.batch_shape
+        for mat in (fr.a, fr.inv):
+            assert mat.shape == (m + 1, m + 1) + batch, name
+            assert mat.flags.c_contiguous, name
+        for field, base, shape in ((fr.grad, fr.a, (m,)), (fr.hessian, fr.a, (m, m)),
+                                   (fr.xi, fr.inv, (m,)), (fr.h, fr.inv, (m, m))):
+            assert field.shape == shape + batch, name
+            assert np.shares_memory(field, base), name
+    for point in (pts[0], pts.reshape(4, 5, 2)):
+        batch = point.shape[:-1]
+        jet = SQUARED.jet({}, point, 2)
+        assert jet.gradient().shape == jet.dbar_gradient().shape == (2,) + batch
+        assert jet.mixed_hessian().shape == (2, 2) + batch

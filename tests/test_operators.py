@@ -151,10 +151,10 @@ def test_ricci_trace_matches_webster_scalar():
     fr = build_frame(ELLIPSOID, pts)
     logj = log_fefferman_jet(ELLIPSOID.jet({}, pts, 4))
     ric = ricci_tensor(fr, logj)
-    trace = np.einsum("pba,pab->p", fr.h, ric).real
+    trace = np.einsum("bap,abp->p", fr.h, ric).real
     scal, _ = webster_curvatures(fr, logj)
     assert np.max(np.abs(trace - scal)) < 1e-9
-    herm = np.max(np.abs(ric - np.conj(np.swapaxes(ric, -1, -2))))
+    herm = np.max(np.abs(ric - np.conj(np.swapaxes(ric, 0, 1))))
     assert herm < 1e-10
 
 
@@ -245,7 +245,7 @@ def test_chart_oracle_matches_ambient_operator_scalars(chart):
     fr, n = q["frame"], 1
     oracle = ChartOracle(fr.grad, fr.hessian, chart)
     inv = fr.inv.copy()
-    inv[:, 1:, 1:] = oracle.ambient_levi_inverse()
+    inv[1:, 1:] = np.moveaxis(oracle.ambient_levi_inverse(), 0, -1)
     via_chart = dataclasses.replace(fr, inv=inv)
     logj = log_fefferman_jet(SQUARED.jet({}, pts, 4))
     r_theta = np.einsum("pba,pab->p", oracle.levi_inv, oracle.ricci(logj, fr.r)).real
@@ -303,19 +303,19 @@ def test_pseudoconvexity_and_ricci_on_random_quadrics(n):
         # each check is relative to the size of the terms it sums
         logj = log_fefferman_jet(jet)
         ric = ricci_tensor(fr, logj)
-        full = -logj.mixed_hessian() + (n + 1) * fr.r[..., None, None] * fr.hessian
-        proj = np.eye(m) - fr.xi[..., :, None] * fr.grad[..., None, :]
+        full = -logj.mixed_hessian() + (n + 1) * fr.r * fr.hessian
+        proj = np.eye(m)[:, :, None] - fr.xi[:, None] * fr.grad[None, :]
         scale = np.max(np.abs(proj)) ** 2 * np.max(np.abs(full))
         xi_scale = np.max(np.abs(fr.xi)) * scale
-        assert np.max(np.abs(np.einsum("pa,pab->pb", fr.xi, ric))) <= 1e-12 * xi_scale
-        assert np.max(np.abs(np.einsum("pab,pb->pa", ric, np.conj(fr.xi)))) <= 1e-12 * xi_scale
+        assert np.max(np.abs(np.einsum("ap,abp->bp", fr.xi, ric))) <= 1e-12 * xi_scale
+        assert np.max(np.abs(np.einsum("abp,bp->ap", ric, np.conj(fr.xi)))) <= 1e-12 * xi_scale
         for chart in range(m):
             oracle = ChartOracle(grad, hess, chart)
             want = oracle.ricci(logj, fr.r)
             chart_scale = np.max(np.abs(oracle.fields)) ** 2 * scale
             assert np.max(np.abs(oracle.project(ric) - want)) <= 1e-12 * chart_scale
         r_theta, _ = webster_curvatures(fr, logj)
-        trace = np.einsum("pba,pab->p", fr.h, ric).real
+        trace = np.einsum("bap,abp->p", fr.h, ric).real
         assert np.max(np.abs(trace - r_theta)) <= 1e-12 * np.max(np.abs(fr.h)) * scale
 
     assert all((levi_min > 0.0) == built for levi_min, built in verdicts)

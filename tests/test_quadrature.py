@@ -437,7 +437,7 @@ def test_orbit_representatives_are_built_directly():
     reps = (np.arange(8)[:, None] * 64 + np.arange(4) * 8).ravel()
     direct = build_frame(ELLIPSOID, rule.points[reps])
     for name in ("a", "inv", "J", "detH"):
-        assert np.array_equal(getattr(rule.frame, name)[reps], getattr(direct, name))
+        assert np.array_equal(getattr(rule.frame, name)[..., reps], getattr(direct, name))
 
 
 # sum |F|^2 - 1 for the unitary F = ((z1+z2)/sqrt 2, (z1-z2)/sqrt 2) is the

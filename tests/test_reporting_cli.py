@@ -318,6 +318,24 @@ def test_cli_points_that_are_not_json_are_a_validation_error(capsys):
     assert capsys.readouterr().err.startswith("error: --points is not valid JSON")
 
 
+@pytest.mark.parametrize("coordinate", [True, "1", 10**400], ids=["bool", "string", "huge_int"])
+def test_point_coordinates_that_are_not_floats_are_validation_errors(tmp_path, capsys,
+                                                                     coordinate):
+    # np.asarray(..., dtype=float) reads true and "1" as 1.0 and overflows on
+    # 10**400; each is refused through a job and through --points
+    points = [[[coordinate, 0], [0, 0]]]
+    task = {"kind": "curvature", "points": points}
+    report, code = run_job_data({**SPHERE_JOB, "tasks": [task]}, base_dir=tmp_path)
+    entry = report["results"][0]
+    assert code == 2
+    assert entry["error"] == "JobValidationError"
+    assert entry["message"].startswith("points must")
+    code = main(["curvature", "--rho", "abs2(z1)+abs2(z2)-1", "--n", "1",
+                 "--points", json.dumps(points)])
+    assert code == 2
+    assert "JobValidationError: points must" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", [["--num-points", "0"], ["--num-points", "-1"],
                                    ["--points", ""]],
                          ids=["num_points_0", "num_points_negative", "points_empty"])

@@ -104,13 +104,14 @@ def tangents_at(rho, points, params=None, basis=householder_tangents):
     points = np.asarray(points, dtype=np.complex128)
     frame = build_frame(rho, points, params=params)
     du, area = basis(points / np.linalg.norm(points, axis=-1)[:, None])
-    return push_forward(frame.grad, points, du), area
+    return push_forward(np.moveaxis(frame.grad, 0, -1), points, du), area
 
 
 def form_on(rho, points, tangents, params=None):
     """|theta ^ (d theta)^n| of rho on tangent vectors at on-surface points."""
     frame = build_frame(rho, points, params=params)
-    return np.abs(form_value(frame.grad, frame.hessian, tangents, frame.n))
+    grad, hess = np.moveaxis(frame.grad, 0, -1), np.moveaxis(frame.hessian, (0, 1), (-2, -1))
+    return np.abs(form_value(grad, hess, tangents, frame.n))
 
 
 def density(rho, points, params=None, basis=householder_tangents):
