@@ -39,9 +39,12 @@ into orbits of those rotations: one ray is projected per orbit, so t is
 constant along it, and ``frames.build_frame`` runs at the orbit
 representatives only.  Every other point takes its representative's
 frame rotated (A0 -> D A0 D*, J and det H kept), which every frame check,
-run at the representatives, covers.  A rho that no grid rotation fixes,
-and every Monte Carlo rule, has one-point orbits and is built point by
-point, bit-identically to a per-point build.  ``re_densify`` uses the
+run at the representatives, covers.  The rule keeps its orbits: the
+representatives, each point's orbit and the fixing shifts s, so that
+``spectral.assemble`` sums over one point per orbit, weighted by the
+orbit's total weight.  A rho that no grid rotation fixes, and every Monte
+Carlo rule, has one-point orbits and is built point by point,
+bit-identically to a per-point build.  ``re_densify`` uses, and keeps, the
 rotations that fix both the rule's rho and the new one.
 """
 
@@ -96,22 +99,31 @@ class QuadratureRule:
     params, its CR frame at the points and their sphere weights.  The points,
     the density and the weights are read off the frame.  The frame is held at
     every point; on a hopf_product grid it was built at one point per torus
-    orbit of rho and rotated to the rest (see the module docstring)."""
+    orbit of rho and rotated to the rest (see the module docstring).  The
+    rule keeps those ``orbits`` (one-point orbits when none are given) and
+    ``orbit_weights``, each orbit's total weight, which the assembly puts on
+    the orbit's representative."""
 
     base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
     settings: QuadratureSettings
     rho: object                  # the defining function (Expression)
     params: dict | None          # its parameter values
     frame: CRFrame               # the CR frame of rho at the points
+    orbits: _Orbits = None       # the torus orbits the frame was built on
     density: np.ndarray = field(init=False)  # (P,) theta ^ (d theta)^n per unit sphere area
     weights: np.ndarray = field(init=False)
+    orbit_weights: np.ndarray = field(init=False)  # (Q,) each orbit's total weight
 
     points = property(lambda self: self.frame.point)  # (P, m) complex, on M
     n = property(lambda self: self.frame.n)
 
     def __post_init__(self):
+        if self.orbits is None:
+            self.orbits = _Orbits.single(self.points)
         self.density = _volume_density(self.frame)
         self.weights = self.base_weights * self.density
+        self.orbit_weights = np.bincount(self.orbits.orbit, self.weights,
+                                         minlength=len(self.orbits.reps))
 
     def __len__(self):
         return self.points.shape[0]
@@ -244,11 +256,11 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     else:
         dirs, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
 
-    orbits = _torus_orbits(settings, rho.charges, len(dirs))
+    orbits = _torus_orbits(settings, rho.charges, dirs)
     reps = dirs[orbits.reps]
     t = map_chunks(lambda sl: project_rays(rho, params, reps[sl]), len(reps), CHUNK_POINTS)
     frame = _orbit_frame(rho, t[orbits.orbit, None] * dirs, params, orbits)
-    return QuadratureRule(base, settings, rho, params, frame)
+    return QuadratureRule(base, settings, rho, params, frame, orbits)
 
 
 # --- torus orbits -------------------------------------------------------------
@@ -258,21 +270,28 @@ class _Orbits:
     """The torus orbits of a rule's points under the grid rotations that fix
     a defining function: ``reps`` (Q,) the ascending index of one point per
     orbit, the smallest; ``orbit`` (P,) the position in ``reps`` of each
-    point's representative; ``phase`` (m+1, m+1, P) d_j conj(d_k), d = (1,
-    e^{-i phi_1}, ..., e^{-i phi_m}), where the point is its representative
-    rotated by z_j -> e^{i phi_j} z_j, or None when every orbit is one point.
+    point's representative; ``shifts`` (m, F) the rotations z_j -> e^{2 pi i
+    s_j / R} z_j of the phase grid that fix it, with R = ``resolution``, F of
+    them, the size of every orbit.  One-point orbits have the one shift 0.
     A plain class: a dataclass would cost a millisecond at import."""
 
-    def __init__(self, reps, orbit, phase):
-        self.reps, self.orbit, self.phase = reps, orbit, phase
+    def __init__(self, reps, orbit, shifts, resolution):
+        self.reps, self.orbit, self.shifts, self.resolution = reps, orbit, shifts, resolution
+
+    @classmethod
+    def single(cls, points):
+        """One orbit per point of ``points`` (P, m)."""
+        count, m = points.shape
+        return cls(np.arange(count), np.arange(count), np.zeros((m, 1), dtype=np.intp), 1)
 
 
 def _phase_classes(R, charges):
     """The classes of the phase grid Z_R^2 (index j1 R + j2) under the shifts
     s with k.s = 0 mod R for every charge k: each index's class, numbered by
-    the class's smallest index, and that index of each class.  Two indices
-    share a class when every charge's character k.j mod R agrees on them;
-    a charge that fixes every shift the earlier ones fix splits nothing."""
+    the class's smallest index, that index of each class, and the shifts
+    (2, F).  Two indices share a class when every charge's character k.j
+    mod R agrees on them; a charge that fixes every shift the earlier ones
+    fix splits nothing."""
     j = np.indices((R, R)).reshape(2, -1)
     label, first = np.zeros(R * R, dtype=np.intp), np.zeros(1, dtype=np.intp)
     fixed = j                           # the shifts that fix every charge read
@@ -285,11 +304,11 @@ def _phase_classes(R, charges):
                                         return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
-    return rank[label], np.sort(first)
+    return rank[label], np.sort(first), fixed
 
 
-def _torus_orbits(settings, charges, count):
-    """The orbits of a rule's ``count`` points under the rotations of its
+def _torus_orbits(settings, charges, points):
+    """The orbits of a rule's ``points`` (P, m) under the rotations of its
     phase grid that fix a function with these torus charges.  A
     ``hopf_product`` point (eta_i, phi1 = 2 pi j1 / R, phi2 = 2 pi j2 / R)
     has index i R^2 + j1 R + j2, and a rotation by whole grid steps maps the
@@ -297,16 +316,12 @@ def _torus_orbits(settings, charges, count):
     single points."""
     if settings.type == "hopf_product":
         R = settings.resolution
-        label, first = _phase_classes(R, charges)
+        label, first, fixed = _phase_classes(R, charges)
         if len(first) < R * R:
             rows = np.arange(R)[:, None]
-            j = np.indices((R, R)).reshape(2, -1)
-            shift = (j - j[:, first[label]]) % R               # (2, R^2)
-            d = np.ones((3, R * R), dtype=np.complex128)
-            d[1:] = np.exp(-2j * np.pi * np.arange(R) / R)[shift]
             return _Orbits((rows * (R * R) + first).ravel(), (rows * len(first) + label).ravel(),
-                           np.tile(d[:, None] * np.conj(d[None, :]), (1, 1, R)))
-    return _Orbits(np.arange(count), np.arange(count), None)
+                           fixed, R)
+    return _Orbits.single(points)
 
 
 def _orbit_frame(rho, points, params, orbits):
@@ -317,13 +332,21 @@ def _orbit_frame(rho, points, params, orbits):
     Every frame check runs at the representatives, whose D is the identity.
     One-point orbits are not multiplied at all: x (1+0j) can flip the sign of
     a zero."""
-    if orbits.phase is None:
+    if len(orbits.reps) == len(points):
         return build_frame(rho, points, params)
     rep = build_frame(rho, points[orbits.reps], params)
+    # the shift of each phase index from its representative's, the same on
+    # every colatitude ring, and the (m+1, m+1, P) table d_j conj(d_k)
+    R = orbits.resolution
+    j = np.indices((R, R)).reshape(2, -1)
+    shift = (j - j[:, orbits.reps[orbits.orbit[:R * R]]]) % R
+    d = np.ones((3, R * R), dtype=np.complex128)
+    d[1:] = np.exp(-2j * np.pi * np.arange(R) / R)[shift]
+    phase = np.tile(d[:, None] * np.conj(d[None, :]), (1, 1, R))
 
     def rotate(x):
         out = np.take(x, orbits.orbit, axis=-1)
-        out *= orbits.phase                 # D X D*
+        out *= phase                        # D X D*
         return out
 
     return CRFrame(point=points, a=rotate(rep.a), inv=rotate(rep.inv),
@@ -369,11 +392,12 @@ def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     density is recomputed from the CR frame of ``rho`` at the points, which
     the returned rule holds.  ``rho`` must therefore be a strictly
     pseudoconvex defining function of M at the rule points.  The frame is
-    built on the orbits of the grid rotations that fix both the rule's
-    defining function and ``rho``.
+    built on, and the returned rule keeps, the orbits of the grid rotations
+    that fix both the rule's defining function and ``rho``.
     """
-    orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, len(rule))
-    return replace(rule, rho=rho, frame=_orbit_frame(rho, rule.points, rule.params, orbits))
+    orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, rule.points)
+    return replace(rule, rho=rho, frame=_orbit_frame(rho, rule.points, rule.params, orbits),
+                   orbits=orbits)
 
 
 def integrate(rule: QuadratureRule, values):

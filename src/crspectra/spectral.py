@@ -17,20 +17,26 @@ it and counts the Ritz values below it as the kernel of box_b.
 Assembly: every entry of G, S and the stiffness by parts is a sum of
 point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q, with c
 one of w, w h (h the frame's ambient Levi inverse, which gives both the
-dbar_b pairing and delta_tilde) and n w conj(xi).  The entries read each
-weight only up to its reach: |p| + |q| <= 2 degree for w, 2 degree - 1 for
-n w conj(xi) and 2 degree - 2 for w h.  With z = x + iy these are integer
-combinations of real moments: each chunk of rule points tabulates the
-monomials of x_2..x_m, y_1..y_m and stacks the real weight rows by levels
-k = 2 degree..0, level k being level k + 1 times x_1 followed by the rows
-of reach k.  The moments against the monomials of degree t are one matrix
-product of the levels >= t, a prefix of the stack, with those table rows,
-so each point costs one multiply-add per moment a row reaches: with the
-conj(xi) rows 5,841 at degree 5 in C^2, against 9,009 for every row to
-2 degree, and 21,615 (against 48,048) at degree 4 in C^3.  One sparse
+dbar_b pairing and delta_tilde) and n w conj(xi).  The sum runs over one
+point per torus orbit of the rule (``quadrature``), weighted by the orbit's
+total weight, and the entries between monomials of different charge classes
+under the fixing rotations, which sum to exactly 0 over every orbit, are set
+to 0 (``_galerkin_matrices``).  One-point orbits (a Monte Carlo rule, or a
+rho no grid rotation fixes) sum every point and keep every entry.  The
+entries read each weight only up to its reach: |p| + |q| <= 2 degree for
+w, 2 degree - 1 for n w conj(xi) and 2 degree - 2 for w h.  With z = x + iy
+these are integer combinations of real moments: each chunk of
+representatives tabulates the monomials of x_2..x_m, y_1..y_m and stacks
+the real weight rows by levels k = 2 degree..0, level k being level k + 1
+times x_1 followed by the rows of reach k.  The moments against the
+monomials of degree t are one matrix product of the levels >= t, a prefix
+of the stack, with those table rows, so each summed point costs one
+multiply-add per moment a row reaches: with the conj(xi) rows 5,841 at
+degree 5 in C^2, against 9,009 for every row to 2 degree, and 21,615
+(against 48,048) at degree 4 in C^3.  One sparse
 binomial map turns the sum of the chunks into mu.  A chunk holds the
-largest power of two of points whose table fits in 4 MB (at least 64), so
-chunk boundaries depend only on the basis and the rule.
+largest power of two of representatives whose table fits in 4 MB (at least
+64), so chunk boundaries depend only on the basis and the rule.
 
 Determinism: chunk boundaries are fixed by the basis and the rule, and each
 chunk's real moments are added into one running sum in chunk order, so
@@ -56,7 +62,7 @@ from .errors import (
 from .frames import hermitize
 from .jets import graded_exponents
 from .quadrature import QuadratureRule
-from .runtime import CHUNK_POINTS, chunk_slices, sum_chunks
+from .runtime import sum_chunks
 
 MAX_DEGREE = 6
 
@@ -219,16 +225,26 @@ def _chunk_points(table_rows):
 def _galerkin_plan(m, degree):
     """The index plan of ``_galerkin_matrices`` in C^m at this basis degree:
     the real monomial table and its bimonomial table, the weight rows by
-    falling reach (``order``), the rows of each level (``sizes``), the stack
-    rows of the levels >= t (``prefix``), the table rows of degree t
-    (``bounds``), the slots of the real moments that the chunk sums fill,
-    and the binomial map.  It holds no rule data, so it is built once."""
+    falling reach (``order``) and where a chunk reads them (``source``),
+    the rows of h_kl and h_lk, k <= l, in A^-1 flattened (``upper``,
+    ``lower``), the rows of each level (``sizes``), the stack rows of the
+    levels >= t (``prefix``), the table rows of degree t (``bounds``), the
+    slots of the real moments that the chunk sums fill, and the binomial
+    map.  It holds no rule data, so it is built once."""
     top = 2 * degree
     table = _Monomials(2 * m - 1, top)
     ku, lu = np.triu_indices(m, 1)
     # the reach of each real weight row, and the rows by falling reach
     reach = np.repeat([top, top - 2, top - 1], [1, m * m, 2 * m])
     order = np.argsort(-reach, kind="stable")
+    # the rows of A^-1 flattened that hold h_kl = A^-1[1 + k, 1 + l], k <= l,
+    # and h_lk, and those of xi_k = A^-1[0, 1 + k]; a chunk reads each real
+    # weight row off the rows of [w, Re A^-1, Im A^-1]
+    hk, hl = np.triu_indices(m)
+    upper, lower = (m + 1) * (1 + hk) + 1 + hl, (m + 1) * (1 + hl) + 1 + hk
+    diag, off, xi = upper[hk == hl], upper[hk < hl], 1 + np.arange(m)
+    re, im = 1, 1 + (m + 1) ** 2        # the first rows of Re A^-1 and Im A^-1
+    source = np.concatenate([[0], re + diag, re + off, im + off, re + xi, im + xi])[order]
     sizes = [int(np.sum(reach >= k)) for k in range(top, -1, -1)]     # rows of level k
     # the weight row and the power of x_1 of each stack row
     stack_row = np.concatenate([order[:size] for size in sizes])
@@ -240,13 +256,15 @@ def _galerkin_plan(m, degree):
     slots = np.concatenate([(base[:prefix[t], None] + np.arange(bounds[t], bounds[t + 1])).ravel()
                             for t in range(top + 1)])
     bimon = _Monomials(2 * m, top)
-    return SimpleNamespace(table=table, ku=ku, lu=lu, order=order, sizes=sizes, prefix=prefix,
-                           bounds=bounds, offsets=offsets, slots=slots, bimon=bimon,
+    return SimpleNamespace(table=table, ku=ku, lu=lu, upper=upper, lower=lower, order=order,
+                           source=source, sizes=sizes, prefix=prefix, bounds=bounds,
+                           offsets=offsets, slots=slots, bimon=bimon,
                            binomial=_binomial_map(m, bimon, table))
 
 
 def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
-    """G, S and the stiffness by parts, from moments.
+    """G, S, the stiffness by parts, and the largest |h - h^H| over the h
+    they read, from moments.
 
     Every entry is a sum of point-weighted moments
     mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q:
@@ -268,21 +286,40 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     of the chunks is scattered into the real moments of x_1^s times the
     table rows of degree <= 2 degree - s (entries beyond a row's reach stay
     0), and ``_binomial_map`` turns those into mu.
+
+    The sums run over the rule's orbit representatives, each weighted by its
+    orbit's total weight.  A fixing rotation z_j -> e^{2 pi i s_j / R} z_j
+    maps phi_u = z^a conj(z)^b to e^{2 pi i chi_u.s / R} phi_u, chi = a - b
+    its charge, and h -> D h D*, conj(xi) -> D conj(xi), so every integrand
+    of entry (u, v) takes the character e^{2 pi i (chi_u - chi_v).s / R}.
+    Over an orbit it sums to the representative's term when (chi_u -
+    chi_v).s = 0 mod R for every fixing shift s, and to exactly 0 otherwise:
+    the entries across those charge classes are set to 0.  One-point orbits
+    keep every entry and every point's own term.
     """
-    frame = rule.frame
+    frame, orbits = rule.frame, rule.orbits
     m, n = frame.m, frame.n
     plan = _galerkin_plan(m, basis.degree)
     table, ku, lu, order, sizes, prefix, bounds = (
         plan.table, plan.ku, plan.lu, plan.order, plan.sizes, plan.prefix, plan.bounds)
     top = 2 * basis.degree
+    herm_dev = 0.0
 
     def piece(sl):
-        ww, pts = rule.weights[sl], rule.points[sl]
-        wh = ww * frame.h[..., sl]
-        cxi = (n * ww) * np.conj(frame.xi[..., sl])
-        weights = np.concatenate([ww[None], wh[range(m), range(m)].real,
-                                  wh[ku, lu].real, wh[ku, lu].imag,
-                                  cxi.real, cxi.imag])[order]
+        nonlocal herm_dev
+        idx, ww = orbits.reps[sl], rule.orbit_weights[sl]
+        pts = np.take(rule.points, idx, axis=0)
+        # the one copy of A0^-1 at the representatives, weighted in place
+        inv = np.take(frame.inv, idx, axis=-1)
+        flat, wh, cxi = inv.reshape((m + 1) ** 2, -1), inv[1:, 1:], inv[0, 1:]
+        # h must be Hermitian: the weight rows read it above its diagonal only
+        dev = flat[plan.upper]
+        dev -= np.conj(flat[plan.lower])
+        herm_dev = max(herm_dev, float(np.max(np.abs(dev))))
+        wh *= ww
+        np.conjugate(cxi, out=cxi)
+        cxi *= n * ww
+        weights = np.concatenate([ww[None], flat.real, flat.imag])[plan.source]
         x1, stack = pts[:, 0].real, np.empty((prefix[0], len(ww)))
         lo = hi = 0     # the rows of the level above
         for size in sizes:
@@ -295,7 +332,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
                                for t in range(top + 1)])
 
     real = np.zeros((len(order), plan.offsets[-1]))
-    real.flat[plan.slots] = sum_chunks(piece, len(rule), _chunk_points(len(table)))
+    real.flat[plan.slots] = sum_chunks(piece, len(orbits.reps), _chunk_points(len(table)))
     bimon = plan.bimon
     moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
     for part, (row, col, coef) in zip((moments.real, moments.imag), plan.binomial):
@@ -331,7 +368,16 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
             Sp -= (a[:, j] * b[:, k])[:, None] * gather(1 + k * m + j, rp[j] + rq[k])
     for k in range(m):
         Sp += b[:, k, None] * gather(1 + m * m + k, rq[k])
-    return G, S, Sp
+    # the charge class of each basis monomial: its labels chi.s mod R, chi =
+    # a - b, over the fixing shifts s; an entry across classes sums to 0 over
+    # every orbit
+    classes = {}
+    label = np.array([classes.setdefault(row.tobytes(), len(classes))
+                      for row in (a - b) @ orbits.shifts % orbits.resolution])
+    cross = label[:, None] != label
+    for mat in (G, S, Sp):
+        mat[cross] = 0.0
+    return G, S, Sp, herm_dev
 
 
 def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
@@ -342,16 +388,13 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
     stiffness by parts, the integral of (box_b phi_u) conj(phi_v): on a
     closed surface both quadratures must agree to quadrature accuracy, which
     validates the operator end to end.  The Hermitian deviation is the
-    largest |X - X^H| of G, S and the frame's Levi inverse h, which the
-    assembly reads only above its diagonal.
+    largest |X - X^H| of G, S and the frame's Levi inverse h at the orbit
+    representatives: the assembly reads h there only, and only above its
+    diagonal.
     """
-    G, S, Sp = _galerkin_matrices(rule, basis)
-    h = rule.frame.h
-    herm_dev = max(
-        *(float(np.max(np.abs(h[..., sl] - np.conj(np.swapaxes(h[..., sl], 0, 1)))))
-          for sl in chunk_slices(len(rule), CHUNK_POINTS)),
-        float(np.max(np.abs(G - G.conj().T))), float(np.max(np.abs(S - S.conj().T))),
-    )
+    G, S, Sp, herm_dev = _galerkin_matrices(rule, basis)
+    herm_dev = max(herm_dev, float(np.max(np.abs(G - G.conj().T))),
+                   float(np.max(np.abs(S - S.conj().T))))
     G = hermitize(G)
     S = hermitize(S)
     return SpectralProblem(

@@ -456,6 +456,9 @@ def test_re_densify_reduces_by_the_shared_rotations_only(rule_rho, rho, monkeypa
     again = re_densify(rule, rho)
     assert read == [(2, 16**3 // 16)]
     _assert_frame_is_per_point(again, 1e-13)
+    # the new rule keeps the orbits its frame was built on, for the assembly
+    assert len(again.orbits.reps) == 16**3 // 16 and again.orbits.shifts.shape[1] == 16
+    assert again.orbit_weights.sum() == pytest.approx(again.volume, rel=1e-14)
 
 
 def _per_point_rule(rho, settings, dirs, base):

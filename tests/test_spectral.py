@@ -19,6 +19,7 @@ from crspectra.spectral import (
     SpectralProblem,
     _galerkin_matrices,
     _galerkin_plan,
+    _Monomials,
     assemble,
     estimate_lambda1,
     solve,
@@ -28,6 +29,10 @@ from crspectra.verification import sphere_spectrum_oracle
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
 ELLIPSOID = parse("abs2(z1)+abs2(z2)+0.1*re(z1^2)-1", 1)
+# the Reinhardt pullback of the unit sphere of C^3 under (z1, z2, z1^2/2), and
+# a function that no rotation of the phase grid fixes
+REINHARDT = parse("abs2(z1)+abs2(z2)+0.25*abs2(z1^2)-1", 1)
+NO_SYMMETRY = parse("abs2(z1)+abs2(z2)+0.1*re(z1)+0.1*re(z2)-1", 1)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +75,24 @@ def test_herm_deviation_sees_a_non_hermitian_levi_inverse(sphere_rule):
     rule = dataclasses.replace(sphere_rule, frame=frame)
     problem = assemble(rule, MonomialBasis.build(2, 1))
     assert problem.herm_deviation == pytest.approx(4e-6, rel=1e-6)
+
+
+def test_herm_deviation_reads_h_at_the_orbit_representatives():
+    # the assembly reads h at one point per orbit only: a perturbation at a
+    # representative shows, one at any other point of its orbit does not
+    rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=8))
+    basis = MonomialBasis.build(2, 1)
+    clean = assemble(rule, basis).herm_deviation
+    rep = rule.orbits.reps[5]
+    other = np.flatnonzero(rule.orbits.orbit == 5)[1]
+    deviations = []
+    for point in (rep, other):
+        inv = rule.frame.inv.copy()
+        inv[2, 1, point] += 1e-6     # h[1, 0]
+        perturbed = dataclasses.replace(rule, frame=dataclasses.replace(rule.frame, inv=inv))
+        deviations.append(assemble(perturbed, basis).herm_deviation)
+    assert deviations[0] == pytest.approx(1e-6, rel=1e-6)
+    assert deviations[1] == clean < 1e-12
 
 
 def test_assembly_memory_does_not_grow_with_the_rule():
@@ -267,10 +290,12 @@ def _dense_reference(rule, basis):
     "rho,settings,top",
     [
         (ELLIPSOID, QuadratureSettings("hopf_product", resolution=12), 6),
+        (REINHARDT, QuadratureSettings("hopf_product", resolution=12), 5),
+        (NO_SYMMETRY, QuadratureSettings("hopf_product", resolution=12), 5),
         (parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)-1", 2),
          QuadratureSettings("monte_carlo", samples=1500, seed=4), 5),
     ],
-    ids=["hopf-m2", "monte_carlo-m3"],
+    ids=["hopf-m2", "hopf-reinhardt", "hopf-no-symmetry", "monte_carlo-m3"],
 )
 def test_moment_assembly_matches_dense_reference(rho, settings, top):
     rule = build_quadrature(rho, settings)
@@ -294,3 +319,28 @@ def test_galerkin_plan_built_once_per_dimension_and_degree(sphere_rule):
     assert np.array_equal(first.gram, again.gram)
     assert np.array_equal(first.stiffness, again.stiffness)
     assert first.ibp_deviation == again.ibp_deviation
+
+
+# the charge chi = a - b of z^a conj(z)^b picks up e^{2 pi i chi.s / R} under
+# a grid rotation s; the pullback is fixed by every rotation, so only equal
+# charges meet, and the ellipsoid's re(z1^2) by the half turn of z1 and every
+# rotation of z2, so chi_1 meets chi_1 mod 2
+@pytest.mark.parametrize("rho, reps, same", [
+    (REINHARDT, 32, lambda du, dv: (du == 0) & (dv == 0)),
+    (ELLIPSOID, 32 * 16, lambda du, dv: (du % 2 == 0) & (dv == 0)),
+], ids=["reinhardt", "ellipsoid"])
+def test_orbit_assembly_matches_the_per_point_pencil(rho, reps, same, monkeypatch):
+    rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=32))
+    basis = MonomialBasis.build(2, 4)
+    per_point = _galerkin_matrices(dataclasses.replace(rule, orbits=None), basis)
+    seen = []
+    table = _Monomials.table
+    monkeypatch.setattr(_Monomials, "table", lambda self, v: seen.append(v.shape[1]) or table(self, v))
+    orbit = _galerkin_matrices(rule, basis)
+    assert sum(seen) == reps
+    chi = basis.holo - basis.anti
+    cross = ~same(chi[:, None, 0] - chi[None, :, 0], chi[:, None, 1] - chi[None, :, 1])
+    assert cross.any()
+    for mat, want in zip(orbit[:3], per_point[:3]):
+        assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(mat[cross] == 0)
