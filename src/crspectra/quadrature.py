@@ -100,16 +100,16 @@ class QuadratureRule:
     the density and the weights are read off the frame.  The frame is held at
     every point; on a hopf_product grid it was built at one point per torus
     orbit of rho and rotated to the rest (see the module docstring).  The
-    rule keeps those ``orbits`` (one-point orbits when none are given) and
-    ``orbit_weights``, each orbit's total weight, which the assembly puts on
-    the orbit's representative."""
+    rule keeps those ``orbits`` (``_Orbits.single`` for a frame built point
+    by point) and ``orbit_weights``, each orbit's total weight, which the
+    assembly puts on the orbit's representative."""
 
     base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
     settings: QuadratureSettings
     rho: object                  # the defining function (Expression)
     params: dict | None          # its parameter values
     frame: CRFrame               # the CR frame of rho at the points
-    orbits: _Orbits = None       # the torus orbits the frame was built on
+    orbits: _Orbits              # the torus orbits the frame was built on
     density: np.ndarray = field(init=False)  # (P,) theta ^ (d theta)^n per unit sphere area
     weights: np.ndarray = field(init=False)
     orbit_weights: np.ndarray = field(init=False)  # (Q,) each orbit's total weight
@@ -118,8 +118,6 @@ class QuadratureRule:
     n = property(lambda self: self.frame.n)
 
     def __post_init__(self):
-        if self.orbits is None:
-            self.orbits = _Orbits.single(self.points)
         self.density = _volume_density(self.frame)
         self.weights = self.base_weights * self.density
         self.orbit_weights = np.bincount(self.orbits.orbit, self.weights,
@@ -256,7 +254,7 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     else:
         dirs, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
 
-    orbits = _torus_orbits(settings, rho.charges, dirs)
+    orbits = _torus_orbits(settings, rho.charges, dirs.shape)
     reps = dirs[orbits.reps]
     t = map_chunks(lambda sl: project_rays(rho, params, reps[sl]), len(reps), CHUNK_POINTS)
     frame = _orbit_frame(rho, t[orbits.orbit, None] * dirs, params, orbits)
@@ -279,9 +277,8 @@ class _Orbits:
         self.reps, self.orbit, self.shifts, self.resolution = reps, orbit, shifts, resolution
 
     @classmethod
-    def single(cls, points):
-        """One orbit per point of ``points`` (P, m)."""
-        count, m = points.shape
+    def single(cls, count, m):
+        """One orbit per point of ``count`` points in C^m."""
         return cls(np.arange(count), np.arange(count), np.zeros((m, 1), dtype=np.intp), 1)
 
 
@@ -307,13 +304,13 @@ def _phase_classes(R, charges):
     return rank[label], np.sort(first), fixed
 
 
-def _torus_orbits(settings, charges, points):
-    """The orbits of a rule's ``points`` (P, m) under the rotations of its
-    phase grid that fix a function with these torus charges.  A
-    ``hopf_product`` point (eta_i, phi1 = 2 pi j1 / R, phi2 = 2 pi j2 / R)
-    has index i R^2 + j1 R + j2, and a rotation by whole grid steps maps the
-    grid onto itself; a Monte Carlo rule has no grid, so its orbits are
-    single points."""
+def _torus_orbits(settings, charges, shape):
+    """The orbits of a rule's points, of ``shape`` (P, m), under the
+    rotations of its phase grid that fix a function with these torus
+    charges.  A ``hopf_product`` point (eta_i, phi1 = 2 pi j1 / R, phi2 =
+    2 pi j2 / R) has index i R^2 + j1 R + j2, and a rotation by whole grid
+    steps maps the grid onto itself; a Monte Carlo rule has no grid, so its
+    orbits are single points."""
     if settings.type == "hopf_product":
         R = settings.resolution
         label, first, fixed = _phase_classes(R, charges)
@@ -321,7 +318,7 @@ def _torus_orbits(settings, charges, points):
             rows = np.arange(R)[:, None]
             return _Orbits((rows * (R * R) + first).ravel(), (rows * len(first) + label).ravel(),
                            fixed, R)
-    return _Orbits.single(points)
+    return _Orbits.single(*shape)
 
 
 def _orbit_frame(rho, points, params, orbits):
@@ -395,7 +392,7 @@ def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     built on, and the returned rule keeps, the orbits of the grid rotations
     that fix both the rule's defining function and ``rho``.
     """
-    orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, rule.points)
+    orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, rule.points.shape)
     return replace(rule, rho=rho, frame=_orbit_frame(rho, rule.points, rule.params, orbits),
                    orbits=orbits)
 

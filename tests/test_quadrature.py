@@ -10,6 +10,7 @@ from crspectra.quadrature import (
     QuadratureRule,
     QuadratureSettings,
     _hopf_directions,
+    _Orbits,
     _monte_carlo_directions,
     _volume_density,
     build_quadrature,
@@ -465,7 +466,8 @@ def _per_point_rule(rho, settings, dirs, base):
     """The rule built without orbits: every ray projected, the frame built
     at every point."""
     points = project_rays(rho, None, dirs)[:, None] * dirs
-    return QuadratureRule(base, settings, rho, None, build_frame(rho, points))
+    return QuadratureRule(base, settings, rho, None, build_frame(rho, points),
+                          _Orbits.single(*points.shape))
 
 
 @pytest.mark.parametrize("case", ["hopf-no-symmetry", "monte-carlo"])

@@ -383,18 +383,22 @@ def test_lower_bound_single_point_serializes(tmp_path):
     canonical_json(report)  # must not contain non-finite values
 
 
-# 13,824 rule points (resolution 24 cubed): four degree-3 assembly chunks of
-# 4,096 points and two rule chunks, so the Galerkin sums add up several chunks
-# (test_chunked_job_spans_assembly_chunks)
+# the only grid rotation that fixes this function is the half turn of both
+# coordinates, so its 13,824 rule points (resolution 24 cubed) fall into 6,912
+# two-point orbits: two degree-3 assembly chunks of 4,096 representatives, so
+# the Galerkin sums add up several chunks and drop the entries across charge
+# classes (test_chunked_job_spans_assembly_chunks)
 CHUNKED_JOB = {
     **SPHERE_JOB,
+    "defining_function": "abs2(z1)+abs2(z2)+0.1*re(z1^2)+0.1*re(z1*z2)-1",
     "quadrature": {"type": "hopf_product", "resolution": 24, "seed": 3},
     "tasks": [{"kind": "spectrum", "degree": 3, "check_monotonicity": True}],
 }
-# 9,000 samples: two Monte Carlo rule chunks of at most 8,192 directions and
-# three degree-3 assembly chunks
+# 9,000 samples on the sphere: two Monte Carlo rule chunks of at most 8,192
+# directions and three degree-3 assembly chunks of one-point orbits
 CHUNKED_MONTE_CARLO_JOB = {
     **CHUNKED_JOB,
+    "defining_function": SPHERE_JOB["defining_function"],
     "quadrature": {"type": "monte_carlo", "samples": 9000, "seed": 3},
 }
 
@@ -407,23 +411,31 @@ def _assembly_chunk(job):
     return spectral._chunk_points(len(spectral._Monomials(3, 2 * degree)))
 
 
-def test_chunked_job_spans_assembly_chunks():
-    points = CHUNKED_JOB["quadrature"]["resolution"] ** 3
-    assert points == 13_824 and _assembly_chunk(CHUNKED_JOB) == 4096
-
-
-@pytest.mark.parametrize("job,chunks", [(CHUNKED_JOB, 4), (CHUNKED_MONTE_CARLO_JOB, 3)],
-                         ids=["hopf_product", "monte_carlo"])
-def test_running_sum_matches_stacked_chunk_sum(job, chunks, monkeypatch):
-    # the Galerkin matrices from the running sum equal, bit for bit, those
-    # from stacking every chunk's partial and summing along axis 0
-    from crspectra import runtime, spectral
+def _job_rule(job):
     from crspectra.quadrature import QuadratureSettings, build_quadrature
 
     rho = crspectra.parse(job["defining_function"], job["dimension_n"])
-    rule = build_quadrature(rho, QuadratureSettings(**job["quadrature"]))
-    basis = spectral.MonomialBasis.build(rho.m, job["tasks"][0]["degree"])
-    assert len(runtime.chunk_slices(len(rule), _assembly_chunk(job))) == chunks
+    return build_quadrature(rho, QuadratureSettings(**job["quadrature"]))
+
+
+def test_chunked_job_spans_assembly_chunks():
+    rule = _job_rule(CHUNKED_JOB)
+    assert len(rule) == 13_824 and len(rule.orbits.reps) == 6912
+    assert rule.orbits.shifts.tolist() == [[0, 12], [0, 12]]
+    assert _assembly_chunk(CHUNKED_JOB) == 4096
+
+
+@pytest.mark.parametrize("job,chunks", [(CHUNKED_JOB, 2), (CHUNKED_MONTE_CARLO_JOB, 3)],
+                         ids=["hopf_product", "monte_carlo"])
+def test_running_sum_matches_stacked_chunk_sum(job, chunks, monkeypatch):
+    # the Galerkin matrices from the running sum equal, bit for bit, those
+    # from stacking every chunk's partial and summing along axis 0; the
+    # assembly sums over the orbit representatives
+    from crspectra import runtime, spectral
+
+    rule = _job_rule(job)
+    basis = spectral.MonomialBasis.build(rule.rho.m, job["tasks"][0]["degree"])
+    assert len(runtime.chunk_slices(len(rule.orbits.reps), _assembly_chunk(job))) == chunks
     running = spectral._galerkin_matrices(rule, basis)
     monkeypatch.setattr(spectral, "sum_chunks", lambda fn, total, size: np.stack(
         [fn(sl) for sl in runtime.chunk_slices(total, size)]).sum(axis=0))

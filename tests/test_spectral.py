@@ -12,7 +12,7 @@ from crspectra.errors import (
     NoPositiveEigenvalue,
 )
 from crspectra.expressions import parse
-from crspectra.quadrature import QuadratureSettings, build_quadrature
+from crspectra.quadrature import QuadratureSettings, _Orbits, build_quadrature
 from crspectra.spectral import (
     MAX_DEGREE,
     MonomialBasis,
@@ -332,7 +332,8 @@ def test_galerkin_plan_built_once_per_dimension_and_degree(sphere_rule):
 def test_orbit_assembly_matches_the_per_point_pencil(rho, reps, same, monkeypatch):
     rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=32))
     basis = MonomialBasis.build(2, 4)
-    per_point = _galerkin_matrices(dataclasses.replace(rule, orbits=None), basis)
+    per_point = _galerkin_matrices(
+        dataclasses.replace(rule, orbits=_Orbits.single(*rule.points.shape)), basis)
     seen = []
     table = _Monomials.table
     monkeypatch.setattr(_Monomials, "table", lambda self, v: seen.append(v.shape[1]) or table(self, v))
