@@ -30,7 +30,7 @@ from .errors import (
 from .expressions import BinOp, Call, Expression, Literal
 from .frames import frame_from_jet
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
-from .quadrature import QuadratureRule, integrate, re_densify
+from .quadrature import QuadratureRule, re_densify
 
 RESIDUAL_TOL = 1e-8
 PLURIHARMONIC_TOL = 1e-8
@@ -140,7 +140,9 @@ def upper_bound(dec: Decomposition, rule: QuadratureRule) -> BoundReport:
         sum_mu |box_b conj(f_mu)|^2 = n^2 N nu^(N-2) (nu r + N - 1)
         sum_mu |dbar_b conj(f_mu)|^2 = n N nu^(N-1)
 
-    checked at 20 rule points drawn with the rule's seed to relative 1e-7.
+    checked at 20 of the rule's orbit representatives, where it holds its
+    frame, drawn with the rule's seed, to relative 1e-7.  The transverse
+    curvature is summed once per orbit, against each orbit's total weight.
     """
     if not isinstance(rule.rho, Expression):
         raise NotApplicable(
@@ -150,15 +152,13 @@ def upper_bound(dec: Decomposition, rule: QuadratureRule) -> BoundReport:
     n, frame, params = rule.n, rule.frame, rule.params
     dec_diag = validate_decomposition(rule.rho, dec, rule.points, params=params)
     v = rule.volume
-    r_integral = float(integrate(rule, frame.r).real)
+    r_integral = float(np.sum(rule.orbit_weights * frame.r))
     value = n / v * r_integral + n * (dec.N - 1.0) / dec.nu
 
     rng = np.random.default_rng(rule.settings.seed)
-    count = min(20, len(rule))
-    idx = np.sort(rng.choice(len(rule), size=count, replace=False))
-    sub = frame.take(idx)
-    pts = rule.points[idx]
-    fbars = _conj_jets(dec.f_maps, params, pts)
+    count = min(20, len(frame.r))
+    sub = frame.take(np.sort(rng.choice(len(frame.r), size=count, replace=False)))
+    fbars = _conj_jets(dec.f_maps, params, sub.point)
     box_sq = np.zeros(count)
     pair_sq = np.zeros(count)
     for fb in fbars:

@@ -23,8 +23,11 @@ The frame needs no local coordinates on M.  With psi = rho_{j kbar} +
 ker drho, so psi is congruent to diag(Levi, 1), and M is strictly
 pseudoconvex exactly where psi is positive definite.
 
-Four checks remain, each relative to the size of the terms it sums, so a
-constant factor on rho changes no verdict (the first has a floor):
+A non-finite entry of A0 is refused first (``DegenerateFrame``): every
+test below compares against the size of A0's entries, and |rho| > 1e-9
+inf is false.  Four checks remain, each relative to the size of the terms
+it sums, so a constant factor on rho changes no verdict (the first has a
+floor):
 
 * on the surface: |rho(p)| <= 1e-9 max(1, |p| |drho(p)|), with |drho| = 2
   |rho_j| the norm of the real differential: a relative error delta in p
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateFrame,
     DegenerateJ,
     InternalConsistencyError,
     JetOrderError,
@@ -195,6 +199,9 @@ def frame_from_bordered(point, a) -> CRFrame:
     points = np.broadcast_to(point, batch + (m,))
     flat = points.reshape(-1, m)
 
+    finite = np.isfinite(a).all(axis=(0, 1)).reshape(-1)
+    if not finite.all():
+        raise DegenerateFrame(f"non-finite bordered Hessian A0 at {flat[np.argmin(finite)]}")
     rho = np.abs(a[0, 0].real)
     slope = 2.0 * np.sqrt(np.sum(np.abs(a[1:, 0]) ** 2, axis=0))
     scale = np.maximum(1.0, np.linalg.norm(points, axis=-1) * slope)

@@ -27,25 +27,27 @@ refined by a value-only bracketed search; |rho| at the root is checked
 relative to |rho| on the bracket.
 
 A rule is the discretized pseudohermitian structure: it holds the defining
-function and params it was built for, and that function's CR frame at its
-points, so its consumers take the rule alone.  Its points are the frame's,
-and its density comes from the frame's J and gradient.  ``build_quadrature``
-and ``re_densify`` both take the frame from ``frames.build_frame``.
+function and params it was built for, its points, and that function's CR
+frame at one point per torus orbit, so its consumers take the rule alone.
+``build_quadrature`` and ``re_densify`` both take the frame from
+``frames.build_frame`` at the orbit representatives.
 
 Torus orbits: a rotation z_j -> e^{2 pi i s_j / R} z_j of the hopf_product
 phase grid maps the grid onto itself, and it fixes rho when k.s = 0 mod R
 for every torus charge k of rho (``Expression.charges``).  The points fall
 into orbits of those rotations: one ray is projected per orbit, so t is
-constant along it, and ``frames.build_frame`` runs at the orbit
-representatives only.  Every other point takes its representative's
-frame rotated (A0 -> D A0 D*, J and det H kept), which every frame check,
-run at the representatives, covers.  The rule keeps its orbits: the
-representatives, each point's orbit and the fixing shifts s, so that
-``spectral.assemble`` sums over one point per orbit, weighted by the
-orbit's total weight.  A rho that no grid rotation fixes, and every Monte
-Carlo rule, has one-point orbits and is built point by point,
-bit-identically to a per-point build.  ``re_densify`` uses, and keeps, the
-rotations that fix both the rule's rho and the new one.
+constant along it, and the frame is built at the orbit representatives
+only.  Everything a rule reads off its frame (J, r, the volume density) is
+constant along an orbit, so the rule holds it once per orbit: ``frame``,
+``density`` and ``orbit_weights``, each orbit's total weight, have one
+column per orbit, while ``points``, ``base_weights`` and ``weights`` stay
+per point.  The rule keeps its orbits: the representatives, each point's
+orbit and the fixing shifts s, so that ``spectral.assemble`` sums over one
+point per orbit, weighted by the orbit's total weight.  A rho that no grid
+rotation fixes, and every Monte Carlo rule, has one-point orbits: its
+frame is held at every point, bit-identically to a per-point build.
+``re_densify`` uses, and keeps, the rotations that fix both the rule's rho
+and the new one.
 """
 
 from __future__ import annotations
@@ -96,30 +98,28 @@ class QuadratureSettings:
 @dataclass
 class QuadratureRule:
     """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: rho, its
-    params, its CR frame at the points and their sphere weights.  The points,
-    the density and the weights are read off the frame.  The frame is held at
-    every point; on a hopf_product grid it was built at one point per torus
-    orbit of rho and rotated to the rest (see the module docstring).  The
-    rule keeps those ``orbits`` (``_Orbits.single`` for a frame built point
-    by point) and ``orbit_weights``, each orbit's total weight, which the
-    assembly puts on the orbit's representative."""
+    params, the points and their sphere weights, and the CR frame at one
+    point per torus orbit (``orbits``; see the module docstring).  The
+    density and each orbit's total weight are read off the frame, once per
+    orbit; ``weights`` puts each orbit's density on its points, so
+    ``integrate`` and ``volume`` take per-point values."""
 
     base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
     settings: QuadratureSettings
     rho: object                  # the defining function (Expression)
     params: dict | None          # its parameter values
-    frame: CRFrame               # the CR frame of rho at the points
+    points: np.ndarray           # (P, m) complex, on M
+    frame: CRFrame               # the CR frame of rho at orbits.reps, (Q,) batch
     orbits: _Orbits              # the torus orbits the frame was built on
-    density: np.ndarray = field(init=False)  # (P,) theta ^ (d theta)^n per unit sphere area
-    weights: np.ndarray = field(init=False)
+    density: np.ndarray = field(init=False)  # (Q,) theta ^ (d theta)^n per unit sphere area
+    weights: np.ndarray = field(init=False)  # (P,)
     orbit_weights: np.ndarray = field(init=False)  # (Q,) each orbit's total weight
 
-    points = property(lambda self: self.frame.point)  # (P, m) complex, on M
     n = property(lambda self: self.frame.n)
 
     def __post_init__(self):
         self.density = _volume_density(self.frame)
-        self.weights = self.base_weights * self.density
+        self.weights = self.base_weights * self.density[self.orbits.orbit]
         self.orbit_weights = np.bincount(self.orbits.orbit, self.weights,
                                          minlength=len(self.orbits.reps))
 
@@ -244,9 +244,8 @@ def _volume_density(frame):
 def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     """Quadrature rule for integrals against theta ^ (d theta)^n on {rho = 0}.
 
-    One ray is projected per torus orbit of the points, and the frame is
-    built at the orbit representatives and rotated to the rest
-    (``_torus_orbits``, ``_orbit_frame``)."""
+    One ray is projected per torus orbit of the points (``_torus_orbits``),
+    and the frame is built at the orbit representatives."""
     if settings.type == "hopf_product":
         if rho.n != 1:
             raise JobValidationError("hopf_product rules require n = 1")
@@ -257,8 +256,9 @@ def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     orbits = _torus_orbits(settings, rho.charges, dirs.shape)
     reps = dirs[orbits.reps]
     t = map_chunks(lambda sl: project_rays(rho, params, reps[sl]), len(reps), CHUNK_POINTS)
-    frame = _orbit_frame(rho, t[orbits.orbit, None] * dirs, params, orbits)
-    return QuadratureRule(base, settings, rho, params, frame, orbits)
+    points = t[orbits.orbit, None] * dirs
+    frame = build_frame(rho, points[orbits.reps], params)
+    return QuadratureRule(base, settings, rho, params, points, frame, orbits)
 
 
 # --- torus orbits -------------------------------------------------------------
@@ -321,35 +321,6 @@ def _torus_orbits(settings, charges, shape):
     return _Orbits.single(*shape)
 
 
-def _orbit_frame(rho, points, params, orbits):
-    """The frame of rho at ``points`` (P, m), built at the orbit
-    representatives only.  rho(T z) = rho(z) for the rotation T z = (e^{i
-    phi_j} z_j) gives A0(T p) = D A0(p) D* and A0^-1(T p) = D A0^-1(p) D*,
-    D = diag(1, e^{-i phi_1}, ..., e^{-i phi_m}), with J and detH equal.
-    Every frame check runs at the representatives, whose D is the identity.
-    One-point orbits are not multiplied at all: x (1+0j) can flip the sign of
-    a zero."""
-    if len(orbits.reps) == len(points):
-        return build_frame(rho, points, params)
-    rep = build_frame(rho, points[orbits.reps], params)
-    # the shift of each phase index from its representative's, the same on
-    # every colatitude ring, and the (m+1, m+1, P) table d_j conj(d_k)
-    R = orbits.resolution
-    j = np.indices((R, R)).reshape(2, -1)
-    shift = (j - j[:, orbits.reps[orbits.orbit[:R * R]]]) % R
-    d = np.ones((3, R * R), dtype=np.complex128)
-    d[1:] = np.exp(-2j * np.pi * np.arange(R) / R)[shift]
-    phase = np.tile(d[:, None] * np.conj(d[None, :]), (1, 1, R))
-
-    def rotate(x):
-        out = np.take(x, orbits.orbit, axis=-1)
-        out *= phase                        # D X D*
-        return out
-
-    return CRFrame(point=points, a=rotate(rep.a), inv=rotate(rep.inv),
-                   J=rep.J[orbits.orbit], detH=rep.detH[orbits.orbit])
-
-
 def _hopf_directions(R):
     """Unit directions of the hopf_product grid and their weights in the area
     of the unit sphere S^3, whose element is cos(eta) sin(eta) d eta d phi1
@@ -386,14 +357,14 @@ def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     """The rule of another defining function ``rho`` of M, with ``rule.params``.
 
     The points and sphere weights stay fixed (they describe M itself); the
-    density is recomputed from the CR frame of ``rho`` at the points, which
-    the returned rule holds.  ``rho`` must therefore be a strictly
-    pseudoconvex defining function of M at the rule points.  The frame is
-    built on, and the returned rule keeps, the orbits of the grid rotations
-    that fix both the rule's defining function and ``rho``.
+    density is recomputed from the CR frame of ``rho``, which the returned
+    rule holds.  ``rho`` must therefore be a strictly pseudoconvex defining
+    function of M at the rule points.  The frame is built at the
+    representatives of, and the returned rule keeps, the orbits of the grid
+    rotations that fix both the rule's defining function and ``rho``.
     """
     orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, rule.points.shape)
-    return replace(rule, rho=rho, frame=_orbit_frame(rho, rule.points, rule.params, orbits),
+    return replace(rule, rho=rho, frame=build_frame(rho, rule.points[orbits.reps], rule.params),
                    orbits=orbits)
 
 

@@ -287,10 +287,11 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     table rows of degree <= 2 degree - s (entries beyond a row's reach stay
     0), and ``_binomial_map`` turns those into mu.
 
-    The sums run over the rule's orbit representatives, each weighted by its
-    orbit's total weight.  A fixing rotation z_j -> e^{2 pi i s_j / R} z_j
-    maps phi_u = z^a conj(z)^b to e^{2 pi i chi_u.s / R} phi_u, chi = a - b
-    its charge, and h -> D h D*, conj(xi) -> D conj(xi), so every integrand
+    The sums run over the rule's frame, which it holds at one point per
+    torus orbit, each point weighted by its orbit's total weight.  A fixing
+    rotation z_j -> e^{2 pi i s_j / R} z_j maps phi_u = z^a conj(z)^b to
+    e^{2 pi i chi_u.s / R} phi_u, chi = a - b its charge, and h -> D h D*,
+    conj(xi) -> D conj(xi), D = diag(e^{-2 pi i s_j / R}), so every integrand
     of entry (u, v) takes the character e^{2 pi i (chi_u - chi_v).s / R}.
     Over an orbit it sums to the representative's term when (chi_u -
     chi_v).s = 0 mod R for every fixing shift s, and to exactly 0 otherwise:
@@ -307,10 +308,9 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
 
     def piece(sl):
         nonlocal herm_dev
-        idx, ww = orbits.reps[sl], rule.orbit_weights[sl]
-        pts = np.take(rule.points, idx, axis=0)
+        ww, pts = rule.orbit_weights[sl], frame.point[sl]
         # the one copy of A0^-1 at the representatives, weighted in place
-        inv = np.take(frame.inv, idx, axis=-1)
+        inv = frame.inv[..., sl].copy()
         flat, wh, cxi = inv.reshape((m + 1) ** 2, -1), inv[1:, 1:], inv[0, 1:]
         # h must be Hermitian: the weight rows read it above its diagonal only
         dev = flat[plan.upper]

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from chart_oracle import ChartOracle
 from crspectra import frames
 from crspectra.errors import (
+    DegenerateFrame,
     DegenerateJ,
     InternalConsistencyError,
     NotOnSurface,
@@ -215,6 +218,18 @@ def test_off_surface_point_rejected_on_a_large_surface():
         build_frame(rho, u * (1.0 + 1e-6))
 
 
+@pytest.mark.parametrize("entry, value", [((0, 0), np.inf), ((1, 1), np.inf), ((2, 1), np.nan)])
+def test_non_finite_bordered_hessian_rejected(entry, value):
+    # |rho| > 1e-9 x inf is false, so an infinite A0 passed the on-surface
+    # check and gave a NaN frame
+    pts = points_on_surface(SPHERE, 3, seed=1)
+    a = build_frame(SPHERE, pts).a.copy()
+    a[entry + (1,)] = value
+    with pytest.raises(DegenerateFrame, match="non-finite bordered Hessian A0 at "
+                                              + re.escape(str(pts[1]))):
+        frames.frame_from_bordered(pts, a)
+
+
 def test_negative_j_rejected():
     flipped = parse("-(abs2(z1)+abs2(z2)-1)", 1)
     with pytest.raises(DegenerateJ):
@@ -252,9 +267,10 @@ def test_one_layout_batch_axes_last():
         "build_frame": build_frame(SQUARED, pts.reshape(4, 5, 2)),
         "frame_from_jet": frame_from_jet(SQUARED.jet({}, pts, 3)),
         "curvature_quantities": curvature_quantities(SQUARED, pts)["frame"],
-        "orbit-rotated rule": rule.frame,
-        "take": rule.frame.take(np.array([0, 9, 33])),
+        "rule, one point per orbit": rule.frame,
+        "take": rule.frame.take(np.array([0, 2, 3])),
     }
+    assert rule.frame.batch_shape == (len(rule.orbits.reps),) == (4,)
     for name, fr in frames_under_test.items():
         m, batch = fr.m, fr.batch_shape
         for mat in (fr.a, fr.inv):

@@ -245,7 +245,7 @@ def test_rule_density_matches_form_on_pushed_forward_tangents(case):
     if case == "re-densified":
         rule = re_densify(rule, parse(f"({PULLBACK})*(2+re(z1))", 1))
     expected = oracle.density(rule.rho, rule.points, basis=basis)
-    assert np.max(np.abs(rule.density / expected - 1.0)) <= 1e-13
+    assert np.max(np.abs(rule.density[rule.orbits.orbit] / expected - 1.0)) <= 1e-13
 
 
 def test_hopf_volume_sphere():
@@ -272,7 +272,7 @@ def test_monte_carlo_reproducible_and_consistent():
     # ellipsoid for a real statistical check)
     re = build_quadrature(ELLIPSOID, QuadratureSettings("monte_carlo", samples=4000, seed=8))
     rh = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=24))
-    vals = re.density * re.base_weights * len(re)
+    vals = re.weights * len(re)
     sigma = np.std(vals) / np.sqrt(len(re))
     assert abs(re.volume - rh.volume) < 3.0 * sigma
 
@@ -411,13 +411,19 @@ def test_non_real_defining_function_refused_when_rule_is_built(settings):
 
 
 def _assert_frame_is_per_point(rule, tol):
-    # the rotated frame against a frame built at every point
-    direct = build_frame(rule.rho, rule.points, rule.params)
-    for name in ("a", "inv", "J", "detH"):
-        got, want = getattr(rule.frame, name), getattr(direct, name)
+    # the rule holds its frame once per orbit: a frame built at every point
+    # reads the same J, det H, r and density on every point of an orbit
+    direct, orbit = build_frame(rule.rho, rule.points, rule.params), rule.orbits.orbit
+    assert rule.frame.r.shape == rule.density.shape == (len(rule.orbits.reps),)
+    for name in ("J", "detH", "r"):
+        got, want = getattr(rule.frame, name)[orbit], getattr(direct, name)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
     density = _volume_density(direct)
-    assert np.max(np.abs(rule.density - density)) <= tol * np.max(density)
+    assert np.max(np.abs(rule.density[orbit] - density)) <= tol * np.max(density)
+    weights = rule.base_weights * density
+    assert np.max(np.abs(rule.weights - weights)) <= tol * np.max(weights)
+    orbit_weights = np.bincount(orbit, weights)
+    assert np.max(np.abs(rule.orbit_weights - orbit_weights)) <= tol * np.max(orbit_weights)
 
 
 # the pullback is Reinhardt: one orbit per colatitude node; the ellipsoid's
@@ -436,9 +442,10 @@ def test_orbit_representatives_are_built_directly():
     rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=8))
     # the smallest phase index of each orbit: j1 in {0, 1, 2, 3}, j2 = 0
     reps = (np.arange(8)[:, None] * 64 + np.arange(4) * 8).ravel()
+    assert np.array_equal(rule.orbits.reps, reps)
     direct = build_frame(ELLIPSOID, rule.points[reps])
-    for name in ("a", "inv", "J", "detH"):
-        assert np.array_equal(getattr(rule.frame, name)[..., reps], getattr(direct, name))
+    for name in ("point", "a", "inv", "J", "detH"):
+        assert np.array_equal(getattr(rule.frame, name), getattr(direct, name))
 
 
 # sum |F|^2 - 1 for the unitary F = ((z1+z2)/sqrt 2, (z1-z2)/sqrt 2) is the
@@ -466,7 +473,7 @@ def _per_point_rule(rho, settings, dirs, base):
     """The rule built without orbits: every ray projected, the frame built
     at every point."""
     points = project_rays(rho, None, dirs)[:, None] * dirs
-    return QuadratureRule(base, settings, rho, None, build_frame(rho, points),
+    return QuadratureRule(base, settings, rho, None, points, build_frame(rho, points),
                           _Orbits.single(*points.shape))
 
 
@@ -474,7 +481,7 @@ def _per_point_rule(rho, settings, dirs, base):
 def test_rule_without_orbits_is_built_point_by_point(case):
     # a hopf grid whose function no grid rotation fixes, and a Monte Carlo
     # rule (a Reinhardt function, but no grid), give the per-point rule bit
-    # for bit: nothing is rotated, not even by a unit phase
+    # for bit: the frame is held at every point
     if case == "monte-carlo":
         settings = QuadratureSettings("monte_carlo", samples=9000, seed=2)
         rho, (dirs, base) = SPHERE, _monte_carlo_directions(2, 9000, 2)
@@ -487,3 +494,56 @@ def test_rule_without_orbits_is_built_point_by_point(case):
         assert np.array_equal(getattr(rule, name), getattr(direct, name))
     for name in ("a", "inv", "J", "detH"):
         assert np.array_equal(getattr(rule.frame, name), getattr(direct.frame, name))
+
+
+# the maps of rule_n1's decomposition and Reilly bound; a rho that no grid
+# rotation fixes, with a decomposition (psi = 0.1 re(z1 + z2)) and an
+# immersion into the unit sphere, |F|^2 - 1 = rho / 1.005
+PULLBACK_MAPS = [parse(f, 1) for f in ("z1", "z2", "0.5*z1^2")]
+SHIFTED = parse("abs2(z1)+abs2(z2)+0.25*abs2(z1^2)+0.1*re(z1)+0.1*re(z2)-1", 1)
+SHIFTED_MAPS = [parse(f"({f})*0.9975093361076329", 1) for f in ("z1+0.05", "z2+0.05", "0.5*z1^2")]
+
+
+@pytest.mark.parametrize("case", ["hopf-no-symmetry", "monte-carlo"])
+def test_bounds_on_one_point_orbits_match_the_per_point_rule(case):
+    # with one-point orbits the per-orbit sums and the identity points are
+    # the per-point rule's bit for bit
+    from crspectra.bounds import Decomposition, reilly_bound, upper_bound
+    from crspectra.reporting import canonical_json
+
+    if case == "monte-carlo":
+        settings, dirs_base = (QuadratureSettings("monte_carlo", samples=3000, seed=5),
+                               _monte_carlo_directions(2, 3000, 5))
+    else:
+        settings, dirs_base = QuadratureSettings("hopf_product", resolution=24), _hopf_directions(24)
+    rule, direct = build_quadrature(SHIFTED, settings), _per_point_rule(SHIFTED, settings, *dirs_base)
+    assert len(rule.orbits.reps) == len(rule)
+    dec = Decomposition(N=1.0, nu=1.0, psi=parse("0.1*re(z1)+0.1*re(z2)", 1),
+                        f_maps=PULLBACK_MAPS)
+    for bound, data in ((upper_bound, dec), (reilly_bound, SHIFTED_MAPS)):
+        got, want = bound(data, rule).to_dict(), bound(data, direct).to_dict()
+        assert got["diagnostics"]["identities_ok"]
+        assert canonical_json(got) == canonical_json(want)
+
+
+def test_upper_bound_sums_once_per_orbit_on_the_reinhardt_pullback():
+    # 32 orbits of 1,024 points: the frame, r and the orbit weights have one
+    # column per orbit, and the bound's sums agree with the per-point rule's
+    from crspectra.bounds import Decomposition, upper_bound
+
+    settings = QuadratureSettings("hopf_product", resolution=32)
+    rule = build_quadrature(PULLBACK, settings)
+    direct = _per_point_rule(PULLBACK, settings, *_hopf_directions(32))
+    assert rule.frame.inv.shape[-1] == len(rule.orbits.reps) == 32
+    assert rule.orbit_weights.shape == rule.frame.r.shape == (32,)
+    dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=PULLBACK_MAPS)
+    got = upper_bound(dec, rule).diagnostics
+    want = upper_bound(dec, direct).diagnostics
+    assert got["identities_ok"] and got["identity_points"] == 20
+    # and both agree with the sums over every point of its own frame
+    r, weights = direct.frame.r, direct.base_weights * _volume_density(direct.frame)
+    sums = {"volume": np.sum(weights), "transverse_curvature_integral": np.sum(weights * r),
+            "r_min": np.min(r), "r_max": np.max(r)}
+    for name, value in sums.items():
+        assert got[name] == pytest.approx(want[name], rel=1e-13, abs=0), name
+        assert got[name] == pytest.approx(value, rel=1e-13, abs=0), name

@@ -201,6 +201,22 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 3
 
 
+# rho_{1 1bar} = 1e200 * 1e200 overflows to inf in the jet
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_non_finite_frame_is_a_task_error(tmp_path, capsys):
+    # inf > 1e-9 x inf is false, so an infinite A0 passed the on-surface
+    # check and its NaN frame reached the report, which refused to print it
+    job = {"dimension_n": 1, "defining_function": "1e200*abs2(z1)*1e200+abs2(z2)-1",
+           "tasks": [{"kind": "curvature", "points": [[[0, 0], [1, 0]]]}]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = main(["run", str(path)])
+    assert code == 3
+    entry = json.loads(capsys.readouterr().out.splitlines()[-1])["results"][0]
+    assert entry["status"] == "error" and entry["error"] == "DegenerateFrame"
+    assert entry["message"] == "non-finite bordered Hessian A0 at [0.+0.j 1.+0.j]"
+
+
 def test_origin_outside_the_surface_is_a_validation_error(tmp_path):
     # the rays of every sampler start at the origin; rho(0) = 8 here
     job = {**SPHERE_JOB, "defining_function": "abs2(z1-3)+abs2(z2)-1",
