@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import volume_form_oracle as oracle
-from crspectra.bounds import pullback_defining_function
+from crspectra.bounds import Decomposition, pullback_defining_function, reilly_bound, upper_bound
 from crspectra.errors import DegenerateFrame, JobValidationError, NoRootFound, NotRealValued
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
@@ -19,6 +19,7 @@ from crspectra.quadrature import (
     project_rays,
     re_densify,
 )
+from crspectra.reporting import canonical_json
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
@@ -508,9 +509,6 @@ SHIFTED_MAPS = [parse(f"({f})*0.9975093361076329", 1) for f in ("z1+0.05", "z2+0
 def test_bounds_on_one_point_orbits_match_the_per_point_rule(case):
     # with one-point orbits the per-orbit sums and the identity points are
     # the per-point rule's bit for bit
-    from crspectra.bounds import Decomposition, reilly_bound, upper_bound
-    from crspectra.reporting import canonical_json
-
     if case == "monte-carlo":
         settings, dirs_base = (QuadratureSettings("monte_carlo", samples=3000, seed=5),
                                _monte_carlo_directions(2, 3000, 5))
@@ -529,8 +527,6 @@ def test_bounds_on_one_point_orbits_match_the_per_point_rule(case):
 def test_upper_bound_sums_once_per_orbit_on_the_reinhardt_pullback():
     # 32 orbits of 1,024 points: the frame, r and the orbit weights have one
     # column per orbit, and the bound's sums agree with the per-point rule's
-    from crspectra.bounds import Decomposition, upper_bound
-
     settings = QuadratureSettings("hopf_product", resolution=32)
     rule = build_quadrature(PULLBACK, settings)
     direct = _per_point_rule(PULLBACK, settings, *_hopf_directions(32))
