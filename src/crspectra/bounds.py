@@ -13,6 +13,13 @@ Four bound kinds:
   The literally printed variant n * min J^{1/(n+1)} D is recorded in the
   diagnostics for transparency; it is inconsistent with sphere sharpness
   and is not the reported value.
+
+The two integral bounds take a rule, which holds one point per torus orbit
+(``quadrature``).  They check the decomposition and sum |F|^2 = 1 on the
+rule refined by the torus charges of the functions checked
+(``quadrature._refine``): every point of M the rule stands for is the
+rotation of a checked point by a rotation that fixes those functions, so
+the check reads every value it would read on the whole grid.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .errors import (
 from .expressions import BinOp, Call, Expression, Literal
 from .frames import frame_from_jet
 from .operators import curvature_quantities, delta_tilde, kohn_laplacian, dbar_pairing
-from .quadrature import QuadratureRule, re_densify
+from .quadrature import QuadratureRule, _refine, re_densify
 
 RESIDUAL_TOL = 1e-8
 PLURIHARMONIC_TOL = 1e-8
@@ -140,9 +147,11 @@ def upper_bound(dec: Decomposition, rule: QuadratureRule) -> BoundReport:
         sum_mu |box_b conj(f_mu)|^2 = n^2 N nu^(N-2) (nu r + N - 1)
         sum_mu |dbar_b conj(f_mu)|^2 = n N nu^(N-1)
 
-    checked at 20 of the rule's orbit representatives, where it holds its
-    frame, drawn with the rule's seed, to relative 1e-7.  The transverse
-    curvature is summed once per orbit, against each orbit's total weight.
+    checked at 20 of the rule's points, where it holds its frame, drawn
+    with the rule's seed, to relative 1e-7.  The transverse curvature is
+    summed once per orbit, against each orbit's total weight.  The
+    decomposition is validated on the rule refined by the charges of psi
+    and of each |f_mu|^2 (see the module docstring).
     """
     if not isinstance(rule.rho, Expression):
         raise NotApplicable(
@@ -150,9 +159,13 @@ def upper_bound(dec: Decomposition, rule: QuadratureRule) -> BoundReport:
             f"{type(rule.rho).__name__}: it is an identity about rho and a bound for theta"
         )
     n, frame, params = rule.n, rule.frame, rule.params
-    dec_diag = validate_decomposition(rule.rho, dec, rule.points, params=params)
+    charges = dec.psi.charges if dec.psi is not None else frozenset()
+    if dec.f_maps:
+        charges |= pullback_defining_function(dec.f_maps).charges
+    _, points, _ = _refine(rule, charges)
+    dec_diag = validate_decomposition(rule.rho, dec, points, params=params)
     v = rule.volume
-    r_integral = float(np.sum(rule.orbit_weights * frame.r))
+    r_integral = float(np.sum(rule.weights * frame.r))
     value = n / v * r_integral + n * (dec.N - 1.0) / dec.nu
 
     rng = np.random.default_rng(rule.settings.seed)
@@ -203,17 +216,19 @@ def reilly_bound(f_maps, rule: QuadratureRule) -> BoundReport:
 
     ``rule`` is any quadrature rule on M; its points, sphere weights, params
     and seed are reused, with the density recomputed for the pullback
-    defining function.
+    defining function.  sum |F|^2 = 1 is checked on the rule refined by that
+    function's charges, before its frame is built.
     """
     for i, f in enumerate(f_maps):
         if not f.holomorphic:
             raise NotOnSphereImage(f"component {i + 1} ({f}) is not holomorphic")
     rho_f = pullback_defining_function(f_maps)
-    residual = np.abs(rho_f.value(rule.params, rule.points).real)
+    _, points, _ = _refine(rule, rho_f.charges)
+    residual = np.abs(rho_f.value(rule.params, points).real)
     worst = int(np.argmax(residual))
     if residual[worst] > RESIDUAL_TOL:
         raise NotOnSphereImage(
-            f"sum |F|^2 - 1 = {residual[worst]:.3e} at {rule.points[worst]}: "
+            f"sum |F|^2 - 1 = {residual[worst]:.3e} at {points[worst]}: "
             "the map does not send M into the unit sphere"
         )
     dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=list(f_maps))

@@ -732,7 +732,10 @@ class Expression:
         if program is None:
             program = _JetProgram(self.root, *key)
             self._programs[key] = program
-        return program.run(params, point)
+        # an overflow leaves inf or NaN in the jet, which its readers refuse
+        # (a non-finite A0 is a DegenerateFrame)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return program.run(params, point)
 
     def value(self, params, pts):
         """Plain complex evaluation, broadcasting over points of shape (..., m)."""

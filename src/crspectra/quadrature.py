@@ -27,33 +27,33 @@ refined by a value-only bracketed search; |rho| at the root is checked
 relative to |rho| on the bracket.
 
 A rule is the discretized pseudohermitian structure: it holds the defining
-function and params it was built for, its points, and that function's CR
-frame at one point per torus orbit, so its consumers take the rule alone.
-``build_quadrature`` and ``re_densify`` both take the frame from
-``frames.build_frame`` at the orbit representatives.
+function and params it was built for and that function's CR frame
+(``frames.build_frame``) at its points, so its consumers take the rule
+alone.  It is the quotient of its grid by torus rotations.  A rotation z_j
+-> e^{2 pi i s_j / R} z_j of the hopf_product phase grid (R =
+``resolution``) maps the grid onto itself, and it fixes a function when
+k.s = 0 mod R for every torus charge k of the function
+(``Expression.charges``).  The rule holds those rotations of rho, its
+``shifts`` s (m, F), and one point per orbit of them, F points each, with
+the frame there, the sphere weight of each of an orbit's points, the
+density and each orbit's total weight: J, r and the density are constant
+along an orbit.
 
-Torus orbits: a rotation z_j -> e^{2 pi i s_j / R} z_j of the hopf_product
-phase grid maps the grid onto itself, and it fixes rho when k.s = 0 mod R
-for every torus charge k of rho (``Expression.charges``).  The points fall
-into orbits of those rotations: one ray is projected per orbit, so t is
-constant along it, and the frame is built at the orbit representatives
-only.  Everything a rule reads off its frame (J, r, the volume density) is
-constant along an orbit, so the rule holds it once per orbit: ``frame``,
-``density`` and ``orbit_weights``, each orbit's total weight, have one
-column per orbit, while ``points``, ``base_weights`` and ``weights`` stay
-per point.  The rule keeps its orbits: the representatives, each point's
-orbit and the fixing shifts s, so that ``spectral.assemble`` sums over one
-point per orbit, weighted by the orbit's total weight.  A rho that no grid
-rotation fixes, and every Monte Carlo rule, has one-point orbits: its
-frame is held at every point, bit-identically to a per-point build.
-``re_densify`` uses, and keeps, the rotations that fix both the rule's rho
-and the new one.
+``_refine`` is the one step of orbit work: it splits each point of a rule
+into one point per coset of the shifts that also fix a function of given
+charges.  ``build_quadrature`` refines the colatitude rings at phase 0,
+with all R^2 shifts, by rho's charges; ``re_densify`` by the new
+function's; ``integrate`` and the checks of ``bounds`` evaluate a function
+on the rule refined by its charges, where the dropped rotations leave its
+values unchanged.  A Monte Carlo rule has the one shift 0, so its orbits
+are its points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,34 +97,31 @@ class QuadratureSettings:
 
 @dataclass
 class QuadratureRule:
-    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized: rho, its
-    params, the points and their sphere weights, and the CR frame at one
-    point per torus orbit (``orbits``; see the module docstring).  The
-    density and each orbit's total weight are read off the frame, once per
-    orbit; ``weights`` puts each orbit's density on its points, so
-    ``integrate`` and ``volume`` take per-point values."""
+    """theta = (i/2)(dbar rho - d rho) on M = {rho = 0}, discretized as a
+    quotient: rho, its params, one point per orbit of the grid rotations
+    ``shifts`` that fix rho, the sphere weight of each of an orbit's points,
+    and the CR frame at the points (see the module docstring).  The density
+    and ``weights``, each orbit's total weight F base density, are read off
+    the frame.  ``len`` counts every point of every orbit."""
 
-    base_weights: np.ndarray     # (P,) weights in the area of the unit sphere
     settings: QuadratureSettings
     rho: object                  # the defining function (Expression)
     params: dict | None          # its parameter values
-    points: np.ndarray           # (P, m) complex, on M
-    frame: CRFrame               # the CR frame of rho at orbits.reps, (Q,) batch
-    orbits: _Orbits              # the torus orbits the frame was built on
+    points: np.ndarray           # (Q, m) complex, on M, one per orbit
+    base_weights: np.ndarray     # (Q,) weights in the area of the unit sphere
+    shifts: np.ndarray           # (m, F) the grid rotations that fix rho
+    frame: CRFrame               # the CR frame of rho at the points, (Q,) batch
     density: np.ndarray = field(init=False)  # (Q,) theta ^ (d theta)^n per unit sphere area
-    weights: np.ndarray = field(init=False)  # (P,)
-    orbit_weights: np.ndarray = field(init=False)  # (Q,) each orbit's total weight
+    weights: np.ndarray = field(init=False)  # (Q,) each orbit's total weight
 
     n = property(lambda self: self.frame.n)
 
     def __post_init__(self):
         self.density = _volume_density(self.frame)
-        self.weights = self.base_weights * self.density[self.orbits.orbit]
-        self.orbit_weights = np.bincount(self.orbits.orbit, self.weights,
-                                         minlength=len(self.orbits.reps))
+        self.weights = self.shifts.shape[1] * self.base_weights * self.density
 
     def __len__(self):
-        return self.points.shape[0]
+        return self.points.shape[0] * self.shifts.shape[1]
 
     @property
     def volume(self):
@@ -244,98 +241,65 @@ def _volume_density(frame):
 def build_quadrature(rho, settings, params=None) -> QuadratureRule:
     """Quadrature rule for integrals against theta ^ (d theta)^n on {rho = 0}.
 
-    One ray is projected per torus orbit of the points (``_torus_orbits``),
-    and the frame is built at the orbit representatives."""
+    A hopf_product rule starts from the colatitude rings at phase 0 with
+    every rotation of the R x R phase grid, a Monte Carlo rule from its
+    directions with the one shift 0; ``_refine`` by rho's charges leaves
+    one direction per orbit, whose ray is projected and where the frame is
+    built."""
     if settings.type == "hopf_product":
         if rho.n != 1:
             raise JobValidationError("hopf_product rules require n = 1")
-        dirs, base = _hopf_directions(settings.resolution)
+        R = settings.resolution
+        dirs, base = _hopf_rings(R)
+        shifts = np.indices((R, R)).reshape(2, -1)
     else:
         dirs, base = _monte_carlo_directions(rho.m, settings.samples, settings.seed)
-
-    orbits = _torus_orbits(settings, rho.charges, dirs.shape)
-    reps = dirs[orbits.reps]
-    t = map_chunks(lambda sl: project_rays(rho, params, reps[sl]), len(reps), CHUNK_POINTS)
-    points = t[orbits.orbit, None] * dirs
-    frame = build_frame(rho, points[orbits.reps], params)
-    return QuadratureRule(base, settings, rho, params, points, frame, orbits)
-
-
-# --- torus orbits -------------------------------------------------------------
+        shifts = np.zeros((rho.m, 1), dtype=np.intp)
+    start = SimpleNamespace(points=dirs, shifts=shifts, settings=settings)
+    source, dirs, shifts = _refine(start, rho.charges)
+    t = map_chunks(lambda sl: project_rays(rho, params, dirs[sl]), len(dirs), CHUNK_POINTS)
+    points = t[:, None] * dirs
+    return QuadratureRule(settings, rho, params, points, base[source], shifts,
+                          build_frame(rho, points, params))
 
 
-class _Orbits:
-    """The torus orbits of a rule's points under the grid rotations that fix
-    a defining function: ``reps`` (Q,) the ascending index of one point per
-    orbit, the smallest; ``orbit`` (P,) the position in ``reps`` of each
-    point's representative; ``shifts`` (m, F) the rotations z_j -> e^{2 pi i
-    s_j / R} z_j of the phase grid that fix it, with R = ``resolution``, F of
-    them, the size of every orbit.  One-point orbits have the one shift 0.
-    A plain class: a dataclass would cost a millisecond at import."""
+def _refine(rule, charges):
+    """The quotient of ``rule`` by the rotations among its shifts that also
+    fix a function with these torus charges.
 
-    def __init__(self, reps, orbit, shifts, resolution):
-        self.reps, self.orbit, self.shifts, self.resolution = reps, orbit, shifts, resolution
-
-    @classmethod
-    def single(cls, count, m):
-        """One orbit per point of ``count`` points in C^m."""
-        return cls(np.arange(count), np.arange(count), np.zeros((m, 1), dtype=np.intp), 1)
-
-
-def _phase_classes(R, charges):
-    """The classes of the phase grid Z_R^2 (index j1 R + j2) under the shifts
-    s with k.s = 0 mod R for every charge k: each index's class, numbered by
-    the class's smallest index, that index of each class, and the shifts
-    (2, F).  Two indices share a class when every charge's character k.j
-    mod R agrees on them; a charge that fixes every shift the earlier ones
-    fix splits nothing."""
-    j = np.indices((R, R)).reshape(2, -1)
-    label, first = np.zeros(R * R, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    fixed = j                           # the shifts that fix every charge read
-    for k in charges:
-        k = np.array([c % R for c in k])
-        moved = (k @ fixed) % R != 0
-        if moved.any():
-            fixed = fixed[:, ~moved]
-            _, first, label = np.unique(label * R + (k @ j) % R,
-                                        return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[label], np.sort(first), fixed
+    A shift s (a column of ``rule.shifts``) fixes it when every label k.s
+    mod R, k a charge and R ``rule.settings.resolution``, vanishes.  Two
+    shifts differ by a fixing one when their labels agree, so each of the
+    rule's points splits into one point per label: the point rotated by the
+    first shift with that label, the representatives kept ascending.
+    Returns the index in ``rule.points`` of each new point's source, the new
+    points and the fixing shifts; a rule that every shift keeps comes back
+    as it is."""
+    R, shifts = rule.settings.resolution, rule.shifts
+    # charges equal mod R label alike: one row each
+    k = np.unique(np.array(list(charges), dtype=np.intp).reshape(-1, len(shifts)) % R, axis=0)
+    labels = k @ shifts % R
+    fixing = ~labels.any(axis=0)
+    if fixing.all():
+        return np.arange(len(rule.points)), rule.points, shifts
+    _, first = np.unique(labels, axis=1, return_index=True)
+    first = np.sort(first)
+    # the phases as the grid's: 2 pi j / R, j the shift
+    phase = np.exp(1j * (2.0 * np.pi * shifts[:, first].T / R))
+    points = (rule.points[:, None] * phase).reshape(-1, len(shifts))
+    return np.repeat(np.arange(len(rule.points)), len(first)), points, shifts[:, fixing]
 
 
-def _torus_orbits(settings, charges, shape):
-    """The orbits of a rule's points, of ``shape`` (P, m), under the
-    rotations of its phase grid that fix a function with these torus
-    charges.  A ``hopf_product`` point (eta_i, phi1 = 2 pi j1 / R, phi2 =
-    2 pi j2 / R) has index i R^2 + j1 R + j2, and a rotation by whole grid
-    steps maps the grid onto itself; a Monte Carlo rule has no grid, so its
-    orbits are single points."""
-    if settings.type == "hopf_product":
-        R = settings.resolution
-        label, first, fixed = _phase_classes(R, charges)
-        if len(first) < R * R:
-            rows = np.arange(R)[:, None]
-            return _Orbits((rows * (R * R) + first).ravel(), (rows * len(first) + label).ravel(),
-                           fixed, R)
-    return _Orbits.single(*shape)
-
-
-def _hopf_directions(R):
-    """Unit directions of the hopf_product grid and their weights in the area
-    of the unit sphere S^3, whose element is cos(eta) sin(eta) d eta d phi1
-    d phi2."""
+def _hopf_rings(R):
+    """The hopf_product grid's directions at phase 0, one per colatitude
+    node, and the weight in the area of the unit sphere S^3 of each of a
+    ring's R^2 points; its element is cos(eta) sin(eta) d eta d phi1 d phi2."""
     x, wx = np.polynomial.legendre.leggauss(R)
     eta = 0.25 * np.pi * (x + 1.0)
     weta = 0.25 * np.pi * wx * np.cos(eta) * np.sin(eta)
-    phi = 2.0 * np.pi * np.arange(R) / R
     wphi = 2.0 * np.pi / R
-
-    E, P1, P2 = np.meshgrid(eta, phi, phi, indexing="ij")
-    e, p1, p2 = E.ravel(), P1.ravel(), P2.ravel()
-    dirs = np.stack([np.cos(e) * np.exp(1j * p1), np.sin(e) * np.exp(1j * p2)], axis=-1)
-    base = np.repeat(weta, R * R) * wphi * wphi
-    return dirs, base
+    dirs = np.stack([np.cos(eta), np.sin(eta)], axis=-1).astype(np.complex128)
+    return dirs, weta * wphi * wphi
 
 
 def _monte_carlo_directions(m, samples, seed):
@@ -359,19 +323,21 @@ def re_densify(rule: QuadratureRule, rho) -> QuadratureRule:
     The points and sphere weights stay fixed (they describe M itself); the
     density is recomputed from the CR frame of ``rho``, which the returned
     rule holds.  ``rho`` must therefore be a strictly pseudoconvex defining
-    function of M at the rule points.  The frame is built at the
-    representatives of, and the returned rule keeps, the orbits of the grid
-    rotations that fix both the rule's defining function and ``rho``.
+    function of M at the rule points.  The rule is refined by the charges of
+    ``rho`` first, so the returned rule's shifts fix both functions.
     """
-    orbits = _torus_orbits(rule.settings, rule.rho.charges | rho.charges, rule.points.shape)
-    return replace(rule, rho=rho, frame=build_frame(rho, rule.points[orbits.reps], rule.params),
-                   orbits=orbits)
+    source, points, shifts = _refine(rule, rho.charges)
+    return replace(rule, rho=rho, points=points, base_weights=rule.base_weights[source],
+                   shifts=shifts, frame=build_frame(rho, points, rule.params))
 
 
-def integrate(rule: QuadratureRule, values):
-    """Sum w_i values_i over the rule points (numpy's fixed-order pairwise
-    reduction)."""
-    return np.sum(rule.weights * np.asarray(values))
+def integrate(rule: QuadratureRule, f):
+    """The integral of the expression ``f`` against the rule's volume form:
+    f summed over the rule refined by its charges, each point weighted by
+    its orbit's total weight (numpy's fixed-order pairwise reduction)."""
+    source, points, shifts = _refine(rule, f.charges)
+    weights = shifts.shape[1] * rule.base_weights[source] * rule.density[source]
+    return np.sum(weights * f.value(rule.params, points))
 
 
 def points_on_surface(rho, count, seed=0, params=None):

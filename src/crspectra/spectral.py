@@ -17,12 +17,12 @@ it and counts the Ritz values below it as the kernel of box_b.
 Assembly: every entry of G, S and the stiffness by parts is a sum of
 point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q, with c
 one of w, w h (h the frame's ambient Levi inverse, which gives both the
-dbar_b pairing and delta_tilde) and n w conj(xi).  The sum runs over one
-point per torus orbit of the rule (``quadrature``), weighted by the orbit's
-total weight, and the entries between monomials of different charge classes
-under the fixing rotations, which sum to exactly 0 over every orbit, are set
-to 0 (``_galerkin_matrices``).  One-point orbits (a Monte Carlo rule, or a
-rho no grid rotation fixes) sum every point and keep every entry.  The
+dbar_b pairing and delta_tilde) and n w conj(xi).  The sum runs over the
+rule's points, one per torus orbit (``quadrature``), each weighted by its
+orbit's total weight, and the entries between monomials of different charge
+classes under the rule's shifts, which sum to exactly 0 over every orbit,
+are set to 0 (``_galerkin_matrices``).  A rule with the one shift 0 (a
+Monte Carlo rule, or a rho no grid rotation fixes) keeps every entry.  The
 entries read each weight only up to its reach: |p| + |q| <= 2 degree for
 w, 2 degree - 1 for n w conj(xi) and 2 degree - 2 for w h.  With z = x + iy
 these are integer combinations of real moments: each chunk of
@@ -287,18 +287,18 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     table rows of degree <= 2 degree - s (entries beyond a row's reach stay
     0), and ``_binomial_map`` turns those into mu.
 
-    The sums run over the rule's frame, which it holds at one point per
-    torus orbit, each point weighted by its orbit's total weight.  A fixing
+    The sums run over the rule's points, one per torus orbit, where it
+    holds its frame, each weighted by its orbit's total weight.  A fixing
     rotation z_j -> e^{2 pi i s_j / R} z_j maps phi_u = z^a conj(z)^b to
     e^{2 pi i chi_u.s / R} phi_u, chi = a - b its charge, and h -> D h D*,
     conj(xi) -> D conj(xi), D = diag(e^{-2 pi i s_j / R}), so every integrand
     of entry (u, v) takes the character e^{2 pi i (chi_u - chi_v).s / R}.
     Over an orbit it sums to the representative's term when (chi_u -
     chi_v).s = 0 mod R for every fixing shift s, and to exactly 0 otherwise:
-    the entries across those charge classes are set to 0.  One-point orbits
-    keep every entry and every point's own term.
+    the entries across those charge classes are set to 0, R the rule's
+    ``resolution``.  The one shift 0 keeps every entry.
     """
-    frame, orbits = rule.frame, rule.orbits
+    frame = rule.frame
     m, n = frame.m, frame.n
     plan = _galerkin_plan(m, basis.degree)
     table, ku, lu, order, sizes, prefix, bounds = (
@@ -308,7 +308,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
 
     def piece(sl):
         nonlocal herm_dev
-        ww, pts = rule.orbit_weights[sl], frame.point[sl]
+        ww, pts = rule.weights[sl], frame.point[sl]
         # the one copy of A0^-1 at the representatives, weighted in place
         inv = frame.inv[..., sl].copy()
         flat, wh, cxi = inv.reshape((m + 1) ** 2, -1), inv[1:, 1:], inv[0, 1:]
@@ -332,7 +332,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
                                for t in range(top + 1)])
 
     real = np.zeros((len(order), plan.offsets[-1]))
-    real.flat[plan.slots] = sum_chunks(piece, len(orbits.reps), _chunk_points(len(table)))
+    real.flat[plan.slots] = sum_chunks(piece, len(rule.points), _chunk_points(len(table)))
     bimon = plan.bimon
     moments = np.zeros((len(bimon), len(real)), dtype=np.complex128)
     for part, (row, col, coef) in zip((moments.real, moments.imag), plan.binomial):
@@ -373,7 +373,7 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     # every orbit
     classes = {}
     label = np.array([classes.setdefault(row.tobytes(), len(classes))
-                      for row in (a - b) @ orbits.shifts % orbits.resolution])
+                      for row in (a - b) @ rule.shifts % rule.settings.resolution])
     cross = label[:, None] != label
     for mat in (G, S, Sp):
         mat[cross] = 0.0

@@ -8,6 +8,7 @@ jets: it shares no code with them, nor with the Cauchy-formula reference of
 ``crspectra.verification``.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -83,6 +84,39 @@ def _wirtinger_to_real(a, b):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil_plan(m, max_order):
+    """Every mixed Wirtinger partial (alpha, beta) of total order k <=
+    max_order in C^m as (k, [(offset, coefficient)]): the partial is
+    sum coefficient * f(z + h offset) / h^k.  Each partial expands into
+    real-axis partials per complex variable, each real partial into a
+    product of central stencils; the terms are summed per offset, once per
+    (m, max_order).  Every coefficient is a dyadic rational times a power of
+    i, so the float sums are exact."""
+    plan = {}
+    for alpha in itertools.product(range(max_order + 1), repeat=m):
+        for beta in itertools.product(range(max_order + 1), repeat=m):
+            if sum(alpha) + sum(beta) > max_order:
+                continue
+            per_var = [_wirtinger_to_real(alpha[j], beta[j]) for j in range(m)]
+            terms = {}
+            for combo in itertools.product(*[pv.items() for pv in per_var]):
+                coeff = 1.0 + 0.0j
+                axis_orders = []
+                for (px, py), c in combo:
+                    coeff *= c
+                    axis_orders += [px, py]
+                for offsets in itertools.product(*[_CENTRAL[k].items() for k in axis_orders]):
+                    weight = Fraction(1)
+                    for _, w in offsets:
+                        weight *= w
+                    off = tuple(o for o, _ in offsets)
+                    terms[off] = terms.get(off, 0.0) + coeff * float(weight)
+            plan[alpha, beta] = (sum(alpha) + sum(beta),
+                                 [(off, mpmath.mpc(c)) for off, c in terms.items() if c != 0])
+    return plan
+
+
 def _fd_once(expr, params, point, max_order, hmp):
     m = expr.m
     cache = {}
@@ -97,35 +131,11 @@ def _fd_once(expr, params, point, max_order, hmp):
         return cache[offset]
 
     results = {}
-    multi = [
-        (alpha, beta)
-        for alpha in itertools.product(range(max_order + 1), repeat=m)
-        for beta in itertools.product(range(max_order + 1), repeat=m)
-        if sum(alpha) + sum(beta) <= max_order
-    ]
-    for alpha, beta in multi:
-        # expand into real-axis partials per complex variable
-        per_var = [_wirtinger_to_real(alpha[j], beta[j]) for j in range(m)]
+    for key, (order, terms) in _stencil_plan(m, max_order).items():
         total = mpmath.mpc(0)
-        for combo in itertools.product(*[pv.items() for pv in per_var]):
-            coeff = 1.0 + 0.0j
-            axis_orders = []
-            for (px, py), c in combo:
-                coeff *= c
-                axis_orders += [px, py]
-            order_total = sum(axis_orders)
-            stencils = [_CENTRAL[k].items() for k in axis_orders]
-            acc = mpmath.mpc(0)
-            for offsets in itertools.product(*stencils):
-                weight = Fraction(1)
-                for _, w in offsets:
-                    weight *= w
-                if weight == 0:
-                    continue
-                off = tuple(o for o, _ in offsets)
-                acc += mpmath.mpf(weight.numerator) / weight.denominator * value_at(off)
-            total += mpmath.mpc(coeff) * acc / hmp**order_total
-        results[(alpha, beta)] = total
+        for off, c in terms:
+            total += c * value_at(off)
+        results[key] = total / hmp**order
     return results
 
 

@@ -270,7 +270,7 @@ def test_one_layout_batch_axes_last():
         "rule, one point per orbit": rule.frame,
         "take": rule.frame.take(np.array([0, 2, 3])),
     }
-    assert rule.frame.batch_shape == (len(rule.orbits.reps),) == (4,)
+    assert rule.frame.batch_shape == (len(rule.points),) == (4,)
     for name, fr in frames_under_test.items():
         m, batch = fr.m, fr.batch_shape
         for mat in (fr.a, fr.inv):

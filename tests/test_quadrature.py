@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
 import volume_form_oracle as oracle
-from crspectra.bounds import Decomposition, pullback_defining_function, reilly_bound, upper_bound
-from crspectra.errors import DegenerateFrame, JobValidationError, NoRootFound, NotRealValued
+from crspectra.bounds import (
+    Decomposition,
+    pullback_defining_function,
+    reilly_bound,
+    upper_bound,
+    validate_decomposition,
+)
+from crspectra.errors import (
+    DegenerateFrame,
+    InvalidDecomposition,
+    JobValidationError,
+    NoRootFound,
+    NotOnSphereImage,
+    NotRealValued,
+)
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
 from crspectra.quadrature import (
-    QuadratureRule,
+    MAX_RESOLUTION,
     QuadratureSettings,
-    _hopf_directions,
-    _Orbits,
     _monte_carlo_directions,
     _volume_density,
     build_quadrature,
@@ -20,6 +33,7 @@ from crspectra.quadrature import (
     re_densify,
 )
 from crspectra.reporting import canonical_json
+from grid_oracle import every_point, hopf_directions, per_point_rule
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
@@ -203,8 +217,9 @@ def test_density_on_orthonormal_basis_is_two():
 
 def _hopf_tangents(rho, resolution):
     rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=resolution))
-    tangents, _ = oracle.tangents_at(rho, rule.points, basis=oracle.hopf_tangents)
-    return rule.points, tangents
+    points, _ = every_point(rule)
+    tangents, _ = oracle.tangents_at(rho, points, basis=oracle.hopf_tangents)
+    return points, tangents
 
 
 def test_density_scaling_with_defining_function():
@@ -245,8 +260,10 @@ def test_rule_density_matches_form_on_pushed_forward_tangents(case):
         basis = oracle.hopf_tangents
     if case == "re-densified":
         rule = re_densify(rule, parse(f"({PULLBACK})*(2+re(z1))", 1))
-    expected = oracle.density(rule.rho, rule.points, basis=basis)
-    assert np.max(np.abs(rule.density[rule.orbits.orbit] / expected - 1.0)) <= 1e-13
+    points, _ = every_point(rule)
+    expected = oracle.density(rule.rho, points, basis=basis)
+    density = np.repeat(rule.density, rule.shifts.shape[1])
+    assert np.max(np.abs(density / expected - 1.0)) <= 1e-13
 
 
 def test_hopf_volume_sphere():
@@ -290,15 +307,30 @@ def test_monte_carlo_n2_volume():
 
 def test_integrate_symmetry_and_moments():
     rule = build_quadrature(SPHERE, QuadratureSettings("hopf_product", resolution=24))
-    p = rule.points
-    odd = integrate(rule, p[:, 0] * np.conj(p[:, 1]))
+    odd = integrate(rule, parse("z1*conj(z2)", 1))
     assert abs(odd) < 1e-10
-    half = integrate(rule, np.abs(p[:, 0]) ** 2)
+    half = integrate(rule, parse("abs2(z1)", 1))
     assert half == pytest.approx(rule.volume / 2.0, abs=1e-8)
-    ones = integrate(rule, np.ones(len(rule)))
+    ones = integrate(rule, parse("1", 1))
     assert ones == pytest.approx(rule.volume)
-    r_avg = integrate(rule, np.ones(len(rule))) / rule.volume
+    r_avg = integrate(rule, parse("1", 1)) / rule.volume
     assert r_avg == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("text", ["re(z1^2)", "z1*conj(z2)+1"])
+def test_integrate_refines_by_the_integrand_charges(text):
+    # the pullback rule holds one point per colatitude ring; the rotations
+    # that fix re(z1^2) turn z1 by 0 or a half turn, those that fix
+    # z1 conj(z2) turn both coordinates alike, so the sum splits each ring
+    # into R / 2 or R points, and matches the full grid's
+    rho, R = PULLBACK, 32
+    settings = QuadratureSettings("hopf_product", resolution=R)
+    rule = build_quadrature(rho, settings)
+    f = parse(text, 1)
+    full = per_point_rule(rho, settings, *hopf_directions(R))
+    want = np.sum(full.weights * f.value(None, full.points))
+    got = integrate(rule, f)
+    assert abs(got - want) <= 1e-13 * np.sum(full.weights * np.abs(f.value(None, full.points)))
 
 
 def test_hopf_spectral_convergence():
@@ -413,18 +445,17 @@ def test_non_real_defining_function_refused_when_rule_is_built(settings):
 
 def _assert_frame_is_per_point(rule, tol):
     # the rule holds its frame once per orbit: a frame built at every point
-    # reads the same J, det H, r and density on every point of an orbit
-    direct, orbit = build_frame(rule.rho, rule.points, rule.params), rule.orbits.orbit
-    assert rule.frame.r.shape == rule.density.shape == (len(rule.orbits.reps),)
+    # of every orbit reads the same J, det H, r and density along the orbit
+    points, _ = every_point(rule)
+    direct, count = build_frame(rule.rho, points, rule.params), rule.shifts.shape[1]
+    assert rule.frame.r.shape == rule.density.shape == rule.weights.shape == (len(rule.points),)
     for name in ("J", "detH", "r"):
-        got, want = getattr(rule.frame, name)[orbit], getattr(direct, name)
+        got, want = np.repeat(getattr(rule.frame, name), count), getattr(direct, name)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
     density = _volume_density(direct)
-    assert np.max(np.abs(rule.density[orbit] - density)) <= tol * np.max(density)
-    weights = rule.base_weights * density
-    assert np.max(np.abs(rule.weights - weights)) <= tol * np.max(weights)
-    orbit_weights = np.bincount(orbit, weights)
-    assert np.max(np.abs(rule.orbit_weights - orbit_weights)) <= tol * np.max(orbit_weights)
+    assert np.max(np.abs(np.repeat(rule.density, count) - density)) <= tol * np.max(density)
+    orbit_weights = (np.repeat(rule.base_weights, count) * density).reshape(-1, count).sum(axis=1)
+    assert np.max(np.abs(rule.weights - orbit_weights)) <= tol * np.max(orbit_weights)
 
 
 # the pullback is Reinhardt: one orbit per colatitude node; the ellipsoid's
@@ -441,10 +472,14 @@ def test_orbit_frame_matches_per_point_frame(rho, reps, monkeypatch):
 
 def test_orbit_representatives_are_built_directly():
     rule = build_quadrature(ELLIPSOID, QuadratureSettings("hopf_product", resolution=8))
-    # the smallest phase index of each orbit: j1 in {0, 1, 2, 3}, j2 = 0
+    # the smallest phase index of each orbit: j1 in {0, 1, 2, 3}, j2 = 0,
+    # projected from the grid's own directions; the fixing shifts are the
+    # rotations of z2 and the half turn of z1
     reps = (np.arange(8)[:, None] * 64 + np.arange(4) * 8).ravel()
-    assert np.array_equal(rule.orbits.reps, reps)
-    direct = build_frame(ELLIPSOID, rule.points[reps])
+    dirs = hopf_directions(8)[0][reps]
+    assert np.array_equal(rule.points, project_rays(ELLIPSOID, None, dirs)[:, None] * dirs)
+    assert rule.shifts.tolist() == [[0] * 8 + [4] * 8, list(range(8)) * 2]
+    direct = build_frame(ELLIPSOID, rule.points)
     for name in ("point", "a", "inv", "J", "detH"):
         assert np.array_equal(getattr(rule.frame, name), getattr(direct, name))
 
@@ -466,16 +501,8 @@ def test_re_densify_reduces_by_the_shared_rotations_only(rule_rho, rho, monkeypa
     assert read == [(2, 16**3 // 16)]
     _assert_frame_is_per_point(again, 1e-13)
     # the new rule keeps the orbits its frame was built on, for the assembly
-    assert len(again.orbits.reps) == 16**3 // 16 and again.orbits.shifts.shape[1] == 16
-    assert again.orbit_weights.sum() == pytest.approx(again.volume, rel=1e-14)
-
-
-def _per_point_rule(rho, settings, dirs, base):
-    """The rule built without orbits: every ray projected, the frame built
-    at every point."""
-    points = project_rays(rho, None, dirs)[:, None] * dirs
-    return QuadratureRule(base, settings, rho, None, points, build_frame(rho, points),
-                          _Orbits.single(*points.shape))
+    assert len(again.points) == 16**3 // 16 and again.shifts.shape[1] == 16
+    assert len(again) == len(rule) == 16**3
 
 
 @pytest.mark.parametrize("case", ["hopf-no-symmetry", "monte-carlo"])
@@ -489,8 +516,8 @@ def test_rule_without_orbits_is_built_point_by_point(case):
     else:
         settings = QuadratureSettings("hopf_product", resolution=24)
         rho = parse("abs2(z1)+abs2(z2)+0.1*re(z1)+0.1*re(z2)-1", 1)
-        dirs, base = _hopf_directions(24)
-    rule, direct = build_quadrature(rho, settings), _per_point_rule(rho, settings, dirs, base)
+        dirs, base = hopf_directions(24)
+    rule, direct = build_quadrature(rho, settings), per_point_rule(rho, settings, dirs, base)
     for name in ("points", "density", "weights"):
         assert np.array_equal(getattr(rule, name), getattr(direct, name))
     for name in ("a", "inv", "J", "detH"):
@@ -513,9 +540,9 @@ def test_bounds_on_one_point_orbits_match_the_per_point_rule(case):
         settings, dirs_base = (QuadratureSettings("monte_carlo", samples=3000, seed=5),
                                _monte_carlo_directions(2, 3000, 5))
     else:
-        settings, dirs_base = QuadratureSettings("hopf_product", resolution=24), _hopf_directions(24)
-    rule, direct = build_quadrature(SHIFTED, settings), _per_point_rule(SHIFTED, settings, *dirs_base)
-    assert len(rule.orbits.reps) == len(rule)
+        settings, dirs_base = QuadratureSettings("hopf_product", resolution=24), hopf_directions(24)
+    rule, direct = build_quadrature(SHIFTED, settings), per_point_rule(SHIFTED, settings, *dirs_base)
+    assert len(rule.points) == len(rule)
     dec = Decomposition(N=1.0, nu=1.0, psi=parse("0.1*re(z1)+0.1*re(z2)", 1),
                         f_maps=PULLBACK_MAPS)
     for bound, data in ((upper_bound, dec), (reilly_bound, SHIFTED_MAPS)):
@@ -529,9 +556,9 @@ def test_upper_bound_sums_once_per_orbit_on_the_reinhardt_pullback():
     # column per orbit, and the bound's sums agree with the per-point rule's
     settings = QuadratureSettings("hopf_product", resolution=32)
     rule = build_quadrature(PULLBACK, settings)
-    direct = _per_point_rule(PULLBACK, settings, *_hopf_directions(32))
-    assert rule.frame.inv.shape[-1] == len(rule.orbits.reps) == 32
-    assert rule.orbit_weights.shape == rule.frame.r.shape == (32,)
+    direct = per_point_rule(PULLBACK, settings, *hopf_directions(32))
+    assert rule.frame.inv.shape[-1] == len(rule.points) == 32
+    assert rule.weights.shape == rule.frame.r.shape == (32,)
     dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=PULLBACK_MAPS)
     got = upper_bound(dec, rule).diagnostics
     want = upper_bound(dec, direct).diagnostics
@@ -543,3 +570,53 @@ def test_upper_bound_sums_once_per_orbit_on_the_reinhardt_pullback():
     for name, value in sums.items():
         assert got[name] == pytest.approx(want[name], rel=1e-13, abs=0), name
         assert got[name] == pytest.approx(value, rel=1e-13, abs=0), name
+
+
+# 0.5 z1^2 + 1e-5 i z2^2 puts |F|^2 - 1 within 1.2e-10 of rho on the real
+# points of the rings, where the pullback rule holds its points, but 2.3e-6
+# from it elsewhere on M (2.7e-6 near M): |F_3|^2 has charges +-(2, -2), and
+# both bounds check on the rule refined by them, finding the grid's maxima
+def test_quotient_checks_refine_by_the_maps_charges():
+    rule = build_quadrature(PULLBACK, QuadratureSettings("hopf_product", resolution=32))
+    maps = [parse(f, 1) for f in ("z1", "z2", "0.5*z1^2+0.00001*i*z2^2")]
+    on_rings = pullback_defining_function(maps).value(None, rule.points).real
+    assert np.max(np.abs(on_rings)) <= 1e-8
+    with pytest.raises(InvalidDecomposition, match=r"residual 2\.736e-06"):
+        upper_bound(Decomposition(N=1.0, nu=1.0, psi=None, f_maps=maps), rule)
+    with pytest.raises(NotOnSphereImage, match=r"= 2\.251e-06"):
+        reilly_bound(maps, rule)
+    # the maps of rule_n1 pass, checked at 3 x 32 points
+    dec = Decomposition(N=1.0, nu=1.0, psi=None, f_maps=PULLBACK_MAPS)
+    assert upper_bound(dec, rule).diagnostics["validation_points"] == 96
+
+
+def test_residual_on_the_quotient_is_the_grid_residual():
+    # the ellipsoid's rule holds 8 of the 256 phase pairs of each ring; psi
+    # 1e-9 off the pluriharmonic part leaves a residual that varies along M
+    settings = QuadratureSettings("hopf_product", resolution=16)
+    rule = build_quadrature(ELLIPSOID, settings)
+    dec = Decomposition(N=1.0, nu=1.0, psi=parse("0.100000001*re(z1^2)", 1),
+                        f_maps=[parse("z1", 1), parse("z2", 1)])
+    got = upper_bound(dec, rule).diagnostics
+    grid = per_point_rule(ELLIPSOID, settings, *hopf_directions(16)).points
+    want = validate_decomposition(ELLIPSOID, dec, grid)
+    assert got["validation_points"] == 3 * 16 * 8 and want["validation_points"] == 3 * 16**3
+    # the same maximum, to the rounding of terms of size at most 2 near M
+    assert want["residual_max"] > 1e-10
+    assert abs(got["residual_max"] - want["residual_max"]) <= 2e-15
+
+
+def test_bounds_at_the_largest_resolution_stay_small():
+    # R = 128: 2,097,152 grid points, held as 128 ring points; neither the
+    # rule nor the bounds' checks build the grid
+    tracemalloc.start()
+    try:
+        rule = build_quadrature(PULLBACK, QuadratureSettings("hopf_product",
+                                                             resolution=MAX_RESOLUTION))
+        upper_bound(Decomposition(N=1.0, nu=1.0, psi=None, f_maps=PULLBACK_MAPS), rule)
+        reilly_bound(PULLBACK_MAPS, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rule) == MAX_RESOLUTION**3 and len(rule.points) == MAX_RESOLUTION
+    assert peak < 16 << 20, peak

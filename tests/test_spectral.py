@@ -13,7 +13,7 @@ from crspectra.errors import (
 )
 from crspectra.expressions import parse
 from crspectra.frames import build_frame
-from crspectra.quadrature import QuadratureSettings, _Orbits, build_quadrature
+from crspectra.quadrature import QuadratureSettings, build_quadrature
 from crspectra.spectral import (
     MAX_DEGREE,
     MonomialBasis,
@@ -26,6 +26,7 @@ from crspectra.spectral import (
     solve,
 )
 from crspectra.verification import sphere_spectrum_oracle
+from grid_oracle import every_point, hopf_directions, per_point_rule
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
 SQUARED = parse("(abs2(z1)+abs2(z2))^2-1", 1)
@@ -257,9 +258,9 @@ def _direct_monomial(z, a, b, da=None, db=None):
 def _dense_reference(rule, basis):
     """G, S and the stiffness by parts from the basis values, dbar_k and
     d_j dbar_k at every rule point, each monomial evaluated by plain powers,
-    with a frame built at every point; the Levi inverse comes from the chart
-    oracle, not from frame.h."""
-    z, w = rule.points, rule.weights
+    with a frame built at every point of every orbit; the Levi inverse comes
+    from the chart oracle, not from frame.h."""
+    z, w = every_point(rule)
     frame = build_frame(rule.rho, z, rule.params)
     m, n = frame.m, frame.n
     pairs = list(zip(basis.holo, basis.anti))
@@ -327,11 +328,10 @@ def test_galerkin_plan_built_once_per_dimension_and_degree(sphere_rule):
     (ELLIPSOID, 32 * 16, lambda du, dv: (du % 2 == 0) & (dv == 0)),
 ], ids=["reinhardt", "ellipsoid"])
 def test_orbit_assembly_matches_the_per_point_pencil(rho, reps, same, monkeypatch):
-    rule = build_quadrature(rho, QuadratureSettings("hopf_product", resolution=32))
+    settings = QuadratureSettings("hopf_product", resolution=32)
+    rule = build_quadrature(rho, settings)
     basis = MonomialBasis.build(2, 4)
-    per_point = _galerkin_matrices(
-        dataclasses.replace(rule, frame=build_frame(rho, rule.points),
-                            orbits=_Orbits.single(*rule.points.shape)), basis)
+    per_point = _galerkin_matrices(per_point_rule(rho, settings, *hopf_directions(32)), basis)
     seen = []
     table = _Monomials.table
     monkeypatch.setattr(_Monomials, "table", lambda self, v: seen.append(v.shape[1]) or table(self, v))
