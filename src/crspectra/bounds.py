@@ -286,21 +286,23 @@ def special_bound(rho, j, sample_points, params=None) -> BoundReport:
                        diagnostics=diagnostics)
 
 
-_DISPERSION_BLOCK_BYTES = 1 << 23
+_DISPERSION_BLOCK_BYTES = 1 << 22
 
 
 def _dispersion(points):
     """Mean nearest-neighbour distance of the sample set.
 
     The squared distances come from the Gram form |x_i|^2 + |x_j|^2 -
-    2 x_i.x_j, one matrix product per row block of at most
-    _DISPERSION_BLOCK_BYTES.  The Gram form only picks candidates: every
-    distance within its rounding bound of the row minimum is measured again
-    as sum((x_i - x_j)^2), so the result is the direct formula's bit for bit,
-    whatever the BLAS.  A non-finite Gram entry makes its whole row a
-    candidate.  The candidates are measured in slices of whole rows holding
-    at most rows * count // (2m) pairs, so each (pairs, 2m) temporary stays
-    within the same budget even when every pair of a block is a candidate.
+    2 x_i.x_j: one matrix product [x, 1] @ [-2 x, |x|^2]^T per row block of
+    at most _DISPERSION_BLOCK_BYTES gives |x_j|^2 - 2 x_i.x_j, and |x_i|^2
+    is added to the row minimum only.  The Gram form only picks candidates:
+    every distance within its rounding bound of the row minimum is measured
+    again as sum((x_i - x_j)^2), so the result is the direct formula's bit
+    for bit, whatever the BLAS.  A non-finite Gram entry makes its whole
+    row a candidate.  The candidates are measured in slices of whole rows
+    holding at most rows * count // (2m) pairs, so each (pairs, 2m)
+    temporary stays within the same budget even when every pair of a block
+    is a candidate.
     """
     count = points.shape[0]
     if count < 2:
@@ -308,6 +310,8 @@ def _dispersion(points):
     x = points.reshape(count, -1)
     x = np.concatenate([x.real, x.imag], axis=1)
     sq = np.einsum("ij,ij->i", x, x)
+    left = np.concatenate([x, np.ones((count, 1))], axis=1)
+    right = np.concatenate([-2.0 * x, sq[:, None]], axis=1)
     # rounding of the Gram form and of the direct sum, with a wide margin
     slack = 64.0 * x.shape[1] * np.finfo(float).eps
     scale = sq + sq.max()
@@ -317,14 +321,11 @@ def _dispersion(points):
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        gram = x[lo:hi] @ x.T
-        gram *= -2.0
-        gram += sq[lo:hi, None]
-        gram += sq
+        gram = left[lo:hi] @ right.T
         gram[diag] = np.inf
-        low = np.min(gram, axis=1)
+        low = np.min(gram, axis=1) + sq[lo:hi]
         bound = low + slack * (scale[lo:hi] + np.abs(low))
-        candidate = ~(gram > bound[:, None])
+        candidate = ~(gram > (bound - sq[lo:hi])[:, None])
         del gram
         candidate[diag] = False
         if np.count_nonzero(candidate) <= pairs:

@@ -14,17 +14,25 @@ the by-parts matrix, so every pencil carries its integration-by-parts
 deviation.  The kernel threshold belongs to the eigen-split: ``solve`` takes
 it and counts the Ritz values below it as the kernel of box_b.
 
+Charge blocks: the entries between monomials of different torus-charge
+classes under the rule's shifts sum to exactly 0 over every orbit
+(``_galerkin_matrices``).  ``assemble`` labels each monomial's class once,
+gathers only the entries within a class and keeps the labels on the pencil;
+its leading blocks slice them.  ``solve`` works class by class, stacking
+the classes of equal size into one LAPACK call, under rules that hold over
+the whole pencil.  The degree-5 basis in C^2 on a rule that every rotation
+fixes falls into 61 classes of at most 6 of its 126 monomials.  A rule
+with the one shift 0 (a Monte Carlo rule, or a rho no grid rotation fixes)
+is one class.
+
 Assembly: every entry of G, S and the stiffness by parts is a sum of
 point-weighted moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q, with c
 one of w, w h (h the frame's ambient Levi inverse, which gives both the
 dbar_b pairing and delta_tilde) and n w conj(xi).  The sum runs over the
 rule's points, one per torus orbit (``quadrature``), each weighted by its
-orbit's total weight, and the entries between monomials of different charge
-classes under the rule's shifts, which sum to exactly 0 over every orbit,
-are set to 0 (``_galerkin_matrices``).  A rule with the one shift 0 (a
-Monte Carlo rule, or a rho no grid rotation fixes) keeps every entry.  The
-entries read each weight only up to its reach: |p| + |q| <= 2 degree for
-w, 2 degree - 1 for n w conj(xi) and 2 degree - 2 for w h.  With z = x + iy
+orbit's total weight (``_galerkin_moments``).  The entries read each weight
+only up to its reach: |p| + |q| <= 2 degree for w, 2 degree - 1 for
+n w conj(xi) and 2 degree - 2 for w h.  With z = x + iy
 these are integer combinations of real moments: each chunk of
 representatives tabulates the monomials of x_2..x_m, y_1..y_m and stacks
 the real weight rows by levels k = 2 degree..0, level k being level k + 1
@@ -196,11 +204,21 @@ def _binomial_map(m, bimon, table):
 
 @dataclass
 class SpectralProblem:
+    """The Galerkin pencil of a basis, with its deviations.  ``labels`` is
+    the charge class of each basis function: the pencil has no entries
+    across classes, so ``solve`` works class by class.  A pencil given
+    without labels is one class."""
+
     gram: np.ndarray
     stiffness: np.ndarray
     basis: MonomialBasis
     herm_deviation: float = 0.0
     ibp_deviation: float = 0.0
+    labels: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.labels is None:
+            self.labels = np.zeros(len(self.gram), dtype=np.intp)
 
     def leading_block(self, degree):
         """The pencil of the degree-``degree`` sub-basis.  It keeps this
@@ -209,7 +227,8 @@ class SpectralProblem:
         basis = self.basis.truncate(degree)
         size = len(basis)
         return replace(self, gram=self.gram[:size, :size],
-                       stiffness=self.stiffness[:size, :size], basis=basis)
+                       stiffness=self.stiffness[:size, :size], basis=basis,
+                       labels=self.labels[:size])
 
 
 def _chunk_points(table_rows):
@@ -262,17 +281,13 @@ def _galerkin_plan(m, degree):
                            binomial=_binomial_map(m, bimon, table))
 
 
-def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
-    """G, S, the stiffness by parts, and the largest |h - h^H| over the h
-    they read, from moments.
-
-    Every entry is a sum of point-weighted moments
-    mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q:
-    G[u,v] = mu_1(a_u+b_v, b_u+a_v), and with h the frame's ambient Levi
-    inverse (|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar))
-    S[u,v] = sum_kl b_uk b_vl mu_{h_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
-    The stiffness by parts integrates (box_b phi_u) conj(phi_v), with
-    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.
+def _galerkin_moments(rule: QuadratureRule, plan):
+    """The complex moments mu_c(p, q) = sum_i w_i c_i z_i^p conj(z_i)^q,
+    |p| + |q| <= 2 degree, with one row per bimonomial of ``plan`` (the
+    ``_galerkin_plan`` of the basis degree) and one column per weight c: 1,
+    h_kl in column 1 + k m + l (h the frame's ambient Levi inverse) and
+    n conj(xi_k) in column 1 + m m + k.  Also the largest |h - h^H| over the
+    h they read.
 
     The real weight rows are w, w h_kk, w Re h_kl and w Im h_kl (k < l; h is
     Hermitian), n w Re conj(xi_k) and n w Im conj(xi_k).  The entries read
@@ -285,25 +300,15 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     y_1..y_m are one product of that prefix with those table rows.  The sum
     of the chunks is scattered into the real moments of x_1^s times the
     table rows of degree <= 2 degree - s (entries beyond a row's reach stay
-    0), and ``_binomial_map`` turns those into mu.
-
-    The sums run over the rule's points, one per torus orbit, where it
-    holds its frame, each weighted by its orbit's total weight.  A fixing
-    rotation z_j -> e^{2 pi i s_j / R} z_j maps phi_u = z^a conj(z)^b to
-    e^{2 pi i chi_u.s / R} phi_u, chi = a - b its charge, and h -> D h D*,
-    conj(xi) -> D conj(xi), D = diag(e^{-2 pi i s_j / R}), so every integrand
-    of entry (u, v) takes the character e^{2 pi i (chi_u - chi_v).s / R}.
-    Over an orbit it sums to the representative's term when (chi_u -
-    chi_v).s = 0 mod R for every fixing shift s, and to exactly 0 otherwise:
-    the entries across those charge classes are set to 0, R the rule's
-    ``resolution``.  The one shift 0 keeps every entry.
+    0), and ``_binomial_map`` turns those into mu.  The sums run over the
+    rule's points, one per torus orbit, where it holds its frame, each
+    weighted by its orbit's total weight.
     """
     frame = rule.frame
     m, n = frame.m, frame.n
-    plan = _galerkin_plan(m, basis.degree)
     table, ku, lu, order, sizes, prefix, bounds = (
         plan.table, plan.ku, plan.lu, plan.order, plan.sizes, plan.prefix, plan.bounds)
-    top = 2 * basis.degree
+    top = table.degree
     herm_dev = 0.0
 
     def piece(sl):
@@ -345,39 +350,69 @@ def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis):
     h[:, ku, lu], h[:, lu, ku] = re + 1j * im, re - 1j * im
     xi_re, xi_im = np.split(xi, 2, axis=1)
     mu = np.concatenate([moments[:, :1], h.reshape(-1, m * m), xi_re + 1j * xi_im], axis=1)
+    return mu, herm_dev
 
+
+def _charge_labels(rule: QuadratureRule, basis: MonomialBasis):
+    """The charge class of each basis monomial: two share a class when
+    their labels chi.s mod R, chi = a - b, agree at every shift s of the
+    rule, R its ``resolution``.  The labels are taken once per charge."""
+    chi, inverse = np.unique(basis.holo - basis.anti, axis=0, return_inverse=True)
+    classes = {}
+    label = np.array([classes.setdefault(row.tobytes(), len(classes))
+                      for row in chi @ rule.shifts % rule.settings.resolution])
+    return label[inverse.reshape(-1)]
+
+
+def _galerkin_matrices(rule: QuadratureRule, basis: MonomialBasis, labels):
+    """G, S, the stiffness by parts, and the largest |h - h^H| over the h
+    they read, from the moments of ``_galerkin_moments``.
+
+    G[u,v] = mu_1(a_u+b_v, b_u+a_v), and with h the frame's ambient Levi
+    inverse (|dbar_b u|^2 = h^{k lbar} u_kbar conj(u_lbar))
+    S[u,v] = sum_kl b_uk b_vl mu_{h_kl}(a_u+b_v-e_l, b_u+a_v-e_k).
+    The stiffness by parts integrates (box_b phi_u) conj(phi_v), with
+    box_b = -h^{k jbar} d_j dbar_k + n conj(xi)^k dbar_k.
+
+    Only the entries within a charge class (``labels``, from
+    ``_charge_labels``) are gathered; the rest are 0.  A fixing rotation
+    z_j -> e^{2 pi i s_j / R} z_j maps phi_u = z^a conj(z)^b to
+    e^{2 pi i chi_u.s / R} phi_u, chi = a - b its charge, and h -> D h D*,
+    conj(xi) -> D conj(xi), D = diag(e^{-2 pi i s_j / R}), so every integrand
+    of entry (u, v) takes the character e^{2 pi i (chi_u - chi_v).s / R}.
+    Over an orbit it sums to the representative's term when (chi_u -
+    chi_v).s = 0 mod R for every fixing shift s, and to exactly 0 otherwise.
+    """
+    m = rule.frame.m
+    plan = _galerkin_plan(m, basis.degree)
+    mu, herm_dev = _galerkin_moments(rule, plan)
+    bimon = plan.bimon
+    u, v = np.nonzero(labels[:, None] == labels)
     a, b = basis.holo, basis.anti
     rp, rq = bimon.radix[:m], bimon.radix[m:]
-    # the key of (a_u + b_v, b_u + a_v) is left[u] + right[v]
-    left, right = a @ rp + b @ rq, b @ rp + a @ rq
+    # the key of (a_u + b_v, b_u + a_v)
+    key = (a @ rp + b @ rq)[u] + (b @ rp + a @ rq)[v]
 
     def gather(col, shift=0):
         """mu[(a_u + b_v, b_u + a_v) lowered by the key ``shift``, col].  An
         exponent lowered below 0 reads an arbitrary row: every such entry
         has coefficient 0."""
-        return mu[bimon.rank[np.maximum(left[:, None] + right - shift, 0)], col]
+        return mu[bimon.rank[np.maximum(key - shift, 0)], col]
 
-    G = gather(0)
-    S = np.zeros_like(G)
+    g = gather(0)
+    s = np.zeros_like(g)
     for k in range(m):
         for l in range(m):
-            S += (b[:, k, None] * b[None, :, l]) * gather(1 + k * m + l, rp[l] + rq[k])
-    Sp = np.zeros_like(G)
+            s += (b[u, k] * b[v, l]) * gather(1 + k * m + l, rp[l] + rq[k])
+    sp = np.zeros_like(g)
     for j in range(m):
         for k in range(m):
-            Sp -= (a[:, j] * b[:, k])[:, None] * gather(1 + k * m + j, rp[j] + rq[k])
+            sp -= (a[u, j] * b[u, k]) * gather(1 + k * m + j, rp[j] + rq[k])
     for k in range(m):
-        Sp += b[:, k, None] * gather(1 + m * m + k, rq[k])
-    # the charge class of each basis monomial: its labels chi.s mod R, chi =
-    # a - b, over the fixing shifts s; an entry across classes sums to 0 over
-    # every orbit
-    classes = {}
-    label = np.array([classes.setdefault(row.tobytes(), len(classes))
-                      for row in (a - b) @ rule.shifts % rule.settings.resolution])
-    cross = label[:, None] != label
-    for mat in (G, S, Sp):
-        mat[cross] = 0.0
-    return G, S, Sp, herm_dev
+        sp += b[u, k] * gather(1 + m * m + k, rq[k])
+    mats = np.zeros((3, len(basis), len(basis)), dtype=np.complex128)
+    mats[:, u, v] = g, s, sp
+    return *mats, herm_dev
 
 
 def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
@@ -390,9 +425,11 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
     validates the operator end to end.  The Hermitian deviation is the
     largest |X - X^H| of G, S and the frame's Levi inverse h at the orbit
     representatives: the assembly reads h there only, and only above its
-    diagonal.
+    diagonal.  The pencil keeps the charge class of each basis monomial
+    (``_charge_labels``), taken once per assembly.
     """
-    G, S, Sp, herm_dev = _galerkin_matrices(rule, basis)
+    labels = _charge_labels(rule, basis)
+    G, S, Sp, herm_dev = _galerkin_matrices(rule, basis, labels)
     herm_dev = max(herm_dev, float(np.max(np.abs(G - G.conj().T))),
                    float(np.max(np.abs(S - S.conj().T))))
     G = hermitize(G)
@@ -400,6 +437,7 @@ def assemble(rule: QuadratureRule, basis: MonomialBasis) -> SpectralProblem:
     return SpectralProblem(
         gram=G, stiffness=S, basis=basis,
         herm_deviation=herm_dev, ibp_deviation=float(np.max(np.abs(S - Sp))),
+        labels=labels,
     )
 
 
@@ -412,35 +450,67 @@ class SolveResult:
     gram_cond: float
 
 
+def _class_blocks(labels):
+    """The basis indices of each class, stacked by class size: one
+    (classes, size) array per size."""
+    order = np.argsort(labels, kind="stable")
+    _, first, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    return [order[first[counts == size, None] + np.arange(size)] for size in np.unique(counts)]
+
+
+def _diagonal_blocks(mat, index):
+    """The (classes, size, size) diagonal blocks of ``mat`` on ``index``."""
+    return mat[index[:, :, None], index[:, None, :]]
+
+
 def solve(problem: SpectralProblem, kernel_tol=1e-6) -> SolveResult:
     """Ritz values of the (stiffness, gram) pencil on the numerical range of G.
 
-    Ritz values below ``kernel_tol`` times max(1, the largest) count as the
-    kernel of box_b; lambda1 is the least value above that threshold.
+    The pencil has no entries across its charge classes, so it is solved
+    class by class: one ``eigh`` of the stacked Gram blocks per class size,
+    and one ``eigvalsh`` of the stacked reduced blocks per reduced size.
+    The rules hold over the whole pencil: with wmax the largest Gram
+    eigenvalue of any block, G must be positive semidefinite to -1e-10
+    wmax, directions below GRAM_DROP_TOL wmax are dropped as null on M, and
+    a kept one below GRAM_COND_TOL wmax refuses the pencil.  Ritz values
+    below ``kernel_tol`` times max(1, the largest) count as the kernel of
+    box_b; lambda1 is the least value above that threshold.  The Ritz
+    values come back sorted.
     """
     check_kernel_tol(kernel_tol)
-    G, S = problem.gram, problem.stiffness
-    wg, U = np.linalg.eigh(G)
-    wmax = float(wg[-1])
+    blocks = _class_blocks(problem.labels)
+    eig = [np.linalg.eigh(_diagonal_blocks(problem.gram, index)) for index in blocks]
+    wg = np.concatenate([w.ravel() for w, _ in eig])
+    wmax, wmin = float(np.max(wg)), float(np.min(wg))
     if wmax <= 0.0:
         raise CholeskyFailure("Gram matrix has no positive mass")
-    if float(wg[0]) < -1e-10 * wmax:
+    if wmin < -1e-10 * wmax:
         raise CholeskyFailure(
-            f"Gram matrix is not positive semidefinite (min eig {wg[0]:.3e})"
+            f"Gram matrix is not positive semidefinite (min eig {wmin:.3e})"
         )
-    keep = wg > GRAM_DROP_TOL * wmax
-    kept = wg[keep]
+    drop = GRAM_DROP_TOL * wmax
+    kept = wg[wg > drop]
     if kept.size == 0:
         raise CholeskyFailure("Gram matrix is numerically zero")
-    gram_cond = float(wmax / kept[0])
-    if kept[0] < GRAM_COND_TOL * wmax:
+    low = float(np.min(kept))
+    gram_cond = wmax / low
+    if low < GRAM_COND_TOL * wmax:
         raise IllConditionedGram(
             f"Gram condition estimate {gram_cond:.3e} > 1e12: "
             "lower the basis degree or raise the quadrature resolution"
         )
-    W = U[:, keep] / np.sqrt(kept)[None, :]
-    St = hermitize(W.conj().T @ S @ W)
-    lam = np.linalg.eigvalsh(St)
+    # eigh sorts each block's eigenvalues, so a block keeps its last k
+    reduced = {}
+    for index, (w, U) in zip(blocks, eig):
+        counts = np.sum(w > drop, axis=1)
+        for k in np.unique(counts[counts > 0]):
+            sel = counts == k
+            W = U[sel, :, -k:] / np.sqrt(w[sel, None, -k:])
+            S = _diagonal_blocks(problem.stiffness, index[sel])
+            St = np.conj(np.swapaxes(W, 1, 2)) @ S @ W
+            reduced.setdefault(k, []).append(0.5 * (St + np.conj(np.swapaxes(St, 1, 2))))
+    lam = np.sort(np.concatenate([np.linalg.eigvalsh(np.concatenate(mats)).ravel()
+                                  for mats in reduced.values()]))
     thr = kernel_tol * max(1.0, float(lam[-1]))
     kernel_dim = int(np.sum(lam < thr))
     positive = lam[lam >= thr]
@@ -448,7 +518,7 @@ def solve(problem: SpectralProblem, kernel_tol=1e-6) -> SolveResult:
         raise NoPositiveEigenvalue("no Ritz value above the kernel threshold")
     return SolveResult(
         eigenvalues=lam, kernel_dim=kernel_dim, lambda1=float(positive[0]),
-        dropped_dim=int(np.sum(~keep)), gram_cond=gram_cond,
+        dropped_dim=int(wg.size - kept.size), gram_cond=gram_cond,
     )
 
 

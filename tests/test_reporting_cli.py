@@ -452,10 +452,11 @@ def test_running_sum_matches_stacked_chunk_sum(job, chunks, monkeypatch):
     rule = _job_rule(job)
     basis = spectral.MonomialBasis.build(rule.rho.m, job["tasks"][0]["degree"])
     assert len(runtime.chunk_slices(len(rule.points), _assembly_chunk(job))) == chunks
-    running = spectral._galerkin_matrices(rule, basis)
+    labels = spectral._charge_labels(rule, basis)
+    running = spectral._galerkin_matrices(rule, basis, labels)
     monkeypatch.setattr(spectral, "sum_chunks", lambda fn, total, size: np.stack(
         [fn(sl) for sl in runtime.chunk_slices(total, size)]).sum(axis=0))
-    stacked = spectral._galerkin_matrices(rule, basis)
+    stacked = spectral._galerkin_matrices(rule, basis, labels)
     for got, want in zip(running, stacked):
         assert np.array_equal(got, want)
 
@@ -485,8 +486,8 @@ def test_blas_thread_count_does_not_change_report(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-# the surface, rule and tasks of the rule_n1 benchmark workload: at degree 5
-# the Ritz values of the ill-conditioned tail move with the BLAS thread count
+# the surface, rule and tasks of the rule_n1 benchmark workload: its degree-5
+# pencil is solved in charge blocks of at most 6 functions
 PULLBACK_MAPS = ["z1", "z2", "0.5*z1^2"]
 PULLBACK_DEGREE5_JOB = {
     "dimension_n": 1,
@@ -504,13 +505,9 @@ PULLBACK_DEGREE5_JOB = {
 
 def test_blas_thread_count_keeps_degree5_lambda1_and_bounds(tmp_path):
     outputs = _reports_at_blas_threads(PULLBACK_DEGREE5_JOB, tmp_path)
-    one, two = ([entry["result"] for entry in json.loads(out.splitlines()[-1])["results"]]
-                for out in outputs)
-    assert [r.get("kind") for r in one] == [r.get("kind") for r in two]
-    pairs = [(a["value"], b["value"]) for a, b in zip(one[:4], two[:4])]
-    pairs.append((one[4]["lambda1"], two[4]["lambda1"]))
-    for a, b in pairs:
-        assert abs(a - b) <= 1e-12 * abs(a)
+    results = json.loads(outputs[0].splitlines()[-1])["results"]
+    assert [entry["status"] for entry in results] == ["ok"] * 5
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("degree", [9, 0])

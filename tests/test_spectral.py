@@ -18,6 +18,7 @@ from crspectra.spectral import (
     MAX_DEGREE,
     MonomialBasis,
     SpectralProblem,
+    _charge_labels,
     _galerkin_matrices,
     _galerkin_plan,
     _Monomials,
@@ -25,7 +26,8 @@ from crspectra.spectral import (
     estimate_lambda1,
     solve,
 )
-from crspectra.verification import sphere_spectrum_oracle
+from crspectra.verification import SPHERE1, _Context, sphere_spectrum_oracle
+from dense_solve import dense_gather, dense_solve
 from grid_oracle import every_point, hopf_directions, per_point_rule
 
 SPHERE = parse("abs2(z1)+abs2(z2)-1", 1)
@@ -232,6 +234,7 @@ def test_leading_block_keeps_the_pencils_deviations():
         assert np.array_equal(block.basis.holo, MonomialBasis.build(2, d).holo)
         assert np.array_equal(block.gram, problem.gram[:size, :size])
         assert np.array_equal(block.stiffness, problem.stiffness[:size, :size])
+        assert np.array_equal(block.labels, problem.labels[:size])
         assert block.herm_deviation == problem.herm_deviation
         assert block.ibp_deviation == problem.ibp_deviation
         # the whole pencil's deviations bound those of the block's own assembly
@@ -301,7 +304,8 @@ def test_moment_assembly_matches_dense_reference(rho, settings, top):
     for degree in range(top + 1):
         basis = MonomialBasis.build(rho.m, degree)
         size = len(basis)
-        for mat, want in zip(_galerkin_matrices(rule, basis), reference):
+        for mat, want in zip(_galerkin_matrices(rule, basis, _charge_labels(rule, basis)),
+                             reference):
             want = want[:size, :size]
             assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -331,11 +335,12 @@ def test_orbit_assembly_matches_the_per_point_pencil(rho, reps, same, monkeypatc
     settings = QuadratureSettings("hopf_product", resolution=32)
     rule = build_quadrature(rho, settings)
     basis = MonomialBasis.build(2, 4)
-    per_point = _galerkin_matrices(per_point_rule(rho, settings, *hopf_directions(32)), basis)
+    grid = per_point_rule(rho, settings, *hopf_directions(32))
+    per_point = _galerkin_matrices(grid, basis, _charge_labels(grid, basis))
     seen = []
     table = _Monomials.table
     monkeypatch.setattr(_Monomials, "table", lambda self, v: seen.append(v.shape[1]) or table(self, v))
-    orbit = _galerkin_matrices(rule, basis)
+    orbit = _galerkin_matrices(rule, basis, _charge_labels(rule, basis))
     assert sum(seen) == reps
     chi = basis.holo - basis.anti
     cross = ~same(chi[:, None, 0] - chi[None, :, 0], chi[:, None, 1] - chi[None, :, 1])
@@ -343,3 +348,136 @@ def test_orbit_assembly_matches_the_per_point_pencil(rho, reps, same, monkeypatc
     for mat, want in zip(orbit[:3], per_point[:3]):
         assert np.max(np.abs(mat - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(mat[cross] == 0)
+
+
+N2_QUARTIC = parse("abs2(z1)+abs2(z2)+abs2(z3)+0.1*re(z1^2)+0.05*abs2(z2)^2-1", 2)
+
+
+@pytest.fixture(scope="module")
+def pullback_problem():
+    # the rule_n1 benchmark pencil: every grid rotation fixes the pullback,
+    # so the charge classes of the degree-5 basis are its 61 charges a - b
+    rule = build_quadrature(REINHARDT, QuadratureSettings("hopf_product", resolution=32))
+    return assemble(rule, MonomialBasis.build(2, 5))
+
+
+def test_charge_labels_split_the_basis_by_charge(pullback_problem):
+    labels = pullback_problem.labels
+    basis = pullback_problem.basis
+    chi = basis.holo - basis.anti
+    same = (chi[:, None] == chi[None]).all(axis=-1)
+    assert np.array_equal(labels[:, None] == labels, same)
+    assert len(np.unique(labels)) == 61
+    assert np.bincount(labels).max() == 6
+    assert np.count_nonzero(same) == 396
+    # the pencil has no entry across classes
+    for mat in (pullback_problem.gram, pullback_problem.stiffness):
+        assert np.all(mat[~same] == 0)
+
+
+def test_charge_labels_of_a_one_shift_rule_are_one_class():
+    rule = build_quadrature(NO_SYMMETRY, QuadratureSettings("hopf_product", resolution=12))
+    assert rule.shifts.shape[1] == 1
+    assert np.all(_charge_labels(rule, MonomialBasis.build(2, 3)) == 0)
+
+
+@pytest.mark.parametrize("rho,settings,degree", [
+    (REINHARDT, QuadratureSettings("hopf_product", resolution=32), 5),
+    (ELLIPSOID, QuadratureSettings("hopf_product", resolution=16), 4),
+    (N2_QUARTIC, QuadratureSettings("monte_carlo", samples=2000, seed=2), 3),
+], ids=["pullback", "ellipsoid", "monte_carlo-m3"])
+def test_in_class_gather_bit_equal_to_the_dense_gather(rho, settings, degree):
+    # only the in-class entries are gathered; the dense gather takes every
+    # entry and zeroes those across classes, from the same moments
+    rule = build_quadrature(rho, settings)
+    basis = MonomialBasis.build(rho.m, degree)
+    labels = _charge_labels(rule, basis)
+    got = _galerkin_matrices(rule, basis, labels)
+    for mat, want in zip(got, dense_gather(rule, basis, labels)):
+        assert np.array_equal(mat, want)
+
+
+def _assert_close_to_dense(problem):
+    blockwise, dense = solve(problem), dense_solve(problem)
+    assert abs(blockwise.lambda1 - dense.lambda1) <= 1e-13 * dense.lambda1
+    assert blockwise.kernel_dim == dense.kernel_dim
+    assert blockwise.dropped_dim == dense.dropped_dim
+    assert abs(blockwise.gram_cond - dense.gram_cond) <= 1e-6 * dense.gram_cond
+    assert np.all(np.diff(blockwise.eigenvalues) >= 0)
+    return blockwise, dense
+
+
+def test_blockwise_solve_matches_the_dense_solve_on_the_pullback(pullback_problem):
+    for degree in (2, 3, 4):
+        _assert_close_to_dense(pullback_problem.leading_block(degree))
+    blockwise, dense = _assert_close_to_dense(pullback_problem)
+    assert (blockwise.kernel_dim, blockwise.dropped_dim) == (21, 5)
+    # the ill-conditioned tail moves by the dense whitening's rounding
+    # (gram_cond 4.5e9); the values below 3 agree far more closely
+    low = dense.eigenvalues < 3.0
+    assert np.max(np.abs(blockwise.eigenvalues - dense.eigenvalues)[low]) <= 1e-13
+    assert np.max(np.abs(blockwise.eigenvalues - dense.eigenvalues)) <= 1e-5
+
+
+def test_blockwise_solve_matches_the_dense_solve_on_the_sphere_table():
+    problem = _Context().problem(SPHERE1, 3)
+    assert len(np.unique(problem.labels)) > 1
+    _assert_close_to_dense(problem)
+
+
+@pytest.mark.parametrize("rho,degree", [(ELLIPSOID, 4), (N2_QUARTIC, 3)], ids=["n1", "n2"])
+def test_one_block_monte_carlo_solve_bit_equal_to_the_dense_solve(rho, degree):
+    rule = build_quadrature(rho, QuadratureSettings("monte_carlo", samples=4000, seed=3))
+    problem = assemble(rule, MonomialBasis.build(rho.m, degree))
+    assert np.all(problem.labels == 0)
+    blockwise, dense = solve(problem), dense_solve(problem)
+    assert np.array_equal(blockwise.eigenvalues, dense.eigenvalues)
+    assert (blockwise.lambda1, blockwise.kernel_dim, blockwise.dropped_dim, blockwise.gram_cond) \
+        == (dense.lambda1, dense.kernel_dim, dense.dropped_dim, dense.gram_cond)
+
+
+def _block_pencil(gram, stiffness, labels):
+    """A block-diagonal pencil: the diagonal entries of each class, and 1e-3
+    between the two members of class 0 so that class is a 2 x 2 block."""
+    gram, stiffness = np.diag(gram).astype(complex), np.diag(stiffness).astype(complex)
+    gram[0, 1] = gram[1, 0] = 1e-3
+    return SpectralProblem(gram=gram, stiffness=stiffness, basis=MonomialBasis.build(2, 0),
+                           labels=np.array(labels))
+
+
+LABELS = [0, 0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("gram,stiffness,error", [
+    # no block has positive mass
+    ([0.0] * 5, [1.0] * 5, CholeskyFailure),
+    # one 1 x 1 block is indefinite
+    ([1.0, 1.0, 1.0, -1e-3, 1.0], [1.0] * 5, CholeskyFailure),
+    # a 1 x 1 block's eigenvalue is too small to trust next to another
+    # block's largest: well conditioned within its own block
+    ([1.0, 1.0, 1.0, 10.0 ** -12.5, 1.0], [1.0] * 5, IllConditionedGram),
+    # every Ritz value, one block at a time, lies below the kernel threshold
+    ([1.0] * 5, [0.0, 0.0, 0.0, 1e-7, 0.0], NoPositiveEigenvalue),
+], ids=["no-mass", "not-psd", "ill-conditioned", "no-positive"])
+def test_solve_error_paths_from_one_small_block(gram, stiffness, error):
+    problem = _block_pencil(gram, stiffness, LABELS)
+    with pytest.raises(error):
+        dense_solve(problem)
+    with pytest.raises(error):
+        solve(problem)
+
+
+def test_solve_thresholds_hold_over_the_whole_pencil():
+    # a 1 x 1 block below GRAM_DROP_TOL of another block's largest is
+    # dropped, and a Ritz value below kernel_tol of another block's largest
+    # counts as kernel, as in the dense solve
+    problem = _block_pencil([1.0, 1.0, 1e-15, 1.0, 1.0], [1.0, 1.0, 1.0, 1e-3, 1e4], LABELS)
+    blockwise, dense = solve(problem, kernel_tol=1e-6), dense_solve(problem, kernel_tol=1e-6)
+    assert (blockwise.dropped_dim, blockwise.kernel_dim) == (dense.dropped_dim, dense.kernel_dim) \
+        == (1, 1)
+    assert blockwise.lambda1 == pytest.approx(dense.lambda1, rel=1e-12)
+    assert blockwise.gram_cond == pytest.approx(dense.gram_cond, rel=1e-12)
+    # the dense whitening mixes the scale of the largest value into the
+    # smallest (2e-13 off here); per block both come out exact
+    assert np.max(np.abs(blockwise.eigenvalues - dense.eigenvalues)) <= 1e-15 * 1e4
+    assert (blockwise.eigenvalues[0], blockwise.eigenvalues[-1]) == (1e-3, 1e4)
